@@ -27,7 +27,12 @@ use crate::region::SpatialRegion;
 /// ```
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct HistoryBuffer {
-    entries: Vec<Option<SpatialRegion>>,
+    /// The written slots. Writes start at slot 0 and go in order, so the
+    /// written slots are always the prefix `0..min(total_appends, capacity)`:
+    /// the vector grows by push until it reaches the capacity, then the write
+    /// pointer overwrites it in place. A slot past its end was never written.
+    entries: Vec<SpatialRegion>,
+    capacity: u32,
     write_ptr: u32,
     total_appends: u64,
     /// `capacity - 1` when the capacity is a power of two (it is for every
@@ -39,6 +44,11 @@ pub struct HistoryBuffer {
 impl HistoryBuffer {
     /// Creates a history buffer holding up to `capacity` records.
     ///
+    /// The capacity is a bound, not an allocation: it sets where the write
+    /// pointer wraps and so which record is overwritten, while the buffer's
+    /// memory grows with the records actually appended, up to `capacity`
+    /// records.
+    ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero or exceeds `u32::MAX`.
@@ -48,36 +58,36 @@ impl HistoryBuffer {
             capacity <= u32::MAX as usize,
             "capacity exceeds pointer width"
         );
+        let capacity = capacity as u32;
         HistoryBuffer {
-            entries: vec![None; capacity],
+            entries: Vec::new(),
+            capacity,
             write_ptr: 0,
             total_appends: 0,
-            wrap_mask: (capacity as u32)
-                .is_power_of_two()
-                .then(|| capacity as u32 - 1),
+            wrap_mask: capacity.is_power_of_two().then(|| capacity - 1),
         }
     }
 
+    /// `ptr + n` wrapped at the capacity. The sum is taken in `u64`, so it
+    /// cannot overflow for capacities above 2³¹; with a power-of-two capacity
+    /// the `u32` sum wraps at 2³², a multiple of the capacity, so the mask
+    /// alone is exact.
     #[inline]
-    fn wrap(&self, ptr: u32) -> u32 {
+    fn wrap_add(&self, ptr: u32, n: u32) -> u32 {
         match self.wrap_mask {
-            Some(mask) => ptr & mask,
-            None => ptr % self.entries.len() as u32,
+            Some(mask) => ptr.wrapping_add(n) & mask,
+            None => ((ptr as u64 + n as u64) % self.capacity as u64) as u32,
         }
     }
 
     /// Capacity in records.
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.capacity as usize
     }
 
     /// Number of records currently stored (saturates at the capacity).
     pub fn len(&self) -> usize {
-        if self.total_appends >= self.entries.len() as u64 {
-            self.entries.len()
-        } else {
-            self.total_appends as usize
-        }
+        self.entries.len()
     }
 
     /// Returns `true` if no record has been appended yet.
@@ -100,15 +110,19 @@ impl HistoryBuffer {
     #[inline]
     pub fn append(&mut self, record: SpatialRegion) -> u32 {
         let slot = self.write_ptr;
-        self.entries[slot as usize] = Some(record);
-        self.write_ptr = self.wrap(self.write_ptr + 1);
+        if self.entries.len() < self.capacity as usize {
+            self.entries.push(record);
+        } else {
+            self.entries[slot as usize] = record;
+        }
+        self.write_ptr = self.wrap_add(slot, 1);
         self.total_appends += 1;
         slot
     }
 
     /// Reads the record at `ptr`, if one has been written there.
     pub fn get(&self, ptr: u32) -> Option<SpatialRegion> {
-        self.entries.get(ptr as usize).copied().flatten()
+        self.entries.get(ptr as usize).copied()
     }
 
     /// Reads up to `count` consecutive records starting at `ptr` (wrapping
@@ -129,8 +143,7 @@ impl HistoryBuffer {
     pub fn read_into(&self, ptr: u32, count: usize, out: &mut Vec<SpatialRegion>) {
         let count = count.min(self.len());
         for i in 0..count as u32 {
-            let slot = self.wrap(ptr + i);
-            if let Some(rec) = self.entries[slot as usize] {
+            if let Some(&rec) = self.entries.get(self.wrap_add(ptr, i) as usize) {
                 out.push(rec);
             }
         }
@@ -139,7 +152,7 @@ impl HistoryBuffer {
     /// Advances a pointer by `n` slots, wrapping at the capacity.
     #[inline]
     pub fn advance_ptr(&self, ptr: u32, n: u32) -> u32 {
-        self.wrap(ptr + n)
+        self.wrap_add(ptr, n)
     }
 }
 
@@ -218,5 +231,73 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_rejected() {
         let _ = HistoryBuffer::new(0);
+    }
+
+    #[test]
+    fn memory_grows_with_appends_not_capacity() {
+        let mut h = HistoryBuffer::new(1 << 22);
+        assert_eq!(h.entries.capacity(), 0);
+        for i in 0..100 {
+            h.append(rec(i));
+        }
+        assert_eq!(h.capacity(), 1 << 22);
+        assert!(h.entries.capacity() < 1024);
+    }
+
+    #[test]
+    fn wrapped_buffer_appends_without_reallocating() {
+        for capacity in [1000, 1024] {
+            let mut h = HistoryBuffer::new(capacity);
+            for i in 0..capacity as u64 {
+                h.append(rec(i));
+            }
+            let storage = (h.entries.as_ptr(), h.entries.capacity());
+            for i in 0..50_000u64 {
+                h.append(rec(i));
+            }
+            assert_eq!(h.len(), capacity);
+            assert_eq!(
+                storage,
+                (h.entries.as_ptr(), h.entries.capacity()),
+                "a wrapped history buffer must overwrite in place"
+            );
+        }
+    }
+
+    /// Pointer sums past `u32::MAX` must wrap at the capacity, not at 2³².
+    fn check_wrap_near_u32_max(capacity: u32) {
+        let h = HistoryBuffer::new(capacity as usize);
+        let last = capacity - 1;
+        assert_eq!(h.advance_ptr(last, 1), 0);
+        assert_eq!(h.advance_ptr(last, 5), 4);
+        let far = ((last - 2) as u64 + u32::MAX as u64) % capacity as u64;
+        assert_eq!(h.advance_ptr(last - 2, u32::MAX) as u64, far);
+        assert_eq!(h.advance_ptr(0, capacity), 0);
+    }
+
+    #[test]
+    fn advance_ptr_wraps_at_u32_max_capacity() {
+        check_wrap_near_u32_max(u32::MAX);
+        check_wrap_near_u32_max(u32::MAX - 1);
+    }
+
+    #[test]
+    fn read_near_u32_max_capacity_wraps_to_written_slots() {
+        for capacity in [u32::MAX, u32::MAX - 1] {
+            let mut h = HistoryBuffer::new(capacity as usize);
+            for i in 0..3 {
+                h.append(rec(i));
+            }
+            assert_eq!(h.capacity(), capacity as usize);
+            // Reading from the last slot covers it and slots 0 and 1; only
+            // the slots written so far come back.
+            let triggers: Vec<u64> = h
+                .read(capacity - 1, 3)
+                .iter()
+                .map(|r| r.trigger().get())
+                .collect();
+            assert_eq!(triggers, vec![0, 1]);
+            assert_eq!(h.get(capacity - 1), None);
+        }
     }
 }

@@ -9,20 +9,28 @@
 //!
 //! # Layout
 //!
-//! The table is a fixed-capacity, open-addressed hash table over packed
-//! parallel arrays plus an intrusive doubly-linked LRU list threaded through
-//! `u32` slot indices. All storage is allocated once in [`IndexTable::new`];
+//! The table is a bounded, open-addressed hash table over packed parallel
+//! arrays plus an intrusive doubly-linked LRU list threaded through `u32`
+//! slot indices. Storage grows with the entries inserted: the slot arrays
+//! grow by push, and the bucket array starts small and doubles (rehashing
+//! from the slot keys) whenever the entries would pass half of it, up to
+//! twice the capacity rounded to a power of two. Once the table is full,
 //! `update` and `lookup` never allocate. Recency is move-to-front on both
 //! `update` and `lookup` hits, and eviction takes the list tail — the same
 //! eviction order as a recency-stamp map that refreshes on update and hit and
 //! evicts the minimum stamp (covered by the differential proptest in
-//! `tests/proptest_core.rs`).
+//! `tests/proptest_core.rs`). Recency lives in the slot lists, not in bucket
+//! positions, so growing the bucket array changes no lookup, victim or
+//! eviction.
 
 use serde::{Deserialize, Serialize};
 use shift_types::BlockAddr;
 
 /// Sentinel slot index marking "no slot" in the LRU list and bucket array.
 const NIL: u32 = u32::MAX;
+
+/// Bucket count a new table starts with (or its maximum, if smaller).
+const INITIAL_BUCKETS: usize = 16;
 
 /// A bounded, LRU-evicting map from trigger block address to history pointer.
 ///
@@ -42,8 +50,9 @@ const NIL: u32 = u32::MAX;
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct IndexTable {
     capacity: usize,
-    /// Open-addressed bucket array of slot indices (`NIL` = empty), sized to a
-    /// power of two at least twice `capacity` so linear probes stay short.
+    /// Open-addressed bucket array of slot indices (`NIL` = empty): a power of
+    /// two at least twice `len`, so linear probes stay short, and at most
+    /// twice `capacity` rounded up to a power of two.
     buckets: Vec<u32>,
     /// Bit shift applied to the multiplicative hash to produce a bucket index.
     hash_shift: u32,
@@ -64,6 +73,10 @@ pub struct IndexTable {
 impl IndexTable {
     /// Creates an index table with `capacity` entries.
     ///
+    /// The capacity is a bound, not an allocation: it sets when the LRU entry
+    /// is evicted, while the table's memory grows with the entries actually
+    /// inserted, up to `capacity` entries.
+    ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
@@ -73,15 +86,17 @@ impl IndexTable {
             capacity < NIL as usize,
             "index table capacity must fit in a u32 slot index"
         );
-        let bucket_count = (capacity * 2).next_power_of_two();
+        // A full table needs `(2 * capacity).next_power_of_two()` buckets;
+        // `update` doubles up to that as entries arrive.
+        let bucket_count = INITIAL_BUCKETS.min((capacity * 2).next_power_of_two());
         IndexTable {
             capacity,
             buckets: vec![NIL; bucket_count],
             hash_shift: 64 - bucket_count.trailing_zeros(),
-            keys: Vec::with_capacity(capacity),
-            ptrs: Vec::with_capacity(capacity),
-            prev: Vec::with_capacity(capacity),
-            next: Vec::with_capacity(capacity),
+            keys: Vec::new(),
+            ptrs: Vec::new(),
+            prev: Vec::new(),
+            next: Vec::new(),
             head: NIL,
             tail: NIL,
             len: 0,
@@ -175,6 +190,18 @@ impl IndexTable {
         }
     }
 
+    /// Doubles the bucket array and reinserts every live slot by its key.
+    fn grow_buckets(&mut self) {
+        let bucket_count = self.buckets.len() * 2;
+        self.buckets.clear();
+        self.buckets.resize(bucket_count, NIL);
+        self.hash_shift = 64 - bucket_count.trailing_zeros();
+        for slot in 0..self.len as u32 {
+            let (bucket, _) = self.probe(self.keys[slot as usize]);
+            self.buckets[bucket] = slot;
+        }
+    }
+
     /// Removes `key` from the bucket array using backward-shift deletion so
     /// probe chains stay tombstone-free. Entry slots are untouched; only the
     /// `u32` indices in the bucket array move.
@@ -215,6 +242,12 @@ impl IndexTable {
             return;
         }
         if self.len < self.capacity {
+            let bucket = if (self.len + 1) * 2 > self.buckets.len() {
+                self.grow_buckets();
+                self.probe(key).0
+            } else {
+                bucket
+            };
             let slot = self.len as u32;
             self.keys.push(key);
             self.ptrs.push(ptr);
@@ -338,9 +371,35 @@ mod tests {
     }
 
     #[test]
-    fn hot_paths_do_not_allocate_after_construction() {
+    fn buckets_grow_with_entries_up_to_the_capacity_bound() {
+        let mut idx = IndexTable::new(1 << 20);
+        assert_eq!(idx.buckets.len(), INITIAL_BUCKETS);
+        for i in 0..100u64 {
+            idx.update(BlockAddr::new(i * 64), i as u32);
+            assert!(idx.len() * 2 <= idx.buckets.len());
+        }
+        assert_eq!(idx.buckets.len(), 256);
+        for i in 0..100u64 {
+            assert_eq!(idx.peek(BlockAddr::new(i * 64)), Some(i as u32));
+        }
+
+        let mut small = IndexTable::new(5);
+        assert_eq!(small.buckets.len(), 16);
+        for i in 0..100u64 {
+            small.update(BlockAddr::new(i), i as u32);
+        }
+        assert_eq!(small.buckets.len(), 16, "never past the eager size");
+        let mut one = IndexTable::new(1);
+        one.update(BlockAddr::new(1), 1);
+        one.update(BlockAddr::new(2), 2);
+        assert_eq!(one.buckets.len(), 2);
+        assert_eq!(one.peek(BlockAddr::new(2)), Some(2));
+    }
+
+    #[test]
+    fn hot_paths_do_not_allocate_after_filling() {
         let mut idx = IndexTable::new(256);
-        // Fill to capacity first (growth phase uses the pre-reserved Vecs).
+        // Fill to capacity first: the growth phase allocates.
         for i in 0..256u64 {
             idx.update(BlockAddr::new(i), i as u32);
         }

@@ -67,6 +67,21 @@ impl PifConfig {
         }
     }
 
+    /// Storage cost of this design point: a private history buffer and index
+    /// table per core. Pure arithmetic on the configuration, so a cost needs
+    /// no built prefetcher.
+    pub fn storage(&self) -> StorageCost {
+        let record_bits = SpatialRegion::storage_bits(self.region_blocks);
+        let pointer_bits = storage::pointer_bits(self.history_records);
+        StorageCost {
+            per_core_bytes: storage::history_bytes(self.history_records, record_bits)
+                + storage::index_bytes(self.index_entries, pointer_bits),
+            shared_bytes: 0,
+            llc_data_bytes: 0,
+            llc_tag_bytes: 0,
+        }
+    }
+
     /// Human-readable design point name (`PIF_32K`, `PIF_2K`, …).
     pub fn design_name(&self) -> String {
         if self.history_records.is_multiple_of(1024) {
@@ -227,15 +242,7 @@ impl InstructionPrefetcher for Pif {
     }
 
     fn storage(&self, _cores: u16) -> StorageCost {
-        let record_bits = SpatialRegion::storage_bits(self.config.region_blocks);
-        let pointer_bits = storage::pointer_bits(self.config.history_records);
-        StorageCost {
-            per_core_bytes: storage::history_bytes(self.config.history_records, record_bits)
-                + storage::index_bytes(self.config.index_entries, pointer_bits),
-            shared_bytes: 0,
-            llc_data_bytes: 0,
-            llc_tag_bytes: 0,
-        }
+        self.config.storage()
     }
 }
 

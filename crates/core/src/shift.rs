@@ -115,6 +115,31 @@ impl ShiftConfig {
         (self.history_records as u64).div_ceil(self.records_per_llc_block as u64)
     }
 
+    /// Storage cost of this design. Pure arithmetic on the configuration, so
+    /// a cost needs no built prefetcher.
+    pub fn storage(&self) -> StorageCost {
+        let record_bits = SpatialRegion::storage_bits(self.region_blocks);
+        let pointer_bits = storage::pointer_bits(self.history_records);
+        // Per-core control logic: the stream address buffers (4 × 12 records).
+        let sab_bits = (self.sab.streams * self.sab.capacity_regions) as u64 * record_bits as u64;
+        let per_core_bytes = sab_bits.div_ceil(8);
+        match self.mode {
+            ShiftMode::Dedicated { .. } => StorageCost {
+                per_core_bytes,
+                shared_bytes: storage::history_bytes(self.history_records, record_bits)
+                    + storage::index_bytes(self.index_entries, pointer_bits),
+                llc_data_bytes: 0,
+                llc_tag_bytes: 0,
+            },
+            ShiftMode::Virtualized => StorageCost {
+                per_core_bytes,
+                shared_bytes: 0,
+                llc_data_bytes: self.history_llc_blocks() * 64,
+                llc_tag_bytes: (self.llc_capacity_blocks as u64 * pointer_bits as u64).div_ceil(8),
+            },
+        }
+    }
+
     /// Human-readable design name used in reports.
     pub fn design_name(&self) -> &'static str {
         match self.mode {
@@ -380,28 +405,7 @@ impl InstructionPrefetcher for Shift {
     }
 
     fn storage(&self, _cores: u16) -> StorageCost {
-        let record_bits = SpatialRegion::storage_bits(self.config.region_blocks);
-        let pointer_bits = storage::pointer_bits(self.config.history_records);
-        // Per-core control logic: the stream address buffers (4 × 12 records).
-        let sab_bits = (self.config.sab.streams * self.config.sab.capacity_regions) as u64
-            * record_bits as u64;
-        let per_core_bytes = sab_bits.div_ceil(8);
-        match self.config.mode {
-            ShiftMode::Dedicated { .. } => StorageCost {
-                per_core_bytes,
-                shared_bytes: storage::history_bytes(self.config.history_records, record_bits)
-                    + storage::index_bytes(self.config.index_entries, pointer_bits),
-                llc_data_bytes: 0,
-                llc_tag_bytes: 0,
-            },
-            ShiftMode::Virtualized => StorageCost {
-                per_core_bytes,
-                shared_bytes: 0,
-                llc_data_bytes: self.config.history_llc_blocks() * 64,
-                llc_tag_bytes: (self.config.llc_capacity_blocks as u64 * pointer_bits as u64)
-                    .div_ceil(8),
-            },
-        }
+        self.config.storage()
     }
 }
 

@@ -5,11 +5,20 @@
 //! executable reference model and drives both with random operation
 //! sequences: every lookup and peek must agree, and after any sequence both
 //! must hold exactly the same entries.
+//!
+//! The [`HistoryBuffer`] grows with the records appended to it; it replaced a
+//! buffer that allocated one `Option` slot per record of capacity up front.
+//! That eager buffer is kept alive the same way, as `ModelHistory`.
+//!
+//! Both structures are also snapshotted through the serde data model (as the
+//! benchmark's traced replay snapshots a `Shift`): the copy must behave
+//! exactly like the original.
 
 use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
-use shift_core::IndexTable;
+use serde::{Deserialize, Serialize};
+use shift_core::{HistoryBuffer, IndexTable, SpatialRegion};
 use shift_types::BlockAddr;
 
 /// Reference model: a bounded LRU map built from a recency-stamp `BTreeMap`.
@@ -94,6 +103,202 @@ proptest! {
         // Final membership over the whole key domain must agree exactly.
         for key in 0..48u64 {
             prop_assert_eq!(table.peek(BlockAddr::new(key)), model.peek(key));
+        }
+    }
+}
+
+/// Reference model: the eager history buffer, one `Option` slot per record
+/// of capacity, allocated up front; `None` marks a never-written slot.
+struct ModelHistory {
+    entries: Vec<Option<SpatialRegion>>,
+    write_ptr: u32,
+    total_appends: u64,
+}
+
+impl ModelHistory {
+    fn new(capacity: usize) -> Self {
+        ModelHistory {
+            entries: vec![None; capacity],
+            write_ptr: 0,
+            total_appends: 0,
+        }
+    }
+
+    fn wrap(&self, ptr: u32, n: u32) -> u32 {
+        ((ptr as u64 + n as u64) % self.entries.len() as u64) as u32
+    }
+
+    fn len(&self) -> usize {
+        self.total_appends.min(self.entries.len() as u64) as usize
+    }
+
+    fn append(&mut self, record: SpatialRegion) -> u32 {
+        let slot = self.write_ptr;
+        self.entries[slot as usize] = Some(record);
+        self.write_ptr = self.wrap(slot, 1);
+        self.total_appends += 1;
+        slot
+    }
+
+    fn get(&self, ptr: u32) -> Option<SpatialRegion> {
+        self.entries.get(ptr as usize).copied().flatten()
+    }
+
+    fn read(&self, ptr: u32, count: usize) -> Vec<SpatialRegion> {
+        (0..count.min(self.len()) as u32)
+            .filter_map(|i| self.entries[self.wrap(ptr, i) as usize])
+            .collect()
+    }
+}
+
+fn record(n: u64) -> SpatialRegion {
+    SpatialRegion::new(BlockAddr::new(n * 8), 8)
+}
+
+/// Checks every observation of `history` against `model`, reading the
+/// window at `ptr`.
+fn assert_history_agrees(history: &HistoryBuffer, model: &ModelHistory, ptr: u32, count: usize) {
+    assert_eq!(history.len(), model.len());
+    assert_eq!(history.is_empty(), model.total_appends == 0);
+    assert_eq!(history.total_appends(), model.total_appends);
+    assert_eq!(history.write_ptr(), model.write_ptr);
+    assert_eq!(history.capacity(), model.entries.len());
+    assert_eq!(history.get(ptr), model.get(ptr));
+    let window = history.read(ptr, count);
+    assert_eq!(window, model.read(ptr, count));
+    let mut into = vec![record(u64::MAX / 16)];
+    history.read_into(ptr, count, &mut into);
+    assert_eq!(&into[1..], &window[..]);
+    assert_eq!(
+        history.advance_ptr(ptr, count as u32),
+        model.wrap(ptr, count as u32)
+    );
+}
+
+/// A capacity in 1..=4096: a power of two or an arbitrary size.
+fn capacity_of(power_of_two: bool, exponent: u32, raw: usize) -> usize {
+    if power_of_two {
+        1 << exponent
+    } else {
+        raw
+    }
+}
+
+/// Copies `value` through the serde data model.
+fn round_trip<T: Serialize + Deserialize>(value: &T) -> T {
+    T::from_value(&value.to_value()).expect("a serialized value deserializes")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The history buffer that grows with its appends is observationally
+    /// identical to the eager buffer, at every step, for appends far below
+    /// and far beyond the capacity: slots returned by `append`, `get`,
+    /// `read`/`read_into` windows (including never-written slots and
+    /// pointers past the capacity), `len` and `advance_ptr`.
+    #[test]
+    fn history_buffer_matches_eager_model(
+        shape in (any::<bool>(), 0u32..13, 1usize..=4096),
+        ops in proptest::collection::vec((0u8..3, 0u32..u32::MAX, 0usize..64), 1..48),
+    ) {
+        let capacity = capacity_of(shape.0, shape.1, shape.2);
+        let mut history = HistoryBuffer::new(capacity);
+        let mut model = ModelHistory::new(capacity);
+        let mut next = 0u64;
+        for &(op, a, b) in &ops {
+            let ptr = a % (capacity as u32 + 8);
+            match op {
+                // A burst of appends: up to twice the capacity, or a few.
+                0 => {
+                    let burst = 1 + a as usize % (2 * capacity);
+                    for _ in 0..burst {
+                        prop_assert_eq!(history.append(record(next)), model.append(record(next)));
+                        next += 1;
+                    }
+                }
+                1 => {
+                    for _ in 0..b {
+                        prop_assert_eq!(history.append(record(next)), model.append(record(next)));
+                        next += 1;
+                    }
+                }
+                _ => {}
+            }
+            assert_history_agrees(&history, &model, ptr, b);
+        }
+    }
+
+    /// The index table with a capacity far above the keys it sees grows its
+    /// bucket array and rehashes many times; lookups, peeks and final
+    /// membership must still agree with the recency-stamp model.
+    #[test]
+    fn growing_index_table_matches_recency_stamp_model(
+        capacity in 1usize..=8192,
+        ops in proptest::collection::vec((0u8..3, 0u64..2048, 0u32..1_000_000), 1..3000),
+    ) {
+        let mut table = IndexTable::new(capacity);
+        let mut model = ModelIndex::new(capacity);
+        for &(op, key, ptr) in &ops {
+            let block = BlockAddr::new(key);
+            match op {
+                0 => {
+                    table.update(block, ptr);
+                    model.update(key, ptr);
+                }
+                1 => prop_assert_eq!(table.lookup(block), model.lookup(key)),
+                _ => prop_assert_eq!(table.peek(block), model.peek(key)),
+            }
+            prop_assert_eq!(table.len(), model.by_key.len());
+        }
+        for key in 0..2048u64 {
+            prop_assert_eq!(table.peek(BlockAddr::new(key)), model.peek(key));
+        }
+    }
+
+    /// A partly filled (or wrapped) history buffer and index table copied
+    /// through `to_value`/`from_value` behave exactly like the originals
+    /// under any continuation.
+    #[test]
+    fn serde_copies_behave_like_the_originals(
+        shape in (any::<bool>(), 0u32..13, 1usize..=4096),
+        prefill in 0usize..6000,
+        ops in proptest::collection::vec((0u8..3, 0u64..512, 0u32..u32::MAX), 1..400),
+    ) {
+        let capacity = capacity_of(shape.0, shape.1, shape.2);
+        let mut history = HistoryBuffer::new(capacity);
+        let mut table = IndexTable::new(capacity);
+        for n in 0..prefill as u64 {
+            let ptr = history.append(record(n));
+            table.update(BlockAddr::new(n % 512), ptr);
+        }
+        let mut history_copy = round_trip(&history);
+        let mut table_copy = round_trip(&table);
+        let mut next = prefill as u64;
+        for &(op, key, a) in &ops {
+            let block = BlockAddr::new(key);
+            let ptr = a % capacity as u32;
+            match op {
+                0 => {
+                    let slot = history.append(record(next));
+                    prop_assert_eq!(history_copy.append(record(next)), slot);
+                    table.update(block, slot);
+                    table_copy.update(block, slot);
+                    next += 1;
+                }
+                1 => prop_assert_eq!(table_copy.lookup(block), table.lookup(block)),
+                _ => prop_assert_eq!(table_copy.peek(block), table.peek(block)),
+            }
+            prop_assert_eq!(history_copy.read(ptr, 16), history.read(ptr, 16));
+            prop_assert_eq!(history_copy.get(ptr), history.get(ptr));
+            prop_assert_eq!(history_copy.len(), history.len());
+            prop_assert_eq!(history_copy.write_ptr(), history.write_ptr());
+            prop_assert_eq!(table_copy.len(), table.len());
+        }
+        prop_assert_eq!(table_copy.lookups(), table.lookups());
+        prop_assert_eq!(table_copy.hits(), table.hits());
+        for key in 0..512u64 {
+            prop_assert_eq!(table_copy.peek(BlockAddr::new(key)), table.peek(BlockAddr::new(key)));
         }
     }
 }

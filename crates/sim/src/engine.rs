@@ -783,6 +783,25 @@ fn build_prefetchers(
     }
 }
 
+/// The SHIFT design the engine builds for a `history_records`-record history
+/// in `mode` on an LLC of `llc_capacity_blocks` tags: the paper's design with
+/// an index of one entry per record. Everything that sets the design's cost
+/// is here; [`build_shift_units`] adds each unit's generator core, LLC
+/// history window and NoC latency, which cost nothing.
+pub(crate) fn shift_config(
+    history_records: usize,
+    mode: shift_core::ShiftMode,
+    llc_capacity_blocks: usize,
+) -> ShiftConfig {
+    ShiftConfig {
+        history_records,
+        index_entries: history_records.max(16),
+        mode,
+        llc_capacity_blocks,
+        ..ShiftConfig::virtualized_micro13(CoreId::new(0), BlockAddr::new(0))
+    }
+}
+
 /// Builds the per-workload SHIFT units: one shared history per workload,
 /// generated by the first core of that workload, embedded at a distinct LLC
 /// window. Shared by the standalone SHIFT bank and every hybrid that wraps
@@ -800,14 +819,12 @@ fn build_shift_units(
     let mut pf_of_core = vec![0usize; cores as usize];
     for w in 0..n_workloads {
         let workload_cores = consolidation.cores_of(shift_types::WorkloadId::new(w as u8));
-        let generator = workload_cores[0];
-        let history_base = BlockAddr::new(0x7000_0000 + (w as u64) * 0x1_0000);
-        let mut cfg = ShiftConfig::virtualized_micro13(generator, history_base);
-        cfg.history_records = history_records;
-        cfg.index_entries = history_records.max(16);
-        cfg.mode = mode;
-        cfg.noc_round_trip = memory.mesh().average_round_trip_latency(0).round() as u64;
-        cfg.llc_capacity_blocks = config.llc.capacity_blocks();
+        let cfg = ShiftConfig {
+            generator_core: workload_cores[0],
+            history_base: BlockAddr::new(0x7000_0000 + (w as u64) * 0x1_0000),
+            noc_round_trip: memory.mesh().average_round_trip_latency(0).round() as u64,
+            ..shift_config(history_records, mode, config.llc.capacity_blocks())
+        };
         let mut shift = Shift::new(cfg, cores);
         shift.install(memory.llc_mut());
         for c in workload_cores {

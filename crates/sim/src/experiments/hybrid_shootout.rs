@@ -261,8 +261,7 @@ impl HybridShootoutPlan {
                     overprediction: overprediction.iter().sum::<f64>() / n,
                     discard_ratio: discard.iter().sum::<f64>() / n,
                     speedup: geometric_mean(&speedups),
-                    storage_kib: storage_of(design, self.cores, llc_blocks)
-                        .added_sram_kib(self.cores),
+                    storage_kib: storage_of(design, llc_blocks).added_sram_kib(self.cores),
                 }
             })
             .collect();

@@ -10,13 +10,13 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use shift_core::{InstructionPrefetcher, Pif, Shift, ShiftConfig, StorageCost};
+use shift_core::StorageCost;
 use shift_cpu::CoreKind;
 use shift_metrics::{AreaModel, PdComparison};
 use shift_trace::{Scale, WorkloadSpec};
-use shift_types::{BlockAddr, CoreId};
 
 use crate::config::{CmpConfig, PrefetcherConfig, SimOptions};
+use crate::engine::shift_config;
 use crate::matrix::{RunHandle, RunMatrix};
 use crate::results::geometric_mean;
 use crate::store::RunOutcomes;
@@ -94,28 +94,21 @@ impl fmt::Display for PerformanceDensityResult {
     }
 }
 
-pub(crate) fn storage_of(
-    prefetcher: &PrefetcherConfig,
-    cores: u16,
-    llc_blocks: usize,
-) -> StorageCost {
+/// Storage cost of a prefetcher design on an LLC of `llc_blocks` tags,
+/// computed from its configuration. The hybrids cost the sum of their parts;
+/// next-line fallbacks and the gate/port control bits are free, so each
+/// reduces to its history-bearing component.
+pub(crate) fn storage_of(prefetcher: &PrefetcherConfig, llc_blocks: usize) -> StorageCost {
     match prefetcher {
         PrefetcherConfig::None | PrefetcherConfig::NextLine { .. } => StorageCost::none(),
-        PrefetcherConfig::Pif(cfg) => Pif::new(*cfg, cores).storage(cores),
+        PrefetcherConfig::Pif(config) | PrefetcherConfig::GatedPif { config, .. } => {
+            config.storage()
+        }
         PrefetcherConfig::Shift {
             history_records,
             mode,
-        } => {
-            let mut cfg = ShiftConfig::virtualized_micro13(CoreId::new(0), BlockAddr::new(0));
-            cfg.history_records = *history_records;
-            cfg.mode = *mode;
-            cfg.llc_capacity_blocks = llc_blocks;
-            Shift::new(cfg, cores).storage(cores)
         }
-        // The hybrids cost the sum of their parts; next-line fallbacks and
-        // the gate/port control bits are free, so each reduces to its
-        // history-bearing component.
-        PrefetcherConfig::ShiftNextLine {
+        | PrefetcherConfig::ShiftNextLine {
             history_records,
             mode,
             ..
@@ -129,17 +122,7 @@ pub(crate) fn storage_of(
             history_records,
             mode,
             ..
-        } => storage_of(
-            &PrefetcherConfig::Shift {
-                history_records: *history_records,
-                mode: *mode,
-            },
-            cores,
-            llc_blocks,
-        ),
-        PrefetcherConfig::GatedPif { config, .. } => {
-            storage_of(&PrefetcherConfig::Pif(*config), cores, llc_blocks)
-        }
+        } => shift_config(*history_records, *mode, llc_blocks).storage(),
     }
 }
 
@@ -239,7 +222,7 @@ impl PerformanceDensityPlan {
                     .map(|(&run, &baseline)| outcomes[run].speedup_over(&outcomes[baseline]))
                     .collect();
                 let llc_blocks = CmpConfig::micro13(cores, *prefetcher).llc.capacity_blocks();
-                let storage = storage_of(prefetcher, cores, llc_blocks);
+                let storage = storage_of(prefetcher, llc_blocks);
                 let area = area_model.cmp_core_area_mm2(*kind, cores, &storage);
                 points.push(PdPoint {
                     core_kind: *kind,

@@ -4,9 +4,10 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use shift_core::{InstructionPrefetcher, Pif, PifConfig, Shift, ShiftConfig, StorageCost};
+use shift_core::{PifConfig, ShiftMode, StorageCost};
 use shift_metrics::AreaModel;
-use shift_types::{BlockAddr, CoreId};
+
+use crate::engine::shift_config;
 
 /// One design's storage and area summary.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -79,8 +80,7 @@ pub fn storage_table(cores: u16, llc_capacity_blocks: usize) -> StorageTableResu
     let mut rows = Vec::new();
 
     for config in [PifConfig::pif_2k(), PifConfig::pif_32k()] {
-        let pif = Pif::new(config, cores);
-        let storage = pif.storage(cores);
+        let storage = config.storage();
         rows.push(StorageRow {
             design: config.design_name(),
             added_sram_kib: storage.added_sram_kib(cores),
@@ -89,10 +89,7 @@ pub fn storage_table(cores: u16, llc_capacity_blocks: usize) -> StorageTableResu
         });
     }
 
-    let mut shift_cfg = ShiftConfig::virtualized_micro13(CoreId::new(0), BlockAddr::new(0));
-    shift_cfg.llc_capacity_blocks = llc_capacity_blocks;
-    let shift = Shift::new(shift_cfg, cores);
-    let storage = shift.storage(cores);
+    let storage = shift_config(32 * 1024, ShiftMode::Virtualized, llc_capacity_blocks).storage();
     rows.push(StorageRow {
         design: "SHIFT".to_owned(),
         added_sram_kib: storage.added_sram_kib(cores),

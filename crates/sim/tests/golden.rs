@@ -21,6 +21,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use serde::json;
+use shift_core::{PifConfig, ShiftMode};
 use shift_sim::{CmpConfig, PrefetcherConfig, SimOptions, Simulation};
 use shift_trace::{presets, Scale, WorkloadSpec};
 
@@ -33,15 +34,28 @@ fn golden_dir() -> PathBuf {
         .join("golden")
 }
 
-fn run_json(workload: &WorkloadSpec, prefetcher: PrefetcherConfig) -> String {
+fn run_json(workload: &WorkloadSpec, prefetcher: PrefetcherConfig, options: SimOptions) -> String {
     let config = CmpConfig::micro13(CORES, prefetcher);
-    let options = SimOptions::new(Scale::Test, SEED);
     let result = Simulation::standalone(config, workload.clone(), options).run();
     json::to_string_pretty(&result)
 }
 
 fn check(name: &str, workload: &WorkloadSpec, prefetcher: PrefetcherConfig) {
-    let actual = run_json(workload, prefetcher);
+    check_with(
+        name,
+        workload,
+        prefetcher,
+        SimOptions::new(Scale::Test, SEED),
+    );
+}
+
+fn check_with(
+    name: &str,
+    workload: &WorkloadSpec,
+    prefetcher: PrefetcherConfig,
+    options: SimOptions,
+) {
+    let actual = run_json(workload, prefetcher, options);
     let path = golden_dir().join(format!("{name}.json"));
     if std::env::var("SHIFT_BLESS").is_ok_and(|v| !v.is_empty() && v != "0") {
         fs::create_dir_all(golden_dir()).expect("create golden dir");
@@ -155,4 +169,35 @@ fn hybrid_results_are_bit_identical_to_recorded() {
         &presets::tiny(),
         PrefetcherConfig::shift_throttled(4),
     );
+}
+
+#[test]
+fn figure6_unbounded_history_results_are_bit_identical_to_recorded() {
+    // The two "inf" points of the Figure 6 sweep: one shared zero-latency
+    // SHIFT history of 4 Mi records and a PIF history of 4 Mi / 4 cores per
+    // core, both in prediction-only mode. Recorded when the history buffer
+    // and index table were still allocated to their full capacity up front,
+    // so sizing them by the records a run writes is checked against the
+    // eager structures' output.
+    let options = SimOptions::new(Scale::Test, SEED).prediction_only();
+    for (name, workload) in [
+        ("tiny", presets::tiny()),
+        ("web_frontend", presets::web_frontend()),
+    ] {
+        check_with(
+            &format!("{name}_fig06_inf_zero_latency_shift"),
+            &workload,
+            PrefetcherConfig::Shift {
+                history_records: 4 * 1024 * 1024,
+                mode: ShiftMode::Dedicated { zero_latency: true },
+            },
+            options,
+        );
+        check_with(
+            &format!("{name}_fig06_inf_pif"),
+            &workload,
+            PrefetcherConfig::Pif(PifConfig::with_history_records(1 << 20)),
+            options,
+        );
+    }
 }
