@@ -55,8 +55,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use shift_bench::artifacts::artifacts_dir;
+use shift_bench::banner;
 use shift_bench::reproduce::{PaperPlan, PaperReport, ReproduceSettings};
-use shift_bench::{banner, cores_from_env, scale_from_env, workloads_from_env};
 use shift_sim::shard::seed_shard_outcomes;
 use shift_sim::store::seed_outcomes;
 use shift_sim::{
@@ -209,17 +209,21 @@ fn main() -> ExitCode {
     };
     let reuse = options.reuse;
 
-    let scale = scale_from_env();
-    let cores = cores_from_env();
-    let workloads = workloads_from_env();
+    let settings = match ReproduceSettings::from_env() {
+        Ok(settings) => settings,
+        Err(e) => {
+            eprintln!("invalid sweep settings: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     banner(
         "reproduce (all figures and tables)",
-        scale,
-        cores,
-        &workloads,
+        settings.scale,
+        settings.cores,
+        &settings.workloads,
     );
 
-    let plan = PaperPlan::plan(ReproduceSettings::from_env());
+    let plan = PaperPlan::plan(settings);
     println!(
         "planned {} distinct simulations for the whole paper ({} avoided by cross-figure \
          dedup); matrix fingerprint {}",

@@ -62,13 +62,20 @@ pub fn scale_from_env() -> Scale {
     }
 }
 
-/// Reads the simulated core count from `SHIFT_CORES` (default 16).
+/// Reads the simulated core count from `SHIFT_CORES` (default 16). A value
+/// that is not a positive integer warns and falls back to the default.
 pub fn cores_from_env() -> u16 {
-    std::env::var("SHIFT_CORES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(16)
+    let value = std::env::var("SHIFT_CORES").unwrap_or_default();
+    if value.is_empty() {
+        return 16;
+    }
+    match value.parse() {
+        Ok(cores) if cores > 0 => cores,
+        _ => {
+            eprintln!("invalid SHIFT_CORES `{value}`, using 16");
+            16
+        }
+    }
 }
 
 /// Reads the workload subset from `SHIFT_WORKLOADS` (default: full suite).

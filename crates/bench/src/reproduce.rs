@@ -64,14 +64,24 @@ pub struct ReproduceSettings {
 
 impl ReproduceSettings {
     /// Settings from the harness environment variables (`SHIFT_SCALE`,
-    /// `SHIFT_CORES`, `SHIFT_WORKLOADS`) with the fixed harness seed.
-    pub fn from_env() -> Self {
-        ReproduceSettings {
-            cores: cores_from_env(),
-            scale: scale_from_env(),
-            seed: HARNESS_SEED,
-            workloads: workloads_from_env(),
+    /// `SHIFT_CORES`, `SHIFT_WORKLOADS`) with the fixed harness seed. Each
+    /// variable is read once, so each of its warnings prints once.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::TooFewCores`] if `SHIFT_CORES` is below 2, the same
+    /// error a served plan with that core count gets.
+    pub fn from_env() -> Result<Self, PlanError> {
+        let (cores, scale, workloads) = (cores_from_env(), scale_from_env(), workloads_from_env());
+        if cores < 2 {
+            return Err(PlanError::TooFewCores { cores });
         }
+        Ok(ReproduceSettings::new(
+            cores,
+            scale,
+            HARNESS_SEED,
+            workloads,
+        ))
     }
 
     /// Explicit settings (used by tests at reduced scale).

@@ -3,8 +3,9 @@
 //! figure/table, and render the reference scoreboard.
 
 use std::fs;
+use std::process::Command;
 
-use shift_bench::reproduce::{PaperPlan, ReproduceSettings};
+use shift_bench::reproduce::{PaperPlan, PlanError, ReproduceSettings};
 use shift_trace::{presets, Scale};
 
 const ARTIFACT_NAMES: [&str; 13] = [
@@ -61,4 +62,27 @@ fn reproduce_writes_every_artifact_and_scores_references() {
     );
 
     fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn reproduce_binary_rejects_one_core_with_a_plan_error() {
+    // One core leaves the commonality study no pair of cores to compare: the
+    // binary must refuse the settings with the same error a served plan gets,
+    // not an assert backtrace, and warn about each bad variable only once.
+    let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .env("SHIFT_CORES", "1")
+        .env("SHIFT_SCALE", "bogus")
+        .env("SHIFT_WORKLOADS", "nomatch")
+        .output()
+        .expect("run the reproduce binary");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains(&PlanError::TooFewCores { cores: 1 }.to_string()),
+        "stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    for warning in ["unknown SHIFT_SCALE", "SHIFT_WORKLOADS matched nothing"] {
+        assert_eq!(stderr.matches(warning).count(), 1, "stderr:\n{stderr}");
+    }
 }

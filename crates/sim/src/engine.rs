@@ -1,7 +1,8 @@
-//! The simulation engine behind [`Simulation`](crate::system::Simulation).
+//! The simulation engine behind [`RunKey::run`](crate::RunKey::run).
 //!
-//! [`Simulation::run`](crate::system::Simulation::run) is a thin facade over
-//! the pieces in this module:
+//! A [`RunKey`](crate::RunKey) describes one run;
+//! [`RunKey::engine`](crate::RunKey::engine) assembles it from the pieces in
+//! this module:
 //!
 //! * `MemorySystem` (private) — the shared banked LLC and the mesh
 //!   interconnect, bundled so that an LLC round trip (request hop, bank
@@ -12,10 +13,17 @@
 //!   as parallel struct-of-arrays lanes indexed by core position, with the
 //!   fetch/data handling and prefetch-issue logic as methods on a per-core
 //!   view of the lanes.
+//! * `Stepper` (private) — the run's prefetcher units and the core → unit
+//!   routing table, with the one round-robin stepping loop. SHIFT and its
+//!   hybrids keep one unit per workload; every other design is one unit that
+//!   all cores route to.
 //! * [`Engine`] — the round-robin interleaving of all cores over warm-up and
 //!   measurement phases, plus result assembly. Public so harnesses can drive
 //!   stepping in batches ([`Engine::step_rounds`]) and measure steady-state
-//!   throughput.
+//!   throughput. The prefetcher is dispatched once per batch: the engine
+//!   holds its stepper as a trait object, and each stepper's loop is
+//!   monomorphized for its unit type, so every per-fetch hook is a static
+//!   call.
 
 use std::sync::Arc;
 
@@ -24,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use shift_cache::{NucaLlc, SetAssocCache};
 use shift_core::{
     AdaptivePrefetcher, ConfidenceGatedPrefetcher, FallbackPrefetcher, InstructionPrefetcher,
-    NextLinePrefetcher, NullPrefetcher, Pif, PrefetchCandidate, Shift, ShiftConfig,
+    NextLinePrefetcher, NullPrefetcher, Pif, PrefetchCandidate, Shift, ShiftConfig, ShiftMode,
     ThrottledPrefetcher,
 };
 use shift_cpu::{CoreTiming, TimingAccumulator};
@@ -231,12 +239,11 @@ impl CoreView<'_> {
     /// Advances this core by exactly one instruction-block fetch (plus any
     /// data references that precede it in the trace).
     ///
-    /// Generic over the prefetcher type so each [`PrefetcherBank`] variant
-    /// monomorphizes its own copy with the hooks statically dispatched (and,
-    /// for the no-op baseline, inlined away entirely); `?Sized` keeps the
-    /// `&mut dyn` reference path compilable for the equivalence tests.
+    /// Generic over the prefetcher type so each stepper monomorphizes its
+    /// own copy with the hooks statically dispatched (and, for the no-op
+    /// baseline, inlined away entirely).
     #[inline]
-    fn step_one_fetch<P: InstructionPrefetcher + ?Sized>(
+    fn step_one_fetch<P: InstructionPrefetcher>(
         &mut self,
         pf: &mut P,
         memory: &mut MemorySystem,
@@ -267,7 +274,7 @@ impl CoreView<'_> {
         self.l1d.fill(block, ());
     }
 
-    fn handle_fetch<P: InstructionPrefetcher + ?Sized>(
+    fn handle_fetch<P: InstructionPrefetcher>(
         &mut self,
         pf: &mut P,
         memory: &mut MemorySystem,
@@ -374,108 +381,61 @@ impl CoreView<'_> {
     }
 }
 
-/// The configured prefetcher(s) of a run, dispatched statically: one variant
-/// per [`PrefetcherConfig`] family, so the stepping loop monomorphizes per
-/// variant and the per-fetch `on_access`/`on_retire`/`covers` hooks are
-/// direct (inlinable) calls instead of virtual ones through
-/// `Box<dyn InstructionPrefetcher>`. The baseline's no-op hooks — half of
-/// every deduplicated matrix's shared keys — compile away entirely.
-pub(crate) enum PrefetcherBank {
-    /// No prefetcher (the baseline).
-    Null(NullPrefetcher),
-    /// One next-line prefetcher shared by every core.
-    NextLine(NextLinePrefetcher),
-    /// One PIF instance holding all per-core private histories.
-    Pif(Pif),
-    /// SHIFT: one shared history per workload (consolidation gives each
-    /// workload its own instance); `pf_of_core[i]` names core `i`'s unit.
-    Shift {
-        /// Per-workload SHIFT instances.
-        units: Vec<Shift>,
-        /// Core index → index into `units`.
-        pf_of_core: Vec<usize>,
-    },
-    /// Hybrid: per-workload SHIFT units, each with a next-line fallback.
-    ShiftNextLine {
-        /// Per-workload fallback pairs.
-        units: Vec<FallbackPrefetcher<Shift, NextLinePrefetcher>>,
-        /// Core index → index into `units`.
-        pf_of_core: Vec<usize>,
-    },
-    /// Hybrid: one confidence-gated PIF holding all per-core histories.
-    GatedPif(ConfidenceGatedPrefetcher<Pif>),
-    /// Hybrid: per-workload adaptive next-line/SHIFT selectors.
-    AdaptiveNlShift {
-        /// Per-workload adaptive pairs.
-        units: Vec<AdaptivePrefetcher<NextLinePrefetcher, Shift>>,
-        /// Core index → index into `units`.
-        pf_of_core: Vec<usize>,
-    },
-    /// Per-workload SHIFT units behind bandwidth-throttled history ports.
-    ThrottledShift {
-        /// Per-workload throttled SHIFT units.
-        units: Vec<ThrottledPrefetcher<Shift>>,
-        /// Core index → index into `units`.
-        pf_of_core: Vec<usize>,
-    },
+/// A batch of round-robin stepping: every core advances `rounds` fetches.
+/// [`Engine`] holds its stepper behind this trait, so the one virtual call
+/// is per batch of `rounds × cores` fetches, never per fetch.
+trait StepBatch {
+    fn step_rounds(
+        &mut self,
+        cores: &mut CoreLanes,
+        memory: &mut MemorySystem,
+        env: &mut StepEnv,
+        rounds: usize,
+    );
 }
 
-impl PrefetcherBank {
-    /// The prefetcher serving core `core_idx`, as a trait object — the
-    /// reference path reproducing the old per-fetch virtual dispatch, kept
-    /// for the dispatch-equivalence tests.
-    fn slot_dyn(&mut self, core_idx: usize) -> &mut dyn InstructionPrefetcher {
-        match self {
-            PrefetcherBank::Null(pf) => pf,
-            PrefetcherBank::NextLine(pf) => pf,
-            PrefetcherBank::Pif(pf) => pf,
-            PrefetcherBank::Shift { units, pf_of_core } => &mut units[pf_of_core[core_idx]],
-            PrefetcherBank::ShiftNextLine { units, pf_of_core } => &mut units[pf_of_core[core_idx]],
-            PrefetcherBank::GatedPif(pf) => pf,
-            PrefetcherBank::AdaptiveNlShift { units, pf_of_core } => {
-                &mut units[pf_of_core[core_idx]]
-            }
-            PrefetcherBank::ThrottledShift { units, pf_of_core } => {
-                &mut units[pf_of_core[core_idx]]
-            }
+/// The prefetcher units of a run and the routing of cores to them.
+///
+/// SHIFT keeps one shared history per workload, so SHIFT and every hybrid
+/// that wraps it hold one unit per workload (consolidation gives each
+/// workload its own); every other design is one unit serving all cores.
+struct Stepper<P> {
+    units: Vec<P>,
+    /// Core index → index into `units`.
+    pf_of_core: Vec<usize>,
+}
+
+impl<P> Stepper<P> {
+    /// One unit that every one of the CMP's `cores` routes to.
+    fn shared(unit: P, cores: u16) -> Self {
+        Stepper {
+            units: vec![unit],
+            pf_of_core: vec![0; cores as usize],
+        }
+    }
+
+    /// Wraps every unit in `f`, keeping the routing.
+    fn map<Q>(self, f: impl FnMut(P) -> Q) -> Stepper<Q> {
+        Stepper {
+            units: self.units.into_iter().map(f).collect(),
+            pf_of_core: self.pf_of_core,
         }
     }
 }
 
-/// One round-robin pass over all cores, `rounds` times, with the prefetcher
-/// type statically known — the monomorphized inner loop every
-/// [`PrefetcherBank`] variant of [`Engine::step_rounds`] expands to.
-#[inline]
-fn step_rounds_uniform<P: InstructionPrefetcher>(
-    cores: &mut CoreLanes,
-    memory: &mut MemorySystem,
-    env: &mut StepEnv,
-    pf: &mut P,
-    rounds: usize,
-) {
-    for _ in 0..rounds {
-        for idx in 0..cores.len() {
-            cores.core(idx).step_one_fetch(pf, memory, env);
-        }
-    }
-}
-
-/// Round-robin stepping over per-workload prefetcher units (`pf_of_core`
-/// routes each core to its unit), monomorphized per unit type — the shared
-/// loop behind the SHIFT variant and every hybrid that wraps SHIFT.
-#[inline]
-fn step_rounds_units<P: InstructionPrefetcher>(
-    cores: &mut CoreLanes,
-    memory: &mut MemorySystem,
-    env: &mut StepEnv,
-    units: &mut [P],
-    pf_of_core: &[usize],
-    rounds: usize,
-) {
-    for _ in 0..rounds {
-        for idx in 0..cores.len() {
-            let pf = &mut units[pf_of_core[idx]];
-            cores.core(idx).step_one_fetch(pf, memory, env);
+impl<P: InstructionPrefetcher> StepBatch for Stepper<P> {
+    fn step_rounds(
+        &mut self,
+        cores: &mut CoreLanes,
+        memory: &mut MemorySystem,
+        env: &mut StepEnv,
+        rounds: usize,
+    ) {
+        for _ in 0..rounds {
+            for idx in 0..cores.len() {
+                let pf = &mut self.units[self.pf_of_core[idx]];
+                cores.core(idx).step_one_fetch(pf, memory, env);
+            }
         }
     }
 }
@@ -483,19 +443,19 @@ fn step_rounds_units<P: InstructionPrefetcher>(
 /// The assembled simulation engine: all cores, the prefetchers, the shared
 /// memory system, and the per-step environment.
 ///
-/// Most callers go through [`Simulation::run`](crate::system::Simulation),
-/// which drives a complete warm-up + measurement schedule. The engine is also
+/// Most callers go through [`RunKey::run`](crate::RunKey::run), which
+/// drives a complete warm-up + measurement schedule. The engine is also
 /// usable directly for *batched stepping*: [`Engine::step_rounds`] advances
 /// every core by a block of fetches in one call, which is what the perf
 /// harness uses to measure steady-state simulated-fetches/sec without paying
-/// result-assembly costs per sample, and what `Simulation::run` itself is
-/// built on. Any partition of the same total rounds into batches yields
+/// result-assembly costs per sample, and what `RunKey::run` itself is built
+/// on. Any partition of the same total rounds into batches yields
 /// bit-identical results — stepping is deterministic and carries no
 /// per-batch state.
 pub struct Engine {
     memory: MemorySystem,
     cores: CoreLanes,
-    prefetchers: PrefetcherBank,
+    stepper: Box<dyn StepBatch + Send>,
     env: StepEnv,
     prefetcher_label: String,
     workloads: Vec<String>,
@@ -537,12 +497,12 @@ impl Engine {
             );
         }
 
-        let prefetchers = build_prefetchers(config, consolidation, &mut memory);
+        let stepper = build_prefetchers(config, consolidation, &mut memory);
 
         Engine {
             memory,
             cores,
-            prefetchers,
+            stepper,
             env: StepEnv {
                 timing: CoreTiming::new(config.core_kind),
                 options,
@@ -580,52 +540,12 @@ impl Engine {
     /// This is the batched stepping entry point: one dispatch amortizes over
     /// `rounds × cores` fetches, and splitting the same total across several
     /// calls is bit-identical to a single call (locked by the `runner`
-    /// integration tests). The prefetcher variant is matched once per call,
-    /// not once per fetch: each arm runs a loop monomorphized for its
-    /// concrete prefetcher type, with all hooks statically dispatched.
+    /// integration tests). The stepper is called once per batch, not once
+    /// per fetch: its loop is monomorphized for the concrete prefetcher
+    /// type, with all hooks statically dispatched.
     pub fn step_rounds(&mut self, rounds: usize) {
-        let Engine {
-            memory,
-            cores,
-            prefetchers,
-            env,
-            ..
-        } = self;
-        match prefetchers {
-            PrefetcherBank::Null(pf) => step_rounds_uniform(cores, memory, env, pf, rounds),
-            PrefetcherBank::NextLine(pf) => step_rounds_uniform(cores, memory, env, pf, rounds),
-            PrefetcherBank::Pif(pf) => step_rounds_uniform(cores, memory, env, pf, rounds),
-            PrefetcherBank::Shift { units, pf_of_core } => {
-                step_rounds_units(cores, memory, env, units, pf_of_core, rounds)
-            }
-            PrefetcherBank::ShiftNextLine { units, pf_of_core } => {
-                step_rounds_units(cores, memory, env, units, pf_of_core, rounds)
-            }
-            PrefetcherBank::GatedPif(pf) => step_rounds_uniform(cores, memory, env, pf, rounds),
-            PrefetcherBank::AdaptiveNlShift { units, pf_of_core } => {
-                step_rounds_units(cores, memory, env, units, pf_of_core, rounds)
-            }
-            PrefetcherBank::ThrottledShift { units, pf_of_core } => {
-                step_rounds_units(cores, memory, env, units, pf_of_core, rounds)
-            }
-        }
-    }
-
-    /// [`step_rounds`](Self::step_rounds) through per-fetch virtual dispatch
-    /// (`&mut dyn InstructionPrefetcher`), reproducing the engine's previous
-    /// boxed-dyn stepping loop. Exists solely so the integration tests can
-    /// lock the enum-dispatched loop bit-identical to the dynamic one; not
-    /// part of the supported API.
-    #[doc(hidden)]
-    pub fn step_rounds_dyn(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            for idx in 0..self.cores.len() {
-                let pf = self.prefetchers.slot_dyn(idx);
-                self.cores
-                    .core(idx)
-                    .step_one_fetch(pf, &mut self.memory, &mut self.env);
-            }
-        }
+        self.stepper
+            .step_rounds(&mut self.cores, &mut self.memory, &mut self.env, rounds);
     }
 
     /// Ends warm-up: clears all statistics so the measured interval starts
@@ -710,76 +630,61 @@ impl Engine {
     }
 }
 
-/// Builds the prefetcher(s): one instance for the whole CMP, except for SHIFT
-/// under consolidation where each workload gets its own shared history and
-/// generator core.
+/// Builds the stepper for the configured prefetcher: one instance for the
+/// whole CMP, except for SHIFT and the hybrids that wrap it, which get one
+/// shared history and generator core per workload. This is the one place a
+/// prefetcher kind is wired into the engine.
 fn build_prefetchers(
     config: &CmpConfig,
     consolidation: &ConsolidationSpec,
     memory: &mut MemorySystem,
-) -> PrefetcherBank {
+) -> Box<dyn StepBatch + Send> {
     let cores = config.cores;
+    let mut shift_units = |history_records: usize, mode: ShiftMode| {
+        build_shift_units(config, consolidation, memory, history_records, mode)
+    };
     match &config.prefetcher {
-        PrefetcherConfig::None => PrefetcherBank::Null(NullPrefetcher::new()),
-        PrefetcherConfig::NextLine { degree } => {
-            PrefetcherBank::NextLine(NextLinePrefetcher::new(*degree, cores))
-        }
-        PrefetcherConfig::Pif(cfg) => PrefetcherBank::Pif(Pif::new(*cfg, cores)),
+        PrefetcherConfig::None => Box::new(Stepper::shared(NullPrefetcher::new(), cores)),
+        PrefetcherConfig::NextLine { degree } => Box::new(Stepper::shared(
+            NextLinePrefetcher::new(*degree, cores),
+            cores,
+        )),
+        PrefetcherConfig::Pif(cfg) => Box::new(Stepper::shared(Pif::new(*cfg, cores), cores)),
         PrefetcherConfig::Shift {
             history_records,
             mode,
-        } => {
-            let (units, pf_of_core) =
-                build_shift_units(config, consolidation, memory, *history_records, *mode);
-            PrefetcherBank::Shift { units, pf_of_core }
-        }
+        } => Box::new(shift_units(*history_records, *mode)),
+        // Each workload's SHIFT gets its own next-line fallback; the fallback
+        // is sized for the full CMP since any of the workload's cores may
+        // fetch through it.
         PrefetcherConfig::ShiftNextLine {
             history_records,
             mode,
             degree,
-        } => {
-            let (shifts, pf_of_core) =
-                build_shift_units(config, consolidation, memory, *history_records, *mode);
-            // Each workload's SHIFT gets its own next-line fallback; the
-            // fallback is sized for the full CMP since any of the workload's
-            // cores may fetch through it.
-            let units = shifts
-                .into_iter()
-                .map(|s| FallbackPrefetcher::new(s, NextLinePrefetcher::new(*degree, cores)))
-                .collect();
-            PrefetcherBank::ShiftNextLine { units, pf_of_core }
-        }
-        PrefetcherConfig::GatedPif { config: cfg, gate } => PrefetcherBank::GatedPif(
-            ConfidenceGatedPrefetcher::new(Pif::new(*cfg, cores), *gate, cores),
+        } => Box::new(
+            shift_units(*history_records, *mode)
+                .map(|s| FallbackPrefetcher::new(s, NextLinePrefetcher::new(*degree, cores))),
         ),
+        PrefetcherConfig::GatedPif { config: cfg, gate } => Box::new(Stepper::shared(
+            ConfidenceGatedPrefetcher::new(Pif::new(*cfg, cores), *gate, cores),
+            cores,
+        )),
         PrefetcherConfig::AdaptiveNlShift {
             history_records,
             mode,
             adapt,
         } => {
-            let (shifts, pf_of_core) =
-                build_shift_units(config, consolidation, memory, *history_records, *mode);
-            let units = shifts
-                .into_iter()
-                .map(|s| {
-                    AdaptivePrefetcher::new(NextLinePrefetcher::new(1, cores), s, *adapt, cores)
-                })
-                .collect();
-            PrefetcherBank::AdaptiveNlShift { units, pf_of_core }
+            Box::new(shift_units(*history_records, *mode).map(|s| {
+                AdaptivePrefetcher::new(NextLinePrefetcher::new(1, cores), s, *adapt, cores)
+            }))
         }
         PrefetcherConfig::ThrottledShift {
             history_records,
             mode,
             port,
-        } => {
-            let (shifts, pf_of_core) =
-                build_shift_units(config, consolidation, memory, *history_records, *mode);
-            let units = shifts
-                .into_iter()
-                .map(|s| ThrottledPrefetcher::new(s, *port))
-                .collect();
-            PrefetcherBank::ThrottledShift { units, pf_of_core }
-        }
+        } => Box::new(
+            shift_units(*history_records, *mode).map(|s| ThrottledPrefetcher::new(s, *port)),
+        ),
     }
 }
 
@@ -790,7 +695,7 @@ fn build_prefetchers(
 /// history window and NoC latency, which cost nothing.
 pub(crate) fn shift_config(
     history_records: usize,
-    mode: shift_core::ShiftMode,
+    mode: ShiftMode,
     llc_capacity_blocks: usize,
 ) -> ShiftConfig {
     ShiftConfig {
@@ -804,15 +709,15 @@ pub(crate) fn shift_config(
 
 /// Builds the per-workload SHIFT units: one shared history per workload,
 /// generated by the first core of that workload, embedded at a distinct LLC
-/// window. Shared by the standalone SHIFT bank and every hybrid that wraps
-/// SHIFT, so the wrapped units are bit-identical to the standalone ones.
+/// window. Shared by standalone SHIFT and every hybrid that wraps SHIFT, so
+/// the wrapped units are bit-identical to the standalone ones.
 fn build_shift_units(
     config: &CmpConfig,
     consolidation: &ConsolidationSpec,
     memory: &mut MemorySystem,
     history_records: usize,
-    mode: shift_core::ShiftMode,
-) -> (Vec<Shift>, Vec<usize>) {
+    mode: ShiftMode,
+) -> Stepper<Shift> {
     let cores = config.cores;
     let n_workloads = consolidation.workloads().len();
     let mut units: Vec<Shift> = Vec::with_capacity(n_workloads);
@@ -832,5 +737,5 @@ fn build_shift_units(
         }
         units.push(shift);
     }
-    (units, pf_of_core)
+    Stepper { units, pf_of_core }
 }

@@ -20,6 +20,12 @@
 //!
 //! # Quick start
 //!
+//! One run is one [`RunKey`] — `(config, options, consolidation)` — which
+//! single-run code calls by its alias [`Simulation`].
+//! [`RunKey::engine`] builds the [`Engine`] ([`engine`]) and
+//! [`RunKey::run`] drives it through warm-up and measurement; the engine
+//! dispatches to the prefetcher once per batch of fetches, not per fetch.
+//!
 //! ```
 //! use shift_sim::{CmpConfig, PrefetcherConfig, SimOptions, Simulation};
 //! use shift_trace::{presets, Scale};
@@ -86,12 +92,11 @@ pub mod results;
 pub mod schedule;
 pub mod shard;
 pub mod store;
-pub mod system;
 
 pub use config::{CmpConfig, PrefetcherConfig, SimOptions};
 pub use engine::Engine;
 pub use execution::{Execution, ExecutionOutput, ExecutionReport, OutcomeSources};
-pub use matrix::{MatrixFingerprint, RunHandle, RunKey, RunKeyId, RunMatrix};
+pub use matrix::{MatrixFingerprint, RunHandle, RunKey, RunKeyId, RunMatrix, Simulation};
 pub use results::{CoverageStats, RunResult, RESULTS_VERSION};
 pub use schedule::{CostModel, RunCost, SchedulePolicy};
 pub use shard::{
@@ -99,4 +104,3 @@ pub use shard::{
     ShardSpec,
 };
 pub use store::{PartialLoad, RunOutcomes, RunStore, StoreError};
-pub use system::Simulation;

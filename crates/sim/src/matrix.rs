@@ -78,9 +78,9 @@ use serde::{json, Deserialize, Serialize, Value};
 use shift_trace::{ConsolidationSpec, Scale, WorkloadSpec};
 
 use crate::config::{CmpConfig, PrefetcherConfig, SimOptions};
+use crate::engine::Engine;
 use crate::results::RunResult;
 use crate::store::RunOutcomes;
-use crate::system::Simulation;
 
 /// Process-wide matrix id source, so a handle can prove which matrix planned
 /// it (see [`RunHandle`]).
@@ -102,7 +102,8 @@ pub struct RunHandle {
     pub(crate) slot: usize,
 }
 
-/// The identity of one simulation run: everything that determines its result.
+/// One simulation run: everything that determines its result, and the way
+/// to build and run it.
 ///
 /// Two runs with equal keys produce bit-identical
 /// [`RunResult`]s, so the planner simulates only
@@ -113,6 +114,13 @@ pub struct RunHandle {
 /// and deserialize (shard outcome files embed the key of the run they
 /// record), and [`RunKey::id`] gives the content-addressed identity used
 /// across process boundaries.
+///
+/// [`RunKey::run`] simulates the key: per-core trace generators, private L1
+/// caches, the shared banked LLC, the mesh interconnect, the analytical core
+/// timing model and the configured instruction prefetcher, with every core
+/// consuming one instruction-block fetch per round. Cache warm-up runs
+/// first; statistics are reset before the measured interval, mirroring the
+/// paper's warmed-checkpoint methodology.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunKey {
     config: CmpConfig,
@@ -120,12 +128,45 @@ pub struct RunKey {
     consolidation: ConsolidationSpec,
 }
 
+/// The name single-run callers use for a [`RunKey`]:
+/// `Simulation::standalone(config, workload, options).run()`.
+///
+/// A run's description and its plan key hold the same
+/// `(config, options, consolidation)` triple, so they are one type; this
+/// alias keeps the run-centred name for code that builds and runs one
+/// simulation without planning a [`RunMatrix`].
+pub type Simulation = RunKey;
+
 impl RunKey {
-    fn of(sim: &Simulation) -> Self {
+    /// A run of a single workload on every core.
+    pub fn standalone(config: CmpConfig, workload: WorkloadSpec, options: SimOptions) -> Self {
+        let consolidation = ConsolidationSpec::standalone(workload, config.cores);
         RunKey {
-            config: *sim.config(),
-            options: *sim.options(),
-            consolidation: sim.consolidation().clone(),
+            config,
+            options,
+            consolidation,
+        }
+    }
+
+    /// A run of several consolidated workloads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the consolidation spec's core count differs from the CMP's.
+    pub fn consolidated(
+        config: CmpConfig,
+        consolidation: ConsolidationSpec,
+        options: SimOptions,
+    ) -> Self {
+        assert_eq!(
+            consolidation.total_cores(),
+            config.cores,
+            "consolidation cores must match the CMP"
+        );
+        RunKey {
+            config,
+            options,
+            consolidation,
         }
     }
 
@@ -142,6 +183,23 @@ impl RunKey {
     /// The workload-to-core assignment of the planned run.
     pub fn consolidation(&self) -> &ConsolidationSpec {
         &self.consolidation
+    }
+
+    /// Assembles the simulation [`Engine`] without running it, for callers
+    /// that drive stepping themselves (e.g. the perf harness, which measures
+    /// steady-state throughput over [`Engine::step_rounds`] batches).
+    pub fn engine(&self) -> Engine {
+        Engine::new(&self.config, self.options, &self.consolidation)
+    }
+
+    /// Runs the simulation and returns aggregate results.
+    ///
+    /// Each run is fully deterministic in its key: the only randomness is
+    /// drawn from generators seeded by [`SimOptions::seed`], which is what
+    /// lets [`RunMatrix`] execute runs on worker threads and still return
+    /// bit-identical results to a serial sweep.
+    pub fn run(&self) -> RunResult {
+        self.engine().run()
     }
 
     /// The key's canonical serialized form: compact JSON of all fields.
@@ -285,7 +343,6 @@ hex_id! {
 #[derive(Debug)]
 pub struct RunMatrix {
     id: u64,
-    plans: Vec<Simulation>,
     keys: Vec<RunKey>,
     key_ids: Vec<RunKeyId>,
 }
@@ -301,7 +358,6 @@ impl RunMatrix {
     pub fn new() -> Self {
         RunMatrix {
             id: NEXT_MATRIX_ID.fetch_add(1, Ordering::Relaxed),
-            plans: Vec::new(),
             keys: Vec::new(),
             key_ids: Vec::new(),
         }
@@ -332,7 +388,7 @@ impl RunMatrix {
         workload: &WorkloadSpec,
         options: SimOptions,
     ) -> RunHandle {
-        self.plan(Simulation::standalone(config, workload.clone(), options))
+        self.plan(RunKey::standalone(config, workload.clone(), options))
     }
 
     /// Plans a consolidated run of several workloads sharing the CMP.
@@ -346,29 +402,23 @@ impl RunMatrix {
         consolidation: &ConsolidationSpec,
         options: SimOptions,
     ) -> RunHandle {
-        self.plan(Simulation::consolidated(
-            config,
-            consolidation.clone(),
-            options,
-        ))
+        self.plan(RunKey::consolidated(config, consolidation.clone(), options))
     }
 
-    /// Plans an arbitrary pre-built simulation.
+    /// Plans an arbitrary run.
     ///
     /// Deduplication is a linear scan over the planned keys: matrices hold at
     /// most a few hundred runs, and each key comparison is far cheaper than
     /// the seconds-to-minutes simulation it saves.
-    pub fn plan(&mut self, sim: Simulation) -> RunHandle {
-        let key = RunKey::of(&sim);
+    pub fn plan(&mut self, key: RunKey) -> RunHandle {
         if let Some(existing) = self.keys.iter().position(|k| *k == key) {
             return RunHandle {
                 matrix: self.id,
                 slot: existing,
             };
         }
-        let slot = self.plans.len();
+        let slot = self.keys.len();
         self.key_ids.push(key.id());
-        self.plans.push(sim);
         self.keys.push(key);
         RunHandle {
             matrix: self.id,
@@ -418,19 +468,14 @@ impl RunMatrix {
         self.id
     }
 
-    /// The planned simulation in `slot` (plan order).
-    pub(crate) fn simulation(&self, slot: usize) -> &Simulation {
-        &self.plans[slot]
-    }
-
     /// Number of distinct runs planned (after deduplication).
     pub fn len(&self) -> usize {
-        self.plans.len()
+        self.keys.len()
     }
 
     /// `true` if no runs are planned.
     pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
+        self.keys.is_empty()
     }
 
     /// Executes every planned run across the default worker-thread count:
@@ -452,7 +497,7 @@ impl RunMatrix {
     pub(crate) fn run_all(&self, threads: usize) -> RunOutcomes {
         RunOutcomes::from_results(
             self.id,
-            parallel_map_with_threads(&self.plans, threads, Simulation::run),
+            parallel_map_with_threads(&self.keys, threads, RunKey::run),
         )
     }
 
@@ -461,10 +506,10 @@ impl RunMatrix {
     /// results still land in plan order, so the outcomes are bit-identical
     /// for every ordering.
     pub(crate) fn run_all_ordered(&self, threads: usize, order: &[usize]) -> RunOutcomes {
-        debug_assert_eq!(order.len(), self.plans.len());
+        debug_assert_eq!(order.len(), self.keys.len());
         let ordered: Vec<RunResult> =
-            parallel_map_with_threads(order, threads, |&slot| self.plans[slot].run());
-        let mut results: Vec<Option<RunResult>> = (0..self.plans.len()).map(|_| None).collect();
+            parallel_map_with_threads(order, threads, |&slot| self.keys[slot].run());
+        let mut results: Vec<Option<RunResult>> = (0..self.keys.len()).map(|_| None).collect();
         for (&slot, result) in order.iter().zip(ordered) {
             results[slot] = Some(result);
         }
@@ -496,7 +541,7 @@ pub fn default_threads() -> usize {
 /// outputs in item order.
 ///
 /// This is the same executor [`RunMatrix`] uses, exposed for sweeps that are
-/// not plain `Simulation::run` calls (the commonality opportunity study, the
+/// not plain `RunKey::run` calls (the commonality opportunity study, the
 /// storage-table arithmetic, shard execution with its per-run persistence).
 pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
@@ -550,6 +595,7 @@ where
 mod tests {
     use super::*;
     use shift_trace::presets;
+    use shift_types::AccessClass;
 
     #[test]
     fn identical_plans_deduplicate_to_one_run() {
@@ -700,5 +746,76 @@ mod tests {
         assert_eq!(singleton, vec![43]);
         let empty: Vec<u64> = parallel_map(&[] as &[u64], |&x| x);
         assert!(empty.is_empty());
+    }
+
+    fn run(prefetcher: PrefetcherConfig) -> RunResult {
+        let config = CmpConfig::micro13(4, prefetcher);
+        let options = SimOptions::new(Scale::Test, 7);
+        Simulation::standalone(config, presets::tiny(), options).run()
+    }
+
+    #[test]
+    fn baseline_run_produces_misses_and_cycles() {
+        let result = run(PrefetcherConfig::None);
+        assert_eq!(result.per_core.len(), 4);
+        assert!(result.coverage.uncovered > 0);
+        assert_eq!(result.coverage.covered, 0);
+        assert!(result.throughput() > 0.0);
+        assert!(result.l1i_mpki() > 0.0);
+        assert!(result.llc_traffic.count(AccessClass::Demand) > 0);
+    }
+
+    #[test]
+    fn next_line_covers_some_misses_and_speeds_up() {
+        let baseline = run(PrefetcherConfig::None);
+        let nl = run(PrefetcherConfig::next_line());
+        assert!(nl.coverage.covered > 0);
+        let coverage = nl.coverage.coverage();
+        assert!(
+            coverage > 0.05 && coverage < 0.9,
+            "next-line coverage {coverage}"
+        );
+        assert!(nl.speedup_over(&baseline) > 1.0);
+    }
+
+    #[test]
+    fn shift_covers_more_than_next_line() {
+        let nl = run(PrefetcherConfig::next_line());
+        let shift = run(PrefetcherConfig::shift_virtualized());
+        assert!(
+            shift.coverage.coverage() > nl.coverage.coverage(),
+            "SHIFT {} vs next-line {}",
+            shift.coverage.coverage(),
+            nl.coverage.coverage()
+        );
+        assert!(shift.llc_traffic.count(AccessClass::HistoryRead) > 0);
+        assert!(shift.llc_traffic.count(AccessClass::IndexUpdate) > 0);
+    }
+
+    #[test]
+    fn miss_elimination_full_probability_removes_all_stalls() {
+        let config = CmpConfig::micro13(2, PrefetcherConfig::None);
+        let options = SimOptions::new(Scale::Test, 3).with_miss_elimination(1.0);
+        let result = Simulation::standalone(config, presets::tiny(), options).run();
+        assert_eq!(result.coverage.uncovered, 0);
+        assert!(result.coverage.covered > 0);
+    }
+
+    #[test]
+    fn prediction_only_mode_does_not_fill_prefetches() {
+        let config = CmpConfig::micro13(2, PrefetcherConfig::pif_32k());
+        let options = SimOptions::new(Scale::Test, 3).prediction_only();
+        let result = Simulation::standalone(config, presets::tiny(), options).run();
+        // Nothing is ever covered (no prefetch fills), but predictions happen.
+        assert_eq!(result.coverage.covered, 0);
+        assert!(result.coverage.predicted > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "consolidation cores must match")]
+    fn consolidation_core_mismatch_rejected() {
+        let config = CmpConfig::micro13(4, PrefetcherConfig::None);
+        let spec = shift_trace::ConsolidationSpec::standalone(presets::tiny(), 8);
+        let _ = Simulation::consolidated(config, spec, SimOptions::new(Scale::Test, 1));
     }
 }

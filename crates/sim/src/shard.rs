@@ -205,7 +205,7 @@ pub(crate) fn shard_inner(
             return Ok(false);
         }
         // Missing, unreadable, foreign, or stale: (re-)execute and overwrite.
-        let result = matrix.simulation(slot).run();
+        let result = matrix.keys()[slot].run();
         write_outcome(dir, fingerprint, key, &result).map_err(|e| {
             format!(
                 "failed to write outcome {} under {}: {e}",
@@ -755,7 +755,7 @@ fn claim_one(ctx: &DrainCtx<'_>, slot: usize) -> io::Result<Claim> {
                     Arc::clone(ctx.rate),
                 );
                 let started = std::time::Instant::now();
-                let result = matrix.simulation(slot).run();
+                let result = matrix.keys()[slot].run();
                 if config.throttle_ns_per_unit > 0 {
                     // Emulated slow host: sleep in proportion to the run's
                     // cost, with the heartbeat still stamping the claim so
@@ -1081,7 +1081,7 @@ pub struct DeltaReport {
 pub(crate) fn delta_inner(matrix: &RunMatrix, partial: PartialLoad, threads: usize) -> DeltaReport {
     let missing = partial.missing_slots(matrix);
     let fresh: Vec<RunResult> =
-        parallel_map_with_threads(&missing, threads, |&slot| matrix.simulation(slot).run());
+        parallel_map_with_threads(&missing, threads, |&slot| matrix.keys()[slot].run());
     let reused = partial.reused;
     let mut results = partial.into_results();
     for (&slot, result) in missing.iter().zip(fresh) {

@@ -7,7 +7,9 @@
 //! prefetchers on the tiny preset — against JSON recorded from the
 //! pre-optimization engine. The hybrid-lab presets (SHIFT+next-line,
 //! gated PIF, adaptive, throttled SHIFT) are locked the same way, recorded
-//! when the lab landed.
+//! when the lab landed, and so is a consolidated Tiny + Web Frontend run
+//! under each SHIFT-based design, where every core must reach its own
+//! workload's prefetcher unit.
 //!
 //! On mismatch the actual JSON is written next to the golden file as
 //! `<name>.actual.json` for diffing. To re-bless after an *intentional*
@@ -23,7 +25,7 @@ use std::path::PathBuf;
 use serde::json;
 use shift_core::{PifConfig, ShiftMode};
 use shift_sim::{CmpConfig, PrefetcherConfig, SimOptions, Simulation};
-use shift_trace::{presets, Scale, WorkloadSpec};
+use shift_trace::{presets, ConsolidationSpec, Scale, WorkloadSpec};
 
 const CORES: u16 = 4;
 const SEED: u64 = 0x60_1DEA;
@@ -55,7 +57,10 @@ fn check_with(
     prefetcher: PrefetcherConfig,
     options: SimOptions,
 ) {
-    let actual = run_json(workload, prefetcher, options);
+    check_json(name, run_json(workload, prefetcher, options));
+}
+
+fn check_json(name: &str, actual: String) {
     let path = golden_dir().join(format!("{name}.json"));
     if std::env::var("SHIFT_BLESS").is_ok_and(|v| !v.is_empty() && v != "0") {
         fs::create_dir_all(golden_dir()).expect("create golden dir");
@@ -140,10 +145,9 @@ fn dedicated_and_zero_latency_shift_results_are_bit_identical_to_recorded() {
 
 #[test]
 fn hybrid_results_are_bit_identical_to_recorded() {
-    // The composed designs of the hybrid lab, on the same two presets the
-    // dispatch tests exercise. Recorded with SHIFT_BLESS=1 when the lab
-    // landed; any later change to the wrappers' issue semantics must re-bless
-    // deliberately.
+    // The composed designs of the hybrid lab, on the tiny and Web Frontend
+    // presets. Recorded with SHIFT_BLESS=1 when the lab landed; any later
+    // change to the wrappers' issue semantics must re-bless deliberately.
     for (name, workload) in [
         ("tiny", presets::tiny()),
         ("web_frontend", presets::web_frontend()),
@@ -198,6 +202,30 @@ fn figure6_unbounded_history_results_are_bit_identical_to_recorded() {
             &workload,
             PrefetcherConfig::Pif(PifConfig::with_history_records(1 << 20)),
             options,
+        );
+    }
+}
+
+#[test]
+fn consolidated_results_are_bit_identical_to_recorded() {
+    // Tiny and Web Frontend split the CMP, so every SHIFT-based design runs
+    // one shared-history unit per workload and each core must reach its own
+    // workload's unit. PIF is the one-unit control. Recorded with
+    // SHIFT_BLESS=1 before the engine's per-core unit routing was rebuilt.
+    let spec = ConsolidationSpec::even_split(vec![presets::tiny(), presets::web_frontend()], CORES);
+    for (name, prefetcher) in [
+        ("shift", PrefetcherConfig::shift_virtualized()),
+        ("shift_next_line", PrefetcherConfig::shift_next_line()),
+        ("adaptive_nl_shift", PrefetcherConfig::adaptive_nl_shift()),
+        ("shift_throttled_bw2", PrefetcherConfig::shift_throttled(2)),
+        ("pif32k", PrefetcherConfig::pif_32k()),
+    ] {
+        let config = CmpConfig::micro13(CORES, prefetcher);
+        let options = SimOptions::new(Scale::Test, SEED);
+        let result = Simulation::consolidated(config, spec.clone(), options).run();
+        check_json(
+            &format!("consolidated_tiny_web_frontend_{name}"),
+            json::to_string_pretty(&result),
         );
     }
 }
