@@ -7,6 +7,20 @@
 //! with [`Deserialize::from_value`], so any value this module wrote can be
 //! read back: numbers round-trip bit-identically (integers as integers,
 //! floats through Rust's shortest round-trip formatting).
+//!
+//! # Byte identity
+//!
+//! The rendered bytes are a contract, not a presentation detail: run keys
+//! are content-addressed by a hash of their compact JSON, so a writer change
+//! that moved one byte would change every key id and orphan every stored
+//! outcome. The writer takes fast paths per value — integers and whole
+//! floats from a digit buffer, escape-free strings in one copy, indentation
+//! without a string per line — and each must produce exactly what the plain
+//! `write!`-per-value rendering produced. The differential test
+//! `writer_matches_the_reference_renderer` (`tests/json_reference.rs`)
+//! holds that: it renders random value trees, signed zeros, subnormals,
+//! every cut-off float, every control byte and multibyte UTF-8 through both
+//! writers and compares the bytes.
 
 use std::fmt::Write as _;
 
@@ -33,11 +47,12 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(n) => {
-            let _ = write!(out, "{n}");
-        }
+        Value::UInt(n) => write_u64(out, *n),
         Value::Int(n) => {
-            let _ = write!(out, "{n}");
+            if *n < 0 {
+                out.push('-');
+            }
+            write_u64(out, n.unsigned_abs());
         }
         Value::Float(x) => write_float(out, *x),
         Value::Str(s) => write_string(out, s),
@@ -73,26 +88,64 @@ fn write_compound(
             out.push(',');
         }
         if let Some(step) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(step * (depth + 1)));
+            new_line(out, step * (depth + 1));
         }
         item(out, i);
     }
     if len > 0 {
         if let Some(step) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(step * depth));
+            new_line(out, step * depth);
         }
     }
     out.push(close);
+}
+
+/// A newline followed by `width` spaces of indentation.
+fn new_line(out: &mut String, width: usize) {
+    out.push('\n');
+    out.extend(std::iter::repeat_n(' ', width));
+}
+
+/// Decimal digits of `n`, two at a time from a table of digit pairs,
+/// rendered right to left into a stack buffer: the bytes `write!(out,
+/// "{n}")` produces, without the formatting machinery.
+fn write_u64(out: &mut String, mut n: u64) {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+                                2021222324252627282930313233343536373839\
+                                4041424344454647484950515253545556575859\
+                                6061626364656667686970717273747576777879\
+                                8081828384858687888990919293949596979899";
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    while n >= 100 {
+        let pair = 2 * (n % 100) as usize;
+        n /= 100;
+        start -= 2;
+        digits[start..start + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = 2 * n as usize;
+        start -= 2;
+        digits[start..start + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
+        start -= 1;
+        digits[start] = b'0' + n as u8;
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 fn write_float(out: &mut String, x: f64) {
     if x.is_finite() {
         if x == x.trunc() && x.abs() < 1e15 {
             // Keep whole floats recognizably floating-point, as serde_json
-            // does ("1.0", not "1").
-            let _ = write!(out, "{x:.1}");
+            // does ("1.0", not "1"). Below 1e15 a whole float is an exact
+            // integer, so its digits plus ".0" are what `{x:.1}` renders,
+            // the sign of -0.0 included.
+            if x.is_sign_negative() {
+                out.push('-');
+            }
+            write_u64(out, x.abs() as u64);
+            out.push_str(".0");
         } else if x != 0.0 && (x.abs() >= 1e17 || x.abs() < 1e-5) {
             // Rust's `{}` never uses scientific notation; avoid hundreds of
             // digits for extreme magnitudes (still valid JSON numbers).
@@ -377,21 +430,33 @@ impl Parser<'_> {
     }
 }
 
+/// Writes `s` as a quoted JSON string. Only ASCII bytes ever need an
+/// escape, so the runs between escapes fall on char boundaries and copy as
+/// whole slices; an escape-free string is a single copy.
 fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run_start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' | b'\\' => b,
+            b'\n' => b'n',
+            b'\r' => b'r',
+            b'\t' => b't',
+            0..=0x1f => b'u',
+            _ => continue,
+        };
+        out.push_str(&s[run_start..i]);
+        out.push('\\');
+        out.push(char::from(escape));
+        if escape == b'u' {
+            out.push_str("00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
         }
+        run_start = i + 1;
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 

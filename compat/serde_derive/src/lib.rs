@@ -123,10 +123,11 @@ fn named_struct_impl(item: &Item, fields: &[String]) -> String {
         })
         .collect();
     let (params, ty) = impl_header(item, "Serialize");
+    let count = fields.len();
     format!(
         "impl{params} ::serde::Serialize for {ty} {{\n\
              fn to_value(&self) -> ::serde::Value {{\n\
-                 let mut fields: Vec<(String, ::serde::Value)> = Vec::new();\n\
+                 let mut fields: Vec<(String, ::serde::Value)> = Vec::with_capacity({count});\n\
                  {pushes}\
                  ::serde::Value::Map(fields)\n\
              }}\n\

@@ -243,10 +243,10 @@ impl PaperPlan {
         let mut matrix = RunMatrix::new();
         let mut naive_runs = 0usize;
 
-        let fig01 = Self::plan_both(&mut matrix, &mut naive_runs, |m| {
+        let fig01 = Self::plan_counted(&mut matrix, &mut naive_runs, |m| {
             EliminationPlan::plan(m, workloads, &figure1_fractions(), cores, scale, seed)
         });
-        let fig02 = Self::plan_both(&mut matrix, &mut naive_runs, |m| {
+        let fig02 = Self::plan_counted(&mut matrix, &mut naive_runs, |m| {
             PerformanceDensityPlan::plan(
                 m,
                 workloads,
@@ -256,7 +256,7 @@ impl PaperPlan {
                 seed,
             )
         });
-        let fig06 = Self::plan_both(&mut matrix, &mut naive_runs, |m| {
+        let fig06 = Self::plan_counted(&mut matrix, &mut naive_runs, |m| {
             HistorySweepPlan::plan(m, workloads, &figure6_sizes(), cores, scale, seed)
         });
 
@@ -268,10 +268,10 @@ impl PaperPlan {
             PrefetcherConfig::pif_32k(),
             PrefetcherConfig::shift_virtualized(),
         ];
-        let fig07 = Self::plan_both(&mut matrix, &mut naive_runs, |m| {
+        let fig07 = Self::plan_counted(&mut matrix, &mut naive_runs, |m| {
             CoverageBreakdownPlan::plan(m, workloads, &pif_vs_shift, cores, scale, seed)
         });
-        let fig08 = Self::plan_both(&mut matrix, &mut naive_runs, |m| {
+        let fig08 = Self::plan_counted(&mut matrix, &mut naive_runs, |m| {
             SpeedupComparisonPlan::plan(
                 m,
                 workloads,
@@ -281,12 +281,12 @@ impl PaperPlan {
                 seed,
             )
         });
-        let fig09 = Self::plan_both(&mut matrix, &mut naive_runs, |m| {
+        let fig09 = Self::plan_counted(&mut matrix, &mut naive_runs, |m| {
             LlcTrafficPlan::plan(m, workloads, cores, scale, seed)
         });
 
         let consolidation_mix = Self::consolidation_mix(&settings);
-        let fig10 = Self::plan_both(&mut matrix, &mut naive_runs, |m| {
+        let fig10 = Self::plan_counted(&mut matrix, &mut naive_runs, |m| {
             ConsolidationPlan::plan(
                 m,
                 &consolidation_mix,
@@ -297,17 +297,17 @@ impl PaperPlan {
             )
         });
 
-        let table_pd = Self::plan_both(&mut matrix, &mut naive_runs, |m| {
+        let table_pd = Self::plan_counted(&mut matrix, &mut naive_runs, |m| {
             PerformanceDensityPlan::plan(m, workloads, &pif_vs_shift, cores, scale, seed)
         });
-        let table_power = Self::plan_both(&mut matrix, &mut naive_runs, |m| {
+        let table_power = Self::plan_counted(&mut matrix, &mut naive_runs, |m| {
             PowerOverheadPlan::plan(m, workloads, cores, scale, seed)
         });
 
         // Beyond the paper: the hybrid shootout. Its baselines and its
         // NextLine/PIF_32K/SHIFT comparison columns are figure 7/8/9 runs,
         // so only the hybrid designs and the throttled sweep add keys.
-        let hybrid = Self::plan_both(&mut matrix, &mut naive_runs, |m| {
+        let hybrid = Self::plan_counted(&mut matrix, &mut naive_runs, |m| {
             HybridShootoutPlan::plan(m, workloads, cores, scale, seed)
         });
 
@@ -342,20 +342,20 @@ impl PaperPlan {
         suite.into_iter().take(n).collect()
     }
 
-    /// Plans one figure twice from the same closure: once into a scratch
-    /// matrix (whose size accumulates into `naive_runs`, the without-sharing
-    /// total) and once into the merged matrix. Using a single closure for
-    /// both keeps the dedup accounting incapable of drifting from the real
-    /// plan.
-    fn plan_both<P>(
+    /// Plans one figure into the merged matrix and adds the number of
+    /// distinct runs it asked for to `naive_runs`, the without-sharing total:
+    /// what the figure's own matrix would hold had it been planned alone.
+    /// The count comes from the same plan calls that build the merged
+    /// matrix, so the dedup accounting cannot drift from the real plan.
+    fn plan_counted<P>(
         matrix: &mut RunMatrix,
         naive_runs: &mut usize,
-        plan: impl Fn(&mut RunMatrix) -> P,
+        plan: impl FnOnce(&mut RunMatrix) -> P,
     ) -> P {
-        let mut scratch = RunMatrix::new();
-        let _ = plan(&mut scratch);
-        *naive_runs += scratch.len();
-        plan(matrix)
+        let mark = matrix.plan_calls();
+        let planned = plan(matrix);
+        *naive_runs += matrix.distinct_runs_since(mark);
+        planned
     }
 
     /// Number of distinct simulations the whole paper needs (after

@@ -65,6 +65,45 @@ fn reproduce_writes_every_artifact_and_scores_references() {
 }
 
 #[test]
+fn paper_plan_accounting_is_pinned() {
+    // Run counts, dedup savings and fingerprints recorded from the two-pass
+    // planner (each figure planned into a throwaway matrix to count its
+    // runs, then into the merged one). Any planner must reproduce them
+    // exactly: the fingerprint covers every key id, so a byte of drift in
+    // the canonical key JSON changes it.
+    let cases = [
+        (
+            4,
+            vec![presets::web_frontend(), presets::media_streaming()],
+            114,
+            40,
+            "43e3b62e04fa0dc8",
+        ),
+        (
+            2,
+            vec![presets::tiny(), presets::media_streaming()],
+            114,
+            40,
+            "02409dd73b56cb75",
+        ),
+        (16, presets::paper_suite(), 384, 140, "caf58967943e7cb9"),
+    ];
+    for (cores, workloads, runs, saved, fingerprint) in cases {
+        let plan = PaperPlan::plan(ReproduceSettings::new(cores, Scale::Test, 42, workloads));
+        assert_eq!(plan.run_count(), runs, "{cores} cores");
+        assert_eq!(plan.saved_by_dedup(), saved, "{cores} cores");
+        assert_eq!(
+            plan.matrix().fingerprint().to_string(),
+            fingerprint,
+            "{cores} cores"
+        );
+        if cores == 4 {
+            assert_eq!(plan.matrix().key_ids()[0].to_string(), "7f4f2058bb7abe89");
+        }
+    }
+}
+
+#[test]
 fn reproduce_binary_rejects_one_core_with_a_plan_error() {
     // One core leaves the commonality study no pair of cores to compare: the
     // binary must refuse the settings with the same error a served plan gets,

@@ -15,6 +15,9 @@
 //!   the batched stepping entry point.
 //! * **Sweep throughput**: a small deduplicated [`shift_sim::RunMatrix`]
 //!   executed end to end, in runs per second.
+//! * **Planning**: one content-addressed run-key id and one figure planned
+//!   into a fresh matrix — the JSON rendering every plan pays per key. Not
+//!   gated; they show writer or derive regressions from run to run.
 //!
 //! The `perf` binary runs the whole suite and publishes
 //! `target/artifacts/BENCH.{json,csv,md}` through [`shift_report::Artifact`]
@@ -37,8 +40,9 @@ use shift_core::{
 };
 use shift_noc::{Mesh, MeshConfig, RoundTripTable};
 use shift_report::{Artifact, Table};
+use shift_sim::experiments::SpeedupComparisonPlan;
 use shift_sim::matrix::default_threads;
-use shift_sim::{CmpConfig, PrefetcherConfig, RunMatrix, SimOptions};
+use shift_sim::{CmpConfig, PrefetcherConfig, RunKey, RunMatrix, SimOptions};
 use shift_trace::{presets, CoreTraceGenerator, Scale, WorkloadSpec};
 use shift_types::{AccessClass, BlockAddr, CoreId};
 
@@ -381,6 +385,36 @@ fn bench_matrix(c: &mut Criterion, mode: SuiteMode) {
     group.finish();
 }
 
+/// The plan layer: one run key's content-addressed id (its canonical JSON,
+/// rendered and hashed), and Figure 8's sweep over two workloads planned
+/// into a fresh matrix, which computes one id per distinct key.
+fn bench_plan(c: &mut Criterion, mode: SuiteMode) {
+    let (cores, scale, seed) = (4, Scale::Test, 42);
+    let key = RunKey::standalone(
+        CmpConfig::micro13(cores, PrefetcherConfig::shift_virtualized()),
+        presets::web_frontend(),
+        SimOptions::new(scale, seed),
+    );
+    let workloads = [presets::web_frontend(), presets::media_streaming()];
+    let prefetchers = PrefetcherConfig::figure8_suite();
+    let mut group = c.benchmark_group("matrix");
+    group
+        .sample_size(if mode.is_quick() { 5 } else { 10 })
+        .warm_up_iterations(10)
+        .measurement_iterations(if mode.is_quick() { 200 } else { 1_000 })
+        .throughput(Throughput::Elements(1));
+    group.bench_function("run_key_id", |b| b.iter(|| key.id()));
+    group.measurement_iterations(if mode.is_quick() { 20 } else { 100 });
+    group.bench_function("plan_fig08", |b| {
+        b.iter(|| {
+            let mut matrix = RunMatrix::new();
+            SpeedupComparisonPlan::plan(&mut matrix, &workloads, &prefetchers, cores, scale, seed);
+            matrix.len()
+        })
+    });
+    group.finish();
+}
+
 /// Runs the whole suite and assembles the `BENCH` document.
 pub fn run_suite(mode: SuiteMode) -> BenchDoc {
     let mut criterion = Criterion::default();
@@ -392,6 +426,7 @@ pub fn run_suite(mode: SuiteMode) -> BenchDoc {
     bench_noc(&mut criterion, mode);
     bench_engine(&mut criterion, mode);
     bench_matrix(&mut criterion, mode);
+    bench_plan(&mut criterion, mode);
 
     let reports = criterion.take_reports();
     let find = |group: &str, name: &str| -> f64 {

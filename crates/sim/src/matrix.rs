@@ -214,7 +214,7 @@ impl RunKey {
     /// The key's content-addressed id: a 64-bit FNV-1a hash of
     /// [`RunKey::canonical_json`].
     pub fn id(&self) -> RunKeyId {
-        RunKeyId(fnv1a(self.canonical_json().as_bytes()))
+        RunKeyId::of_canonical_json(&self.canonical_json())
     }
 }
 
@@ -292,6 +292,15 @@ hex_id! {
     RunKeyId
 }
 
+impl RunKeyId {
+    /// The id of the key whose [`RunKey::canonical_json`] is `json`, for
+    /// callers that already hold the rendered key and need not render it
+    /// again.
+    pub(crate) fn of_canonical_json(json: &str) -> Self {
+        RunKeyId(fnv1a(json.as_bytes()))
+    }
+}
+
 hex_id! {
     /// Content-addressed identity of a whole planned [`RunMatrix`]: a hash
     /// over its sorted [`RunKeyId`]s. Outcome files record the fingerprint of
@@ -345,6 +354,8 @@ pub struct RunMatrix {
     id: u64,
     keys: Vec<RunKey>,
     key_ids: Vec<RunKeyId>,
+    /// The slot every [`RunMatrix::plan`] call returned, in call order.
+    planned: Vec<usize>,
 }
 
 impl Default for RunMatrix {
@@ -360,6 +371,7 @@ impl RunMatrix {
             id: NEXT_MATRIX_ID.fetch_add(1, Ordering::Relaxed),
             keys: Vec::new(),
             key_ids: Vec::new(),
+            planned: Vec::new(),
         }
     }
 
@@ -411,19 +423,41 @@ impl RunMatrix {
     /// most a few hundred runs, and each key comparison is far cheaper than
     /// the seconds-to-minutes simulation it saves.
     pub fn plan(&mut self, key: RunKey) -> RunHandle {
-        if let Some(existing) = self.keys.iter().position(|k| *k == key) {
-            return RunHandle {
-                matrix: self.id,
-                slot: existing,
-            };
-        }
-        let slot = self.keys.len();
-        self.key_ids.push(key.id());
-        self.keys.push(key);
+        let slot = match self.keys.iter().position(|k| *k == key) {
+            Some(existing) => existing,
+            None => {
+                self.key_ids.push(key.id());
+                self.keys.push(key);
+                self.keys.len() - 1
+            }
+        };
+        self.planned.push(slot);
         RunHandle {
             matrix: self.id,
             slot,
         }
+    }
+
+    /// Number of [`RunMatrix::plan`] calls so far, duplicates included: a
+    /// mark to pass to [`RunMatrix::distinct_runs_since`].
+    pub fn plan_calls(&self) -> usize {
+        self.planned.len()
+    }
+
+    /// Number of distinct runs the plan calls since `mark` asked for: the
+    /// size a fresh matrix would have had if those calls alone had been
+    /// planned into it. Deduplication is key equality, so distinct slots
+    /// are distinct keys, whichever runs earlier calls already planned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` exceeds [`RunMatrix::plan_calls`].
+    pub fn distinct_runs_since(&self, mark: usize) -> usize {
+        let mut seen = vec![false; self.keys.len()];
+        self.planned[mark..]
+            .iter()
+            .filter(|&&slot| !std::mem::replace(&mut seen[slot], true))
+            .count()
     }
 
     /// The deduplicated keys of every planned run, in plan order. Use
@@ -638,6 +672,28 @@ mod tests {
     }
 
     #[test]
+    fn distinct_runs_since_counts_what_a_fresh_matrix_would_hold() {
+        let w = presets::tiny();
+        let mut matrix = RunMatrix::new();
+        matrix.standalone(&w, PrefetcherConfig::None, 4, Scale::Test, 7);
+        let mark = matrix.plan_calls();
+        // One run already planned before the mark, one new run, and a
+        // repeat of each: two distinct runs, as a fresh matrix would count.
+        let mut fresh = RunMatrix::new();
+        for m in [&mut matrix, &mut fresh] {
+            for p in [PrefetcherConfig::None, PrefetcherConfig::next_line()] {
+                m.standalone(&w, p, 4, Scale::Test, 7);
+                m.standalone(&w, p, 4, Scale::Test, 7);
+            }
+        }
+        assert_eq!(matrix.plan_calls(), mark + 4);
+        assert_eq!(matrix.distinct_runs_since(mark), fresh.len());
+        assert_eq!(matrix.distinct_runs_since(mark), 2);
+        assert_eq!(matrix.distinct_runs_since(0), matrix.len());
+        assert_eq!(matrix.distinct_runs_since(matrix.plan_calls()), 0);
+    }
+
+    #[test]
     fn key_ids_are_content_addressed() {
         let w = presets::tiny();
         let mut a = RunMatrix::new();
@@ -726,6 +782,7 @@ mod tests {
         let back: RunKey = json::from_str(&key.canonical_json()).expect("round trip");
         assert_eq!(&back, key);
         assert_eq!(back.id(), key.id());
+        assert_eq!(RunKeyId::of_canonical_json(&key.canonical_json()), key.id());
     }
 
     #[test]

@@ -534,10 +534,12 @@ pub fn read_outcome(path: &Path) -> Result<OutcomeRecord, StoreError> {
     let key_value = read_field("key")?;
     let key: RunKey =
         RunKey::from_value(key_value).map_err(|e| malformed(format!("bad `key`: {e}")))?;
-    if key.id() != key_id {
+    // Rendered once: the id is the hash of the same string the record keeps.
+    let key_json = key.canonical_json();
+    let embedded_id = RunKeyId::of_canonical_json(&key_json);
+    if embedded_id != key_id {
         return Err(malformed(format!(
-            "embedded key hashes to {}, file claims {key_id}",
-            key.id()
+            "embedded key hashes to {embedded_id}, file claims {key_id}"
         )));
     }
     let result = RunResult::from_value(read_field("result")?)
@@ -546,7 +548,7 @@ pub fn read_outcome(path: &Path) -> Result<OutcomeRecord, StoreError> {
         results_version,
         matrix,
         key_id,
-        key_json: key.canonical_json(),
+        key_json,
         result,
     })
 }

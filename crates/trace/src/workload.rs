@@ -164,6 +164,11 @@ pub struct WorkloadProgram {
     /// Sum of all request-type weights, precomputed so every request draw on
     /// the trace-generation hot path skips the per-call summation.
     total_request_weight: f64,
+    /// [`WorkloadProgram::max_function_blocks`], walked once at build time
+    /// rather than once per core generator.
+    max_function_blocks: usize,
+    /// [`WorkloadProgram::max_burst_events`], likewise.
+    max_burst_events: usize,
 }
 
 impl WorkloadProgram {
@@ -192,6 +197,8 @@ impl WorkloadProgram {
         // trace) are bit-identical.
         let total_request_weight = request_types.iter().map(|t| t.weight()).sum();
         Arc::new(WorkloadProgram {
+            max_function_blocks: walk_max_function_blocks(&layout),
+            max_burst_events: walk_max_burst_events(spec, &layout, &request_types),
             spec: spec.clone(),
             layout,
             request_types,
@@ -223,13 +230,7 @@ impl WorkloadProgram {
     /// or OS handler) can emit. The per-core generator pre-sizes its block
     /// scratch buffer to this.
     pub fn max_function_blocks(&self) -> usize {
-        self.layout
-            .functions()
-            .iter()
-            .chain(self.layout.os_functions())
-            .map(|f| f.max_blocks_per_execution() as usize)
-            .max()
-            .unwrap_or(0)
+        self.max_function_blocks
     }
 
     /// Upper bound on the trace events one request can emit: the deepest
@@ -238,35 +239,53 @@ impl WorkloadProgram {
     /// data-reference rate. The per-core generator pre-sizes its pending
     /// queue to this, so bursts never reallocate on the hot path.
     pub fn max_burst_events(&self) -> usize {
-        let max_app_blocks = self
-            .layout
-            .functions()
-            .iter()
-            .map(|f| f.max_blocks_per_execution())
-            .max()
-            .unwrap_or(0) as usize;
-        let max_os_blocks = self
-            .layout
-            .os_functions()
-            .iter()
-            .map(|f| f.max_blocks_per_execution())
-            .max()
-            .unwrap_or(0) as usize;
-        let max_steps = self
-            .request_types
-            .iter()
-            .map(|t| t.steps().len())
-            .max()
-            .unwrap_or(0);
-        // Per block: one fetch event plus the data references it can spawn
-        // (expected count rounded up, plus one for the fractional carry).
-        let max_data_refs_per_block = (self.spec.instructions_per_block_max as f64
-            * self.spec.data_refs_per_instruction)
-            .ceil() as usize
-            + 1;
-        let events_per_block = 1 + max_data_refs_per_block;
-        max_steps * (max_app_blocks + max_os_blocks) * events_per_block
+        self.max_burst_events
     }
+}
+
+/// Walks every function of the layout (application and OS) for
+/// [`WorkloadProgram::max_function_blocks`].
+fn walk_max_function_blocks(layout: &CodeLayout) -> usize {
+    layout
+        .functions()
+        .iter()
+        .chain(layout.os_functions())
+        .map(|f| f.max_blocks_per_execution() as usize)
+        .max()
+        .unwrap_or(0)
+}
+
+/// Walks the layout and the request mix for
+/// [`WorkloadProgram::max_burst_events`].
+fn walk_max_burst_events(
+    spec: &WorkloadSpec,
+    layout: &CodeLayout,
+    request_types: &[RequestType],
+) -> usize {
+    let max_app_blocks = layout
+        .functions()
+        .iter()
+        .map(|f| f.max_blocks_per_execution())
+        .max()
+        .unwrap_or(0) as usize;
+    let max_os_blocks = layout
+        .os_functions()
+        .iter()
+        .map(|f| f.max_blocks_per_execution())
+        .max()
+        .unwrap_or(0) as usize;
+    let max_steps = request_types
+        .iter()
+        .map(|t| t.steps().len())
+        .max()
+        .unwrap_or(0);
+    // Per block: one fetch event plus the data references it can spawn
+    // (expected count rounded up, plus one for the fractional carry).
+    let max_data_refs_per_block =
+        (spec.instructions_per_block_max as f64 * spec.data_refs_per_instruction).ceil() as usize
+            + 1;
+    let events_per_block = 1 + max_data_refs_per_block;
+    max_steps * (max_app_blocks + max_os_blocks) * events_per_block
 }
 
 #[cfg(test)]
@@ -308,6 +327,27 @@ mod tests {
         assert!(!a.code_region().overlaps(&b.code_region()));
         assert!(!a.data_region().overlaps(&b.data_region()));
         assert!(!a.code_region().overlaps(&b.data_region()));
+    }
+
+    #[test]
+    fn stored_trace_bounds_equal_a_fresh_walk() {
+        let mut specs = presets::paper_suite();
+        specs.push(presets::tiny());
+        for spec in specs {
+            let program = WorkloadProgram::build(&spec);
+            assert_eq!(
+                program.max_function_blocks(),
+                walk_max_function_blocks(program.layout()),
+                "{}",
+                spec.name
+            );
+            assert_eq!(
+                program.max_burst_events(),
+                walk_max_burst_events(&spec, program.layout(), program.request_types()),
+                "{}",
+                spec.name
+            );
+        }
     }
 
     #[test]
