@@ -21,25 +21,28 @@
 //!   hosts drain one queue at their own pace; a killed worker's claims go
 //!   stale after `SHIFT_QUEUE_TTL` seconds (default 3600) and are reclaimed.
 //!   The worker only returns success once the sweep is complete.
-//!   `--policy cost-ordered` drains biggest-runs-first weighted by the
-//!   worker's measured throughput (see `docs/PERFORMANCE.md`), and
-//!   `--decision-log FILE` appends one NDJSON line per claim — with the
-//!   run's estimated cost, its rank in the schedule, and the worker's
-//!   fetch rate — plus a final `drained` line carrying the makespan.
 //! * **`--merge DIR...`** — load outcome files from one or more shard/queue
 //!   directories, verify they cover this exact sweep, and derive all
 //!   artifacts + scoreboard. Byte-identical to the default mode's output.
-//! * **`--outcomes DIR`** alone — execute the full sweep (shard `1/1`) with
-//!   durable outcomes in `DIR`, then merge from it: a crash-resumable
-//!   single-host run.
+//! * **`--outcomes DIR`** alone — execute the full sweep with durable
+//!   outcomes in `DIR`, then load it back: a crash-resumable single-host
+//!   run.
 //!
-//! **`--reuse OLD_DIR...`** composes with all execution modes (not with
-//! `--merge`): outcomes in the old directories whose keys still exist in
-//! the current plan — even if they were executed for a *different* sweep —
-//! are reused instead of re-simulated, so only the delta of the new plan
-//! executes. With `--outcomes DIR`, reusable outcomes are first *seeded*
-//! into `DIR` under the current plan's fingerprint; without it, the delta
-//! executes in memory.
+//! Every execution mode (all but `--merge`) takes the same three extras:
+//!
+//! * **`--reuse OLD_DIR...`** — outcomes in the old directories whose keys
+//!   still exist in the current plan — even if they were executed for a
+//!   *different* sweep — are reused instead of re-simulated, so only the
+//!   delta of the new plan executes. With `--outcomes DIR`, reusable
+//!   outcomes are first *seeded* into `DIR` under the current plan's
+//!   fingerprint (a `K/N` shard seeds only its own slice); without it, the
+//!   delta executes in memory.
+//! * **`--policy cost-ordered`** — claim biggest runs first; queue workers
+//!   also weigh the order by their measured throughput (see
+//!   `docs/PERFORMANCE.md`).
+//! * **`--decision-log FILE`** — write one NDJSON line per claim — with the
+//!   run's estimated cost, its rank in the schedule, and the measured fetch
+//!   rate — plus a final `drained` line carrying the makespan.
 //!
 //! All modes read the sweep settings from `SHIFT_SCALE` / `SHIFT_CORES` /
 //! `SHIFT_WORKLOADS`; shard, queue, and merge hosts must agree on them (the
@@ -57,26 +60,29 @@ use std::time::Instant;
 use shift_bench::artifacts::artifacts_dir;
 use shift_bench::banner;
 use shift_bench::reproduce::{PaperPlan, PaperReport, ReproduceSettings};
-use shift_sim::shard::seed_shard_outcomes;
-use shift_sim::store::seed_outcomes;
-use shift_sim::{
-    Execution, PartialLoad, QueueConfig, RunEvent, RunStore, SchedulePolicy, ShardSpec,
-};
+use shift_sim::{Execution, QueueConfig, RunEvent, RunStore, SchedulePolicy, ShardSpec};
 
 /// What the command line asked for.
 enum Mode {
     /// Print usage and exit successfully.
     Help,
-    /// In-process plan → execute → collect.
-    Local,
-    /// Execute one shard into an outcome directory.
-    Shard(ShardSpec, PathBuf),
-    /// Run one work-queue worker against a shared outcome directory.
-    Queue(PathBuf),
-    /// Execute everything into an outcome directory, then merge from it.
-    LocalDurable(PathBuf),
+    /// Execute the plan and collect, or leave the outcomes for a merge.
+    Execute(Run),
     /// Merge outcome directories and collect.
     Merge(Vec<PathBuf>),
+}
+
+/// One execution of the plan, as the command line configured it.
+struct Run {
+    /// The outcome directory; `None` executes in memory.
+    dir: Option<PathBuf>,
+    /// Execute only this slice of the matrix.
+    shard: Option<ShardSpec>,
+    /// Claim runs as a work-queue worker.
+    queue: bool,
+    reuse: Vec<PathBuf>,
+    policy: Option<SchedulePolicy>,
+    decision_log: Option<PathBuf>,
 }
 
 const USAGE: &str = "\
@@ -88,25 +94,20 @@ usage: reproduce [--shard K/N --outcomes DIR | --queue --outcomes DIR |
   --queue --outcomes DIR       one elastic queue worker over shared DIR; returns
                                once the whole sweep has outcomes (SHIFT_QUEUE_TTL
                                seconds until a dead worker's claims are reclaimed)
-  --outcomes DIR               full durable run: execute 1/1 into DIR, then merge
+  --outcomes DIR               full durable run: execute into DIR, then load it back
   --merge DIR...               merge shard outcome dirs, write artifacts + scoreboard
-  --reuse OLD_DIR...           reuse cached outcomes whose keys are still planned
-                               (any mode but --merge); only the delta executes
+every mode but --merge also takes:
+  --reuse OLD_DIR...           reuse cached outcomes whose keys are still planned;
+                               only the delta executes
   --policy POLICY              claim order: canonical (default) or cost-ordered
-                               (biggest runs first, weighted by worker throughput)
-  --decision-log FILE          (--queue only) append one NDJSON line per claim
-                               with cost / rank / worker rate, and a final
-                               `drained` line with the worker's makespan
+                               (biggest runs first; queue workers also weigh it
+                               by their measured throughput)
+  --decision-log FILE          write one NDJSON line per claim with cost / rank /
+                               measured rate, and a final `drained` line with
+                               the makespan
 ";
 
-/// Everything parsed from the command line besides the mode itself.
-struct Options {
-    reuse: Vec<PathBuf>,
-    policy: Option<SchedulePolicy>,
-    decision_log: Option<PathBuf>,
-}
-
-fn parse_args() -> Result<(Mode, Options), String> {
+fn parse_args() -> Result<Mode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut shard: Option<ShardSpec> = None;
     let mut queue = false;
@@ -151,53 +152,37 @@ fn parse_args() -> Result<(Mode, Options), String> {
                     return Err(format!("{arg} needs at least one directory"));
                 }
             }
-            "--help" | "-h" => {
-                return Ok((
-                    Mode::Help,
-                    Options {
-                        reuse: Vec::new(),
-                        policy: None,
-                        decision_log: None,
-                    },
-                ))
-            }
+            "--help" | "-h" => return Ok(Mode::Help),
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-    if !merge.is_empty() && !reuse.is_empty() {
+    if !merge.is_empty() && (!reuse.is_empty() || decision_log.is_some()) {
         return Err(
-            "--reuse cannot be combined with --merge (a merge never executes; \
-                    point --reuse at an execution mode instead)"
+            "--reuse and --decision-log cannot be combined with --merge (a merge \
+                    never executes; point them at an execution mode instead)"
                 .into(),
         );
     }
-    if decision_log.is_some() && !queue {
-        return Err("--decision-log only applies to --queue workers".into());
-    }
-    let mode = match (shard, queue, outcomes, merge.is_empty()) {
-        (None, false, None, true) => Mode::Local,
-        (Some(spec), false, Some(dir), true) => Mode::Shard(spec, dir),
-        (None, true, Some(dir), true) => Mode::Queue(dir),
-        (None, false, Some(dir), true) => Mode::LocalDurable(dir),
-        (None, false, None, false) => Mode::Merge(merge),
-        (Some(_), true, _, _) => return Err("--shard and --queue are mutually exclusive".into()),
-        (_, true, None, _) => return Err("--queue requires --outcomes DIR".into()),
-        (Some(_), _, None, _) => return Err("--shard requires --outcomes DIR".into()),
-        _ => return Err("--merge cannot be combined with --shard/--queue/--outcomes".into()),
-    };
-    Ok((
-        mode,
-        Options {
+    match (shard, queue, outcomes, merge.is_empty()) {
+        (Some(_), true, _, _) => Err("--shard and --queue are mutually exclusive".into()),
+        (_, true, None, _) => Err("--queue requires --outcomes DIR".into()),
+        (Some(_), _, None, _) => Err("--shard requires --outcomes DIR".into()),
+        (shard, queue, dir, true) => Ok(Mode::Execute(Run {
+            dir,
+            shard,
+            queue,
             reuse,
             policy,
             decision_log,
-        },
-    ))
+        })),
+        (None, false, None, false) => Ok(Mode::Merge(merge)),
+        _ => Err("--merge cannot be combined with --shard/--queue/--outcomes".into()),
+    }
 }
 
 fn main() -> ExitCode {
-    let (mode, options) = match parse_args() {
-        Ok((Mode::Help, _)) => {
+    let mode = match parse_args() {
+        Ok(Mode::Help) => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
         }
@@ -207,7 +192,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let reuse = options.reuse;
 
     let settings = match ReproduceSettings::from_env() {
         Ok(settings) => settings,
@@ -233,9 +217,27 @@ fn main() -> ExitCode {
     );
     println!();
 
-    // Probe the reuse cache up front; every mode below composes with it.
-    let partial: Option<PartialLoad> = (!reuse.is_empty()).then(|| {
-        let partial = RunStore::new(reuse.iter().cloned())
+    let Run {
+        dir,
+        shard,
+        queue,
+        reuse,
+        policy,
+        decision_log,
+    } = match mode {
+        Mode::Help => unreachable!("handled before planning"),
+        Mode::Merge(dirs) => {
+            merge_and_report(plan, dirs);
+            return ExitCode::SUCCESS;
+        }
+        Mode::Execute(run) => run,
+    };
+
+    let mut execution = Execution::new(plan.matrix());
+    // Probe the reuse cache up front; the execution seeds or splices the
+    // hits for the runs it owns.
+    if !reuse.is_empty() {
+        let partial = RunStore::new(reuse)
             .load_partial(plan.matrix())
             .unwrap_or_else(|e| panic!("probing --reuse directories failed: {e}"));
         println!(
@@ -253,167 +255,112 @@ fn main() -> ExitCode {
                 path.display()
             );
         }
-        partial
+        execution = execution.reuse(partial);
+    }
+    // Who this process is in the summary line and the decision log, and
+    // the claim order it follows (the queue config reads SHIFT_SCHED_POLICY).
+    let config = queue.then(QueueConfig::from_env);
+    let policy = policy
+        .or(config.as_ref().map(|config| config.policy))
+        .unwrap_or_default();
+    let worker = match (shard, config) {
+        (Some(spec), _) => {
+            execution = execution.shard(spec);
+            format!("shard-{spec}")
+        }
+        (None, Some(config)) => {
+            println!(
+                "queue worker {} draining {} (claim TTL {}s)",
+                config.worker,
+                dir.as_ref().expect("queue mode has --outcomes").display(),
+                config.lock_ttl.as_secs(),
+            );
+            let worker = config.worker.clone();
+            execution = execution.queue(config);
+            worker
+        }
+        (None, None) if dir.is_some() => "durable".to_owned(),
+        (None, None) => "in-process".to_owned(),
+    };
+    if let Some(dir) = &dir {
+        execution = execution.dir(dir);
+    }
+
+    let log = decision_log.as_ref().map(|path| {
+        let file = File::create(path)
+            .unwrap_or_else(|e| panic!("cannot open --decision-log {}: {e}", path.display()));
+        Mutex::new(BufWriter::new(file))
     });
-    // Durable modes persist the reused outcomes under the *current* plan's
-    // fingerprint first, so shard resume / queue claims / the strict merge
-    // see them as already-completed runs. A K/N shard seeds only the slice
-    // it owns: the N shard directories must stay disjoint or their merge
-    // would trip the duplicate check.
-    let seed = |dir: &PathBuf, spec: ShardSpec| {
-        if let Some(partial) = &partial {
-            let written = if spec.is_full() {
-                seed_outcomes(plan.matrix(), partial, dir)
-            } else {
-                seed_shard_outcomes(plan.matrix(), partial, dir, spec)
-            }
-            .unwrap_or_else(|e| panic!("seeding {} from --reuse failed: {e}", dir.display()));
-            println!("seeded {written} reused outcomes into {}", dir.display());
+    let start = Instant::now();
+    let observer = |event: RunEvent| {
+        let Some(log) = &log else { return };
+        if let RunEvent::Claimed {
+            key_id,
+            cost,
+            rank,
+            worker_rate,
+        } = event
+        {
+            let rate = worker_rate
+                .map(|r| r.to_string())
+                .unwrap_or_else(|| "null".to_owned());
+            let mut log = log.lock().expect("decision log poisoned");
+            writeln!(
+                log,
+                "{{\"event\":\"claimed\",\"run\":\"{key_id}\",\"worker\":\"{worker}\",\
+                 \"policy\":\"{policy}\",\"cost\":{cost_units},\"rank\":{rank},\
+                 \"worker_rate\":{rate},\"t_ms\":{t}}}",
+                cost_units = cost.units(),
+                t = start.elapsed().as_millis(),
+            )
+            .expect("decision log write");
         }
     };
-
-    match mode {
-        Mode::Help => unreachable!("handled before planning"),
-        Mode::Local => {
-            let report = match partial {
-                None => {
-                    let mut execution = Execution::new(plan.matrix());
-                    if let Some(policy) = options.policy {
-                        execution = execution.policy(policy);
-                    }
-                    let outcomes = execution
-                        .run()
-                        .unwrap_or_else(|e| panic!("in-process execution failed: {e}"))
-                        .into_outcomes();
-                    plan.collect(&outcomes)
-                }
-                Some(partial) => {
-                    let output = Execution::new(plan.matrix())
-                        .reuse(partial)
-                        .run()
-                        .unwrap_or_else(|e| panic!("incremental execution failed: {e}"));
-                    println!(
-                        "incremental run: {} reused, {} executed",
-                        output.report().sources.reused,
-                        output.report().sources.executed
-                    );
-                    plan.collect(&output.into_outcomes())
-                }
-            };
-            write_report(&report);
-        }
-        Mode::Shard(spec, dir) => {
-            seed(&dir, spec);
-            let report = *Execution::new(plan.matrix())
-                .shard(spec)
-                .dir(&dir)
-                .run()
-                .unwrap_or_else(|e| panic!("shard {spec} failed: {e}"))
-                .report();
-            println!(
-                "shard {spec}: {} of {} runs executed, {} resumed, under {}",
-                report.sources.executed,
-                report.planned,
-                report.sources.reused,
-                dir.display()
-            );
-            println!(
-                "merge with: reproduce --merge {} <other shard dirs...>",
-                dir.display()
-            );
-        }
-        Mode::Queue(dir) => {
-            seed(&dir, ShardSpec::full());
-            let mut config = QueueConfig::from_env();
-            if let Some(policy) = options.policy {
-                config.policy = policy;
-            }
-            let worker = config.worker.clone();
-            let policy = config.policy;
-            println!(
-                "queue worker {} draining {} (claim TTL {}s, {} order)",
-                worker,
-                dir.display(),
-                config.lock_ttl.as_secs(),
-                policy
-            );
-            let log = options.decision_log.as_ref().map(|path| {
-                let file = File::create(path).unwrap_or_else(|e| {
-                    panic!("cannot open --decision-log {}: {e}", path.display())
-                });
-                Mutex::new(BufWriter::new(file))
-            });
-            let start = Instant::now();
-            let observer = |event: RunEvent| {
-                let Some(log) = &log else { return };
-                if let RunEvent::Claimed {
-                    key_id,
-                    cost,
-                    rank,
-                    worker_rate,
-                } = event
-                {
-                    let rate = worker_rate
-                        .map(|r| r.to_string())
-                        .unwrap_or_else(|| "null".to_owned());
-                    let mut log = log.lock().expect("decision log poisoned");
-                    writeln!(
-                        log,
-                        "{{\"event\":\"claimed\",\"run\":\"{key_id}\",\"worker\":\"{worker}\",\
-                         \"policy\":\"{policy}\",\"cost\":{cost_units},\"rank\":{rank},\
-                         \"worker_rate\":{rate},\"t_ms\":{t}}}",
-                        cost_units = cost.units(),
-                        t = start.elapsed().as_millis(),
-                    )
-                    .expect("decision log write");
-                }
-            };
-            let report = *Execution::new(plan.matrix())
-                .queue(config)
-                .dir(&dir)
-                .observer(&observer)
-                .run()
-                .unwrap_or_else(|e| panic!("queue worker failed: {e}"))
-                .report();
-            if let Some(log) = &log {
-                let mut log = log.lock().expect("decision log poisoned");
-                writeln!(
-                    log,
-                    "{{\"event\":\"drained\",\"worker\":\"{worker}\",\"policy\":\"{policy}\",\
-                     \"executed\":{executed},\"reclaimed\":{reclaimed},\"passes\":{passes},\
-                     \"makespan_ms\":{makespan}}}",
-                    executed = report.sources.executed,
-                    reclaimed = report.sources.reclaimed,
-                    passes = report.passes,
-                    makespan = start.elapsed().as_millis(),
-                )
-                .expect("decision log write");
-                log.flush().expect("decision log flush");
-            }
-            println!(
-                "queue drained: this worker executed {} of {} runs ({} stale claims \
-                 reclaimed, {} passes); sweep complete",
-                report.sources.executed, report.planned, report.sources.reclaimed, report.passes
-            );
-            println!("merge with: reproduce --merge {}", dir.display());
-        }
-        Mode::LocalDurable(dir) => {
-            seed(&dir, ShardSpec::full());
-            let report = *Execution::new(plan.matrix())
-                .shard(ShardSpec::full())
-                .dir(&dir)
-                .run()
-                .unwrap_or_else(|e| panic!("durable execution failed: {e}"))
-                .report();
-            println!(
-                "durable run: {} executed, {} resumed, under {}",
-                report.sources.executed,
-                report.sources.reused,
-                dir.display()
-            );
-            merge_and_report(plan, vec![dir]);
-        }
-        Mode::Merge(dirs) => merge_and_report(plan, dirs),
+    let output = execution
+        .policy(policy)
+        .observer(&observer)
+        .run()
+        .unwrap_or_else(|e| panic!("{worker} failed: {e}"));
+    let report = output.report();
+    if let Some(log) = &log {
+        let mut log = log.lock().expect("decision log poisoned");
+        writeln!(
+            log,
+            "{{\"event\":\"drained\",\"worker\":\"{worker}\",\"policy\":\"{policy}\",\
+             \"executed\":{executed},\"reclaimed\":{reclaimed},\"passes\":{passes},\
+             \"makespan_ms\":{makespan}}}",
+            executed = report.sources.executed,
+            reclaimed = report.sources.reclaimed,
+            passes = report.passes,
+            makespan = start.elapsed().as_millis(),
+        )
+        .expect("decision log write");
+        log.flush().expect("decision log flush");
+    }
+    println!(
+        "{worker}: {} of {} runs executed, {} reused, {} stale claims reclaimed \
+         (passes: {}, policy {policy}){}",
+        report.sources.executed,
+        report.planned,
+        report.sources.reused,
+        report.sources.reclaimed,
+        report.passes,
+        dir.as_ref()
+            .map_or_else(String::new, |dir| format!(", under {}", dir.display())),
+    );
+    match output.outcomes() {
+        Some(outcomes) => write_report(&plan.collect(outcomes)),
+        None => println!(
+            "merge with: reproduce --merge {}{}",
+            dir.as_ref()
+                .expect("only directory modes withhold outcomes")
+                .display(),
+            if shard.is_some() {
+                " <other shard dirs...>"
+            } else {
+                ""
+            },
+        ),
     }
     ExitCode::SUCCESS
 }

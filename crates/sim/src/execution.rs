@@ -1,11 +1,7 @@
-//! The unified entry point for executing a planned [`RunMatrix`].
-//!
-//! The execute surface once grew one free function at a time — serial,
-//! threaded, sharded, queued, observed, delta — until callers had to pick
-//! from nine near-duplicates and there was no coherent place to hang new
-//! cross-cutting concerns (scheduling policy, cost calibration, unified
-//! reporting). The [`Execution`] builder replaced all of them, and the
-//! legacy functions have since been removed:
+//! The unified entry point for executing a planned [`RunMatrix`]: every
+//! mode — in memory, durable, sharded, queued, reusing a cache — is
+//! configured on one [`Execution`] builder and reported by one
+//! [`ExecutionReport`].
 //!
 //! ```
 //! use shift_sim::{Execution, PrefetcherConfig, RunMatrix};
@@ -22,28 +18,47 @@
 //! assert!(outcomes[run].throughput() > 0.0);
 //! ```
 //!
-//! The configured pieces compose by *mode*:
+//! Every execution is one drain loop. It owns a set of plan slots and
+//! visits them pass by pass on the worker pool; per slot it checks whether
+//! the run is already done, claims it, runs it, and stores the result. The
+//! configuration picks which slots are owned and where results go:
 //!
-//! | Configured | Mode |
-//! |---|---|
-//! | *(nothing)* | In-memory parallel execution |
-//! | [`dir`](Execution::dir) | Durable full execution: persist every outcome, return them too |
-//! | [`shard`](Execution::shard) + `dir` | Durable slice |
-//! | [`queue`](Execution::queue) + `dir` | Elastic work-queue drain |
-//! | [`reuse`](Execution::reuse) | In-memory delta over a cache probe |
-//! | `reuse` + any durable mode | Cache hits seeded into `dir` first |
+//! | Slots owned | Results in memory | Results in the outcome directory |
+//! |---|---|---|
+//! | every slot | *(nothing configured)* | [`dir`](Execution::dir): resumable, loaded back once complete |
+//! | the `K/N` slice, by canonical rank | — | [`shard`](Execution::shard) + `dir` |
+//! | every slot, each taken by an `O_EXCL` lock claim | — | [`queue`](Execution::queue) + `dir` |
+//!
+//! The rest applies to every row:
+//!
+//! * [`reuse`](Execution::reuse) is a pre-pass: cache hits are copied into
+//!   memory, or written into the directory for the owned slots, and then
+//!   count as already done;
+//! * [`policy`](Execution::policy) is one sort of the owned slots — the
+//!   canonical order, or biggest-first by [`CostModel`];
+//! * [`observer`](Execution::observer) sees every slot's
+//!   [`RunEvent`]s and [`cancel`](Execution::cancel) stops the drain
+//!   between claims.
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use crate::matrix::{default_threads, RunMatrix};
-use crate::schedule::{rank_by_cost, CostModel, SchedulePolicy};
+use crate::matrix::{default_threads, parallel_map_with_threads, MatrixFingerprint, RunMatrix};
+use crate::results::RunResult;
+use crate::schedule::{rank_by_cost, CostModel, RunCost, SchedulePolicy};
 use crate::shard::{
-    delta_inner, queue_inner, shard_inner, CancelToken, QueueConfig, RunObserver, ShardSpec,
+    claim_lock, recover_rate, CancelToken, LockClaim, LockHeartbeat, QueueConfig, RunEvent,
+    RunObserver, ShardSpec,
 };
-use crate::store::{seed_outcomes, RunOutcomes, RunStore};
+use crate::store::{
+    outcome_file_name, outcome_is_valid, seed_outcome_slots, write_outcome, PartialLoad,
+    RunOutcomes, RunStore,
+};
 
 /// Where each planned run's outcome came from, summed over one execution.
 ///
@@ -70,21 +85,23 @@ pub struct OutcomeSources {
 /// log) can emit it directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutionReport {
-    /// Runs this execution was responsible for: the whole matrix, or the
-    /// shard's slice in shard mode.
+    /// Runs this execution owned: the whole matrix, or the shard's slice
+    /// in shard mode.
     pub planned: usize,
     /// Per-source breakdown of how those runs were satisfied.
     pub sources: OutcomeSources,
-    /// Queue passes taken (1 for every non-queue mode).
+    /// Passes over the owned runs not yet known done. One pass visits every
+    /// owned run; only a queue worker waiting on runs that live peers have
+    /// claimed takes more.
     pub passes: usize,
-    /// `true` if every planned run had a valid outcome on return. Shard
-    /// mode reports its own slice; a cancelled or non-waiting queue drain
-    /// reports `false`.
+    /// `true` if every owned run had a result on return. Shard mode reports
+    /// its own slice; a cancelled execution or a non-waiting queue worker
+    /// that left runs to its peers reports `false`.
     pub complete: bool,
 }
 
-/// The result of [`Execution::run`]: the unified report, plus in-memory
-/// outcomes for the modes that produce them.
+/// The result of [`Execution::run`]: the unified report, plus the outcomes
+/// when the execution owned every run and completed.
 #[derive(Debug)]
 pub struct ExecutionOutput {
     report: ExecutionReport,
@@ -97,9 +114,10 @@ impl ExecutionOutput {
         &self.report
     }
 
-    /// The executed outcomes, if this mode produces them in memory: every
-    /// mode except shard and queue execution (those persist to the outcome
-    /// directory for a later [`RunStore`] merge instead; `None`).
+    /// The outcomes of every planned run: `None` for shard and queue
+    /// executions (those persist to the outcome directory for a later
+    /// [`RunStore`] merge instead) and for any execution that did not
+    /// complete.
     pub fn outcomes(&self) -> Option<&RunOutcomes> {
         self.outcomes.as_ref()
     }
@@ -108,11 +126,12 @@ impl ExecutionOutput {
     ///
     /// # Panics
     ///
-    /// Panics for shard/queue executions, which do not return outcomes in
-    /// memory — merge their outcome directory with [`RunStore`] instead.
+    /// Panics when [`outcomes`](ExecutionOutput::outcomes) is `None`:
+    /// shard/queue executions, which persist to their outcome directory —
+    /// merge it with [`RunStore`] instead — and incomplete executions.
     pub fn into_outcomes(self) -> RunOutcomes {
         self.outcomes.expect(
-            "this execution mode persists to the outcome directory; \
+            "this execution persists to the outcome directory or did not complete; \
              merge it with RunStore::load instead of into_outcomes()",
         )
     }
@@ -126,7 +145,7 @@ pub struct Execution<'a> {
     dir: Option<PathBuf>,
     shard: Option<ShardSpec>,
     queue: Option<QueueConfig>,
-    reuse: Option<crate::store::PartialLoad>,
+    reuse: Option<PartialLoad>,
     observer: Option<&'a dyn RunObserver>,
     cancel: Option<&'a CancelToken>,
     policy: Option<SchedulePolicy>,
@@ -183,10 +202,10 @@ impl<'a> Execution<'a> {
     }
 
     /// Persists outcomes under `dir`. Alone this is a durable full
-    /// execution (every run written as a keyed outcome file, resumable);
-    /// combined with [`shard`](Execution::shard) or
-    /// [`queue`](Execution::queue) it is the shared outcome directory those
-    /// modes require.
+    /// execution (every run written as a keyed outcome file, resumable, and
+    /// loaded back once complete); combined with [`shard`](Execution::shard)
+    /// or [`queue`](Execution::queue) it is the shared outcome directory
+    /// those modes require.
     #[must_use]
     pub fn dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.dir = Some(dir.into());
@@ -211,36 +230,41 @@ impl<'a> Execution<'a> {
         self
     }
 
-    /// Reuses the cache hits of a [`RunStore::load_partial`] probe:
-    /// in-memory modes splice them in and execute only the delta; durable
-    /// modes seed them into [`dir`](Execution::dir) first.
+    /// Reuses the cache hits of a [`RunStore::load_partial`] probe, so only
+    /// the delta executes: in memory they are spliced in; with
+    /// [`dir`](Execution::dir) they are first seeded into the directory for
+    /// the owned runs only (a `K/N` shard seeds its own slice, keeping shard
+    /// directories disjoint).
+    ///
+    /// [`run`](Execution::run) panics if `partial` was probed against a
+    /// different matrix.
     #[must_use]
-    pub fn reuse(mut self, partial: crate::store::PartialLoad) -> Self {
+    pub fn reuse(mut self, partial: PartialLoad) -> Self {
         self.reuse = Some(partial);
         self
     }
 
-    /// Streams [`RunEvent`](crate::RunEvent)s from queue execution to
-    /// `observer` (ignored by other modes).
+    /// Streams every [`RunEvent`] of the execution to `observer`.
     #[must_use]
     pub fn observer(mut self, observer: &'a dyn RunObserver) -> Self {
         self.observer = Some(observer);
         self
     }
 
-    /// Makes queue execution cancellable through `token` (ignored by other
-    /// modes).
+    /// Makes the execution cancellable through `token`: once cancelled, the
+    /// runs in flight finish and are stored, nothing more is claimed, and
+    /// the report says `complete: false`.
     #[must_use]
     pub fn cancel(mut self, token: &'a CancelToken) -> Self {
         self.cancel = Some(token);
         self
     }
 
-    /// Sets the scheduling policy: the claim order for queue workers, and
-    /// the packing order for in-memory execution. Overrides the policy in
-    /// the [`queue`](Execution::queue) config (which is where
+    /// Sets the scheduling policy: the order in which the owned runs are
+    /// claimed, in every mode. Overrides the policy in the
+    /// [`queue`](Execution::queue) config (which is where
     /// `SHIFT_SCHED_POLICY` lands); when neither is set, the stable
-    /// canonical order is used.
+    /// canonical order is used. Results never depend on it.
     #[must_use]
     pub fn policy(mut self, policy: SchedulePolicy) -> Self {
         self.policy = Some(policy);
@@ -255,9 +279,9 @@ impl<'a> Execution<'a> {
         self
     }
 
-    /// Executes in the mode the configuration selects (see the
-    /// [module docs](self)) and returns the unified report plus, for
-    /// in-memory modes, the outcomes.
+    /// Drains the owned runs (see the [module docs](self)) and returns the
+    /// report plus, when this execution owned every run and completed, the
+    /// outcomes.
     ///
     /// # Panics
     ///
@@ -276,148 +300,330 @@ impl<'a> Execution<'a> {
             "Execution: .shard() and .queue() are mutually exclusive \
              (a shard is a static slice, a queue worker sees the whole matrix)"
         );
-        let threads = self.threads.unwrap_or_else(default_threads);
+        let dir = self.dir.as_deref();
+        if dir.is_none() {
+            assert!(
+                self.queue.is_none(),
+                "Execution: .queue() requires .dir(shared outcome directory)"
+            );
+            assert!(
+                self.shard.is_none(),
+                "Execution: .shard() requires .dir(outcome directory)"
+            );
+        }
         let matrix = self.matrix;
+        let queue = self.queue.as_ref();
+        let threads = self.threads.unwrap_or_else(default_threads);
+        let policy = self
+            .policy
+            .or(queue.map(|config| config.policy))
+            .unwrap_or_default();
 
-        if let Some(mut config) = self.queue {
-            let dir = self
-                .dir
-                .as_deref()
-                .expect("Execution: .queue() requires .dir(shared outcome directory)");
-            if let Some(policy) = self.policy {
-                config.policy = policy;
-            }
-            if let Some(partial) = &self.reuse {
-                seed_outcomes(matrix, partial, dir)?;
-            }
-            let fallback_cancel = CancelToken::new();
-            let noop = |_event: crate::shard::RunEvent| {};
-            let observer: &dyn RunObserver = match self.observer {
-                Some(o) => o,
-                None => &noop,
-            };
-            let drained = queue_inner(
-                matrix,
-                dir,
-                &config,
-                threads,
-                observer,
-                self.cancel.unwrap_or(&fallback_cancel),
-                &self.calibration,
-            )?;
-            return Ok(ExecutionOutput {
-                report: ExecutionReport {
-                    planned: drained.planned,
-                    sources: OutcomeSources {
-                        executed: drained.executed,
-                        reused: drained.already,
-                        reclaimed: drained.reclaimed,
-                    },
-                    passes: drained.passes,
-                    complete: drained.complete,
-                },
-                outcomes: None,
-            });
+        // Which slots: the policy's order over the whole matrix — a pure
+        // function of the plan and the model, so every worker computes the
+        // same ranking — cut to the shard's slice, which is always chosen by
+        // canonical rank so that every shard agrees on it.
+        let canonical = matrix.canonical_order();
+        let order = match policy {
+            SchedulePolicy::Canonical => canonical.clone(),
+            SchedulePolicy::CostOrdered => rank_by_cost(&self.calibration, matrix),
+        };
+        let mut ranks = vec![0; matrix.len()];
+        for (rank, &slot) in order.iter().enumerate() {
+            ranks[slot] = rank;
         }
-
-        if let Some(spec) = self.shard {
-            let dir = self
-                .dir
-                .as_deref()
-                .expect("Execution: .shard() requires .dir(outcome directory)");
-            if let Some(partial) = &self.reuse {
-                // Seeded files surface as resumed (reused) runs below.
-                crate::shard::seed_shard_outcomes(matrix, partial, dir, spec)?;
-            }
-            let report = shard_inner(matrix, spec, dir, threads)?;
-            return Ok(ExecutionOutput {
-                report: ExecutionReport {
-                    planned: report.planned,
-                    sources: OutcomeSources {
-                        executed: report.executed,
-                        reused: report.resumed,
-                        reclaimed: 0,
-                    },
-                    passes: 1,
-                    complete: report.executed + report.resumed == report.planned,
-                },
-                outcomes: None,
-            });
-        }
-
-        if let Some(dir) = self.dir.as_deref() {
-            // Durable full execution: persist everything, then load the
-            // complete sweep back so callers get outcomes *and* durability.
-            if let Some(partial) = &self.reuse {
-                seed_outcomes(matrix, partial, dir)?;
-            }
-            let report = shard_inner(matrix, ShardSpec::full(), dir, threads)?;
-            let outcomes = load_back(matrix, dir)?;
-            return Ok(ExecutionOutput {
-                report: ExecutionReport {
-                    planned: report.planned,
-                    sources: OutcomeSources {
-                        executed: report.executed,
-                        reused: report.resumed,
-                        reclaimed: 0,
-                    },
-                    passes: 1,
-                    complete: true,
-                },
-                outcomes: Some(outcomes),
-            });
-        }
-
-        if let Some(partial) = self.reuse {
-            let report = delta_inner(matrix, partial, threads);
-            return Ok(ExecutionOutput {
-                report: ExecutionReport {
-                    planned: matrix.len(),
-                    sources: OutcomeSources {
-                        executed: report.executed,
-                        reused: report.reused,
-                        reclaimed: 0,
-                    },
-                    passes: 1,
-                    complete: true,
-                },
-                outcomes: Some(report.outcomes),
-            });
-        }
-
-        // Pure in-memory execution. Under CostOrdered the workers pick up
-        // the biggest runs first (classic LPT packing, lower makespan when
-        // run sizes are skewed); results are keyed by plan slot, so the
-        // outcomes are bit-identical either way.
-        let outcomes = match self.policy.unwrap_or_default() {
-            SchedulePolicy::Canonical => matrix.run_all(threads),
-            SchedulePolicy::CostOrdered => {
-                matrix.run_all_ordered(threads, &rank_by_cost(&self.calibration, matrix))
+        let owned: Vec<usize> = match self.shard {
+            None => order,
+            Some(spec) => {
+                let mut mine = vec![false; matrix.len()];
+                for (rank, &slot) in canonical.iter().enumerate() {
+                    mine[slot] = spec.selects(rank);
+                }
+                order.into_iter().filter(|&slot| mine[slot]).collect()
             }
         };
-        Ok(ExecutionOutput {
-            report: ExecutionReport {
-                planned: matrix.len(),
-                sources: OutcomeSources {
-                    executed: matrix.len(),
-                    reused: 0,
-                    reclaimed: 0,
-                },
-                passes: 1,
-                complete: true,
-            },
-            outcomes: Some(outcomes),
-        })
+
+        // The reuse pre-pass: hits count as already done in the drain.
+        let mut memory: Vec<Option<RunResult>> = vec![None; matrix.len()];
+        if let Some(dir) = dir {
+            std::fs::create_dir_all(dir)?;
+        }
+        if let Some(partial) = self.reuse {
+            match dir {
+                Some(dir) => {
+                    seed_outcome_slots(matrix, &partial, dir, &owned)?;
+                }
+                None => memory = partial.into_results(matrix),
+            }
+        }
+
+        let noop = |_: RunEvent| {};
+        let uncancelled = CancelToken::new();
+        let rate = match (queue, dir) {
+            (Some(config), Some(dir)) => config
+                .initial_rate
+                .or_else(|| recover_rate(dir, &config.worker)),
+            _ => None,
+        };
+        let drain = Drain {
+            matrix,
+            fingerprint: matrix.fingerprint(),
+            dir,
+            queue,
+            observer: self.observer.unwrap_or(&noop),
+            costs: matrix
+                .keys()
+                .iter()
+                .map(|key| self.calibration.cost(key))
+                .collect(),
+            ranks,
+            rate: Arc::new(AtomicU64::new(rate.unwrap_or(0))),
+        };
+        let cancel = self.cancel.unwrap_or(&uncancelled);
+        let failed = AtomicBool::new(false);
+        // Completion is monotonic (a valid outcome never becomes invalid),
+        // so later passes skip slots already proven done instead of
+        // re-reading their outcome files every poll tick.
+        let mut done = vec![false; matrix.len()];
+        let mut report = ExecutionReport {
+            planned: owned.len(),
+            sources: OutcomeSources::default(),
+            passes: 0,
+            complete: false,
+        };
+        while !cancel.is_cancelled() {
+            let mut candidates: Vec<usize> =
+                owned.iter().copied().filter(|&slot| !done[slot]).collect();
+            if candidates.is_empty() {
+                report.complete = true;
+                break;
+            }
+            report.passes += 1;
+            // Slowness deferral: once a queue worker has a measured rate,
+            // runs it would hold for longer than the cutoff move to the back
+            // of *its* claim order — fast contenders pick them up first, but
+            // nothing is skipped, so a lone slow worker still completes.
+            if let (Some(config), Some(rate), SchedulePolicy::CostOrdered) =
+                (queue, drain.current_rate(), policy)
+            {
+                candidates.sort_by_key(|&slot| {
+                    drain.costs[slot]
+                        .duration_at(rate)
+                        .is_some_and(|d| d > config.slow_cutoff)
+                });
+            }
+            let visits = parallel_map_with_threads(&candidates, threads, |&slot| {
+                if cancel.is_cancelled() || failed.load(Ordering::Relaxed) {
+                    return Ok(Visit::Skipped);
+                }
+                let visit = drain.visit(slot, &memory);
+                failed.fetch_or(visit.is_err(), Ordering::Relaxed);
+                visit
+            });
+            let executed_before = report.sources.executed;
+            let mut blocked = false;
+            for (&slot, visit) in candidates.iter().zip(visits) {
+                match visit? {
+                    Visit::Executed { result, reclaimed } => {
+                        done[slot] = true;
+                        memory[slot] = result.map(|result| *result);
+                        report.sources.executed += 1;
+                        report.sources.reclaimed += usize::from(reclaimed);
+                    }
+                    Visit::AlreadyDone => {
+                        done[slot] = true;
+                        report.sources.reused += 1;
+                    }
+                    Visit::Blocked => blocked = true,
+                    Visit::Skipped => {}
+                }
+            }
+            if blocked && report.sources.executed == executed_before && !cancel.is_cancelled() {
+                // Everything left is claimed by other live workers: wait for
+                // them (their completion or their locks going stale both
+                // unblock the next pass), or hand the tally back.
+                match queue {
+                    Some(config) if config.wait => std::thread::sleep(config.poll),
+                    _ => break,
+                }
+            }
+        }
+
+        let outcomes = match dir {
+            _ if !report.complete || self.shard.is_some() || queue.is_some() => None,
+            // Directory results stay on disk during the drain; the complete
+            // sweep loads back through the strict merge.
+            Some(dir) => Some(
+                RunStore::new([dir])
+                    .load(matrix)
+                    .map_err(|e| io::Error::other(format!("re-loading executed outcomes: {e}")))?,
+            ),
+            None => Some(RunOutcomes::from_results(
+                matrix.local_id(),
+                memory
+                    .into_iter()
+                    .map(|result| result.expect("a complete drain holds every result"))
+                    .collect(),
+            )),
+        };
+        Ok(ExecutionOutput { report, outcomes })
     }
 }
 
-/// Loads a complete durable execution back into memory, mapping store
-/// errors (all of which indicate a bug or concurrent tampering right after
-/// a successful full execution) into `io::Error`.
-fn load_back(matrix: &RunMatrix, dir: &Path) -> io::Result<RunOutcomes> {
-    RunStore::new([dir])
-        .load(matrix)
-        .map_err(|e| io::Error::other(format!("re-loading executed outcomes: {e}")))
+/// What one slot's visit in a pass came to.
+enum Visit {
+    /// Claimed and simulated here. `result` is kept only when results stay
+    /// in memory; `reclaimed` says a dead worker's stale lock was taken over.
+    Executed {
+        result: Option<Box<RunResult>>,
+        reclaimed: bool,
+    },
+    /// A result already existed.
+    AlreadyDone,
+    /// Another live queue worker holds the claim.
+    Blocked,
+    /// Not visited: the execution was cancelled, or another visit failed.
+    Skipped,
+}
+
+/// Everything the slot visits of one execution share: the plan, where
+/// results go, the queue worker when claims take locks, the scheduler
+/// state, and the observer.
+struct Drain<'a> {
+    matrix: &'a RunMatrix,
+    fingerprint: MatrixFingerprint,
+    /// The outcome directory; `None` keeps results in memory.
+    dir: Option<&'a Path>,
+    /// The queue worker, when claims go through `O_EXCL` lock files.
+    queue: Option<&'a QueueConfig>,
+    observer: &'a dyn RunObserver,
+    /// Per-slot estimated cost under the active model (plan order).
+    costs: Vec<RunCost>,
+    /// Per-slot rank in the full-matrix order of the active policy.
+    ranks: Vec<usize>,
+    /// The measured drain rate in weighted fetch units per second (0 =
+    /// unknown), shared with every worker thread and the lock heartbeats.
+    rate: Arc<AtomicU64>,
+}
+
+impl Drain<'_> {
+    /// The current drain rate, `None` while still unmeasured.
+    fn current_rate(&self) -> Option<u64> {
+        let rate = self.rate.load(Ordering::Relaxed);
+        (rate > 0).then_some(rate)
+    }
+
+    /// Folds one completed run into the measured rate: the first sample is
+    /// taken as-is, later samples are blended half-and-half with the running
+    /// estimate so the rate tracks drift without whiplashing on one outlier
+    /// run.
+    fn record_rate(&self, cost: RunCost, elapsed: Duration) {
+        let secs = elapsed.as_secs_f64();
+        if secs <= 0.0 {
+            return;
+        }
+        let sample = (cost.units() as f64 / secs).round().max(1.0) as u64;
+        let previous = self.rate.load(Ordering::Relaxed);
+        let blended = if previous == 0 {
+            sample
+        } else {
+            previous / 2 + sample / 2
+        };
+        self.rate.store(blended.max(1), Ordering::Relaxed);
+    }
+
+    /// Visits plan-order `slot`: done already, or claim it, run it, and
+    /// store the result — handed back when results stay in memory
+    /// (`memory` holds the ones already there), written to the outcome
+    /// directory otherwise.
+    fn visit(&self, slot: usize, memory: &[Option<RunResult>]) -> io::Result<Visit> {
+        let key = &self.matrix.keys()[slot];
+        let key_id = self.matrix.key_ids()[slot];
+        let is_done = || match self.dir {
+            None => memory[slot].is_some(),
+            Some(dir) => {
+                outcome_is_valid(&dir.join(outcome_file_name(key_id)), self.fingerprint, key)
+            }
+        };
+        // Only queue workers take locks (see `claim_lock`). A taken lock goes
+        // round once more, so the outcome is re-checked before running:
+        // another worker may have finished between the check and the claim.
+        let mut lock: Option<PathBuf> = None;
+        let mut reclaimed = false;
+        loop {
+            if is_done() {
+                if let Some(lock) = &lock {
+                    let _ = std::fs::remove_file(lock);
+                }
+                self.observer.on_event(RunEvent::AlreadyDone { key_id });
+                return Ok(Visit::AlreadyDone);
+            }
+            let (Some(dir), Some(config), None) = (self.dir, self.queue, &lock) else {
+                break;
+            };
+            match claim_lock(dir, key_id, config, self.current_rate())? {
+                LockClaim::Taken(path) => lock = Some(path),
+                LockClaim::Held => return Ok(Visit::Blocked),
+                LockClaim::Reclaimed => {
+                    reclaimed = true;
+                    self.observer.on_event(RunEvent::Reclaimed { key_id });
+                }
+                LockClaim::Retry => {}
+            }
+        }
+
+        let cost = self.costs[slot];
+        self.observer.on_event(RunEvent::Claimed {
+            key_id,
+            cost,
+            rank: self.ranks[slot],
+            worker_rate: self.current_rate(),
+        });
+        // Keep the claim visibly alive for the whole simulation, so the TTL
+        // can be far shorter than the longest run.
+        let heartbeat = lock.as_ref().zip(self.queue).map(|(path, config)| {
+            LockHeartbeat::spawn_with_rate(
+                path.clone(),
+                key_id,
+                config.worker.clone(),
+                config.poll,
+                Arc::clone(&self.rate),
+            )
+        });
+        let started = Instant::now();
+        let result = key.run();
+        if let Some(config) = self.queue.filter(|config| config.throttle_ns_per_unit > 0) {
+            // Emulated slow host: sleep in proportion to the run's cost, with
+            // the heartbeat still stamping the claim so it never looks
+            // abandoned.
+            std::thread::sleep(Duration::from_nanos(
+                cost.units().saturating_mul(config.throttle_ns_per_unit),
+            ));
+        }
+        self.record_rate(cost, started.elapsed());
+        drop(heartbeat);
+        let kept = match self.dir {
+            None => Some(Box::new(result)),
+            Some(dir) => {
+                let written = write_outcome(dir, self.fingerprint, key, &result);
+                if let Some(lock) = &lock {
+                    let _ = std::fs::remove_file(lock);
+                }
+                written.map_err(|e| {
+                    io::Error::other(format!(
+                        "failed to write outcome {key_id} under {}: {e}",
+                        dir.display()
+                    ))
+                })?;
+                None
+            }
+        };
+        self.observer.on_event(RunEvent::Executed { key_id });
+        Ok(Visit::Executed {
+            result: kept,
+            reclaimed,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -73,12 +73,13 @@
 //! Outcome directories double as a cross-sweep simulation cache:
 //! [`RunStore::load_partial`] reuses any outcome whose key still exists in a
 //! changed plan and `Execution::new(&matrix).reuse(partial)` runs only the
-//! rest. All of these modes go through one entry point, the [`Execution`]
-//! builder ([`execution`]), which also owns the scheduling knobs: a
-//! [`CostModel`] ranks runs by estimated work ([`schedule`]) and
-//! [`SchedulePolicy::CostOrdered`] drains queues biggest-first weighted by
-//! each worker's measured throughput. See `docs/SWEEP.md` and
-//! `docs/OPERATIONS.md` in the repository for the operational guides.
+//! rest. All of these modes are one drain loop behind one entry point, the
+//! [`Execution`] builder ([`execution`]), which also owns the scheduling
+//! knobs for every mode: a [`CostModel`] ranks runs by estimated work
+//! ([`schedule`]) and [`SchedulePolicy::CostOrdered`] claims biggest-first
+//! (queue workers also weigh it by their measured throughput). See
+//! `docs/SWEEP.md` and `docs/OPERATIONS.md` in the repository for the
+//! operational guides.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -99,8 +100,5 @@ pub use execution::{Execution, ExecutionOutput, ExecutionReport, OutcomeSources}
 pub use matrix::{MatrixFingerprint, RunHandle, RunKey, RunKeyId, RunMatrix, Simulation};
 pub use results::{CoverageStats, RunResult, RESULTS_VERSION};
 pub use schedule::{CostModel, RunCost, SchedulePolicy};
-pub use shard::{
-    CancelToken, DeltaReport, LockHeartbeat, QueueConfig, RunEvent, RunObserver, ShardReport,
-    ShardSpec,
-};
+pub use shard::{CancelToken, LockHeartbeat, QueueConfig, RunEvent, RunObserver, ShardSpec};
 pub use store::{PartialLoad, RunOutcomes, RunStore, StoreError};

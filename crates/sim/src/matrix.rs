@@ -518,42 +518,15 @@ impl RunMatrix {
     /// [`Execution::new(&matrix).run()`](crate::execution::Execution); use
     /// the builder directly for explicit thread counts, durable modes, or
     /// scheduling policies.
-    pub fn execute(&self) -> RunOutcomes {
-        self.run_all(default_threads())
-    }
-
-    /// The in-memory executor behind [`RunMatrix::execute`] and the
-    /// [`Execution`](crate::execution::Execution) builder.
     ///
     /// Results are keyed by plan position, so the outcome is independent of
     /// which worker runs which simulation: for the same matrix, any thread
     /// count yields bit-identical [`RunOutcomes`].
-    pub(crate) fn run_all(&self, threads: usize) -> RunOutcomes {
-        RunOutcomes::from_results(
-            self.id,
-            parallel_map_with_threads(&self.keys, threads, RunKey::run),
-        )
-    }
-
-    /// [`RunMatrix::run_all`] with an explicit claim order: workers pick up
-    /// slots in `order` (e.g. biggest-first for better tail packing), but
-    /// results still land in plan order, so the outcomes are bit-identical
-    /// for every ordering.
-    pub(crate) fn run_all_ordered(&self, threads: usize, order: &[usize]) -> RunOutcomes {
-        debug_assert_eq!(order.len(), self.keys.len());
-        let ordered: Vec<RunResult> =
-            parallel_map_with_threads(order, threads, |&slot| self.keys[slot].run());
-        let mut results: Vec<Option<RunResult>> = (0..self.keys.len()).map(|_| None).collect();
-        for (&slot, result) in order.iter().zip(ordered) {
-            results[slot] = Some(result);
-        }
-        RunOutcomes::from_results(
-            self.id,
-            results
-                .into_iter()
-                .map(|r| r.expect("order covers every plan slot"))
-                .collect(),
-        )
+    pub fn execute(&self) -> RunOutcomes {
+        crate::Execution::new(self)
+            .run()
+            .expect("an in-memory execution performs no I/O")
+            .into_outcomes()
     }
 }
 
@@ -574,9 +547,9 @@ pub fn default_threads() -> usize {
 /// Applies `f` to every item on the default worker-thread pool, returning the
 /// outputs in item order.
 ///
-/// This is the same executor [`RunMatrix`] uses, exposed for sweeps that are
-/// not plain `RunKey::run` calls (the commonality opportunity study, the
-/// storage-table arithmetic, shard execution with its per-run persistence).
+/// This is the same executor every [`Execution`](crate::Execution) pass
+/// runs on, exposed for sweeps that are not plain `RunKey::run` calls (the
+/// commonality opportunity study, the storage-table arithmetic).
 pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,

@@ -1,5 +1,6 @@
-//! The **execute** stage of the sweep pipeline: running a deterministic
-//! slice of a [`RunMatrix`] with durable, resumable per-run outcomes.
+//! The **execute** stage of the sweep pipeline: which slots of a
+//! [`RunMatrix`](crate::RunMatrix) an execution owns, and the claim protocol
+//! queue workers share.
 //!
 //! A [`ShardSpec`] `k/N` selects every run whose rank in the matrix's
 //! canonical ordering is congruent to `k − 1` modulo `N` — a partition, so
@@ -10,14 +11,12 @@
 //! keyed outcome file (see [`crate::store`] for the schema) the moment it
 //! finishes.
 //!
-//! Execution is *resumable*: a run whose valid outcome file already exists
-//! is skipped, so re-running a shard after a crash (or preemption, or a CI
-//! retry) only simulates what is still missing and converges to the same
-//! bit-identical directory contents. Outcome files are written atomically
-//! (temp file + rename), so a kill mid-write never corrupts the store.
-//!
-//! The trivial `1/1` shard ([`ShardSpec::full`]) makes single-process
-//! execution just a special case of the same protocol.
+//! Execution into a directory is *resumable*: a run whose valid outcome
+//! file already exists is skipped, so re-running a shard after a crash (or
+//! preemption, or a CI retry) only simulates what is still missing and
+//! converges to the same bit-identical directory contents. Outcome files are
+//! written atomically (temp file + rename), so a kill mid-write never
+//! corrupts the store.
 //!
 //! # Elastic execution: the work queue
 //!
@@ -28,29 +27,13 @@
 //! unowned run through an atomic lock file in the shared outcome directory,
 //! so fast hosts simply claim more runs and the queue drains at the
 //! aggregate pace. The claim protocol and its invariants are documented on
-//! `queue_inner` (and in `docs/SWEEP.md`); the directory layout (outcome
+//! `claim_lock` (and in `docs/SWEEP.md`); the directory layout (outcome
 //! files, lock files) is owned by [`crate::store`].
 //!
-//! # Incremental execution: the delta
-//!
-//! `Execution::new(&matrix).reuse(partial)` closes the loop on outcome
-//! reuse: probe an old directory with
-//! [`RunStore::load_partial`](crate::store::RunStore::load_partial), then
-//! execute only the planned runs the cache missed. Combined with
-//! [`seed_outcomes`](crate::store::seed_outcomes) this turns any outcome
-//! directory into a cross-sweep simulation cache.
-//!
-//! # Entry point
-//!
-//! Every execution mode — serial, threaded, shard slice, elastic queue,
-//! cached delta — is driven through the [`Execution`](crate::Execution)
-//! builder ([`crate::execution`]), which also owns the scheduling policy,
-//! cost calibration, and the unified
-//! [`ExecutionReport`](crate::ExecutionReport). The `execute_*` free
-//! functions that used to live here (and the legacy per-mode `QueueReport`)
-//! were deprecated once every in-tree caller migrated, and have been
-//! removed; this module now exports only the building blocks the builder
-//! composes (specs, configs, reports, observers, cancellation).
+//! Every mode runs through the one drain loop of the
+//! [`Execution`](crate::Execution) builder ([`crate::execution`]); this
+//! module holds the pieces that loop composes: slices, queue configuration,
+//! claim locks and their heartbeat, progress events, and cancellation.
 
 use std::fmt;
 use std::io;
@@ -61,13 +44,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use crate::matrix::{parallel_map_with_threads, MatrixFingerprint, RunKeyId, RunMatrix};
-use crate::results::RunResult;
-use crate::schedule::{rank_by_cost, CostModel, RunCost, SchedulePolicy};
-use crate::store::{
-    lock_file_name, outcome_file_name, outcome_is_valid, read_lock, write_outcome, LockRecord,
-    PartialLoad, RunOutcomes,
-};
+use crate::matrix::RunKeyId;
+use crate::schedule::{RunCost, SchedulePolicy};
+use crate::store::{lock_file_name, read_lock, LockRecord};
 
 /// Which slice of a sweep this process executes: shard `index` of `total`
 /// (1-based, so the CLI spelling `--shard 2/4` reads naturally).
@@ -133,11 +112,6 @@ impl ShardSpec {
         self.total
     }
 
-    /// `true` if this is the whole-matrix shard `1/1`.
-    pub fn is_full(&self) -> bool {
-        self.total == 1
-    }
-
     /// `true` if the run at canonical `rank` belongs to this shard.
     ///
     /// Round-robin over canonical ranks balances the slice sizes to within
@@ -160,77 +134,6 @@ impl FromStr for ShardSpec {
     fn from_str(s: &str) -> Result<Self, String> {
         ShardSpec::parse(s)
     }
-}
-
-/// How much of a shard's slice ran versus resumed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardReport {
-    /// The executed shard.
-    pub spec: ShardSpec,
-    /// Runs in this shard's slice of the matrix.
-    pub planned: usize,
-    /// Runs simulated by this invocation.
-    pub executed: usize,
-    /// Runs skipped because a valid outcome file already existed (resume
-    /// after a crash or a previous partial invocation).
-    pub resumed: usize,
-}
-
-/// The shard executor behind the [`Execution`](crate::Execution) builder's
-/// durable modes.
-pub(crate) fn shard_inner(
-    matrix: &RunMatrix,
-    spec: ShardSpec,
-    dir: &Path,
-    threads: usize,
-) -> io::Result<ShardReport> {
-    std::fs::create_dir_all(dir)?;
-    let fingerprint = matrix.fingerprint();
-    let slots: Vec<usize> = matrix
-        .canonical_order()
-        .into_iter()
-        .enumerate()
-        .filter(|&(rank, _)| spec.selects(rank))
-        .map(|(_, slot)| slot)
-        .collect();
-
-    // Each worker claims a run, resumes it from disk if a valid outcome is
-    // already there, simulates and persists it otherwise. Results land in
-    // slot order regardless of scheduling (see `parallel_map`), so the
-    // report is deterministic too.
-    let ran: Vec<Result<bool, String>> = parallel_map_with_threads(&slots, threads, |&slot| {
-        let key = &matrix.keys()[slot];
-        let path = dir.join(outcome_file_name(matrix.key_ids()[slot]));
-        if outcome_is_valid(&path, fingerprint, key) {
-            return Ok(false);
-        }
-        // Missing, unreadable, foreign, or stale: (re-)execute and overwrite.
-        let result = matrix.keys()[slot].run();
-        write_outcome(dir, fingerprint, key, &result).map_err(|e| {
-            format!(
-                "failed to write outcome {} under {}: {e}",
-                matrix.key_ids()[slot],
-                dir.display()
-            )
-        })?;
-        Ok(true)
-    });
-
-    let mut executed = 0usize;
-    let mut resumed = 0usize;
-    for entry in ran {
-        match entry {
-            Ok(true) => executed += 1,
-            Ok(false) => resumed += 1,
-            Err(message) => return Err(io::Error::other(message)),
-        }
-    }
-    Ok(ShardReport {
-        spec,
-        planned: slots.len(),
-        executed,
-        resumed,
-    })
 }
 
 /// Seconds since the Unix epoch on this machine's clock (0 if the clock is
@@ -392,11 +295,11 @@ impl QueueConfig {
 /// Long-running hosts (the `shift-serve` daemon, notebooks, schedulers)
 /// share a clone of the token with
 /// [`Execution::cancel`](crate::Execution::cancel) and call
-/// [`CancelToken::cancel`] to stop the drain at the next safe point: workers
-/// finish the run they have claimed — releasing its lock and persisting its
-/// outcome, so nothing is orphaned — and then return with
-/// [`ExecutionReport::complete`](crate::ExecutionReport) `false` instead of
-/// claiming further runs.
+/// [`CancelToken::cancel`] to stop any execution at the next safe point:
+/// workers finish the run they have claimed — persisting its outcome and
+/// releasing its lock, so nothing is orphaned — and then return with
+/// [`ExecutionReport::complete`](crate::ExecutionReport) `false` and no
+/// in-memory outcomes instead of claiming further runs.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -419,17 +322,18 @@ impl CancelToken {
     }
 }
 
-/// One progress event from an observed queue drain
-/// ([`Execution::observer`](crate::Execution::observer)).
+/// One progress event from an observed execution
+/// ([`Execution::observer`](crate::Execution::observer)), in any mode.
 ///
 /// Events are emitted from worker threads as they happen, so an observer
-/// sees them in real execution order (and must be [`Sync`]). Every planned
-/// run produces exactly one terminal event per worker that proves it done —
-/// [`RunEvent::Executed`] on the worker that simulated it,
-/// [`RunEvent::AlreadyDone`] on workers that found it finished.
+/// sees them in real execution order (and must be [`Sync`]). Every run an
+/// execution owns produces exactly one terminal event per execution that
+/// proves it done — [`RunEvent::Executed`] where it was simulated,
+/// [`RunEvent::AlreadyDone`] where a result already existed — and every
+/// `Executed` follows one [`RunEvent::Claimed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunEvent {
-    /// This worker claimed the run and is about to simulate it. Carries the
+    /// The run was claimed and is about to be simulated. Carries the
     /// scheduler's reasoning — together these fields are the claim's
     /// decision-log entry: *this* run was picked because it sat at `rank` in
     /// the policy ordering, cost `cost`, and the worker was draining at
@@ -437,7 +341,8 @@ pub enum RunEvent {
     Claimed {
         /// The claimed run.
         key_id: RunKeyId,
-        /// The run's estimated cost under the active [`CostModel`].
+        /// The run's estimated cost under the active
+        /// [`CostModel`](crate::CostModel).
         cost: RunCost,
         /// The run's position in the full-matrix claim ordering of the
         /// active [`SchedulePolicy`] (0 = claimed first).
@@ -446,13 +351,14 @@ pub enum RunEvent {
         /// second at claim time; `None` before its first completed run.
         worker_rate: Option<u64>,
     },
-    /// This worker finished simulating the run and persisted its outcome.
+    /// The run was simulated and its result stored (in memory, or as an
+    /// outcome file).
     Executed {
         /// The completed run.
         key_id: RunKeyId,
     },
-    /// A valid outcome for the run already existed (another worker, a
-    /// previous invocation, or a seeded cache hit).
+    /// A result for the run already existed (another worker, a previous
+    /// invocation, or a [`reuse`](crate::Execution::reuse) cache hit).
     AlreadyDone {
         /// The already-complete run.
         key_id: RunKeyId,
@@ -476,7 +382,7 @@ impl RunEvent {
     }
 }
 
-/// Receives [`RunEvent`]s from an observed queue drain. Implemented for any
+/// Receives [`RunEvent`]s from an observed execution. Implemented for any
 /// `Fn(RunEvent) + Sync` closure, so ad-hoc observers need no newtype.
 pub trait RunObserver: Sync {
     /// Called once per event, from the worker thread that produced it.
@@ -487,16 +393,6 @@ impl<F: Fn(RunEvent) + Sync> RunObserver for F {
     fn on_event(&self, event: RunEvent) {
         self(event);
     }
-}
-
-/// What happened when a worker tried to claim one run.
-enum Claim {
-    /// This worker took the claim and simulated the run.
-    Executed { reclaimed: bool },
-    /// A valid outcome already existed (another worker, or a previous run).
-    AlreadyDone,
-    /// Another live worker holds the claim.
-    Blocked,
 }
 
 /// How a claim lock held by someone else looks to a contender.
@@ -539,7 +435,7 @@ fn lock_state(path: &Path, ttl: Duration) -> LockState {
 
 /// Keeps a claim lock *fresh* while its owner executes a long run.
 ///
-/// Spawned by the queue drain's claim path right after a lock is taken,
+/// Spawned by a queue worker right after it takes a lock,
 /// and dropped (stopping the refresher thread) as soon as the simulation
 /// finishes: every `interval` the background thread rewrites the lock with a
 /// current `claimed_unix`, refreshing both the embedded timestamp and the
@@ -549,7 +445,7 @@ fn lock_state(path: &Path, ttl: Duration) -> LockState {
 /// heartbeat interval plus clock skew, not the longest single run.
 ///
 /// The refresher never *creates* the lock file: if a contender reclaimed it
-/// (rename-based, see `queue_inner`) or the owner already released it,
+/// (rename-based, see `claim_lock`) or the owner already released it,
 /// recreating the path would orphan the slot until the TTL expired again.
 /// A refresh that finds the file gone is simply skipped.
 ///
@@ -636,252 +532,89 @@ fn refresh_lock(path: &Path, key_id: RunKeyId, worker: &str, rate: Option<u64>) 
     }
 }
 
-/// Everything shared by every claim attempt of one queue drain: the plan,
-/// the directory, the worker's configuration, the scheduler state, and the
-/// embedding hooks.
-struct DrainCtx<'a> {
-    matrix: &'a RunMatrix,
-    fingerprint: MatrixFingerprint,
-    dir: &'a Path,
-    config: &'a QueueConfig,
-    observer: &'a dyn RunObserver,
-    cancel: &'a CancelToken,
-    /// Per-slot estimated cost under the active model (plan order).
-    costs: &'a [RunCost],
-    /// Per-slot rank in the full-matrix claim ordering of the active policy.
-    ranks: &'a [usize],
-    /// This worker's measured drain rate in weighted fetch units per second
-    /// (0 = unknown). Shared with every worker thread and the heartbeats.
-    rate: &'a Arc<AtomicU64>,
+/// What one attempt to create a run's claim lock came to.
+pub(crate) enum LockClaim {
+    /// This worker created the lock at the given path and holds the claim.
+    Taken(PathBuf),
+    /// Another live worker holds the claim.
+    Held,
+    /// This worker renamed a stale lock away: retry the claim.
+    Reclaimed,
+    /// The lock vanished, or another contender won the reclaim: retry.
+    Retry,
 }
 
-impl DrainCtx<'_> {
-    /// The worker's current rate, `None` while still unmeasured.
-    fn current_rate(&self) -> Option<u64> {
-        let rate = self.rate.load(Ordering::Relaxed);
-        (rate > 0).then_some(rate)
-    }
-
-    /// Folds one completed run into the worker's measured rate: the first
-    /// sample is taken as-is, later samples are blended half-and-half with
-    /// the running estimate so the rate tracks drift without whiplashing on
-    /// one outlier run.
-    fn record_rate(&self, cost: RunCost, elapsed: Duration) {
-        let secs = elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return;
-        }
-        let sample = (cost.units() as f64 / secs).round().max(1.0) as u64;
-        let previous = self.rate.load(Ordering::Relaxed);
-        let blended = if previous == 0 {
-            sample
-        } else {
-            previous / 2 + sample / 2
-        };
-        self.rate.store(blended.max(1), Ordering::Relaxed);
-    }
-}
-
-/// Tries to claim and execute the run in plan-order `slot`.
+/// Tries once to claim `key_id` for the worker `config` describes.
 ///
-/// The claim sequence (each step atomic on POSIX filesystems):
+/// The claim sequence a queue worker runs per slot (each step atomic on
+/// POSIX filesystems):
 ///
 /// 1. if a valid outcome exists, the run is done — no claim needed;
-/// 2. create `claim-<id>.lock` with `O_CREAT|O_EXCL` — exclusive creation
-///    is the entire mutual-exclusion mechanism;
+/// 2. create `claim-<id>.lock` with `O_CREAT|O_EXCL` (this function) —
+///    exclusive creation is the entire mutual-exclusion mechanism;
 /// 3. re-check the outcome (another worker may have finished between 1 and
 ///    2), then simulate — with a [`LockHeartbeat`] refreshing the lock every
 ///    poll tick so the claim never looks stale while the run is live — and
 ///    write the outcome (temp file + rename), then remove the lock;
 /// 4. on a lost creation race: a fresh foreign lock blocks; a stale one is
 ///    reclaimed by *renaming* it to a worker-unique name — exactly one
-///    contender wins the rename — and retrying from step 1.
-fn claim_one(ctx: &DrainCtx<'_>, slot: usize) -> io::Result<Claim> {
-    let DrainCtx {
-        matrix,
-        fingerprint,
-        dir,
-        config,
-        observer,
-        ..
-    } = *ctx;
-    let key = &matrix.keys()[slot];
-    let key_id = matrix.key_ids()[slot];
-    let outcome = dir.join(outcome_file_name(key_id));
+///    contender wins the rename — and the claim retries from step 1.
+///
+/// Each run therefore executes exactly once under cooperating workers, and
+/// at least once — always converging to the same bit-identical outcome
+/// files — under crashes and reclaims: outcomes are written before the lock
+/// is released, so a lock's absence plus an outcome's presence proves
+/// completion, and runs are deterministic in their key, so a duplicate
+/// execution after an over-eager reclaim rewrites identical bytes.
+pub(crate) fn claim_lock(
+    dir: &Path,
+    key_id: RunKeyId,
+    config: &QueueConfig,
+    rate: Option<u64>,
+) -> io::Result<LockClaim> {
     let lock = dir.join(lock_file_name(key_id));
-    let mut reclaimed = false;
-    loop {
-        if outcome_is_valid(&outcome, fingerprint, key) {
-            observer.on_event(RunEvent::AlreadyDone { key_id });
-            return Ok(Claim::AlreadyDone);
+    match std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&lock)
+    {
+        Ok(mut file) => {
+            let record = LockRecord {
+                key_id,
+                worker: config.worker.clone(),
+                claimed_unix: unix_now(),
+                rate,
+            };
+            // Best-effort: an empty lock still excludes; readers fall back
+            // to its mtime for staleness.
+            let _ = file.write_all(record.to_json().as_bytes());
+            Ok(LockClaim::Taken(lock))
         }
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&lock)
-        {
-            Ok(mut file) => {
-                let record = LockRecord {
-                    key_id,
-                    worker: config.worker.clone(),
-                    claimed_unix: unix_now(),
-                    rate: ctx.current_rate(),
-                };
-                // Best-effort: an empty lock still excludes; readers fall
-                // back to its mtime for staleness.
-                let _ = file.write_all(record.to_json().as_bytes());
-                drop(file);
-                // Double-check: the run may have completed between the
-                // validity check and our claim.
-                if outcome_is_valid(&outcome, fingerprint, key) {
-                    let _ = std::fs::remove_file(&lock);
-                    observer.on_event(RunEvent::AlreadyDone { key_id });
-                    return Ok(Claim::AlreadyDone);
-                }
-                let cost = ctx.costs[slot];
-                observer.on_event(RunEvent::Claimed {
-                    key_id,
-                    cost,
-                    rank: ctx.ranks[slot],
-                    worker_rate: ctx.current_rate(),
-                });
-                // Keep the claim visibly alive for the whole simulation, so
-                // the TTL can be far shorter than the longest run.
-                let heartbeat = LockHeartbeat::spawn_with_rate(
-                    lock.clone(),
-                    key_id,
-                    config.worker.clone(),
-                    config.poll,
-                    Arc::clone(ctx.rate),
-                );
-                let started = std::time::Instant::now();
-                let result = matrix.keys()[slot].run();
-                if config.throttle_ns_per_unit > 0 {
-                    // Emulated slow host: sleep in proportion to the run's
-                    // cost, with the heartbeat still stamping the claim so
-                    // it never looks abandoned.
-                    std::thread::sleep(Duration::from_nanos(
-                        cost.units().saturating_mul(config.throttle_ns_per_unit),
-                    ));
-                }
-                ctx.record_rate(cost, started.elapsed());
-                drop(heartbeat);
-                let written = write_outcome(dir, fingerprint, key, &result);
-                let _ = std::fs::remove_file(&lock);
-                written?;
-                observer.on_event(RunEvent::Executed { key_id });
-                return Ok(Claim::Executed { reclaimed });
-            }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                match lock_state(&lock, config.lock_ttl) {
-                    LockState::Gone => continue,
-                    LockState::Fresh => return Ok(Claim::Blocked),
-                    LockState::Stale => {
-                        let tomb = dir.join(format!(".reclaim-{key_id}-{}", config.worker));
-                        if std::fs::rename(&lock, &tomb).is_ok() {
-                            let _ = std::fs::remove_file(&tomb);
-                            reclaimed = true;
-                            observer.on_event(RunEvent::Reclaimed { key_id });
-                        }
-                        // Rename lost ⇒ someone else reclaimed or the owner
-                        // finished; either way, re-evaluate from the top.
-                        continue;
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+            Ok(match lock_state(&lock, config.lock_ttl) {
+                LockState::Gone => LockClaim::Retry,
+                LockState::Fresh => LockClaim::Held,
+                LockState::Stale => {
+                    let tomb = dir.join(format!(".reclaim-{key_id}-{}", config.worker));
+                    if std::fs::rename(&lock, &tomb).is_ok() {
+                        let _ = std::fs::remove_file(&tomb);
+                        LockClaim::Reclaimed
+                    } else {
+                        // Someone else reclaimed, or the owner finished.
+                        LockClaim::Retry
                     }
                 }
-            }
-            Err(e) => return Err(e),
+            })
         }
+        Err(e) => Err(e),
     }
-}
-
-/// Per-pass tallies of a queue worker.
-#[derive(Default)]
-struct PassStats {
-    executed: usize,
-    already: usize,
-    reclaimed: usize,
-    blocked: usize,
-}
-
-/// One pass over `candidates`: worker threads race down the list claiming
-/// what they can. Runs proven complete (executed here, or found done) are
-/// marked in `done` so later passes skip re-validating them — outcome
-/// validity is monotonic, a valid file never becomes invalid.
-fn queue_pass(
-    ctx: &DrainCtx<'_>,
-    threads: usize,
-    candidates: &[usize],
-    done: &[std::sync::atomic::AtomicBool],
-) -> io::Result<PassStats> {
-    let workers = threads.clamp(1, candidates.len().max(1));
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let stats = Mutex::new(PassStats::default());
-    let failure: Mutex<Option<io::Error>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if ctx.cancel.is_cancelled() {
-                    break;
-                }
-                if failure.lock().expect("failure flag poisoned").is_some() {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&slot) = candidates.get(i) else {
-                    break;
-                };
-                match claim_one(ctx, slot) {
-                    Ok(claim) => {
-                        let mut stats = stats.lock().expect("stats poisoned");
-                        match claim {
-                            Claim::Executed { reclaimed } => {
-                                done[slot].store(true, Ordering::Relaxed);
-                                stats.executed += 1;
-                                if reclaimed {
-                                    stats.reclaimed += 1;
-                                }
-                            }
-                            Claim::AlreadyDone => {
-                                done[slot].store(true, Ordering::Relaxed);
-                                stats.already += 1;
-                            }
-                            Claim::Blocked => stats.blocked += 1,
-                        }
-                    }
-                    Err(e) => {
-                        failure
-                            .lock()
-                            .expect("failure flag poisoned")
-                            .get_or_insert(e);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(e) = failure.into_inner().expect("failure flag poisoned") {
-        return Err(e);
-    }
-    Ok(stats.into_inner().expect("stats poisoned"))
-}
-
-/// Full tallies of one queue worker's drain, including outcomes it *found*
-/// done rather than executed — what the unified
-/// [`ExecutionReport`](crate::ExecutionReport) reports as reused.
-pub(crate) struct QueueDrain {
-    pub planned: usize,
-    pub executed: usize,
-    pub already: usize,
-    pub reclaimed: usize,
-    pub passes: usize,
-    pub complete: bool,
 }
 
 /// Recovers a restarted worker's measured rate from its own leftover claim
 /// locks: a worker that died (or was killed) mid-drain left locks whose
 /// heartbeats persisted its last rate estimate, so its successor — same
 /// operator-assigned worker id — resumes calibrated instead of cold.
-fn recover_rate(dir: &Path, worker: &str) -> Option<u64> {
+pub(crate) fn recover_rate(dir: &Path, worker: &str) -> Option<u64> {
     let entries = std::fs::read_dir(dir).ok()?;
     let mut best: Option<u64> = None;
     for entry in entries.flatten() {
@@ -901,213 +634,14 @@ fn recover_rate(dir: &Path, worker: &str) -> Option<u64> {
     best
 }
 
-/// The queue executor behind the [`Execution`](crate::Execution) builder's
-/// queue mode: full scheduler support (claim ordering policy, per-worker
-/// rate measurement and recovery, slowness deferral) plus the extended
-/// tallies.
-///
-/// Every participating worker (any number of processes on any number of
-/// hosts sharing `dir`) drains the same planned matrix; each run executes
-/// exactly once under cooperating workers, and at least once — always
-/// converging to the same bit-identical outcome files — under crashes and
-/// reclaims. The four-step claim sequence is documented in `docs/SWEEP.md`
-/// (§ "The lock-file / reclaim protocol"); its invariants:
-///
-/// * **Mutual exclusion** comes from `O_CREAT|O_EXCL` lock creation; lock
-///   *contents* are diagnostics only.
-/// * **Crash safety**: outcomes are written atomically before the lock is
-///   released, so a lock's absence plus an outcome's presence proves
-///   completion; a killed worker leaves at most one lock, which goes stale
-///   after [`QueueConfig::lock_ttl`] and is reclaimed by rename (exactly
-///   one contender can win).
-/// * **Idempotence**: runs are deterministic in their key, so even a
-///   duplicate execution after an over-eager reclaim rewrites byte-identical
-///   content.
-pub(crate) fn queue_inner(
-    matrix: &RunMatrix,
-    dir: &Path,
-    config: &QueueConfig,
-    threads: usize,
-    observer: &dyn RunObserver,
-    cancel: &CancelToken,
-    model: &CostModel,
-) -> io::Result<QueueDrain> {
-    std::fs::create_dir_all(dir)?;
-    // The claim ordering is a pure function of the plan and the model, so
-    // every worker computes the same ranking with no coordination.
-    let order = match config.policy {
-        SchedulePolicy::Canonical => matrix.canonical_order(),
-        SchedulePolicy::CostOrdered => rank_by_cost(model, matrix),
-    };
-    let costs: Vec<RunCost> = matrix.keys().iter().map(|key| model.cost(key)).collect();
-    let mut ranks = vec![0usize; matrix.len()];
-    for (rank, &slot) in order.iter().enumerate() {
-        ranks[slot] = rank;
-    }
-    let rate = Arc::new(AtomicU64::new(
-        config
-            .initial_rate
-            .or_else(|| recover_rate(dir, &config.worker))
-            .unwrap_or(0),
-    ));
-    let ctx = DrainCtx {
-        matrix,
-        fingerprint: matrix.fingerprint(),
-        dir,
-        config,
-        observer,
-        cancel,
-        costs: &costs,
-        ranks: &ranks,
-        rate: &rate,
-    };
-    // Completion is monotonic, so it is remembered across passes: only
-    // not-yet-done slots are (re-)examined, and `claim_one` performs the
-    // actual on-disk validity check for those. Without this, an idle worker
-    // would re-read and re-parse every completed outcome file on every
-    // poll tick — painful on a large sweep over a network filesystem.
-    let done: Vec<std::sync::atomic::AtomicBool> = (0..matrix.len())
-        .map(|_| std::sync::atomic::AtomicBool::new(false))
-        .collect();
-    let mut report = QueueDrain {
-        planned: matrix.len(),
-        executed: 0,
-        already: 0,
-        reclaimed: 0,
-        passes: 0,
-        complete: false,
-    };
-    loop {
-        if cancel.is_cancelled() {
-            return Ok(report);
-        }
-        report.passes += 1;
-        let mut candidates: Vec<usize> = order
-            .iter()
-            .copied()
-            .filter(|&slot| !done[slot].load(Ordering::Relaxed))
-            .collect();
-        if candidates.is_empty() {
-            report.complete = true;
-            return Ok(report);
-        }
-        // Slowness deferral: once this worker has a measured rate, runs it
-        // would hold for longer than the cutoff move to the back of *its*
-        // claim order — fast contenders pick them up first, but nothing is
-        // ever skipped outright, so a lone slow worker still completes.
-        if config.policy == SchedulePolicy::CostOrdered {
-            if let Some(rate) = ctx.current_rate() {
-                let (mut preferred, deferred): (Vec<usize>, Vec<usize>) =
-                    candidates.into_iter().partition(|&slot| {
-                        costs[slot]
-                            .duration_at(rate)
-                            .is_none_or(|d| d <= config.slow_cutoff)
-                    });
-                preferred.extend(deferred);
-                candidates = preferred;
-            }
-        }
-        let stats = queue_pass(&ctx, threads, &candidates, &done)?;
-        report.executed += stats.executed;
-        report.already += stats.already;
-        report.reclaimed += stats.reclaimed;
-        if cancel.is_cancelled() {
-            return Ok(report);
-        }
-        if stats.executed == 0 && stats.blocked > 0 {
-            // Everything left is claimed by other live workers: wait for
-            // them (their completion or their locks going stale both
-            // unblock the next pass), or hand the tally back.
-            if !config.wait {
-                return Ok(report);
-            }
-            std::thread::sleep(config.poll);
-        }
-    }
-}
-
-/// Seeds only this shard's slice of `partial`'s cache hits into `dir`
-/// (under `matrix`'s own fingerprint), returning how many files it wrote.
-///
-/// The slice restriction is what keeps `--reuse` composable with static
-/// sharding: each of the `N` shard directories receives only the runs its
-/// [`ShardSpec`] owns, so the directories stay disjoint and the strict
-/// merge's [`DuplicateKey`](crate::store::StoreError::DuplicateKey) check
-/// still catches genuinely overlapping shards. Use
-/// [`seed_outcomes`](crate::store::seed_outcomes) (the
-/// [`ShardSpec::full`] equivalent) for queue and single-directory modes,
-/// where one directory holds the whole sweep.
-///
-/// # Panics
-///
-/// Panics if `partial` was probed against a different matrix.
-///
-/// # Errors
-///
-/// Propagates filesystem errors creating `dir` or writing outcome files.
-pub fn seed_shard_outcomes(
-    matrix: &RunMatrix,
-    partial: &PartialLoad,
-    dir: &Path,
-    spec: ShardSpec,
-) -> io::Result<usize> {
-    let slots: Vec<usize> = matrix
-        .canonical_order()
-        .into_iter()
-        .enumerate()
-        .filter(|&(rank, _)| spec.selects(rank))
-        .map(|(_, slot)| slot)
-        .collect();
-    crate::store::seed_outcome_slots(matrix, partial, dir, &slots)
-}
-
-/// Outcomes assembled from cache hits plus a freshly executed delta.
-#[derive(Debug)]
-pub struct DeltaReport {
-    /// The complete outcomes for the planned matrix.
-    pub outcomes: RunOutcomes,
-    /// Runs answered from the cache ([`PartialLoad::reused`]).
-    pub reused: usize,
-    /// Runs this call simulated (the cache misses).
-    pub executed: usize,
-}
-
-/// The delta executor behind the [`Execution`](crate::Execution) builder's
-/// reuse mode: completes a [`PartialLoad`] in memory by executing only the
-/// planned runs the cache missed, returning full [`RunOutcomes`]
-/// indistinguishable from an end-to-end execution — the reuse-safety
-/// argument in [`crate::store`] is what makes the splice sound. Panics if
-/// `partial` was probed against a different matrix.
-pub(crate) fn delta_inner(matrix: &RunMatrix, partial: PartialLoad, threads: usize) -> DeltaReport {
-    let missing = partial.missing_slots(matrix);
-    let fresh: Vec<RunResult> =
-        parallel_map_with_threads(&missing, threads, |&slot| matrix.keys()[slot].run());
-    let reused = partial.reused;
-    let mut results = partial.into_results();
-    for (&slot, result) in missing.iter().zip(fresh) {
-        results[slot] = Some(result);
-    }
-    DeltaReport {
-        outcomes: RunOutcomes::from_results(
-            matrix.local_id(),
-            results
-                .into_iter()
-                .map(|r| r.expect("hits plus delta cover every slot"))
-                .collect(),
-        ),
-        reused,
-        executed: missing.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PrefetcherConfig;
-    use crate::store::{read_outcome, RunStore};
+    use crate::store::{outcome_file_name, read_outcome, RunStore};
+    use crate::{Execution, ExecutionReport, RunMatrix};
     use shift_trace::{presets, Scale};
     use std::fs;
-    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("shift-shard-test-{tag}"));
@@ -1124,6 +658,17 @@ mod tests {
             }
         }
         matrix
+    }
+
+    /// The whole matrix as one durable shard, through the builder.
+    fn full_shard(matrix: &RunMatrix, dir: &Path, threads: usize) -> ExecutionReport {
+        *Execution::new(matrix)
+            .shard(ShardSpec::full())
+            .dir(dir)
+            .threads(threads)
+            .run()
+            .unwrap()
+            .report()
     }
 
     #[test]
@@ -1157,10 +702,10 @@ mod tests {
     fn full_shard_covers_the_matrix_and_resumes() {
         let dir = temp_dir("full");
         let matrix = small_matrix();
-        let report = shard_inner(&matrix, ShardSpec::full(), &dir, 2).unwrap();
+        let report = full_shard(&matrix, &dir, 2);
         assert_eq!(report.planned, matrix.len());
-        assert_eq!(report.executed, matrix.len());
-        assert_eq!(report.resumed, 0);
+        assert_eq!(report.sources.executed, matrix.len());
+        assert_eq!(report.sources.reused, 0);
 
         // Second invocation: everything resumes, nothing re-runs, and the
         // directory contents are untouched.
@@ -1171,9 +716,9 @@ mod tests {
                 (p.clone(), fs::read_to_string(p).unwrap())
             })
             .collect();
-        let again = shard_inner(&matrix, ShardSpec::full(), &dir, 2).unwrap();
-        assert_eq!(again.executed, 0);
-        assert_eq!(again.resumed, matrix.len());
+        let again = full_shard(&matrix, &dir, 2);
+        assert_eq!(again.sources.executed, 0);
+        assert_eq!(again.sources.reused, matrix.len());
         for (path, content) in before {
             assert_eq!(fs::read_to_string(path).unwrap(), content);
         }
@@ -1184,7 +729,7 @@ mod tests {
     fn killed_shard_resumes_only_missing_runs() {
         let dir = temp_dir("resume");
         let matrix = small_matrix();
-        shard_inner(&matrix, ShardSpec::full(), &dir, 1).unwrap();
+        full_shard(&matrix, &dir, 1);
 
         // Simulate a crash that lost two outcomes (plus a half-written temp
         // file the atomic rename protocol would have left behind).
@@ -1197,9 +742,9 @@ mod tests {
         fs::remove_file(&outcome_files[2]).unwrap();
         fs::write(dir.join(".tmp-dead.json"), "{\"schema\":").unwrap();
 
-        let report = shard_inner(&matrix, ShardSpec::full(), &dir, 2).unwrap();
-        assert_eq!(report.executed, 2);
-        assert_eq!(report.resumed, matrix.len() - 2);
+        let report = full_shard(&matrix, &dir, 2);
+        assert_eq!(report.sources.executed, 2);
+        assert_eq!(report.sources.reused, matrix.len() - 2);
 
         // The converged directory still merges to a complete, valid sweep.
         let outcomes = RunStore::new([&dir]).load(&matrix).expect("merge");
@@ -1211,12 +756,15 @@ mod tests {
     fn corrupt_outcome_is_re_executed() {
         let dir = temp_dir("corrupt");
         let matrix = small_matrix();
-        shard_inner(&matrix, ShardSpec::full(), &dir, 1).unwrap();
+        full_shard(&matrix, &dir, 1);
         let victim = dir.join(outcome_file_name(matrix.key_ids()[0]));
         fs::write(&victim, "not json at all").unwrap();
 
-        let report = shard_inner(&matrix, ShardSpec::full(), &dir, 1).unwrap();
-        assert_eq!(report.executed, 1, "only the corrupt outcome re-runs");
+        let report = full_shard(&matrix, &dir, 1);
+        assert_eq!(
+            report.sources.executed, 1,
+            "only the corrupt outcome re-runs"
+        );
         assert!(
             read_outcome(&victim).is_ok(),
             "overwritten with a valid file"

@@ -826,7 +826,16 @@ impl PartialLoad {
     }
 
     /// Consumes the load into its per-slot results (plan order).
-    pub(crate) fn into_results(self) -> Vec<Option<RunResult>> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the load was probed against a different matrix.
+    pub(crate) fn into_results(self, matrix: &RunMatrix) -> Vec<Option<RunResult>> {
+        assert_eq!(
+            self.matrix_id,
+            matrix.local_id(),
+            "PartialLoad was probed against a different RunMatrix"
+        );
         self.results
     }
 }
@@ -1027,9 +1036,14 @@ mod tests {
         assert_eq!(partial.missing_slots(&matrix).len(), 1);
 
         // Shard resume re-executes and re-stamps instead of trusting it.
-        let report =
-            crate::shard::shard_inner(&matrix, crate::shard::ShardSpec::full(), &dir, 1).unwrap();
-        assert_eq!(report.executed, 1, "stale outcome must re-run");
+        let report = *crate::Execution::new(&matrix)
+            .shard(crate::ShardSpec::full())
+            .dir(&dir)
+            .serial()
+            .run()
+            .unwrap()
+            .report();
+        assert_eq!(report.sources.executed, 1, "stale outcome must re-run");
         assert_eq!(
             read_outcome(&path).unwrap().results_version,
             RESULTS_VERSION

@@ -427,8 +427,6 @@ fn partial_load_reuses_across_foreign_fingerprints_and_seeds_a_new_directory() {
 /// directory would duplicate every reused run and trip `DuplicateKey`).
 #[test]
 fn per_shard_seeding_keeps_shard_directories_disjoint() {
-    use shift_sim::shard::seed_shard_outcomes;
-
     let (old_matrix, _) = build_matrix(&[(0, 0, 0), (1, 1, 1), (0, 2, 2)]);
     let old_dir = temp_dir("shard-reuse-old");
     shard_exec(&old_matrix, ShardSpec::full(), &old_dir);
@@ -444,9 +442,16 @@ fn per_shard_seeding_keeps_shard_directories_disjoint() {
     let mut seeded_total = 0;
     let mut executed_total = 0;
     for (k, dir) in dirs.iter().enumerate() {
-        let spec = ShardSpec::new(k + 1, SHARDS);
-        seeded_total += seed_shard_outcomes(&new_matrix, &partial, dir, spec).unwrap();
-        let report = shard_exec(&new_matrix, spec, dir);
+        // Fresh shard directories: everything a shard reuses, it seeded.
+        let report = *Execution::new(&new_matrix)
+            .shard(ShardSpec::new(k + 1, SHARDS))
+            .dir(dir)
+            .reuse(partial.clone())
+            .serial()
+            .run()
+            .expect("seeded shard execution")
+            .report();
+        seeded_total += report.sources.reused;
         executed_total += report.sources.executed;
     }
     assert_eq!(
