@@ -1,10 +1,9 @@
 //! Local stand-in for the `criterion` crate so the workspace builds without
 //! network access to a crate registry.
 //!
-//! Implements the subset of the criterion API the `shift-bench` benches use:
-//! benchmark groups, `bench_function` / `bench_with_input`, `Throughput`,
-//! `BenchmarkId`, `black_box`, and the `criterion_group!` /
-//! `criterion_main!` macros — no statistics engine, plots, or baselines.
+//! Implements the subset of the criterion API the `shift-perf` harness uses:
+//! benchmark groups, `bench_function`, and element `Throughput` — no
+//! statistics engine, plots, or baselines.
 //!
 //! Measurement mirrors real criterion's structure: every benchmark first runs
 //! *warm-up* passes (untimed, so caches, branch predictors, and lazily built
@@ -16,50 +15,14 @@
 
 #![forbid(unsafe_code)]
 
-use std::fmt::Display;
 use std::hint;
 use std::time::{Duration, Instant};
-
-/// Opaque-value helper preventing the optimizer from deleting benchmark work.
-pub fn black_box<T>(value: T) -> T {
-    hint::black_box(value)
-}
 
 /// Throughput annotation (recorded on the report and echoed in the log line).
 #[derive(Clone, Copy, Debug)]
 pub enum Throughput {
     /// Elements processed per iteration.
     Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
-}
-
-/// Identifier for a parameterized benchmark.
-#[derive(Clone, Debug)]
-pub struct BenchmarkId {
-    name: String,
-}
-
-impl BenchmarkId {
-    /// An id rendered from the benchmark parameter alone.
-    pub fn from_parameter<P: Display>(parameter: P) -> Self {
-        BenchmarkId {
-            name: parameter.to_string(),
-        }
-    }
-
-    /// An id with an explicit function name and parameter.
-    pub fn new<S: Into<String>, P: Display>(function_name: S, parameter: P) -> Self {
-        BenchmarkId {
-            name: format!("{}/{}", function_name.into(), parameter),
-        }
-    }
-}
-
-impl Display for BenchmarkId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name)
-    }
 }
 
 /// The measured outcome of one benchmark, kept on the [`Criterion`] driver so
@@ -84,16 +47,16 @@ pub struct BenchReport {
 impl BenchReport {
     /// Iterations (or annotated units) per second implied by the median.
     ///
-    /// With a [`Throughput::Elements`] annotation this is elements/sec, with
-    /// [`Throughput::Bytes`] bytes/sec; without an annotation it is
-    /// iterations/sec. Returns 0.0 for a zero median.
+    /// With a [`Throughput::Elements`] annotation this is elements/sec;
+    /// without an annotation it is iterations/sec. Returns 0.0 for a zero
+    /// median.
     pub fn per_second(&self) -> f64 {
         if self.median_ns_per_iter <= 0.0 {
             return 0.0;
         }
         let iters_per_sec = 1e9 / self.median_ns_per_iter;
         match self.throughput {
-            Some(Throughput::Elements(n)) | Some(Throughput::Bytes(n)) => iters_per_sec * n as f64,
+            Some(Throughput::Elements(n)) => iters_per_sec * n as f64,
             None => iters_per_sec,
         }
     }
@@ -119,12 +82,7 @@ impl Criterion {
         }
     }
 
-    /// All benchmark results recorded so far, in execution order.
-    pub fn reports(&self) -> &[BenchReport] {
-        &self.reports
-    }
-
-    /// Drains the recorded benchmark results.
+    /// Drains the recorded benchmark results, in execution order.
     pub fn take_reports(&mut self) -> Vec<BenchReport> {
         std::mem::take(&mut self.reports)
     }
@@ -167,33 +125,14 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Ends the group.
+    pub fn finish(&mut self) {}
+
     /// Runs a named benchmark.
     pub fn bench_function<F>(&mut self, name: &str, mut routine: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        self.run(name, |b| routine(b));
-        self
-    }
-
-    /// Runs a parameterized benchmark.
-    pub fn bench_with_input<I, F>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut routine: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        self.run(&id.to_string(), |b| routine(b, input));
-        self
-    }
-
-    /// Ends the group.
-    pub fn finish(&mut self) {}
-
-    fn run<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut routine: F) {
         // Warm-up: untimed iterations so the first timed sample does not pay
         // for cold caches or lazily initialized state.
         if self.warm_up_iterations > 0 {
@@ -223,9 +162,6 @@ impl BenchmarkGroup<'_> {
             Some(Throughput::Elements(n)) if median > 0.0 => {
                 format!("  ({:.0} elem/s)", n as f64 * 1e9 / median)
             }
-            Some(Throughput::Bytes(n)) if median > 0.0 => {
-                format!("  ({:.0} B/s)", n as f64 * 1e9 / median)
-            }
             _ => String::new(),
         };
         println!(
@@ -241,6 +177,7 @@ impl BenchmarkGroup<'_> {
             iterations_per_sample: self.measurement_iterations,
             throughput: self.throughput,
         });
+        self
     }
 }
 
@@ -259,32 +196,11 @@ impl Bencher {
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         let start = Instant::now();
         for _ in 0..self.batch {
-            black_box(routine());
+            hint::black_box(routine());
         }
         self.elapsed += start.elapsed();
         self.iterations += self.batch;
     }
-}
-
-/// Mirror of `criterion_group!`.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut criterion = $crate::Criterion::default();
-            $($target(&mut criterion);)+
-        }
-    };
-}
-
-/// Mirror of `criterion_main!`.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
 }
 
 #[cfg(test)]
@@ -305,26 +221,21 @@ mod tests {
             group.bench_function("counting", |b| {
                 b.iter(|| {
                     runs += 1;
-                    black_box(runs)
+                    hint::black_box(runs)
                 })
-            });
-            group.bench_with_input(BenchmarkId::from_parameter(7), &7u32, |b, &x| {
-                b.iter(|| black_box(x * 2))
             });
             group.finish();
         }
         // 2 warm-up iterations + 3 samples × 4 iterations each.
         assert_eq!(runs, 2 + 3 * 4);
-        let reports = criterion.reports();
-        assert_eq!(reports.len(), 2);
+        let reports = criterion.take_reports();
+        assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].group, "smoke");
         assert_eq!(reports[0].name, "counting");
         assert_eq!(reports[0].samples, 3);
         assert_eq!(reports[0].iterations_per_sample, 4);
         assert!(reports[0].median_ns_per_iter >= 0.0);
-        let drained = criterion.take_reports();
-        assert_eq!(drained.len(), 2);
-        assert!(criterion.reports().is_empty());
+        assert!(criterion.take_reports().is_empty());
     }
 
     #[test]

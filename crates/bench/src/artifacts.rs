@@ -2,12 +2,12 @@
 //! [`Artifact`] — JSON result tree, CSV/markdown table, and the paper's
 //! reference values with pass/warn tolerance checks.
 //!
-//! The builders are shared by the per-figure binaries (`fig01` … `table_pd`)
-//! and the all-in-one `reproduce` driver, so a figure's artifact is identical
-//! no matter which path produced it. Reference tolerances are deliberately
-//! generous: the synthetic Table I workloads reproduce the paper's *trends*,
-//! not its hardware-measured decimals, so a deviation warns in the scoreboard
-//! rather than failing the run.
+//! [`PaperPlan::collect`](crate::reproduce::PaperPlan::collect) builds every
+//! artifact of the paper through these functions, in every `reproduce` mode.
+//! Reference tolerances are deliberately generous: the synthetic Table I
+//! workloads reproduce the paper's *trends*, not its hardware-measured
+//! decimals, so a deviation warns in the scoreboard rather than failing the
+//! run.
 
 use std::path::PathBuf;
 
@@ -27,26 +27,6 @@ pub fn artifacts_dir() -> PathBuf {
     std::env::var("SHIFT_ARTIFACTS")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("target").join("artifacts"))
-}
-
-/// Writes an artifact's JSON + CSV + markdown under [`artifacts_dir`] and
-/// prints where they went; every figure binary calls this after printing its
-/// rows. A write failure warns instead of panicking so a read-only checkout
-/// still prints the figure.
-pub fn publish(artifact: &Artifact) {
-    let dir = artifacts_dir();
-    match artifact.write_to(&dir) {
-        Ok(_) => println!(
-            "artifact: {}/{}.{{json,csv,md}}",
-            dir.display(),
-            artifact.name()
-        ),
-        Err(e) => eprintln!(
-            "warning: could not write artifact `{}` under {}: {e}",
-            artifact.name(),
-            dir.display()
-        ),
-    }
 }
 
 /// The Figure 1 x-axis: elimination fractions 0.0, 0.1, …, 1.0.

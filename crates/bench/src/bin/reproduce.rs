@@ -55,11 +55,11 @@ use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use shift_bench::artifacts::artifacts_dir;
-use shift_bench::banner;
 use shift_bench::reproduce::{PaperPlan, PaperReport, ReproduceSettings};
+use shift_sim::matrix::default_threads;
 use shift_sim::{Execution, QueueConfig, RunEvent, RunStore, SchedulePolicy, ShardSpec};
 
 /// What the command line asked for.
@@ -156,10 +156,10 @@ fn parse_args() -> Result<Mode, String> {
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-    if !merge.is_empty() && (!reuse.is_empty() || decision_log.is_some()) {
+    if !merge.is_empty() && (!reuse.is_empty() || policy.is_some() || decision_log.is_some()) {
         return Err(
-            "--reuse and --decision-log cannot be combined with --merge (a merge \
-                    never executes; point them at an execution mode instead)"
+            "--reuse, --policy and --decision-log cannot be combined with --merge (a \
+             merge never executes; point them at an execution mode instead)"
                 .into(),
         );
     }
@@ -200,12 +200,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    banner(
-        "reproduce (all figures and tables)",
+    let names: Vec<&str> = settings.workloads.iter().map(|w| w.name.as_str()).collect();
+    println!("=== SHIFT reproduction harness: reproduce (all figures and tables) ===");
+    println!(
+        "scale: {:?}, cores: {}, sweep threads: {}, workloads: {}",
         settings.scale,
         settings.cores,
-        &settings.workloads,
+        default_threads(),
+        names.join(", ")
     );
+    println!();
 
     let plan = PaperPlan::plan(settings);
     println!(
@@ -259,7 +263,7 @@ fn main() -> ExitCode {
     }
     // Who this process is in the summary line and the decision log, and
     // the claim order it follows (the queue config reads SHIFT_SCHED_POLICY).
-    let config = queue.then(QueueConfig::from_env);
+    let config = queue.then(queue_config_from_env);
     let policy = policy
         .or(config.as_ref().map(|config| config.policy))
         .unwrap_or_default();
@@ -363,6 +367,40 @@ fn main() -> ExitCode {
         ),
     }
     ExitCode::SUCCESS
+}
+
+/// This process's queue worker, id `pid<pid>-w0`, with the knobs
+/// `docs/OPERATIONS.md` describes read from `SHIFT_QUEUE_TTL`,
+/// `SHIFT_SCHED_POLICY`, `SHIFT_QUEUE_RATE`, `SHIFT_QUEUE_CUTOFF` and
+/// `SHIFT_QUEUE_THROTTLE`; an invalid value warns and keeps the default.
+fn queue_config_from_env() -> QueueConfig {
+    let mut config = QueueConfig::new(format!("pid{}-w0", std::process::id()));
+    if let Some(secs) = env_number("SHIFT_QUEUE_TTL", 0) {
+        config.lock_ttl = Duration::from_secs(secs);
+    }
+    if let Ok(value) = std::env::var("SHIFT_SCHED_POLICY") {
+        match value.parse::<SchedulePolicy>() {
+            Ok(policy) => config.policy = policy,
+            Err(e) => eprintln!("ignoring invalid SHIFT_SCHED_POLICY: {e}"),
+        }
+    }
+    config.initial_rate = env_number("SHIFT_QUEUE_RATE", 1);
+    if let Some(secs) = env_number("SHIFT_QUEUE_CUTOFF", 0) {
+        config.slow_cutoff = Duration::from_secs(secs);
+    }
+    config.throttle_ns_per_unit = env_number("SHIFT_QUEUE_THROTTLE", 0).unwrap_or(0);
+    config
+}
+
+/// The number in variable `name`, if it is set to one of at least `min`;
+/// any other value warns and reads as unset.
+fn env_number(name: &str, min: u64) -> Option<u64> {
+    let value = std::env::var(name).ok()?;
+    let number = value.trim().parse().ok().filter(|&n| n >= min);
+    if number.is_none() {
+        eprintln!("ignoring invalid {name} `{value}`");
+    }
+    number
 }
 
 /// Merges the planned matrix's outcomes from `dirs` and writes every

@@ -1,37 +1,24 @@
-//! Shared helpers for the benchmark harness that regenerates every table and
-//! figure of the SHIFT paper.
+//! The harness that regenerates every table and figure of the SHIFT paper.
 //!
-//! Each figure/table has a binary (`fig01` … `fig10`, `table1`,
-//! `table_storage`, `table_pd`, `table_power`) that runs the corresponding
-//! experiment driver from [`shift_sim::experiments`] and prints the same
-//! rows/series the paper reports. The Criterion benches in `benches/` measure
-//! the cost of the core prefetcher operations and of each experiment at a
-//! reduced scale.
-//!
-//! Binaries accept their scale from the `SHIFT_SCALE` environment variable
-//! (`test`, `demo`, or `paper`; default `demo`), the core count from
-//! `SHIFT_CORES` (default 16), and the workload subset from `SHIFT_WORKLOADS`
-//! (a comma-separated list of case-insensitive substrings of workload names;
-//! default: the full Table I suite).
-//!
-//! Every experiment driver declares its sweep as a
-//! [`shift_sim::RunMatrix`], so the simulations behind a figure run in
-//! parallel across the host's cores; set `SHIFT_THREADS` to pin the worker
-//! count (e.g. `SHIFT_THREADS=1` for a serial reference run — results are
-//! bit-identical at any thread count).
-//!
-//! Beyond printing, every binary publishes its figure as a machine-readable
-//! artifact (JSON + CSV + markdown with a paper-reference block) under
-//! `target/artifacts/` (override with `SHIFT_ARTIFACTS`) via the builders in
-//! [`artifacts`]. The `reproduce` binary regenerates the *whole* paper in
-//! one go: [`reproduce::PaperPlan`] merges all experiments into a single
+//! The `reproduce` binary is its one front door: [`reproduce::PaperPlan`]
+//! plans every experiment of [`shift_sim::experiments`] into a single
 //! deduplicated [`shift_sim::RunMatrix`], so runs shared between figures —
-//! baselines above all — simulate exactly once. Sweeps that outgrow one
-//! process use its `--shard K/N`, `--queue` (elastic work-queue workers
-//! over a shared outcome directory; `SHIFT_QUEUE_TTL` seconds until a dead
-//! worker's claims are reclaimed, default 3600), `--reuse OLD_DIR`
-//! (incremental re-execution of only a changed plan's delta), and
-//! `--merge` modes — see `docs/SWEEP.md` and `docs/OPERATIONS.md`.
+//! baselines above all — simulate exactly once. It writes each figure as a
+//! machine-readable artifact (JSON + CSV + markdown with a paper-reference
+//! block, built in [`artifacts`]) under `target/artifacts/` (override with
+//! `SHIFT_ARTIFACTS`), then prints the reference scoreboard.
+//!
+//! The sweep settings come from the environment: the scale from
+//! `SHIFT_SCALE` (`test`, `demo`, or `paper`; default `demo`), the core
+//! count from `SHIFT_CORES` (default 16), and the workload subset from
+//! `SHIFT_WORKLOADS` (a comma-separated list of case-insensitive substrings
+//! of workload names; default: the full Table I suite). The simulations run
+//! in parallel across the host's cores; set `SHIFT_THREADS` to pin the
+//! worker count (e.g. `SHIFT_THREADS=1` for a serial reference run —
+//! results are bit-identical at any thread count).
+//!
+//! Sweeps that outgrow one process use the binary's shard, queue, reuse and
+//! merge modes (`reproduce --help`, `docs/SWEEP.md`, `docs/OPERATIONS.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,10 +26,9 @@
 pub mod artifacts;
 pub mod reproduce;
 
-use shift_sim::matrix::default_threads;
 use shift_trace::{presets, Scale, WorkloadSpec};
 
-/// Seed used by all harness binaries so results are reproducible.
+/// Seed every harness plan uses, so results are reproducible.
 pub const HARNESS_SEED: u64 = 0x5417_2013;
 
 /// Reads the experiment scale from `SHIFT_SCALE` (default [`Scale::Demo`]).
@@ -108,21 +94,6 @@ pub fn workloads_from_env() -> Vec<WorkloadSpec> {
             }
         }
     }
-}
-
-/// Prints a standard harness banner naming the experiment and its settings.
-pub fn banner(experiment: &str, scale: Scale, cores: u16, workloads: &[WorkloadSpec]) {
-    println!("=== SHIFT reproduction harness: {experiment} ===");
-    println!(
-        "scale: {scale:?}, cores: {cores}, sweep threads: {}, workloads: {}",
-        default_threads(),
-        workloads
-            .iter()
-            .map(|w| w.name.as_str())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    println!();
 }
 
 #[cfg(test)]

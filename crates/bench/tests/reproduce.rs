@@ -125,3 +125,46 @@ fn reproduce_binary_rejects_one_core_with_a_plan_error() {
         assert_eq!(stderr.matches(warning).count(), 1, "stderr:\n{stderr}");
     }
 }
+
+#[test]
+fn reproduce_binary_rejects_a_policy_for_a_merge() {
+    // A merge never executes, so a claim order means nothing to it: the
+    // binary must refuse `--policy` the way it refuses `--reuse`, before
+    // planning anything.
+    let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--merge", "never-read", "--policy", "cost-ordered"])
+        .output()
+        .expect("run the reproduce binary");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(stderr.contains("--policy"), "stderr:\n{stderr}");
+    assert!(
+        output.stdout.is_empty(),
+        "the binary planned before refusing"
+    );
+}
+
+#[test]
+fn reproduce_binary_warns_once_about_an_invalid_thread_count() {
+    // The banner and the execution both ask for the default thread count;
+    // the bad value is reported once, not once per question.
+    let dir = std::env::temp_dir().join("shift-bench-reproduce-threads");
+    let _ = fs::remove_dir_all(&dir);
+    let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--shard", "1/64", "--outcomes"])
+        .arg(&dir)
+        .env("SHIFT_THREADS", "banana")
+        .env("SHIFT_SCALE", "test")
+        .env("SHIFT_CORES", "2")
+        .env("SHIFT_WORKLOADS", "web")
+        .output()
+        .expect("run the reproduce binary");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "stderr:\n{stderr}");
+    assert_eq!(
+        stderr.matches("ignoring invalid SHIFT_THREADS").count(),
+        1,
+        "stderr:\n{stderr}"
+    );
+    fs::remove_dir_all(&dir).expect("cleanup");
+}

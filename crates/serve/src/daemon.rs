@@ -37,7 +37,6 @@ use std::time::Duration;
 use serde::{json, Serialize, Value};
 use shift_bench::reproduce::{PaperPlan, PlanSpec};
 use shift_report::wire_bundle_json;
-use shift_sim::store::seed_outcomes;
 use shift_sim::{
     CancelToken, Execution, ExecutionReport, QueueConfig, RunEvent, RunStore, SchedulePolicy,
 };
@@ -420,19 +419,17 @@ impl Daemon {
         fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
 
         // Cross-sweep reuse: probe every sweep directory (including our
-        // own — a restart or a killed worker leaves partial outcomes there)
-        // and seed the hits under this plan's fingerprint. Stale
+        // own — a restart or a killed worker leaves partial outcomes there);
+        // the execution seeds the hits under this plan's fingerprint. Stale
         // RESULTS_VERSION outcomes are skipped by the probe, so they are
         // re-executed, never served.
         let probe = RunStore::new(self.sweep_dirs().map_err(|e| e.to_string())?);
         let partial = probe
             .load_partial(plan.matrix())
             .map_err(|e| e.to_string())?;
-        let seeded = seed_outcomes(plan.matrix(), &partial, &dir).map_err(|e| e.to_string())?;
         job.push_event(json::to_string(&Value::Map(vec![
             ("event".to_owned(), Value::Str("seeded".to_owned())),
             ("reused".to_owned(), Value::UInt(partial.reused as u64)),
-            ("written".to_owned(), Value::UInt(seeded as u64)),
         ])));
 
         // The scheduler decision log: `claimed` events carry the cost rank
@@ -470,6 +467,7 @@ impl Daemon {
         let mut queue_config = QueueConfig::new(format!("serve-{}", std::process::id()));
         queue_config.poll = self.config.poll;
         let output = Execution::new(plan.matrix())
+            .reuse(partial)
             .queue(queue_config)
             .dir(&dir)
             .threads(self.config.threads)

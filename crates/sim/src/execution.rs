@@ -56,8 +56,7 @@ use crate::shard::{
     RunObserver, ShardSpec,
 };
 use crate::store::{
-    outcome_file_name, outcome_is_valid, seed_outcome_slots, write_outcome, PartialLoad,
-    RunOutcomes, RunStore,
+    seed_outcome_slots, write_outcome, PartialLoad, PlanIndex, RunOutcomes, RunStore,
 };
 
 /// Where each planned run's outcome came from, summed over one execution.
@@ -262,8 +261,7 @@ impl<'a> Execution<'a> {
 
     /// Sets the scheduling policy: the order in which the owned runs are
     /// claimed, in every mode. Overrides the policy in the
-    /// [`queue`](Execution::queue) config (which is where
-    /// `SHIFT_SCHED_POLICY` lands); when neither is set, the stable
+    /// [`queue`](Execution::queue) config; when neither is set, the stable
     /// canonical order is used. Results never depend on it.
     #[must_use]
     pub fn policy(mut self, policy: SchedulePolicy) -> Self {
@@ -344,6 +342,7 @@ impl<'a> Execution<'a> {
         };
 
         // The reuse pre-pass: hits count as already done in the drain.
+        let index = PlanIndex::new(matrix);
         let mut memory: Vec<Option<RunResult>> = vec![None; matrix.len()];
         if let Some(dir) = dir {
             std::fs::create_dir_all(dir)?;
@@ -351,7 +350,7 @@ impl<'a> Execution<'a> {
         if let Some(partial) = self.reuse {
             match dir {
                 Some(dir) => {
-                    seed_outcome_slots(matrix, &partial, dir, &owned)?;
+                    seed_outcome_slots(&index, &partial, dir, &owned)?;
                 }
                 None => memory = partial.into_results(matrix),
             }
@@ -368,6 +367,7 @@ impl<'a> Execution<'a> {
         let drain = Drain {
             matrix,
             fingerprint: matrix.fingerprint(),
+            index,
             dir,
             queue,
             observer: self.observer.unwrap_or(&noop),
@@ -492,6 +492,8 @@ enum Visit {
 struct Drain<'a> {
     matrix: &'a RunMatrix,
     fingerprint: MatrixFingerprint,
+    /// The plan, indexed for the done check.
+    index: PlanIndex<'a>,
     /// The outcome directory; `None` keeps results in memory.
     dir: Option<&'a Path>,
     /// The queue worker, when claims go through `O_EXCL` lock files.
@@ -541,9 +543,7 @@ impl Drain<'_> {
         let key_id = self.matrix.key_ids()[slot];
         let is_done = || match self.dir {
             None => memory[slot].is_some(),
-            Some(dir) => {
-                outcome_is_valid(&dir.join(outcome_file_name(key_id)), self.fingerprint, key)
-            }
+            Some(dir) => self.index.is_done(dir, slot),
         };
         // Only queue workers take locks (see `claim_lock`). A taken lock goes
         // round once more, so the outcome is re-checked before running:

@@ -3,8 +3,8 @@
 //! Every driver takes the workload list, a [`shift_trace::Scale`], and
 //! a seed, runs the required simulations, and returns a serializable result
 //! type whose `Display` implementation prints the same rows/series the paper
-//! reports. The benchmark harness (`shift-bench`) wraps each driver in a
-//! binary and a Criterion bench.
+//! reports. The harness (`shift-bench`) plans every driver into the one
+//! matrix of its `reproduce` binary and turns each result into an artifact.
 //!
 //! Every simulation-backed driver is split into two phases around one
 //! [`RunMatrix`](crate::matrix::RunMatrix):

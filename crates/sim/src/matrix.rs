@@ -71,7 +71,7 @@
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 use serde::de::Error as DeError;
 use serde::{json, Deserialize, Serialize, Value};
@@ -532,14 +532,18 @@ impl RunMatrix {
 
 /// Default worker-thread count: `SHIFT_THREADS` if set to a positive integer,
 /// otherwise the number of available hardware threads.
+///
+/// The variable is read on every call, so a host may set it before its
+/// pools start; an invalid value warns once per process.
 pub fn default_threads() -> usize {
+    static WARNED: Once = Once::new();
     if let Ok(value) = std::env::var("SHIFT_THREADS") {
         if let Ok(n) = value.trim().parse::<usize>() {
             if n > 0 {
                 return n;
             }
         }
-        eprintln!("ignoring invalid SHIFT_THREADS `{value}`");
+        WARNED.call_once(|| eprintln!("ignoring invalid SHIFT_THREADS `{value}`"));
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

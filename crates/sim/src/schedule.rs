@@ -19,8 +19,8 @@
 //!   ns/fetch baseline; SHIFT runs ~1.43× slower per fetch); pass a newer
 //!   `BENCH_*.json` to [`CostModel::from_bench_json`] to recalibrate.
 //! * [`SchedulePolicy`] — the knob the [`Execution`](crate::Execution)
-//!   builder and `SHIFT_SCHED_POLICY` expose: keep the stable canonical order
-//!   or claim cost-ranked biggest-first.
+//!   builder exposes: keep the stable canonical order or claim cost-ranked
+//!   biggest-first.
 //! * [`rank_by_cost`] — the ranking itself: slots sorted by cost descending,
 //!   ties broken by [`RunKeyId`](crate::RunKeyId) ascending so the order is
 //!   a total order and identical on every worker.
@@ -262,7 +262,7 @@ pub enum SchedulePolicy {
 }
 
 impl SchedulePolicy {
-    /// The lowercase token used by `SHIFT_SCHED_POLICY` and the decision log.
+    /// The lowercase token the command line and the decision log use.
     pub fn as_str(self) -> &'static str {
         match self {
             SchedulePolicy::Canonical => "canonical",

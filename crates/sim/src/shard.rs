@@ -145,10 +145,6 @@ fn unix_now() -> u64 {
         .map_or(0, |d| d.as_secs())
 }
 
-/// Process-wide worker-id counter so concurrent in-process queue workers
-/// (tests, multi-worker drivers) get distinct identities.
-static NEXT_WORKER: AtomicU64 = AtomicU64::new(0);
-
 /// How one work-queue worker identifies itself and times the lock protocol.
 #[derive(Clone, Debug)]
 pub struct QueueConfig {
@@ -204,8 +200,7 @@ impl QueueConfig {
     /// re-stamped every poll tick, so much smaller TTLs (seconds, not the
     /// longest run) are safe when faster dead-worker recovery matters;
     /// the conservative default favors never reclaiming a live claim even
-    /// under extreme clock skew. Override with [`QueueConfig::from_env`]'s
-    /// `SHIFT_QUEUE_TTL` or directly.
+    /// under extreme clock skew.
     pub const DEFAULT_TTL: Duration = Duration::from_secs(3600);
 
     /// A worker named `worker` with default timing (TTL
@@ -239,55 +234,6 @@ impl QueueConfig {
     /// rate (~2.3 M weighted fetch units/s) this is far above any paper-scale
     /// run, so only a genuinely slow (or throttled) worker ever defers.
     pub const DEFAULT_SLOW_CUTOFF: Duration = Duration::from_secs(300);
-
-    /// A worker with a generated id (`pid<pid>-w<n>`) and knobs from the
-    /// environment:
-    ///
-    /// * `SHIFT_QUEUE_TTL` — reclaim TTL in seconds (default
-    ///   [`QueueConfig::DEFAULT_TTL`]);
-    /// * `SHIFT_SCHED_POLICY` — `canonical` or `cost` (claim ordering);
-    /// * `SHIFT_QUEUE_RATE` — initial rate estimate, weighted fetch units/s;
-    /// * `SHIFT_QUEUE_CUTOFF` — slowness cutoff in seconds;
-    /// * `SHIFT_QUEUE_THROTTLE` — artificial slowdown, ns per weighted
-    ///   fetch unit (test/CI instrumentation).
-    pub fn from_env() -> Self {
-        let mut config = QueueConfig::new(format!(
-            "pid{}-w{}",
-            std::process::id(),
-            NEXT_WORKER.fetch_add(1, Ordering::Relaxed)
-        ));
-        if let Ok(value) = std::env::var("SHIFT_QUEUE_TTL") {
-            match value.trim().parse::<u64>() {
-                Ok(secs) => config.lock_ttl = Duration::from_secs(secs),
-                Err(_) => eprintln!("ignoring invalid SHIFT_QUEUE_TTL `{value}`"),
-            }
-        }
-        if let Ok(value) = std::env::var("SHIFT_SCHED_POLICY") {
-            match value.parse::<SchedulePolicy>() {
-                Ok(policy) => config.policy = policy,
-                Err(e) => eprintln!("ignoring invalid SHIFT_SCHED_POLICY: {e}"),
-            }
-        }
-        if let Ok(value) = std::env::var("SHIFT_QUEUE_RATE") {
-            match value.trim().parse::<u64>() {
-                Ok(rate) if rate > 0 => config.initial_rate = Some(rate),
-                _ => eprintln!("ignoring invalid SHIFT_QUEUE_RATE `{value}`"),
-            }
-        }
-        if let Ok(value) = std::env::var("SHIFT_QUEUE_CUTOFF") {
-            match value.trim().parse::<u64>() {
-                Ok(secs) => config.slow_cutoff = Duration::from_secs(secs),
-                Err(_) => eprintln!("ignoring invalid SHIFT_QUEUE_CUTOFF `{value}`"),
-            }
-        }
-        if let Ok(value) = std::env::var("SHIFT_QUEUE_THROTTLE") {
-            match value.trim().parse::<u64>() {
-                Ok(ns) => config.throttle_ns_per_unit = ns,
-                Err(_) => eprintln!("ignoring invalid SHIFT_QUEUE_THROTTLE `{value}`"),
-            }
-        }
-        config
-    }
 }
 
 /// Cooperative cancellation handle for library-embedded executors.
@@ -441,7 +387,7 @@ fn lock_state(path: &Path, ttl: Duration) -> LockState {
 /// current `claimed_unix`, refreshing both the embedded timestamp and the
 /// file mtime that half-written locks are judged by. With heartbeats in
 /// place, a lock only goes stale when its owner has actually stopped — so
-/// [`QueueConfig::lock_ttl`] (`SHIFT_QUEUE_TTL`) needs to exceed only the
+/// [`QueueConfig::lock_ttl`] needs to exceed only the
 /// heartbeat interval plus clock skew, not the longest single run.
 ///
 /// The refresher never *creates* the lock file: if a contender reclaimed it

@@ -28,7 +28,9 @@
 //! assembles the results into the same [`RunOutcomes`] an in-process
 //! [`RunMatrix::execute`](crate::RunMatrix::execute) would have produced.
 //! Foreign sweeps, duplicate keys, and missing runs are rejected with
-//! typed [`StoreError`]s rather than silently merged.
+//! typed [`StoreError`]s rather than silently merged. It sorts each file
+//! with the same classifier as [`RunStore::load_partial`] and the drain's
+//! done check: a hit, stale, unplanned, an id collision, or malformed.
 //!
 //! # The outcome directory as a cache
 //!
@@ -61,6 +63,7 @@
 //! [`RunStore::load_partial`] ignore them except to improve the diagnostic
 //! when runs are missing ([`StoreError::ActiveLocks`]).
 
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -405,37 +408,50 @@ impl LockRecord {
 /// malformed; the queue's staleness check falls back to the file's mtime in
 /// that case rather than failing.
 pub fn read_lock(path: &Path) -> Result<LockRecord, StoreError> {
-    let malformed = |reason: String| StoreError::Malformed {
-        path: path.to_path_buf(),
-        reason,
-    };
-    let text = fs::read_to_string(path)?;
-    let doc = json::parse(&text).map_err(|e| malformed(e.to_string()))?;
-    let read_field = |name: &str| {
-        doc.get(name)
-            .ok_or_else(|| malformed(format!("missing `{name}` field")))
-    };
-    let schema = u32::from_value(read_field("schema")?)
-        .map_err(|e| malformed(format!("bad `schema`: {e}")))?;
-    if schema != LOCK_SCHEMA {
-        return Err(malformed(format!(
-            "lock schema {schema} is not the supported {LOCK_SCHEMA}"
-        )));
-    }
-    Ok(LockRecord {
-        key_id: RunKeyId::from_value(read_field("key_id")?)
-            .map_err(|e| malformed(format!("bad `key_id`: {e}")))?,
-        worker: String::from_value(read_field("worker")?)
-            .map_err(|e| malformed(format!("bad `worker`: {e}")))?,
-        claimed_unix: u64::from_value(read_field("claimed_unix")?)
-            .map_err(|e| malformed(format!("bad `claimed_unix`: {e}")))?,
-        // Optional: locks from workers that have not completed a run yet (or
-        // were written before rate persistence existed) simply omit it.
-        rate: match doc.get("rate") {
-            Some(v) => Some(u64::from_value(v).map_err(|e| malformed(format!("bad `rate`: {e}")))?),
-            None => None,
-        },
+    read_doc(path, |doc| {
+        let schema: u32 = field(doc, "schema")?;
+        if schema != LOCK_SCHEMA {
+            return Err(format!(
+                "lock schema {schema} is not the supported {LOCK_SCHEMA}"
+            ));
+        }
+        Ok(LockRecord {
+            key_id: field(doc, "key_id")?,
+            worker: field(doc, "worker")?,
+            claimed_unix: field(doc, "claimed_unix")?,
+            // Optional: locks from workers that have not completed a run yet
+            // (or were written before rate persistence existed) omit it.
+            rate: optional_field(doc, "rate")?,
+        })
     })
+}
+
+/// Reads the JSON document at `path` and parses it with `parse`, which
+/// names what is wrong with a document it rejects.
+fn read_doc<T>(
+    path: &Path,
+    parse: impl FnOnce(&Value) -> Result<T, String>,
+) -> Result<T, StoreError> {
+    let text = fs::read_to_string(path)?;
+    json::parse(&text)
+        .map_err(|e| e.to_string())
+        .and_then(|doc| parse(&doc))
+        .map_err(|reason| StoreError::Malformed {
+            path: path.to_path_buf(),
+            reason,
+        })
+}
+
+/// Field `name` of an outcome or lock document.
+fn field<T: Deserialize>(doc: &Value, name: &str) -> Result<T, String> {
+    optional_field(doc, name)?.ok_or_else(|| format!("missing `{name}` field"))
+}
+
+/// Field `name` of an outcome or lock document, `None` where it is absent.
+fn optional_field<T: Deserialize>(doc: &Value, name: &str) -> Result<Option<T>, String> {
+    doc.get(name)
+        .map(|value| T::from_value(value).map_err(|e| format!("bad `{name}`: {e}")))
+        .transpose()
 }
 
 /// Process-wide counter making concurrent writers' temp files distinct.
@@ -476,22 +492,6 @@ pub(crate) fn write_outcome(
     fs::rename(&tmp_path, &final_path)
 }
 
-/// `true` if `path` holds a valid, reusable outcome for `key` executed
-/// under `fingerprint` (parses, current results version, right sweep,
-/// byte-identical embedded key). The one definition of "this run is done"
-/// shared by shard resume, queue claims, and reuse seeding — so a
-/// results-version bump makes all of them re-execute automatically.
-pub(crate) fn outcome_is_valid(path: &Path, fingerprint: MatrixFingerprint, key: &RunKey) -> bool {
-    match read_outcome(path) {
-        Ok(record) => {
-            record.results_version == RESULTS_VERSION
-                && record.matrix == fingerprint
-                && record.key_json == key.canonical_json()
-        }
-        Err(_) => false,
-    }
-}
-
 /// Parses and integrity-checks one outcome file.
 ///
 /// # Errors
@@ -500,56 +500,34 @@ pub(crate) fn outcome_is_valid(path: &Path, fingerprint: MatrixFingerprint, key:
 /// if it does not parse, has the wrong schema, or its embedded key does not
 /// hash to its recorded `key_id`.
 pub fn read_outcome(path: &Path) -> Result<OutcomeRecord, StoreError> {
-    let malformed = |reason: String| StoreError::Malformed {
-        path: path.to_path_buf(),
-        reason,
-    };
-    let text = fs::read_to_string(path)?;
-    let doc = json::parse(&text).map_err(|e| malformed(e.to_string()))?;
-    let read_field = |name: &str| {
-        doc.get(name)
-            .ok_or_else(|| malformed(format!("missing `{name}` field")))
-    };
-
-    let schema = u32::from_value(read_field("schema")?)
-        .map_err(|e| malformed(format!("bad `schema`: {e}")))?;
-    if schema != OUTCOME_SCHEMA {
-        return Err(malformed(format!(
-            "outcome schema {schema} is not the supported {OUTCOME_SCHEMA}"
-        )));
-    }
-    // Absent on files written before result versioning existed: version 0,
-    // which never equals the current version — such files parse fine (the
-    // operator can still inspect them) but are stale for every reuse path.
-    let results_version = match doc.get("results") {
-        Some(value) => {
-            u32::from_value(value).map_err(|e| malformed(format!("bad `results`: {e}")))?
+    read_doc(path, |doc| {
+        let schema: u32 = field(doc, "schema")?;
+        if schema != OUTCOME_SCHEMA {
+            return Err(format!(
+                "outcome schema {schema} is not the supported {OUTCOME_SCHEMA}"
+            ));
         }
-        None => 0,
-    };
-    let matrix = MatrixFingerprint::from_value(read_field("matrix")?)
-        .map_err(|e| malformed(format!("bad `matrix`: {e}")))?;
-    let key_id = RunKeyId::from_value(read_field("key_id")?)
-        .map_err(|e| malformed(format!("bad `key_id`: {e}")))?;
-    let key_value = read_field("key")?;
-    let key: RunKey =
-        RunKey::from_value(key_value).map_err(|e| malformed(format!("bad `key`: {e}")))?;
-    // Rendered once: the id is the hash of the same string the record keeps.
-    let key_json = key.canonical_json();
-    let embedded_id = RunKeyId::of_canonical_json(&key_json);
-    if embedded_id != key_id {
-        return Err(malformed(format!(
-            "embedded key hashes to {embedded_id}, file claims {key_id}"
-        )));
-    }
-    let result = RunResult::from_value(read_field("result")?)
-        .map_err(|e| malformed(format!("bad `result`: {e}")))?;
-    Ok(OutcomeRecord {
-        results_version,
-        matrix,
-        key_id,
-        key_json,
-        result,
+        // Absent on files written before result versioning: version 0, never
+        // the current one, so such files parse (operators can inspect them)
+        // but are stale for every reuse path.
+        let results_version = optional_field(doc, "results")?.unwrap_or(0);
+        let matrix = field(doc, "matrix")?;
+        let key_id: RunKeyId = field(doc, "key_id")?;
+        // Rendered once: the id hashes the same string the record keeps.
+        let key_json = field::<RunKey>(doc, "key")?.canonical_json();
+        let embedded_id = RunKeyId::of_canonical_json(&key_json);
+        if embedded_id != key_id {
+            return Err(format!(
+                "embedded key hashes to {embedded_id}, file claims {key_id}"
+            ));
+        }
+        Ok(OutcomeRecord {
+            results_version,
+            matrix,
+            key_id,
+            key_json,
+            result: field(doc, "result")?,
+        })
     })
 }
 
@@ -572,11 +550,6 @@ impl RunStore {
         }
     }
 
-    /// The directories this store reads.
-    pub fn dirs(&self) -> &[PathBuf] {
-        &self.dirs
-    }
-
     /// Loads and merges every outcome file into outcomes for `matrix`.
     ///
     /// # Errors
@@ -589,42 +562,45 @@ impl RunStore {
     /// [`RESULTS_VERSION`] are *cache misses*, not integrity failures: they
     /// are skipped, and if that leaves runs uncovered the merge fails with
     /// [`StoreError::StaleResults`] telling the operator to re-execute
-    /// rather than wipe.
+    /// rather than wipe. The first failing file in directory-then-name order
+    /// decides the error.
     pub fn load(&self, matrix: &RunMatrix) -> Result<RunOutcomes, StoreError> {
-        let fingerprint = matrix.fingerprint();
-        let slot_of = |key_id: RunKeyId| -> Option<usize> {
-            matrix.key_ids().iter().position(|&id| id == key_id)
-        };
+        let index = PlanIndex::new(matrix);
         let mut results: Vec<Option<(RunResult, PathBuf)>> = vec![None; matrix.len()];
         let mut stale: Vec<(RunKeyId, PathBuf)> = Vec::new();
 
         for dir in &self.dirs {
             for path in outcome_paths(dir)? {
-                let record = read_outcome(&path)?;
-                if record.results_version != RESULTS_VERSION {
-                    stale.push((record.key_id, path));
-                    continue;
-                }
-                if record.matrix != fingerprint {
-                    return Err(StoreError::ForeignMatrix {
-                        path,
-                        expected: fingerprint,
-                        found: record.matrix,
-                    });
-                }
-                let slot = slot_of(record.key_id).ok_or_else(|| StoreError::UnknownKey {
-                    path: path.clone(),
-                    key_id: record.key_id,
-                })?;
-                if record.key_json != matrix.keys()[slot].canonical_json() {
-                    return Err(StoreError::Malformed {
-                        path,
-                        reason: format!(
-                            "embedded key collides with planned run {} but differs from it",
-                            record.key_id
-                        ),
-                    });
-                }
+                let (class, record) = index.classify(&path)?;
+                let slot = match class {
+                    Class::Stale => {
+                        stale.push((record.key_id, path));
+                        continue;
+                    }
+                    _ if record.matrix != index.fingerprint => {
+                        return Err(StoreError::ForeignMatrix {
+                            path,
+                            expected: index.fingerprint,
+                            found: record.matrix,
+                        })
+                    }
+                    Class::Unplanned => {
+                        return Err(StoreError::UnknownKey {
+                            path,
+                            key_id: record.key_id,
+                        })
+                    }
+                    Class::Collision => {
+                        return Err(StoreError::Malformed {
+                            path,
+                            reason: format!(
+                                "embedded key collides with planned run {} but differs from it",
+                                record.key_id
+                            ),
+                        })
+                    }
+                    Class::Hit(slot) => slot,
+                };
                 if let Some((_, first)) = &results[slot] {
                     return Err(StoreError::DuplicateKey {
                         key_id: record.key_id,
@@ -720,55 +696,93 @@ impl RunStore {
     ///
     /// Only filesystem errors ([`StoreError::Io`]) propagate.
     pub fn load_partial(&self, matrix: &RunMatrix) -> Result<PartialLoad, StoreError> {
-        let slot_of = |key_id: RunKeyId| -> Option<usize> {
-            matrix.key_ids().iter().position(|&id| id == key_id)
+        let index = PlanIndex::new(matrix);
+        let mut load = PartialLoad {
+            matrix_id: matrix.local_id(),
+            results: vec![None; matrix.len()],
+            scanned: 0,
+            reused: 0,
+            skipped_foreign: 0,
+            skipped_stale: 0,
+            skipped_malformed: Vec::new(),
         };
-        let mut results: Vec<Option<RunResult>> = vec![None; matrix.len()];
-        let mut scanned = 0usize;
-        let mut skipped_foreign = 0usize;
-        let mut skipped_stale = 0usize;
-        let mut skipped_malformed: Vec<PathBuf> = Vec::new();
-
         for dir in &self.dirs {
             for path in outcome_paths(dir)? {
-                scanned += 1;
-                let record = match read_outcome(&path) {
-                    Ok(record) => record,
+                load.scanned += 1;
+                match index.classify(&path) {
                     Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
-                    Err(_) => {
-                        skipped_malformed.push(path);
-                        continue;
+                    Err(_) => load.skipped_malformed.push(path),
+                    Ok((Class::Stale, _)) => load.skipped_stale += 1,
+                    // Another sweep's run, or a 64-bit id collision with a
+                    // *different* key: not ours either way.
+                    Ok((Class::Unplanned | Class::Collision, _)) => load.skipped_foreign += 1,
+                    Ok((Class::Hit(slot), record)) => {
+                        load.results[slot].get_or_insert(record.result);
                     }
-                };
-                if record.results_version != RESULTS_VERSION {
-                    skipped_stale += 1;
-                    continue;
-                }
-                let Some(slot) = slot_of(record.key_id) else {
-                    skipped_foreign += 1;
-                    continue;
-                };
-                if record.key_json != matrix.keys()[slot].canonical_json() {
-                    // A 64-bit id collision with a *different* key: not ours.
-                    skipped_foreign += 1;
-                    continue;
-                }
-                if results[slot].is_none() {
-                    results[slot] = Some(record.result);
                 }
             }
         }
+        load.reused = load.results.iter().flatten().count();
+        Ok(load)
+    }
+}
 
-        let reused = results.iter().filter(|r| r.is_some()).count();
-        Ok(PartialLoad {
-            matrix_id: matrix.local_id(),
-            results,
-            scanned,
-            reused,
-            skipped_foreign,
-            skipped_stale,
-            skipped_malformed,
-        })
+/// What one outcome file is against a planned matrix, as every reader sorts
+/// it ([`PlanIndex::classify`]). The fifth kind, a file that does not parse
+/// or fails an integrity check, is a [`StoreError::Malformed`].
+enum Class {
+    /// A current outcome of the run planned at this slot, for any sweep.
+    Hit(usize),
+    /// Stamped with a different [`RESULTS_VERSION`].
+    Stale,
+    /// Its key id is not planned.
+    Unplanned,
+    /// A planned key id whose embedded key differs: a 64-bit id collision.
+    Collision,
+}
+
+/// A planned matrix indexed by key id, so that sorting an outcome file
+/// against it costs one hash lookup. Built once per load or execution.
+pub(crate) struct PlanIndex<'m> {
+    matrix: &'m RunMatrix,
+    fingerprint: MatrixFingerprint,
+    slots: HashMap<RunKeyId, usize>,
+}
+
+impl<'m> PlanIndex<'m> {
+    pub(crate) fn new(matrix: &'m RunMatrix) -> Self {
+        PlanIndex {
+            matrix,
+            fingerprint: matrix.fingerprint(),
+            slots: matrix.key_ids().iter().copied().zip(0..).collect(),
+        }
+    }
+
+    /// Sorts the outcome file at `path` into its [`Class`], or fails as
+    /// [`read_outcome`] does.
+    fn classify(&self, path: &Path) -> Result<(Class, OutcomeRecord), StoreError> {
+        let record = read_outcome(path)?;
+        let class = match self.slots.get(&record.key_id) {
+            _ if record.results_version != RESULTS_VERSION => Class::Stale,
+            None => Class::Unplanned,
+            Some(&slot) if record.key_json == self.matrix.keys()[slot].canonical_json() => {
+                Class::Hit(slot)
+            }
+            Some(_) => Class::Collision,
+        };
+        Ok((class, record))
+    }
+
+    /// `true` if `dir` holds a current outcome of plan-order `slot` written
+    /// for this sweep. The one definition of "this run is done" shared by
+    /// shard resume, queue claims, and reuse seeding — so a results-version
+    /// bump makes all of them re-execute automatically.
+    pub(crate) fn is_done(&self, dir: &Path, slot: usize) -> bool {
+        let path = dir.join(outcome_file_name(self.matrix.key_ids()[slot]));
+        matches!(
+            self.classify(&path),
+            Ok((Class::Hit(hit), record)) if hit == slot && record.matrix == self.fingerprint
+        )
     }
 }
 
@@ -808,21 +822,12 @@ impl PartialLoad {
     /// Plan-order slots with no cached result, in canonical order — the
     /// delta a reusing run must still execute.
     pub fn missing_slots(&self, matrix: &RunMatrix) -> Vec<usize> {
-        assert_eq!(
-            self.matrix_id,
-            matrix.local_id(),
-            "PartialLoad was probed against a different RunMatrix"
-        );
+        self.assert_probed(matrix);
         matrix
             .canonical_order()
             .into_iter()
             .filter(|&slot| self.results[slot].is_none())
             .collect()
-    }
-
-    /// The matrix id this load was probed against (same-matrix assertions).
-    pub(crate) fn matrix_id(&self) -> u64 {
-        self.matrix_id
     }
 
     /// Consumes the load into its per-slot results (plan order).
@@ -831,12 +836,17 @@ impl PartialLoad {
     ///
     /// Panics if the load was probed against a different matrix.
     pub(crate) fn into_results(self, matrix: &RunMatrix) -> Vec<Option<RunResult>> {
+        self.assert_probed(matrix);
+        self.results
+    }
+
+    /// Panics unless this load was probed against `matrix`.
+    fn assert_probed(&self, matrix: &RunMatrix) {
         assert_eq!(
             self.matrix_id,
             matrix.local_id(),
             "PartialLoad was probed against a different RunMatrix"
         );
-        self.results
     }
 }
 
@@ -858,37 +868,26 @@ impl PartialLoad {
 /// Propagates filesystem errors creating `dir` or writing outcome files.
 pub fn seed_outcomes(matrix: &RunMatrix, partial: &PartialLoad, dir: &Path) -> io::Result<usize> {
     let all: Vec<usize> = (0..matrix.len()).collect();
-    seed_outcome_slots(matrix, partial, dir, &all)
+    seed_outcome_slots(&PlanIndex::new(matrix), partial, dir, &all)
 }
 
 /// [`seed_outcomes`] restricted to the given plan-order `slots` — how a
 /// `K/N` shard seeds only the slice it owns, so the per-shard directories
 /// stay disjoint and the strict merge's duplicate check keeps its teeth.
 pub(crate) fn seed_outcome_slots(
-    matrix: &RunMatrix,
+    index: &PlanIndex,
     partial: &PartialLoad,
     dir: &Path,
     slots: &[usize],
 ) -> io::Result<usize> {
-    assert_eq!(
-        partial.matrix_id(),
-        matrix.local_id(),
-        "PartialLoad was probed against a different RunMatrix"
-    );
+    partial.assert_probed(index.matrix);
     fs::create_dir_all(dir)?;
-    let fingerprint = matrix.fingerprint();
     let mut written = 0usize;
     for &slot in slots {
-        let Some(result) = partial.hit(slot) else {
-            continue;
-        };
-        let key = &matrix.keys()[slot];
-        let path = dir.join(outcome_file_name(matrix.key_ids()[slot]));
-        if outcome_is_valid(&path, fingerprint, key) {
-            continue;
+        if let Some(result) = partial.hit(slot).filter(|_| !index.is_done(dir, slot)) {
+            write_outcome(dir, index.fingerprint, &index.matrix.keys()[slot], result)?;
+            written += 1;
         }
-        write_outcome(dir, fingerprint, key, result)?;
-        written += 1;
     }
     Ok(written)
 }
