@@ -562,7 +562,8 @@ pub fn table_storage_artifact(result: &StorageTableResult) -> Artifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shift_sim::experiments;
+    use shift_sim::experiments::{self, ConsolidationPlan, HybridShootoutPlan};
+    use shift_sim::RunMatrix;
     use shift_trace::{presets, Scale};
 
     #[test]
@@ -601,13 +602,16 @@ mod tests {
             presets::tiny().with_region_index(0),
             presets::tiny().with_region_index(1),
         ];
-        let result = experiments::consolidation(
+        let mut matrix = RunMatrix::new();
+        let plan = ConsolidationPlan::plan(
+            &mut matrix,
             &workloads,
-            &[shift_sim::PrefetcherConfig::shift_virtualized()],
+            &[PrefetcherConfig::shift_virtualized()],
             4,
             Scale::Test,
             23,
         );
+        let result = plan.collect(&matrix.execute());
         let artifact = fig10_artifact(&result);
         assert_eq!(artifact.references().len(), 1);
         let json = artifact.to_json();
@@ -617,7 +621,10 @@ mod tests {
 
     #[test]
     fn hybrid_lab_artifact_carries_at_least_three_hybrid_references() {
-        let result = experiments::hybrid_shootout(&[presets::tiny()], 4, Scale::Test, 0x60_1DEA);
+        let mut matrix = RunMatrix::new();
+        let plan =
+            HybridShootoutPlan::plan(&mut matrix, &[presets::tiny()], 4, Scale::Test, 0x60_1DEA);
+        let result = plan.collect(&matrix.execute());
         let artifact = hybrid_lab_artifact(&result);
         assert_eq!(artifact.name(), "hybrid_lab");
         // The scoreboard renders one row per reference: the hybrid lab must
@@ -634,6 +641,11 @@ mod tests {
             artifact.table().rows().len(),
             result.rows.len() + result.degradation.len()
         );
+        let text = artifact.to_markdown();
+        for row in &result.rows {
+            assert!(text.contains(&row.label), "missing {}", row.label);
+        }
+        assert!(text.contains("SHIFT@bw1"));
         for reference in artifact.references() {
             assert_eq!(
                 reference.verdict(),

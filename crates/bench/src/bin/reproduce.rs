@@ -181,25 +181,24 @@ fn parse_args() -> Result<Mode, String> {
 }
 
 fn main() -> ExitCode {
-    let mode = match parse_args() {
-        Ok(Mode::Help) => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Ok(parsed) => parsed,
+    match parse_args().and_then(reproduce) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("{message}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
-    let settings = match ReproduceSettings::from_env() {
-        Ok(settings) => settings,
-        Err(e) => {
-            eprintln!("invalid sweep settings: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Runs `mode`; every operator error (bad settings, unreadable outcome
+/// directories, unwritable files) comes back as the message to print.
+fn reproduce(mode: Mode) -> Result<(), String> {
+    if let Mode::Help = mode {
+        print!("{USAGE}");
+        return Ok(());
+    }
+    let settings =
+        ReproduceSettings::from_env().map_err(|e| format!("invalid sweep settings: {e}"))?;
     let names: Vec<&str> = settings.workloads.iter().map(|w| w.name.as_str()).collect();
     println!("=== SHIFT reproduction harness: reproduce (all figures and tables) ===");
     println!(
@@ -230,10 +229,7 @@ fn main() -> ExitCode {
         decision_log,
     } = match mode {
         Mode::Help => unreachable!("handled before planning"),
-        Mode::Merge(dirs) => {
-            merge_and_report(plan, dirs);
-            return ExitCode::SUCCESS;
-        }
+        Mode::Merge(dirs) => return merge_and_report(plan, dirs),
         Mode::Execute(run) => run,
     };
 
@@ -243,7 +239,7 @@ fn main() -> ExitCode {
     if !reuse.is_empty() {
         let partial = RunStore::new(reuse)
             .load_partial(plan.matrix())
-            .unwrap_or_else(|e| panic!("probing --reuse directories failed: {e}"));
+            .map_err(|e| format!("probing --reuse directories failed: {e}"))?;
         println!(
             "reuse: {} of {} planned runs answered by cached outcomes ({} scanned, \
              {} foreign keys skipped, {} malformed files ignored)",
@@ -290,11 +286,14 @@ fn main() -> ExitCode {
         execution = execution.dir(dir);
     }
 
-    let log = decision_log.as_ref().map(|path| {
-        let file = File::create(path)
-            .unwrap_or_else(|e| panic!("cannot open --decision-log {}: {e}", path.display()));
-        Mutex::new(BufWriter::new(file))
-    });
+    let log = match &decision_log {
+        Some(path) => {
+            let file = File::create(path)
+                .map_err(|e| format!("cannot open --decision-log {}: {e}", path.display()))?;
+            Some(Mutex::new(BufWriter::new(file)))
+        }
+        None => None,
+    };
     let start = Instant::now();
     let observer = |event: RunEvent| {
         let Some(log) = &log else { return };
@@ -324,7 +323,7 @@ fn main() -> ExitCode {
         .policy(policy)
         .observer(&observer)
         .run()
-        .unwrap_or_else(|e| panic!("{worker} failed: {e}"));
+        .map_err(|e| format!("{worker} failed: {e}"))?;
     let report = output.report();
     if let Some(log) = &log {
         let mut log = log.lock().expect("decision log poisoned");
@@ -354,19 +353,21 @@ fn main() -> ExitCode {
     );
     match output.outcomes() {
         Some(outcomes) => write_report(&plan.collect(outcomes)),
-        None => println!(
-            "merge with: reproduce --merge {}{}",
-            dir.as_ref()
-                .expect("only directory modes withhold outcomes")
-                .display(),
-            if shard.is_some() {
-                " <other shard dirs...>"
-            } else {
-                ""
-            },
-        ),
+        None => {
+            println!(
+                "merge with: reproduce --merge {}{}",
+                dir.as_ref()
+                    .expect("only directory modes withhold outcomes")
+                    .display(),
+                if shard.is_some() {
+                    " <other shard dirs...>"
+                } else {
+                    ""
+                },
+            );
+            Ok(())
+        }
     }
-    ExitCode::SUCCESS
 }
 
 /// This process's queue worker, id `pid<pid>-w0`, with the knobs
@@ -405,26 +406,25 @@ fn env_number(name: &str, min: u64) -> Option<u64> {
 
 /// Merges the planned matrix's outcomes from `dirs` and writes every
 /// artifact plus the scoreboard.
-fn merge_and_report(plan: PaperPlan, dirs: Vec<PathBuf>) {
+fn merge_and_report(plan: PaperPlan, dirs: Vec<PathBuf>) -> Result<(), String> {
     let outcomes = RunStore::new(dirs.iter().cloned())
         .load(plan.matrix())
-        .unwrap_or_else(|e| panic!("merge failed: {e}"));
+        .map_err(|e| format!("merge failed: {e}"))?;
     println!(
         "merged {} run outcomes from {} director{}",
         outcomes.len(),
         dirs.len(),
         if dirs.len() == 1 { "y" } else { "ies" }
     );
-    let report = plan.collect(&outcomes);
-    write_report(&report);
+    write_report(&plan.collect(&outcomes))
 }
 
 /// Writes every artifact of `report` plus the scoreboard.
-fn write_report(report: &PaperReport) {
+fn write_report(report: &PaperReport) -> Result<(), String> {
     let dir = artifacts_dir();
     let paths = report
         .write_to(&dir)
-        .unwrap_or_else(|e| panic!("failed to write artifacts under {}: {e}", dir.display()));
+        .map_err(|e| format!("failed to write artifacts under {}: {e}", dir.display()))?;
     println!(
         "wrote {} artifact files ({} figures/tables x json+csv+md) under {}",
         paths.len(),
@@ -436,4 +436,5 @@ fn write_report(report: &PaperReport) {
     }
     println!();
     println!("{}", report.scoreboard());
+    Ok(())
 }

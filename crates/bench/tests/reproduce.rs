@@ -6,6 +6,8 @@ use std::fs;
 use std::process::Command;
 
 use shift_bench::reproduce::{PaperPlan, PlanError, ReproduceSettings};
+use shift_bench::HARNESS_SEED;
+use shift_sim::RunStore;
 use shift_trace::{presets, Scale};
 
 const ARTIFACT_NAMES: [&str; 13] = [
@@ -145,20 +147,68 @@ fn reproduce_binary_rejects_a_policy_for_a_merge() {
 }
 
 #[test]
+fn reproduce_binary_reports_store_errors_without_panicking() {
+    // Merging an empty directory and reusing a missing one are operator
+    // errors: the binary must print the store's error and exit 1, not panic.
+    let root = std::env::temp_dir().join("shift-bench-reproduce-store-errors");
+    let _ = fs::remove_dir_all(&root);
+    let empty = root.join("empty");
+    let missing = root.join("missing");
+    fs::create_dir_all(&empty).expect("create the empty merge directory");
+
+    // The plan the binary makes from the settings below.
+    let web = presets::paper_suite()
+        .into_iter()
+        .filter(|w| w.name.to_lowercase().contains("web"))
+        .collect();
+    let plan = PaperPlan::plan(ReproduceSettings::new(2, Scale::Test, HARNESS_SEED, web));
+    let merge_error = RunStore::new([&empty]).load(plan.matrix()).unwrap_err();
+    let reuse_error = RunStore::new([&missing])
+        .load_partial(plan.matrix())
+        .unwrap_err();
+
+    for (flag, dir, error) in [
+        ("--merge", &empty, merge_error),
+        ("--reuse", &missing, reuse_error),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .arg(flag)
+            .arg(dir)
+            .env("SHIFT_SCALE", "test")
+            .env("SHIFT_CORES", "2")
+            .env("SHIFT_WORKLOADS", "web")
+            .output()
+            .expect("run the reproduce binary");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag} stderr:\n{stderr}");
+        assert!(
+            stderr.contains(&error.to_string()),
+            "{flag} stderr:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag} stderr:\n{stderr}");
+    }
+    fs::remove_dir_all(&root).expect("cleanup");
+}
+
+#[test]
 fn reproduce_binary_warns_once_about_an_invalid_thread_count() {
     // The banner and the execution both ask for the default thread count;
-    // the bad value is reported once, not once per question.
+    // a bad value is reported once, not once per question, and a valid one
+    // sizes the pool.
     let dir = std::env::temp_dir().join("shift-bench-reproduce-threads");
     let _ = fs::remove_dir_all(&dir);
-    let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .args(["--shard", "1/64", "--outcomes"])
-        .arg(&dir)
-        .env("SHIFT_THREADS", "banana")
-        .env("SHIFT_SCALE", "test")
-        .env("SHIFT_CORES", "2")
-        .env("SHIFT_WORKLOADS", "web")
-        .output()
-        .expect("run the reproduce binary");
+    let run = |threads: &str| {
+        Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(["--shard", "1/64", "--outcomes"])
+            .arg(&dir)
+            .env("SHIFT_THREADS", threads)
+            .env("SHIFT_SCALE", "test")
+            .env("SHIFT_CORES", "2")
+            .env("SHIFT_WORKLOADS", "web")
+            .output()
+            .expect("run the reproduce binary")
+    };
+    let output = run("banana");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(output.status.success(), "stderr:\n{stderr}");
     assert_eq!(
@@ -166,5 +216,10 @@ fn reproduce_binary_warns_once_about_an_invalid_thread_count() {
         1,
         "stderr:\n{stderr}"
     );
+
+    let output = run("3");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "stdout:\n{stdout}");
+    assert!(stdout.contains("sweep threads: 3"), "stdout:\n{stdout}");
     fs::remove_dir_all(&dir).expect("cleanup");
 }

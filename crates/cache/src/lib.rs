@@ -28,13 +28,8 @@
 //! assert!(l1i.access(block).is_hit());
 //! ```
 
-// Unsafe is denied crate-wide rather than forbidden: the one exception is
-// the runtime-detected `std::arch` tag-scan module in `set_assoc`, whose
-// intrinsic calls are `unsafe` by signature and pinned to the scalar scan by
-// differential tests.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 pub mod config;
 pub mod llc;

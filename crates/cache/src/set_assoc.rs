@@ -7,9 +7,7 @@
 //! per-set pinned-way bitmask — a struct-of-arrays layout in which the tag
 //! scan of a lookup touches only the 8-byte tag lane instead of striding over
 //! full line structs. The scan itself is a branch-light fixed-width loop that
-//! builds a hit bitmask (one bit per way) the compiler can autovectorize; an
-//! explicit portable-SIMD variant sits behind the default-off `simd` feature
-//! (nightly toolchains only — stable builds use the pure-scalar loop).
+//! builds a hit bitmask (one bit per way) the compiler can autovectorize.
 //!
 //! Within a set, live lines occupy ways `0..len` in the order the previous
 //! `Vec`-per-set representation kept them (fills append, evictions
@@ -70,11 +68,10 @@ fn hit_mask_fixed<const W: usize>(tags: &[u64], target: u64) -> u64 {
     mask
 }
 
-/// Scalar hit-mask scan, specialized for the associativities the simulator
-/// actually configures (2-way L1s, 16-way LLC banks, 4/8-way studies).
-#[cfg(not(feature = "simd"))]
+/// Hit-mask scan, specialized for the associativities the simulator actually
+/// configures (2-way L1s, 16-way LLC banks, 4/8-way studies).
 #[inline(always)]
-fn hit_mask_scalar(tags: &[u64], target: u64) -> u64 {
+fn hit_mask(tags: &[u64], target: u64) -> u64 {
     match tags.len() {
         2 => hit_mask_fixed::<2>(tags, target),
         4 => hit_mask_fixed::<4>(tags, target),
@@ -88,260 +85,6 @@ fn hit_mask_scalar(tags: &[u64], target: u64) -> u64 {
             mask
         }
     }
-}
-
-/// Hit-mask scan on stable toolchains: the scalar loop by default, or — when
-/// `SHIFT_TAG_SCAN` selects one and the CPU supports it — a runtime-detected
-/// `std::arch` SSE2/AVX2 compare from [`arch_scan`]. The scalar path stays
-/// the default so committed perf numbers never silently depend on the host's
-/// vector units; all paths produce bit-identical masks (locked by the
-/// in-module differential tests and the cache property tests).
-#[cfg(not(feature = "simd"))]
-#[inline(always)]
-fn hit_mask(tags: &[u64], target: u64) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(mask) = arch_scan::hit_mask(tags, target) {
-        return mask;
-    }
-    hit_mask_scalar(tags, target)
-}
-
-/// Runtime-selected `std::arch` tag scans for x86_64 on *stable* toolchains,
-/// complementing the nightly-only `portable_simd` feature (which, being
-/// default-off, no committed measurement ever exercises).
-///
-/// Selection is driven by the `SHIFT_TAG_SCAN` environment variable, read
-/// once per process on first scan:
-///
-/// * unset / `scalar` (or anything unrecognized) — scalar loop (the default);
-/// * `auto` — AVX2 when the CPU has it, else SSE2;
-/// * `avx2` — AVX2 if detected, scalar otherwise;
-/// * `sse2` — SSE2 (always available: it is part of the x86_64 baseline).
-#[cfg(all(target_arch = "x86_64", not(feature = "simd")))]
-mod arch_scan {
-    // The only unsafe code in the crate: `std::arch` intrinsic calls, each
-    // behind the corresponding runtime/baseline feature guarantee.
-    #![allow(unsafe_code)]
-
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    const UNDECIDED: u8 = 0;
-    const SCALAR: u8 = 1;
-    const SSE2: u8 = 2;
-    const AVX2: u8 = 3;
-
-    /// Process-wide selected implementation; decided once, then a relaxed
-    /// load per scan.
-    static SELECTED: AtomicU8 = AtomicU8::new(UNDECIDED);
-
-    fn decide_from(choice: &str, avx2_available: bool) -> u8 {
-        match choice {
-            "auto" => {
-                if avx2_available {
-                    AVX2
-                } else {
-                    SSE2
-                }
-            }
-            "avx2" => {
-                if avx2_available {
-                    AVX2
-                } else {
-                    SCALAR
-                }
-            }
-            "sse2" => SSE2,
-            _ => SCALAR,
-        }
-    }
-
-    #[inline]
-    fn selected() -> u8 {
-        match SELECTED.load(Ordering::Relaxed) {
-            UNDECIDED => {
-                let choice = std::env::var("SHIFT_TAG_SCAN").unwrap_or_default();
-                let s = decide_from(&choice, std::arch::is_x86_feature_detected!("avx2"));
-                SELECTED.store(s, Ordering::Relaxed);
-                s
-            }
-            s => s,
-        }
-    }
-
-    /// The selected arch scan, or `None` when the scalar loop should run.
-    #[inline]
-    pub(super) fn hit_mask(tags: &[u64], target: u64) -> Option<u64> {
-        match selected() {
-            // SAFETY: AVX2 was detected at runtime before being selected.
-            AVX2 => Some(unsafe { hit_mask_avx2(tags, target) }),
-            SSE2 => Some(hit_mask_sse2(tags, target)),
-            _ => None,
-        }
-    }
-
-    /// SSE2 scan: two 64-bit tags per 128-bit compare. SSE2 has no 64-bit
-    /// integer compare, so equality is two 32-bit lane compares ANDed with
-    /// their half-swapped selves, extracted through the 64-bit sign mask.
-    fn hit_mask_sse2(tags: &[u64], target: u64) -> u64 {
-        use std::arch::x86_64::{
-            __m128i, _mm_and_si128, _mm_castsi128_pd, _mm_cmpeq_epi32, _mm_loadu_si128,
-            _mm_movemask_pd, _mm_set1_epi64x, _mm_shuffle_epi32,
-        };
-        let mut mask = 0u64;
-        let mut shift = 0u32;
-        let mut chunks = tags.chunks_exact(2);
-        // SAFETY: SSE2 is part of the x86_64 baseline (always available), and
-        // `_mm_loadu_si128` performs an unaligned load of exactly 16 bytes,
-        // which every 2-element chunk of a `&[u64]` provides.
-        unsafe {
-            let splat = _mm_set1_epi64x(target as i64);
-            for chunk in &mut chunks {
-                let row = _mm_loadu_si128(chunk.as_ptr() as *const __m128i);
-                let eq32 = _mm_cmpeq_epi32(row, splat);
-                let eq64 = _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, 0b1011_0001));
-                mask |= (_mm_movemask_pd(_mm_castsi128_pd(eq64)) as u64) << shift;
-                shift += 2;
-            }
-        }
-        for (w, &t) in chunks.remainder().iter().enumerate() {
-            mask |= u64::from(t == target) << (shift as usize + w);
-        }
-        mask
-    }
-
-    /// AVX2 scan: four 64-bit tags per 256-bit compare, extracted through
-    /// the 64-bit sign mask.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (callers check via runtime detection).
-    #[target_feature(enable = "avx2")]
-    unsafe fn hit_mask_avx2(tags: &[u64], target: u64) -> u64 {
-        use std::arch::x86_64::{
-            __m256i, _mm256_castsi256_pd, _mm256_cmpeq_epi64, _mm256_loadu_si256,
-            _mm256_movemask_pd, _mm256_set1_epi64x,
-        };
-        let mut mask = 0u64;
-        let mut shift = 0u32;
-        let mut chunks = tags.chunks_exact(4);
-        let splat = _mm256_set1_epi64x(target as i64);
-        for chunk in &mut chunks {
-            let row = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
-            let eq = _mm256_cmpeq_epi64(row, splat);
-            mask |= (_mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u64) << shift;
-            shift += 4;
-        }
-        for (w, &t) in chunks.remainder().iter().enumerate() {
-            mask |= u64::from(t == target) << (shift as usize + w);
-        }
-        mask
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        /// Deterministic pseudo-random tag patterns, heavy on duplicates so
-        /// multi-bit masks actually occur.
-        fn pattern(seed: u64, len: usize) -> Vec<u64> {
-            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            (0..len)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    state % 7 // few distinct values => frequent duplicates
-                })
-                .collect()
-        }
-
-        #[test]
-        fn arch_scans_match_scalar_for_all_widths() {
-            for len in 0..=24 {
-                for seed in 1..=32u64 {
-                    let tags = pattern(seed, len);
-                    for target in 0..7u64 {
-                        let scalar = super::super::hit_mask_scalar(&tags, target);
-                        assert_eq!(
-                            hit_mask_sse2(&tags, target),
-                            scalar,
-                            "sse2 mismatch len={len} seed={seed} target={target}"
-                        );
-                        if std::arch::is_x86_feature_detected!("avx2") {
-                            // SAFETY: guarded by the runtime detection above.
-                            let avx2 = unsafe { hit_mask_avx2(&tags, target) };
-                            assert_eq!(
-                                avx2, scalar,
-                                "avx2 mismatch len={len} seed={seed} target={target}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        #[test]
-        fn extreme_tag_values_survive_the_lane_split() {
-            // Values whose 32-bit halves collide across different u64s are
-            // exactly what the SSE2 half-compare trick must not confuse.
-            let tags = vec![
-                u64::MAX,
-                u64::MAX - 1,
-                0,
-                1,
-                0xFFFF_FFFF_0000_0000,
-                0x0000_0000_FFFF_FFFF,
-                0x8000_0000_0000_0000,
-                0xFFFF_FFFF_FFFF_FFFF,
-            ];
-            for &target in &tags {
-                let scalar = super::super::hit_mask_scalar(&tags, target);
-                assert_eq!(hit_mask_sse2(&tags, target), scalar, "target {target:#x}");
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: guarded by the runtime detection above.
-                    assert_eq!(unsafe { hit_mask_avx2(&tags, target) }, scalar);
-                }
-            }
-        }
-
-        #[test]
-        fn selection_policy_prefers_detected_features() {
-            assert_eq!(decide_from("", true), SCALAR);
-            assert_eq!(decide_from("scalar", true), SCALAR);
-            assert_eq!(decide_from("bogus", true), SCALAR);
-            assert_eq!(decide_from("auto", true), AVX2);
-            assert_eq!(decide_from("auto", false), SSE2);
-            assert_eq!(decide_from("avx2", true), AVX2);
-            assert_eq!(decide_from("avx2", false), SCALAR);
-            assert_eq!(decide_from("sse2", true), SSE2);
-            assert_eq!(decide_from("sse2", false), SSE2);
-        }
-    }
-}
-
-/// Portable-SIMD hit-mask scan: compare 8 ways per vector op against the
-/// splatted target and merge the lane masks. Requires a nightly toolchain
-/// (`core::simd`); enabled by the `simd` feature, which is default-off so
-/// stable builds stay pure-scalar.
-#[cfg(feature = "simd")]
-#[inline(always)]
-fn hit_mask(tags: &[u64], target: u64) -> u64 {
-    use std::simd::cmp::SimdPartialEq;
-    use std::simd::Simd;
-
-    let splat: Simd<u64, 8> = Simd::splat(target);
-    let mut mask = 0u64;
-    let mut shift = 0u32;
-    let mut chunks = tags.chunks_exact(8);
-    for chunk in &mut chunks {
-        let row = Simd::<u64, 8>::from_slice(chunk);
-        mask |= row.simd_eq(splat).to_bitmask() << shift;
-        shift += 8;
-    }
-    for (w, &t) in chunks.remainder().iter().enumerate() {
-        mask |= u64::from(t == target) << (shift as usize + w);
-    }
-    mask
 }
 
 /// A set-associative cache parameterized by per-line metadata `M`.

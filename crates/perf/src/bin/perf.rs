@@ -11,15 +11,12 @@
 use shift_perf::{artifact_dir, run_suite, to_artifact, SuiteMode};
 
 fn main() {
-    let mode = SuiteMode::from_env_and_args();
-    println!(
-        "shift-perf: running the {} suite",
-        if mode == SuiteMode::Quick {
-            "quick"
-        } else {
-            "full"
-        }
-    );
+    let (mode, name) = if std::env::args().any(|a| a == "--quick") {
+        (SuiteMode::Quick, "quick")
+    } else {
+        (SuiteMode::Full, "full")
+    };
+    println!("shift-perf: running the {name} suite");
     let doc = run_suite(mode);
 
     println!();

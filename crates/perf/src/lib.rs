@@ -23,8 +23,8 @@
 //! `target/artifacts/BENCH.{json,csv,md}` through [`shift_report::Artifact`]
 //! (`SHIFT_ARTIFACTS` overrides the directory), so the numbers are
 //! machine-diffable across PRs — CI uploads them from every build (quick
-//! mode: `--quick` or `SHIFT_PERF_QUICK=1`). See `docs/PERFORMANCE.md` for
-//! how to read the trajectory.
+//! mode: `--quick`). See `docs/PERFORMANCE.md` for how to read the
+//! trajectory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,18 +57,6 @@ pub enum SuiteMode {
 }
 
 impl SuiteMode {
-    /// Reads the mode from the process arguments (`--quick`) and the
-    /// `SHIFT_PERF_QUICK` environment variable (any non-empty value but `0`).
-    pub fn from_env_and_args() -> Self {
-        let arg_quick = std::env::args().any(|a| a == "--quick");
-        let env_quick = std::env::var("SHIFT_PERF_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
-        if arg_quick || env_quick {
-            SuiteMode::Quick
-        } else {
-            SuiteMode::Full
-        }
-    }
-
     fn is_quick(self) -> bool {
         self == SuiteMode::Quick
     }
@@ -206,7 +194,7 @@ fn bench_bank_scan(c: &mut Criterion, mode: SuiteMode) {
 
     // One LLC bank's worth of sets at the paper's 16-way associativity, fully
     // resident, so every access scans a full 16-tag set — the packed-array
-    // scan the SoA layout (and the optional `simd` feature) accelerates.
+    // scan the SoA layout accelerates.
     const SETS: u64 = 512;
     const WAYS: u64 = 16;
     let mut bank: SetAssocCache<()> = SetAssocCache::new(CacheConfig::new(
@@ -533,18 +521,5 @@ mod tests {
         assert!(json.contains("\"components\""));
         let md = artifact.to_markdown();
         assert!(md.contains("ns_per_op"));
-    }
-
-    #[test]
-    fn mode_detection_follows_env_variable() {
-        // The test binary is never invoked with `--quick`, so the env
-        // variable alone decides. No other test in this binary reads it.
-        std::env::remove_var("SHIFT_PERF_QUICK");
-        assert_eq!(SuiteMode::from_env_and_args(), SuiteMode::Full);
-        std::env::set_var("SHIFT_PERF_QUICK", "0");
-        assert_eq!(SuiteMode::from_env_and_args(), SuiteMode::Full);
-        std::env::set_var("SHIFT_PERF_QUICK", "1");
-        assert_eq!(SuiteMode::from_env_and_args(), SuiteMode::Quick);
-        std::env::remove_var("SHIFT_PERF_QUICK");
     }
 }

@@ -7,7 +7,6 @@
 //! more than 90 % of all instruction cache accesses fall within common
 //! temporal streams.
 
-use std::fmt;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -17,7 +16,6 @@ use shift_trace::workload::WorkloadProgram;
 use shift_trace::{CoreTraceGenerator, Scale, WorkloadSpec};
 use shift_types::{BlockAddr, CoreId};
 
-use crate::experiments::pct;
 use crate::matrix::parallel_map;
 
 /// Per-workload commonality result.
@@ -45,19 +43,6 @@ impl CommonalityResult {
         } else {
             self.rows.iter().map(|r| r.common_fraction).sum::<f64>() / self.rows.len() as f64
         }
-    }
-}
-
-impl fmt::Display for CommonalityResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Figure 3: instruction cache accesses within common temporal streams"
-        )?;
-        for row in &self.rows {
-            writeln!(f, "{:<18}{:>8}", row.workload, pct(row.common_fraction))?;
-        }
-        writeln!(f, "{:<18}{:>8}", "Average", pct(self.mean()))
     }
 }
 
@@ -157,7 +142,6 @@ mod tests {
             "cores running the same workload should share most streams (got {frac})"
         );
         assert!(frac <= 1.0);
-        assert!(!result.to_string().is_empty());
         assert!(result.mean() > 0.0);
     }
 }

@@ -9,8 +9,6 @@
 //! `(prefetcher label, speedup over the consolidated no-prefetch baseline)`
 //! pairs in configuration order.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 use shift_trace::{ConsolidationSpec, Scale, WorkloadSpec};
 
@@ -38,36 +36,6 @@ impl ConsolidationResult {
     }
 }
 
-impl fmt::Display for ConsolidationResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Figure 10: speedup under workload consolidation")?;
-        writeln!(f, "mix: {}", self.workloads.join(" + "))?;
-        for (label, speedup) in &self.speedups {
-            writeln!(f, "{label:<18}{speedup:>8.3}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Runs the Figure 10 experiment: `workloads` are consolidated evenly onto
-/// `cores` cores and each configuration's throughput is compared to the
-/// no-prefetch baseline.
-///
-/// The baseline and every configuration are declared as one [`RunMatrix`]
-/// (duplicate configurations collapse onto a single run, including a `None`
-/// entry onto the baseline) and executed in parallel.
-pub fn consolidation(
-    workloads: &[WorkloadSpec],
-    prefetchers: &[PrefetcherConfig],
-    cores: u16,
-    scale: Scale,
-    seed: u64,
-) -> ConsolidationResult {
-    let mut matrix = RunMatrix::new();
-    let plan = ConsolidationPlan::plan(&mut matrix, workloads, prefetchers, cores, scale, seed);
-    plan.collect(&matrix.execute())
-}
-
 /// The planned Figure 10 sweep: the consolidated-mix baseline plus one
 /// consolidated run per prefetcher configuration.
 #[derive(Clone, Debug)]
@@ -79,9 +47,11 @@ pub struct ConsolidationPlan {
 }
 
 impl ConsolidationPlan {
-    /// Plans the consolidated runs into `matrix` (duplicate configurations
-    /// collapse onto a single run, including a `None` entry onto the
-    /// baseline).
+    /// Plans the consolidated runs into `matrix`: `workloads` are
+    /// consolidated evenly onto `cores` cores, and each configuration's
+    /// throughput is compared to the no-prefetch baseline. Duplicate
+    /// configurations collapse onto a single run, including a `None` entry
+    /// onto the baseline.
     pub fn plan(
         matrix: &mut RunMatrix,
         workloads: &[WorkloadSpec],
@@ -144,7 +114,9 @@ mod tests {
             presets::tiny().with_region_index(0),
             presets::tiny().with_region_index(1),
         ];
-        let result = consolidation(
+        let mut matrix = RunMatrix::new();
+        let plan = ConsolidationPlan::plan(
+            &mut matrix,
             &workloads,
             &[
                 PrefetcherConfig::next_line(),
@@ -154,6 +126,7 @@ mod tests {
             Scale::Test,
             23,
         );
+        let result = plan.collect(&matrix.execute());
         let shift = result.speedup_of("SHIFT").unwrap();
         let nl = result.speedup_of("NextLine").unwrap();
         assert!(shift > 1.0, "SHIFT must speed up the consolidated mix");
@@ -162,6 +135,5 @@ mod tests {
             "SHIFT should be at least on par with next-line"
         );
         assert_eq!(result.workloads.len(), 2);
-        assert!(!result.to_string().is_empty());
     }
 }

@@ -8,8 +8,6 @@
 //! Coverage fractions are normalized against each run's baseline miss count
 //! (covered + uncovered), as in the figure.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 use shift_trace::{Scale, WorkloadSpec};
 
@@ -33,7 +31,7 @@ pub struct CoverageRow {
     /// Workload name.
     pub workload: String,
     /// One cell per prefetcher configuration, in the order given to
-    /// [`coverage_breakdown`].
+    /// [`CoverageBreakdownPlan::plan`].
     pub cells: Vec<CoverageCell>,
 }
 
@@ -79,66 +77,6 @@ impl CoverageBreakdownResult {
     }
 }
 
-impl fmt::Display for CoverageBreakdownResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Figure 7: L1-I misses covered / uncovered / overpredicted (% of baseline misses)"
-        )?;
-        for row in &self.rows {
-            writeln!(f, "{}:", row.workload)?;
-            for cell in &row.cells {
-                writeln!(
-                    f,
-                    "  {:<14} covered {:>5.1}%  uncovered {:>5.1}%  overpredicted {:>5.1}%",
-                    cell.prefetcher,
-                    cell.coverage.coverage() * 100.0,
-                    (1.0 - cell.coverage.coverage()) * 100.0,
-                    cell.coverage.overprediction() * 100.0
-                )?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Runs the Figure 7 experiment with the paper's three configurations
-/// (PIF_2K, PIF_32K, SHIFT).
-pub fn coverage_breakdown(
-    workloads: &[WorkloadSpec],
-    cores: u16,
-    scale: Scale,
-    seed: u64,
-) -> CoverageBreakdownResult {
-    coverage_breakdown_with(
-        workloads,
-        &[
-            PrefetcherConfig::pif_2k(),
-            PrefetcherConfig::pif_32k(),
-            PrefetcherConfig::shift_virtualized(),
-        ],
-        cores,
-        scale,
-        seed,
-    )
-}
-
-/// Runs the Figure 7 experiment with an arbitrary prefetcher list.
-///
-/// The (workload × prefetcher) grid is declared as one [`RunMatrix`] and
-/// executed in parallel; duplicate grid cells collapse to a single run.
-pub fn coverage_breakdown_with(
-    workloads: &[WorkloadSpec],
-    prefetchers: &[PrefetcherConfig],
-    cores: u16,
-    scale: Scale,
-    seed: u64,
-) -> CoverageBreakdownResult {
-    let mut matrix = RunMatrix::new();
-    let plan = CoverageBreakdownPlan::plan(&mut matrix, workloads, prefetchers, cores, scale, seed);
-    plan.collect(&matrix.execute())
-}
-
 /// The planned Figure 7 grid: one run per (workload, prefetcher) cell.
 #[derive(Clone, Debug)]
 pub struct CoverageBreakdownPlan {
@@ -148,8 +86,9 @@ pub struct CoverageBreakdownPlan {
 }
 
 impl CoverageBreakdownPlan {
-    /// Plans the (workload × prefetcher) grid into `matrix`; duplicate cells
-    /// (and cells shared with other figures) collapse to a single run.
+    /// Plans the (workload × prefetcher) grid into `matrix`; the paper's
+    /// Figure 7 uses PIF_2K, PIF_32K and SHIFT. Duplicate cells (and cells
+    /// shared with other figures) collapse to a single run.
     pub fn plan(
         matrix: &mut RunMatrix,
         workloads: &[WorkloadSpec],
@@ -206,7 +145,9 @@ mod tests {
     fn shift_and_pif32k_beat_pif2k_on_tiny_workload() {
         // The tiny workload's footprint is small, so use proportionally tiny
         // history budgets to exercise the capacity effect quickly.
-        let result = coverage_breakdown_with(
+        let mut matrix = RunMatrix::new();
+        let plan = CoverageBreakdownPlan::plan(
+            &mut matrix,
             &[presets::tiny()],
             &[
                 PrefetcherConfig::Pif(shift_core::PifConfig::with_history_records(64)),
@@ -217,6 +158,7 @@ mod tests {
             Scale::Test,
             9,
         );
+        let result = plan.collect(&matrix.execute());
         let cells = &result.rows[0].cells;
         let pif_small = cells[0].coverage.coverage();
         let pif_large = cells[1].coverage.coverage();
@@ -231,6 +173,5 @@ mod tests {
         );
         assert!(result.average_coverage("PIF_32K") > 0.0);
         assert!(result.average_overprediction("SHIFT") < 1.0);
-        assert!(!result.to_string().is_empty());
     }
 }

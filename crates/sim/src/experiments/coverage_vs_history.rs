@@ -6,8 +6,6 @@
 //! for SHIFT it is the size of the single shared history. Predictions are
 //! tracked without prefetching into (or perturbing) the instruction cache.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 use shift_core::{PifConfig, ShiftMode};
 use shift_trace::{Scale, WorkloadSpec};
@@ -34,49 +32,6 @@ pub struct HistorySweepResult {
     pub points: Vec<HistorySweepPoint>,
 }
 
-impl fmt::Display for HistorySweepResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Figure 6: L1-I miss coverage vs. aggregate history size")?;
-        writeln!(f, "{:>12}{:>10}{:>10}", "agg. size", "SHIFT", "PIF")?;
-        for p in &self.points {
-            let label = match p.aggregate_records {
-                Some(n) if n % 1024 == 0 => format!("{}K", n / 1024),
-                Some(n) => n.to_string(),
-                None => "inf".to_owned(),
-            };
-            writeln!(
-                f,
-                "{:>12}{:>9.1}%{:>9.1}%",
-                label,
-                p.shift_coverage * 100.0,
-                p.pif_coverage * 100.0
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Runs the Figure 6 sweep. `aggregate_sizes` entries of `None` model an
-/// unbounded ("inf") history. Coverage is averaged (miss-weighted) across the
-/// given workloads.
-///
-/// The whole (size × workload × {SHIFT, PIF}) grid is declared as one
-/// [`RunMatrix`] and executed in parallel. Deduplication helps twice here:
-/// `None` aliases the largest bounded size if both are requested, and small
-/// aggregate sizes whose per-core PIF history clamps to the same floor share
-/// one PIF run.
-pub fn coverage_vs_history(
-    workloads: &[WorkloadSpec],
-    aggregate_sizes: &[Option<usize>],
-    cores: u16,
-    scale: Scale,
-    seed: u64,
-) -> HistorySweepResult {
-    let mut matrix = RunMatrix::new();
-    let plan = HistorySweepPlan::plan(&mut matrix, workloads, aggregate_sizes, cores, scale, seed);
-    plan.collect(&matrix.execute())
-}
-
 /// The planned Figure 6 sweep: per aggregate size and workload, one SHIFT
 /// and one PIF prediction-only run.
 #[derive(Clone, Debug)]
@@ -87,6 +42,13 @@ pub struct HistorySweepPlan {
 
 impl HistorySweepPlan {
     /// Plans the (size × workload × {SHIFT, PIF}) grid into `matrix`.
+    /// `aggregate_sizes` entries of `None` model an unbounded ("inf")
+    /// history; [`collect`](Self::collect) averages coverage (miss-weighted)
+    /// across the workloads.
+    ///
+    /// Deduplication helps twice here: `None` aliases the largest bounded
+    /// size if both are requested, and small aggregate sizes whose per-core
+    /// PIF history clamps to the same floor share one PIF run.
     pub fn plan(
         matrix: &mut RunMatrix,
         workloads: &[WorkloadSpec],
@@ -183,7 +145,16 @@ mod tests {
     #[test]
     fn coverage_grows_with_history_size_and_shift_beats_pif() {
         let workloads = vec![presets::tiny()];
-        let result = coverage_vs_history(&workloads, &[Some(64), Some(4096)], 4, Scale::Test, 3);
+        let mut matrix = RunMatrix::new();
+        let plan = HistorySweepPlan::plan(
+            &mut matrix,
+            &workloads,
+            &[Some(64), Some(4096)],
+            4,
+            Scale::Test,
+            3,
+        );
+        let result = plan.collect(&matrix.execute());
         assert_eq!(result.points.len(), 2);
         let small = &result.points[0];
         let large = &result.points[1];
@@ -194,6 +165,5 @@ mod tests {
         // With equal aggregate capacity, the shared history covers at least as
         // much as the partitioned per-core histories.
         assert!(small.shift_coverage >= small.pif_coverage * 0.95);
-        assert!(!result.to_string().is_empty());
     }
 }

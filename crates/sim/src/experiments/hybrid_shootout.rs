@@ -14,8 +14,6 @@
 //!   equal-or-lower added storage, and
 //! * throttling history bandwidth degrades coverage monotonically.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 use shift_trace::{Scale, WorkloadSpec};
 use shift_types::AccessClass;
@@ -108,55 +106,6 @@ impl HybridShootoutResult {
             _ => 0.0,
         }
     }
-}
-
-impl fmt::Display for HybridShootoutResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Hybrid shootout: composed designs vs the paper's standalone suite"
-        )?;
-        writeln!(
-            f,
-            "{:<20}{:>10}{:>10}{:>10}{:>10}{:>12}",
-            "design", "coverage", "overpred", "discard", "speedup", "SRAM (KiB)"
-        )?;
-        for row in &self.rows {
-            writeln!(
-                f,
-                "{:<20}{:>10}{:>10}{:>10}{:>10.3}{:>12.1}",
-                row.label,
-                super::pct(row.coverage),
-                super::pct(row.overprediction),
-                super::pct(row.discard_ratio),
-                row.speedup,
-                row.storage_kib,
-            )?;
-        }
-        writeln!(f, "degradation under history-port contention:")?;
-        for p in &self.degradation {
-            writeln!(
-                f,
-                "  bw={:<6}{}",
-                p.candidates_per_window,
-                super::pct(p.coverage)
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Runs the hybrid shootout with the default design list and bandwidth
-/// sweep.
-pub fn hybrid_shootout(
-    workloads: &[WorkloadSpec],
-    cores: u16,
-    scale: Scale,
-    seed: u64,
-) -> HybridShootoutResult {
-    let mut matrix = RunMatrix::new();
-    let plan = HybridShootoutPlan::plan(&mut matrix, workloads, cores, scale, seed);
-    plan.collect(&matrix.execute())
 }
 
 /// The planned shootout: per workload, one baseline plus one run per design
@@ -291,12 +240,15 @@ mod tests {
     use shift_trace::presets;
 
     fn shootout() -> HybridShootoutResult {
-        hybrid_shootout(
+        let mut matrix = RunMatrix::new();
+        let plan = HybridShootoutPlan::plan(
+            &mut matrix,
             &[presets::tiny(), presets::web_frontend()],
             4,
             Scale::Test,
             0x60_1DEA,
-        )
+        );
+        plan.collect(&matrix.execute())
     }
 
     #[test]
@@ -329,16 +281,6 @@ mod tests {
             "narrowing the port to 1 candidate/window must lose coverage: {:?}",
             result.degradation
         );
-    }
-
-    #[test]
-    fn display_includes_every_design_and_bandwidth_point() {
-        let result = shootout();
-        let text = result.to_string();
-        for row in &result.rows {
-            assert!(text.contains(&row.label), "missing {}", row.label);
-        }
-        assert!(text.contains("bw=1"));
     }
 
     #[test]

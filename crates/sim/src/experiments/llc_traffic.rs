@@ -7,8 +7,6 @@
 //! [`LlcTrafficRow`] field is one of those traffic classes as a fraction of
 //! the same run's baseline (demand) traffic.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 use shift_trace::{Scale, WorkloadSpec};
 use shift_types::AccessClass;
@@ -54,55 +52,6 @@ impl LlcTrafficResult {
             self.rows.iter().map(|(_, r)| column(r)).sum::<f64>() / self.rows.len() as f64
         }
     }
-}
-
-impl fmt::Display for LlcTrafficResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Figure 9: LLC traffic increase (% of baseline LLC traffic)"
-        )?;
-        writeln!(
-            f,
-            "{:<18}{:>10}{:>10}{:>10}{:>14}",
-            "workload", "LogRead", "LogWrite", "Discard", "IndexUpdate"
-        )?;
-        for (name, row) in &self.rows {
-            writeln!(
-                f,
-                "{:<18}{:>9.1}%{:>9.1}%{:>9.1}%{:>13.1}%",
-                name,
-                row.log_read * 100.0,
-                row.log_write * 100.0,
-                row.discard * 100.0,
-                row.index_update * 100.0
-            )?;
-        }
-        writeln!(
-            f,
-            "{:<18}{:>9.1}%{:>9.1}%{:>9.1}%{:>13.1}%",
-            "Average",
-            self.average(|r| r.log_read) * 100.0,
-            self.average(|r| r.log_write) * 100.0,
-            self.average(|r| r.discard) * 100.0,
-            self.average(|r| r.index_update) * 100.0
-        )
-    }
-}
-
-/// Runs the Figure 9 experiment (virtualized SHIFT on every workload).
-///
-/// The per-workload runs are declared as one [`RunMatrix`] and executed in
-/// parallel.
-pub fn llc_traffic(
-    workloads: &[WorkloadSpec],
-    cores: u16,
-    scale: Scale,
-    seed: u64,
-) -> LlcTrafficResult {
-    let mut matrix = RunMatrix::new();
-    let plan = LlcTrafficPlan::plan(&mut matrix, workloads, cores, scale, seed);
-    plan.collect(&matrix.execute())
 }
 
 /// The planned Figure 9 sweep: one virtualized-SHIFT run per workload.
@@ -166,7 +115,9 @@ mod tests {
 
     #[test]
     fn shift_traffic_overhead_is_modest() {
-        let result = llc_traffic(&[presets::tiny()], 4, Scale::Test, 17);
+        let mut matrix = RunMatrix::new();
+        let plan = LlcTrafficPlan::plan(&mut matrix, &[presets::tiny()], 4, Scale::Test, 17);
+        let result = plan.collect(&matrix.execute());
         let (_, row) = &result.rows[0];
         assert!(
             row.log_read > 0.0,
@@ -177,7 +128,6 @@ mod tests {
             "history traffic must remain a modest fraction of baseline traffic (got {})",
             row.total_data_overhead()
         );
-        assert!(!result.to_string().is_empty());
         assert!(result.average(|r| r.log_read) > 0.0);
     }
 }

@@ -7,8 +7,6 @@
 //! a bargain next to a 25 mm² Xeon but prohibitive next to a 1.3 mm² A8;
 //! SHIFT's ≈1 mm² *total* cost improves density for every core type.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 use shift_core::StorageCost;
 use shift_cpu::CoreKind;
@@ -68,32 +66,6 @@ impl PerformanceDensityResult {
     }
 }
 
-impl fmt::Display for PerformanceDensityResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Figure 2 / §5.6: relative performance, relative area, and PD ratio"
-        )?;
-        writeln!(
-            f,
-            "{:<10}{:<16}{:>10}{:>12}{:>10}",
-            "core", "prefetcher", "speedup", "rel. area", "PD"
-        )?;
-        for p in &self.points {
-            writeln!(
-                f,
-                "{:<10}{:<16}{:>10.3}{:>12.3}{:>10.3}",
-                p.core_kind.to_string(),
-                p.prefetcher,
-                p.speedup,
-                p.relative_area,
-                p.pd_ratio()
-            )?;
-        }
-        Ok(())
-    }
-}
-
 /// Storage cost of a prefetcher design on an LLC of `llc_blocks` tags,
 /// computed from its configuration. The hybrids cost the sum of their parts;
 /// next-line fallbacks and the gate/port control bits are free, so each
@@ -124,26 +96,6 @@ pub(crate) fn storage_of(prefetcher: &PrefetcherConfig, llc_blocks: usize) -> St
             ..
         } => shift_config(*history_records, *mode, llc_blocks).storage(),
     }
-}
-
-/// Runs the performance-density study for the given prefetchers over the
-/// three core types.
-///
-/// The full (core type × workload × {baseline ∪ prefetchers}) sweep is
-/// declared as one [`RunMatrix`] and executed in parallel; each core type's
-/// per-workload baseline is simulated exactly once regardless of how many
-/// prefetchers it is compared against.
-pub fn performance_density(
-    workloads: &[WorkloadSpec],
-    prefetchers: &[PrefetcherConfig],
-    cores: u16,
-    scale: Scale,
-    seed: u64,
-) -> PerformanceDensityResult {
-    let mut matrix = RunMatrix::new();
-    let plan =
-        PerformanceDensityPlan::plan(&mut matrix, workloads, prefetchers, cores, scale, seed);
-    plan.collect(&matrix.execute())
 }
 
 /// The planned Figure 2 / §5.6 sweep: per core type, the per-workload
@@ -243,7 +195,9 @@ mod tests {
 
     #[test]
     fn shift_area_overhead_is_far_smaller_than_pif() {
-        let result = performance_density(
+        let mut matrix = RunMatrix::new();
+        let plan = PerformanceDensityPlan::plan(
+            &mut matrix,
             &[presets::tiny()],
             &[
                 PrefetcherConfig::pif_32k(),
@@ -253,6 +207,7 @@ mod tests {
             Scale::Test,
             31,
         );
+        let result = plan.collect(&matrix.execute());
         for kind in CoreKind::ALL {
             let pif = result.point(kind, "PIF_32K").unwrap();
             let shift = result.point(kind, "SHIFT").unwrap();
@@ -274,7 +229,6 @@ mod tests {
             .unwrap()
             .relative_area;
         assert!(pif_io > pif_fat);
-        assert!(!result.to_string().is_empty());
         assert!(
             result
                 .pd_improvement(CoreKind::LeanIO, "SHIFT", "PIF_32K")

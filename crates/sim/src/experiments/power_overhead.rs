@@ -6,8 +6,6 @@
 //! Each [`PowerRow`] holds the per-workload [`PowerBreakdown`] (LLC data,
 //! LLC tag, NoC, all in milliwatts) produced by [`PowerModel::nm40`].
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 use shift_metrics::{PowerBreakdown, PowerModel};
 use shift_trace::{Scale, WorkloadSpec};
@@ -51,45 +49,6 @@ impl PowerOverheadResult {
                 / self.rows.len() as f64
         }
     }
-}
-
-impl fmt::Display for PowerOverheadResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "§5.7: SHIFT power overhead (16-core CMP)")?;
-        writeln!(
-            f,
-            "{:<18}{:>12}{:>12}{:>10}{:>12}",
-            "workload", "LLC data", "LLC tag", "NoC", "total"
-        )?;
-        for (name, row) in &self.rows {
-            writeln!(
-                f,
-                "{:<18}{:>9.2} mW{:>9.2} mW{:>7.2} mW{:>9.2} mW",
-                name,
-                row.breakdown.llc_data_mw,
-                row.breakdown.llc_tag_mw,
-                row.breakdown.noc_mw,
-                row.breakdown.total_mw()
-            )?;
-        }
-        writeln!(f, "max total: {:.1} mW", self.max_total_mw())
-    }
-}
-
-/// Runs the §5.7 power estimate: a virtualized SHIFT run per workload, with
-/// the history/index/NoC activity converted to power by [`PowerModel`].
-///
-/// The per-workload runs are declared as one [`RunMatrix`] and executed in
-/// parallel.
-pub fn power_overhead(
-    workloads: &[WorkloadSpec],
-    cores: u16,
-    scale: Scale,
-    seed: u64,
-) -> PowerOverheadResult {
-    let mut matrix = RunMatrix::new();
-    let plan = PowerOverheadPlan::plan(&mut matrix, workloads, cores, scale, seed);
-    plan.collect(&matrix.execute())
 }
 
 /// The planned §5.7 sweep: one virtualized-SHIFT run per workload (the same
@@ -153,7 +112,9 @@ mod tests {
 
     #[test]
     fn power_overhead_is_small() {
-        let result = power_overhead(&[presets::tiny()], 4, Scale::Test, 13);
+        let mut matrix = RunMatrix::new();
+        let plan = PowerOverheadPlan::plan(&mut matrix, &[presets::tiny()], 4, Scale::Test, 13);
+        let result = plan.collect(&matrix.execute());
         assert_eq!(result.rows.len(), 1);
         let total = result.max_total_mw();
         assert!(total > 0.0, "history activity must consume some power");
@@ -162,6 +123,5 @@ mod tests {
             "power overhead must stay small (got {total} mW)"
         );
         assert!(result.mean_total_mw() <= result.max_total_mw());
-        assert!(!result.to_string().is_empty());
     }
 }

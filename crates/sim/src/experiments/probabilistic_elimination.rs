@@ -5,8 +5,6 @@
 //! probability; 100 % elimination corresponds to a perfect L1-I. The paper
 //! finds a linear relationship reaching ≈31 % average speedup at 100 %.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 use shift_trace::{Scale, WorkloadSpec};
 
@@ -42,34 +40,6 @@ impl EliminationResult {
             .find(|(f, _)| (*f - 1.0).abs() < 1e-9)
             .map(|(_, s)| *s)
             .unwrap_or(1.0)
-    }
-}
-
-impl fmt::Display for EliminationResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Figure 1: speedup vs. instruction cache misses eliminated"
-        )?;
-        write!(f, "{:<18}", "workload")?;
-        if let Some(first) = self.series.first() {
-            for (frac, _) in &first.points {
-                write!(f, "{:>8}", format!("{:.0}%", frac * 100.0))?;
-            }
-        }
-        writeln!(f)?;
-        for s in &self.series {
-            write!(f, "{:<18}", s.workload)?;
-            for (_, speedup) in &s.points {
-                write!(f, "{speedup:>8.3}")?;
-            }
-            writeln!(f)?;
-        }
-        write!(f, "{:<18}", "Geo. Mean")?;
-        for (_, speedup) in &self.geomean {
-            write!(f, "{speedup:>8.3}")?;
-        }
-        writeln!(f)
     }
 }
 
@@ -164,23 +134,6 @@ impl EliminationPlan {
     }
 }
 
-/// Runs the Figure 1 experiment over `fractions` (e.g. `[0.0, 0.1, …, 1.0]`).
-///
-/// The (workload × fraction) sweep is declared as one [`RunMatrix`] and
-/// executed in parallel; each workload's baseline is simulated once and the
-/// `0.0` fraction reuses it directly (speedup 1 by definition).
-pub fn probabilistic_elimination(
-    workloads: &[WorkloadSpec],
-    fractions: &[f64],
-    cores: u16,
-    scale: Scale,
-    seed: u64,
-) -> EliminationResult {
-    let mut matrix = RunMatrix::new();
-    let plan = EliminationPlan::plan(&mut matrix, workloads, fractions, cores, scale, seed);
-    plan.collect(&matrix.execute())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,13 +142,21 @@ mod tests {
     #[test]
     fn speedup_grows_with_elimination_fraction() {
         let workloads = vec![presets::tiny()];
-        let result = probabilistic_elimination(&workloads, &[0.0, 0.5, 1.0], 2, Scale::Test, 11);
+        let mut matrix = RunMatrix::new();
+        let plan = EliminationPlan::plan(
+            &mut matrix,
+            &workloads,
+            &[0.0, 0.5, 1.0],
+            2,
+            Scale::Test,
+            11,
+        );
+        let result = plan.collect(&matrix.execute());
         let points = &result.series[0].points;
         assert_eq!(points.len(), 3);
         assert!((points[0].1 - 1.0).abs() < 1e-9);
         assert!(points[1].1 > 1.0, "half elimination must speed up");
         assert!(points[2].1 > points[1].1, "full elimination fastest");
         assert!(result.perfect_cache_speedup() > 1.0);
-        assert!(!result.to_string().is_empty());
     }
 }

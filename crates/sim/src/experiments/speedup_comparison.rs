@@ -8,8 +8,6 @@
 //! `(label, speedup)` pairs in configuration order; the `geomean` column is
 //! the figure's summary bar.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 use shift_trace::{Scale, WorkloadSpec};
 
@@ -46,63 +44,6 @@ impl SpeedupComparisonResult {
     }
 }
 
-impl fmt::Display for SpeedupComparisonResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Figure 8: speedup over the no-prefetch baseline")?;
-        write!(f, "{:<18}", "workload")?;
-        for (label, _) in &self.geomean {
-            write!(f, "{label:>15}")?;
-        }
-        writeln!(f)?;
-        for row in &self.rows {
-            write!(f, "{:<18}", row.workload)?;
-            for (_, speedup) in &row.speedups {
-                write!(f, "{speedup:>15.3}")?;
-            }
-            writeln!(f)?;
-        }
-        write!(f, "{:<18}", "Geo. Mean")?;
-        for (_, speedup) in &self.geomean {
-            write!(f, "{speedup:>15.3}")?;
-        }
-        writeln!(f)
-    }
-}
-
-/// Runs Figure 8 with the paper's five configurations.
-pub fn speedup_comparison(
-    workloads: &[WorkloadSpec],
-    cores: u16,
-    scale: Scale,
-    seed: u64,
-) -> SpeedupComparisonResult {
-    speedup_comparison_with(
-        workloads,
-        &PrefetcherConfig::figure8_suite(),
-        cores,
-        scale,
-        seed,
-    )
-}
-
-/// Runs the speedup comparison for an arbitrary configuration list.
-///
-/// The whole sweep is declared as one [`RunMatrix`], so the no-prefetch
-/// baseline of each workload is simulated exactly once per (workload, cores,
-/// scale, seed) — even if [`PrefetcherConfig::None`] also appears in
-/// `prefetchers` — and all runs execute in parallel.
-pub fn speedup_comparison_with(
-    workloads: &[WorkloadSpec],
-    prefetchers: &[PrefetcherConfig],
-    cores: u16,
-    scale: Scale,
-    seed: u64,
-) -> SpeedupComparisonResult {
-    let mut matrix = RunMatrix::new();
-    let plan = SpeedupComparisonPlan::plan(&mut matrix, workloads, prefetchers, cores, scale, seed);
-    plan.collect(&matrix.execute())
-}
-
 /// The planned Figure 8 sweep: per workload, one baseline handle plus one
 /// handle per prefetcher configuration.
 #[derive(Clone, Debug)]
@@ -113,7 +54,8 @@ pub struct SpeedupComparisonPlan {
 }
 
 impl SpeedupComparisonPlan {
-    /// Plans the (workload × {baseline ∪ prefetchers}) sweep into `matrix`.
+    /// Plans the (workload × {baseline ∪ prefetchers}) sweep into `matrix`;
+    /// the paper's Figure 8 uses [`PrefetcherConfig::figure8_suite`].
     ///
     /// The no-prefetch baseline each speedup is normalized against is planned
     /// by key, so it is simulated exactly once per (workload, cores, scale,
@@ -194,7 +136,9 @@ mod tests {
 
     #[test]
     fn stream_prefetchers_outperform_baseline_and_next_line() {
-        let result = speedup_comparison_with(
+        let mut matrix = RunMatrix::new();
+        let plan = SpeedupComparisonPlan::plan(
+            &mut matrix,
             &[presets::tiny()],
             &[
                 PrefetcherConfig::next_line(),
@@ -205,13 +149,13 @@ mod tests {
             Scale::Test,
             21,
         );
+        let result = plan.collect(&matrix.execute());
         let nl = result.geomean_of("NextLine").unwrap();
         let pif = result.geomean_of("PIF_32K").unwrap();
         let shift = result.geomean_of("SHIFT").unwrap();
         assert!(nl > 1.0);
         assert!(pif > nl, "PIF_32K ({pif}) must beat next-line ({nl})");
         assert!(shift > nl, "SHIFT ({shift}) must beat next-line ({nl})");
-        assert!(!result.to_string().is_empty());
     }
 
     #[test]
@@ -237,7 +181,7 @@ mod tests {
         }
 
         // And the derived figure reports a speedup of exactly 1 for `None`.
-        let result = speedup_comparison_with(&workloads, &prefetchers, 4, Scale::Test, 21);
+        let result = plan.collect(&matrix.execute());
         let none = result.geomean_of("Baseline").unwrap();
         assert!((none - 1.0).abs() < 1e-12, "baseline speedup {none}");
     }

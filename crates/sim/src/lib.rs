@@ -6,17 +6,17 @@
 //!
 //! | Paper result | Driver |
 //! |---|---|
-//! | Fig. 1 — speedup vs. fraction of I-misses eliminated | [`experiments::probabilistic_elimination`](fn@experiments::probabilistic_elimination) |
-//! | Fig. 2 / §5.6 — performance density | [`experiments::performance_density`](fn@experiments::performance_density) |
+//! | Fig. 1 — speedup vs. fraction of I-misses eliminated | [`experiments::EliminationPlan`] |
+//! | Fig. 2 / §5.6 — performance density | [`experiments::PerformanceDensityPlan`] |
 //! | Fig. 3 — instruction stream commonality across cores | [`experiments::commonality`](fn@experiments::commonality) |
-//! | Fig. 6 — miss coverage vs. aggregate history size | [`experiments::coverage_vs_history`](fn@experiments::coverage_vs_history) |
-//! | Fig. 7 — covered / overpredicted breakdown | [`experiments::coverage_breakdown`](fn@experiments::coverage_breakdown) |
-//! | Fig. 8 — speedup comparison | [`experiments::speedup_comparison`](fn@experiments::speedup_comparison) |
-//! | Fig. 9 — LLC traffic overhead | [`experiments::llc_traffic`](fn@experiments::llc_traffic) |
-//! | Fig. 10 — workload consolidation | [`experiments::consolidation`](fn@experiments::consolidation) |
-//! | §5.7 — power overhead | [`experiments::power_overhead`](fn@experiments::power_overhead) |
+//! | Fig. 6 — miss coverage vs. aggregate history size | [`experiments::HistorySweepPlan`] |
+//! | Fig. 7 — covered / overpredicted breakdown | [`experiments::CoverageBreakdownPlan`] |
+//! | Fig. 8 — speedup comparison | [`experiments::SpeedupComparisonPlan`] |
+//! | Fig. 9 — LLC traffic overhead | [`experiments::LlcTrafficPlan`] |
+//! | Fig. 10 — workload consolidation | [`experiments::ConsolidationPlan`] |
+//! | §5.7 — power overhead | [`experiments::PowerOverheadPlan`] |
 //! | §5.1 — storage cost table | [`experiments::storage_table`](fn@experiments::storage_table) |
-//! | beyond the paper — hybrid/adaptive designs + throttled history port | [`experiments::hybrid_shootout`](fn@experiments::hybrid_shootout) |
+//! | beyond the paper — hybrid/adaptive designs + throttled history port | [`experiments::HybridShootoutPlan`] |
 //!
 //! # Quick start
 //!

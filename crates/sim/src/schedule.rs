@@ -123,7 +123,8 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Recalibrates the model from a committed `BENCH_*.json` benchmark
-    /// artifact (the format `shift-bench bench --json` writes: a
+    /// artifact (the `target/artifacts/BENCH.json` the `perf` binary writes,
+    /// `cargo run --release -p shift-perf --bin perf`: a
     /// `data.components[]` table of `{group, name, ns_per_op, per_sec}`
     /// rows).
     ///

@@ -94,7 +94,10 @@ impl ShardSpec {
             .trim()
             .parse()
             .map_err(|_| format!("bad shard total in `{text}`"))?;
-        if total == 0 || !(1..=total).contains(&index) {
+        if total == 0 {
+            return Err(format!("shard total must be at least 1 (from `{text}`)"));
+        }
+        if !(1..=total).contains(&index) {
             return Err(format!(
                 "shard index must be in 1..={total}, got {index} (from `{text}`)"
             ));
@@ -625,6 +628,10 @@ mod tests {
         assert!(ShardSpec::parse("5/4").is_err());
         assert!(ShardSpec::parse("2").is_err());
         assert!(ShardSpec::parse("a/b").is_err());
+        assert_eq!(
+            ShardSpec::parse("1/0"),
+            Err("shard total must be at least 1 (from `1/0`)".to_owned())
+        );
         assert_eq!(ShardSpec::new(2, 4).to_string(), "2/4");
 
         // The N shards partition any rank range.

@@ -1,7 +1,7 @@
 //! Integration tests for the sweep engine: parallel execution must be
 //! bit-identical to serial execution, and shared runs must be memoized.
 
-use shift_sim::experiments::speedup_comparison::speedup_comparison_with;
+use shift_sim::experiments::SpeedupComparisonPlan;
 use shift_sim::{CmpConfig, Execution, PrefetcherConfig, RunMatrix, SimOptions, Simulation};
 use shift_trace::{presets, ConsolidationSpec, Scale};
 
@@ -148,13 +148,17 @@ fn driver_results_are_identical_across_thread_counts() {
         PrefetcherConfig::next_line(),
         PrefetcherConfig::shift_virtualized(),
     ];
-    // SHIFT_THREADS only changes the worker pool, never the results; pin the
-    // executor to one thread and to many via the env knob for a full driver.
-    std::env::set_var("SHIFT_THREADS", "1");
-    let serial = speedup_comparison_with(&workloads, &prefetchers, 4, Scale::Test, 33);
-    std::env::set_var("SHIFT_THREADS", "8");
-    let parallel = speedup_comparison_with(&workloads, &prefetchers, 4, Scale::Test, 33);
-    std::env::remove_var("SHIFT_THREADS");
+    // The thread count only changes the worker pool, never the results: run
+    // one planned figure on one thread and on many.
+    let mut matrix = RunMatrix::new();
+    let plan =
+        SpeedupComparisonPlan::plan(&mut matrix, &workloads, &prefetchers, 4, Scale::Test, 33);
+    let collect = |threads| {
+        let outcomes = Execution::new(&matrix).threads(threads).run().unwrap();
+        plan.collect(&outcomes.into_outcomes())
+    };
+    let serial = collect(1);
+    let parallel = collect(8);
 
     assert_eq!(format!("{:?}", serial.rows), format!("{:?}", parallel.rows));
     assert_eq!(serial.geomean, parallel.geomean);

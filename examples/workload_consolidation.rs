@@ -6,8 +6,8 @@
 //! cargo run --release --example workload_consolidation
 //! ```
 
-use shift::sim::experiments::consolidation;
-use shift::sim::PrefetcherConfig;
+use shift::sim::experiments::ConsolidationPlan;
+use shift::sim::{PrefetcherConfig, RunMatrix};
 use shift::trace::{presets, Scale};
 
 fn main() {
@@ -19,7 +19,9 @@ fn main() {
             .scaled_footprint(0.15)
             .with_region_index(1),
     ];
-    let result = consolidation(
+    let mut matrix = RunMatrix::new();
+    let plan = ConsolidationPlan::plan(
+        &mut matrix,
         &workloads,
         &[
             PrefetcherConfig::next_line(),
@@ -30,7 +32,14 @@ fn main() {
         Scale::Demo,
         11,
     );
-    println!("{result}");
+    let result = plan.collect(&matrix.execute());
+
+    println!("speedup under workload consolidation (Figure 10, scaled down)");
+    println!("mix: {}", result.workloads.join(" + "));
+    for (label, speedup) in &result.speedups {
+        println!("  {label:<14}{speedup:>8.3}x");
+    }
+    println!();
     println!("Each workload keeps its own shared history in the LLC; SHIFT's benefit");
     println!("is preserved under consolidation, as §5.5 of the paper reports.");
 }
