@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use shift_sim::schedule::rank_by_cost;
 use shift_sim::{
-    CostModel, Execution, ExecutionReport, PrefetcherConfig, QueueConfig, RunMatrix, RunOutcomes,
-    RunStore, SchedulePolicy,
+    CmpConfig, CostModel, Execution, ExecutionReport, PrefetcherConfig, QueueConfig, RunKey,
+    RunMatrix, RunOutcomes, RunStore, SchedulePolicy, SimOptions,
 };
 use shift_trace::{presets, Scale};
 
@@ -118,6 +118,34 @@ fn cost_ranking_is_a_total_order_with_stable_ties() {
         );
     }
     assert_eq!(order[0], matrix.len() - 1, "the 8-core run ranks first");
+}
+
+/// The cost of one run per prefetcher constructor at Test scale (50,000
+/// fetches per core), on 2 and on 16 cores, as literals: claim order and
+/// the decision log's `cost` field follow these numbers exactly.
+#[test]
+fn run_costs_are_pinned_per_prefetcher() {
+    let pinned = [
+        (PrefetcherConfig::None, 100_000, 800_000),
+        (PrefetcherConfig::next_line(), 105_000, 840_000),
+        (PrefetcherConfig::pif_2k(), 125_000, 1_000_000),
+        (PrefetcherConfig::pif_32k(), 125_000, 1_000_000),
+        (PrefetcherConfig::gated_pif_32k(), 125_000, 1_000_000),
+        (PrefetcherConfig::shift_virtualized(), 143_300, 1_146_400),
+        (PrefetcherConfig::shift_zero_latency(), 135_000, 1_080_000),
+        (PrefetcherConfig::shift_dedicated(), 140_000, 1_120_000),
+        (PrefetcherConfig::shift_throttled(2), 143_300, 1_146_400),
+        (PrefetcherConfig::shift_next_line(), 148_300, 1_186_400),
+        (PrefetcherConfig::adaptive_nl_shift(), 148_300, 1_186_400),
+    ];
+    for (prefetcher, two_cores, sixteen_cores) in pinned {
+        for (cores, units) in [(2, two_cores), (16, sixteen_cores)] {
+            let config = CmpConfig::micro13(cores, prefetcher);
+            let key = RunKey::standalone(config, presets::tiny(), SimOptions::new(Scale::Test, 7));
+            let cost = CostModel::default().cost(&key);
+            assert_eq!(cost.units(), units, "{prefetcher:?} on {cores} cores");
+        }
+    }
 }
 
 proptest! {
