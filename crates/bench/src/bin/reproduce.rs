@@ -51,8 +51,8 @@
 //! pipeline guide and `docs/OPERATIONS.md` for the operator runbook.
 
 use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::PathBuf;
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -60,7 +60,9 @@ use std::time::{Duration, Instant};
 use shift_bench::artifacts::artifacts_dir;
 use shift_bench::reproduce::{PaperPlan, PaperReport, ReproduceSettings};
 use shift_sim::matrix::default_threads;
-use shift_sim::{Execution, QueueConfig, RunEvent, RunStore, SchedulePolicy, ShardSpec};
+use shift_sim::{
+    Execution, ExecutionReport, QueueConfig, RunEvent, RunStore, SchedulePolicy, ShardSpec,
+};
 
 /// What the command line asked for.
 enum Mode {
@@ -74,15 +76,22 @@ enum Mode {
 
 /// One execution of the plan, as the command line configured it.
 struct Run {
-    /// The outcome directory; `None` executes in memory.
-    dir: Option<PathBuf>,
-    /// Execute only this slice of the matrix.
-    shard: Option<ShardSpec>,
-    /// Claim runs as a work-queue worker.
-    queue: bool,
+    target: Target,
     reuse: Vec<PathBuf>,
-    policy: Option<SchedulePolicy>,
+    policy: SchedulePolicy,
     decision_log: Option<PathBuf>,
+}
+
+/// Which runs one execution owns and where their outcomes go.
+enum Target {
+    /// Every run, in memory.
+    InMemory,
+    /// Every run, durable in the outcome directory.
+    Durable(PathBuf),
+    /// One `K/N` slice, into the outcome directory.
+    Shard(PathBuf, ShardSpec),
+    /// One work-queue worker over the shared outcome directory.
+    Queue(PathBuf, QueueConfig),
 }
 
 const USAGE: &str = "\
@@ -163,19 +172,23 @@ fn parse_args() -> Result<Mode, String> {
                 .into(),
         );
     }
-    match (shard, queue, outcomes, merge.is_empty()) {
-        (Some(_), true, _, _) => Err("--shard and --queue are mutually exclusive".into()),
-        (_, true, None, _) => Err("--queue requires --outcomes DIR".into()),
-        (Some(_), _, None, _) => Err("--shard requires --outcomes DIR".into()),
-        (shard, queue, dir, true) => Ok(Mode::Execute(Run {
-            dir,
-            shard,
-            queue,
+    let target = match (shard, queue, outcomes) {
+        (Some(_), true, _) => return Err("--shard and --queue are mutually exclusive".into()),
+        (_, true, None) => return Err("--queue requires --outcomes DIR".into()),
+        (Some(_), _, None) => return Err("--shard requires --outcomes DIR".into()),
+        (None, false, None) => Target::InMemory,
+        (None, false, Some(dir)) => Target::Durable(dir),
+        (Some(spec), false, Some(dir)) => Target::Shard(dir, spec),
+        (None, true, Some(dir)) => Target::Queue(dir, queue_config_from_env()),
+    };
+    match (target, merge.is_empty()) {
+        (target, true) => Ok(Mode::Execute(Run {
+            target,
             reuse,
-            policy,
+            policy: policy.unwrap_or_default(),
             decision_log,
         })),
-        (None, false, None, false) => Ok(Mode::Merge(merge)),
+        (Target::InMemory, false) => Ok(Mode::Merge(merge)),
         _ => Err("--merge cannot be combined with --shard/--queue/--outcomes".into()),
     }
 }
@@ -221,9 +234,7 @@ fn reproduce(mode: Mode) -> Result<(), String> {
     println!();
 
     let Run {
-        dir,
-        shard,
-        queue,
+        target,
         reuse,
         policy,
         decision_log,
@@ -233,7 +244,7 @@ fn reproduce(mode: Mode) -> Result<(), String> {
         Mode::Execute(run) => run,
     };
 
-    let mut execution = Execution::new(plan.matrix());
+    let mut execution = Execution::new(plan.matrix()).policy(policy);
     // Probe the reuse cache up front; the execution seeds or splices the
     // hits for the runs it owns.
     if !reuse.is_empty() {
@@ -257,34 +268,21 @@ fn reproduce(mode: Mode) -> Result<(), String> {
         }
         execution = execution.reuse(partial);
     }
-    // Who this process is in the summary line and the decision log, and
-    // the claim order it follows (the queue config reads SHIFT_SCHED_POLICY).
-    let config = queue.then(queue_config_from_env);
-    let policy = policy
-        .or(config.as_ref().map(|config| config.policy))
-        .unwrap_or_default();
-    let worker = match (shard, config) {
-        (Some(spec), _) => {
-            execution = execution.shard(spec);
-            format!("shard-{spec}")
-        }
-        (None, Some(config)) => {
+    // Who this process is in the summary line and the decision log.
+    let worker = match &target {
+        Target::InMemory => "in-process".to_owned(),
+        Target::Durable(_) => "durable".to_owned(),
+        Target::Shard(_, spec) => format!("shard-{spec}"),
+        Target::Queue(dir, config) => {
             println!(
                 "queue worker {} draining {} (claim TTL {}s)",
                 config.worker,
-                dir.as_ref().expect("queue mode has --outcomes").display(),
+                dir.display(),
                 config.lock_ttl.as_secs(),
             );
-            let worker = config.worker.clone();
-            execution = execution.queue(config);
-            worker
+            config.worker.clone()
         }
-        (None, None) if dir.is_some() => "durable".to_owned(),
-        (None, None) => "in-process".to_owned(),
     };
-    if let Some(dir) = &dir {
-        execution = execution.dir(dir);
-    }
 
     let log = match &decision_log {
         Some(path) => {
@@ -319,52 +317,61 @@ fn reproduce(mode: Mode) -> Result<(), String> {
             .expect("decision log write");
         }
     };
-    let output = execution
-        .policy(policy)
-        .observer(&observer)
-        .run()
-        .map_err(|e| format!("{worker} failed: {e}"))?;
-    let report = output.report();
-    if let Some(log) = &log {
-        let mut log = log.lock().expect("decision log poisoned");
-        writeln!(
-            log,
-            "{{\"event\":\"drained\",\"worker\":\"{worker}\",\"policy\":\"{policy}\",\
-             \"executed\":{executed},\"reclaimed\":{reclaimed},\"passes\":{passes},\
-             \"makespan_ms\":{makespan}}}",
-            executed = report.sources.executed,
-            reclaimed = report.sources.reclaimed,
-            passes = report.passes,
-            makespan = start.elapsed().as_millis(),
-        )
-        .expect("decision log write");
-        log.flush().expect("decision log flush");
-    }
-    println!(
-        "{worker}: {} of {} runs executed, {} reused, {} stale claims reclaimed \
-         (passes: {}, policy {policy}){}",
-        report.sources.executed,
-        report.planned,
-        report.sources.reused,
-        report.sources.reclaimed,
-        report.passes,
-        dir.as_ref()
-            .map_or_else(String::new, |dir| format!(", under {}", dir.display())),
-    );
-    match output.outcomes() {
-        Some(outcomes) => write_report(&plan.collect(outcomes)),
-        None => {
+    // Ends the decision log with its `drained` line and prints one summary
+    // line.
+    let summarize = |report: &ExecutionReport, dir: Option<&Path>| {
+        if let Some(log) = &log {
+            let mut log = log.lock().expect("decision log poisoned");
+            writeln!(
+                log,
+                "{{\"event\":\"drained\",\"worker\":\"{worker}\",\"policy\":\"{policy}\",\
+                 \"executed\":{executed},\"reclaimed\":{reclaimed},\"passes\":{passes},\
+                 \"makespan_ms\":{makespan}}}",
+                executed = report.sources.executed,
+                reclaimed = report.sources.reclaimed,
+                passes = report.passes,
+                makespan = start.elapsed().as_millis(),
+            )
+            .expect("decision log write");
+            log.flush().expect("decision log flush");
+        }
+        println!(
+            "{worker}: {} of {} runs executed, {} reused, {} stale claims reclaimed \
+             (passes: {}, policy {policy}){}",
+            report.sources.executed,
+            report.planned,
+            report.sources.reused,
+            report.sources.reclaimed,
+            report.passes,
+            dir.map_or_else(String::new, |dir| format!(", under {}", dir.display())),
+        );
+    };
+    let execution = execution.observer(&observer);
+    let failed = |e: io::Error| format!("{worker} failed: {e}");
+    match target {
+        Target::InMemory => {
+            let output = execution.run().map_err(failed)?;
+            summarize(output.report(), None);
+            write_report(&plan.collect(&output.into_outcomes()))
+        }
+        Target::Durable(dir) => {
+            let output = execution.dir(&dir).run().map_err(failed)?;
+            summarize(output.report(), Some(&dir));
+            write_report(&plan.collect(&output.into_outcomes()))
+        }
+        Target::Shard(dir, spec) => {
+            let report = execution.dir(&dir).shard(spec).run().map_err(failed)?;
+            summarize(&report, Some(&dir));
             println!(
-                "merge with: reproduce --merge {}{}",
-                dir.as_ref()
-                    .expect("only directory modes withhold outcomes")
-                    .display(),
-                if shard.is_some() {
-                    " <other shard dirs...>"
-                } else {
-                    ""
-                },
+                "merge with: reproduce --merge {} <other shard dirs...>",
+                dir.display()
             );
+            Ok(())
+        }
+        Target::Queue(dir, config) => {
+            let report = execution.dir(&dir).queue(config).run().map_err(failed)?;
+            summarize(&report, Some(&dir));
+            println!("merge with: reproduce --merge {}", dir.display());
             Ok(())
         }
     }
@@ -372,18 +379,12 @@ fn reproduce(mode: Mode) -> Result<(), String> {
 
 /// This process's queue worker, id `pid<pid>-w0`, with the knobs
 /// `docs/OPERATIONS.md` describes read from `SHIFT_QUEUE_TTL`,
-/// `SHIFT_SCHED_POLICY`, `SHIFT_QUEUE_RATE`, `SHIFT_QUEUE_CUTOFF` and
-/// `SHIFT_QUEUE_THROTTLE`; an invalid value warns and keeps the default.
+/// `SHIFT_QUEUE_RATE`, `SHIFT_QUEUE_CUTOFF` and `SHIFT_QUEUE_THROTTLE`; an
+/// invalid value warns and keeps the default.
 fn queue_config_from_env() -> QueueConfig {
     let mut config = QueueConfig::new(format!("pid{}-w0", std::process::id()));
     if let Some(secs) = env_number("SHIFT_QUEUE_TTL", 0) {
         config.lock_ttl = Duration::from_secs(secs);
-    }
-    if let Ok(value) = std::env::var("SHIFT_SCHED_POLICY") {
-        match value.parse::<SchedulePolicy>() {
-            Ok(policy) => config.policy = policy,
-            Err(e) => eprintln!("ignoring invalid SHIFT_SCHED_POLICY: {e}"),
-        }
     }
     config.initial_rate = env_number("SHIFT_QUEUE_RATE", 1);
     if let Some(secs) = env_number("SHIFT_QUEUE_CUTOFF", 0) {

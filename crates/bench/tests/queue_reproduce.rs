@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use shift_bench::reproduce::{PaperPlan, ReproduceSettings};
 use shift_sim::experiments::{EliminationPlan, SpeedupComparisonPlan};
-use shift_sim::store::{lock_file_name, seed_outcomes};
+use shift_sim::store::lock_file_name;
 use shift_sim::{
     Execution, ExecutionReport, PrefetcherConfig, QueueConfig, RunMatrix, RunStore, ShardSpec,
 };
@@ -64,13 +64,12 @@ fn run_shard(
     dir: &PathBuf,
     threads: usize,
 ) -> ExecutionReport {
-    *Execution::new(matrix)
-        .shard(spec)
+    Execution::new(matrix)
         .dir(dir)
+        .shard(spec)
         .threads(threads)
         .run()
         .expect("shard executes")
-        .report()
 }
 
 #[test]
@@ -121,13 +120,12 @@ fn four_queue_workers_with_one_killed_merge_byte_identical_to_single_process() {
                 let dir = dir.clone();
                 scope.spawn(move || {
                     let plan = PaperPlan::plan(settings());
-                    *Execution::new(plan.matrix())
-                        .queue(worker(&format!("w{w}")))
+                    Execution::new(plan.matrix())
                         .dir(&dir)
+                        .queue(worker(&format!("w{w}")))
                         .serial()
                         .run()
                         .expect("queue worker")
-                        .report()
                 })
             })
             .collect();
@@ -224,13 +222,17 @@ fn adding_one_figure_executes_only_the_delta_keys() {
     assert_eq!(format!("{spliced:?}"), format!("{scratch:?}"));
     let _ = fig01.collect(&spliced); // figure derivation works on spliced outcomes
 
-    // The durable variant: seed a new directory from the old cache, then a
-    // resumable 1/1 execution runs only the delta and the strict merge
-    // accepts the directory under the new fingerprint.
+    // The durable variant: a resumable 1/1 execution into a fresh directory
+    // seeds it from the old cache, runs only the delta, and the strict
+    // merge accepts the directory under the new fingerprint.
     let new_dir = temp_dir("incr-new");
-    let seeded = seed_outcomes(&new_matrix, &partial, &new_dir).unwrap();
-    assert_eq!(seeded, old_matrix.len());
-    let shard_report = run_shard(&new_matrix, ShardSpec::full(), &new_dir, 2);
+    let shard_report = Execution::new(&new_matrix)
+        .dir(&new_dir)
+        .reuse(partial)
+        .shard(ShardSpec::full())
+        .threads(2)
+        .run()
+        .expect("seeded shard execution");
     assert_eq!(shard_report.sources.executed, delta);
     assert_eq!(shard_report.sources.reused, old_matrix.len());
     RunStore::new([&new_dir])

@@ -28,13 +28,12 @@ fn run_shard(
     dir: &PathBuf,
     threads: usize,
 ) -> ExecutionReport {
-    *Execution::new(matrix)
-        .shard(spec)
+    Execution::new(matrix)
         .dir(dir)
+        .shard(spec)
         .threads(threads)
         .run()
         .expect("shard executes")
-        .report()
 }
 
 /// Writes a report's artifacts under `dir` and returns every file's bytes,

@@ -37,9 +37,7 @@ use std::time::Duration;
 use serde::{json, Serialize, Value};
 use shift_bench::reproduce::{PaperPlan, PlanSpec};
 use shift_report::wire_bundle_json;
-use shift_sim::{
-    CancelToken, Execution, ExecutionReport, QueueConfig, RunEvent, RunStore, SchedulePolicy,
-};
+use shift_sim::{CancelToken, Execution, ExecutionReport, QueueConfig, RunEvent, RunStore};
 
 /// Everything that parameterizes a daemon instance.
 #[derive(Clone, Debug)]
@@ -52,10 +50,6 @@ pub struct ServeConfig {
     pub poll: Duration,
     /// Maximum accepted request-body size in bytes.
     pub max_body: usize,
-    /// Claim-ordering policy for every sweep drain; [`SchedulePolicy::CostOrdered`]
-    /// makes the NDJSON `claimed` events carry cost/rank/rate fields that
-    /// explain each decision.
-    pub policy: SchedulePolicy,
 }
 
 impl ServeConfig {
@@ -66,7 +60,6 @@ impl ServeConfig {
             threads: 2,
             poll: Duration::from_millis(200),
             max_body: 1 << 20,
-            policy: SchedulePolicy::default(),
         }
     }
 
@@ -466,17 +459,15 @@ impl Daemon {
         };
         let mut queue_config = QueueConfig::new(format!("serve-{}", std::process::id()));
         queue_config.poll = self.config.poll;
-        let output = Execution::new(plan.matrix())
-            .reuse(partial)
-            .queue(queue_config)
+        let report = Execution::new(plan.matrix())
             .dir(&dir)
+            .queue(queue_config)
+            .reuse(partial)
             .threads(self.config.threads)
-            .policy(self.config.policy)
             .observer(&observer)
             .cancel(&self.cancel)
             .run()
             .map_err(|e| e.to_string())?;
-        let report = *output.report();
         if !report.complete {
             return Err("drain cancelled before the sweep completed".to_owned());
         }

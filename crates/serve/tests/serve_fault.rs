@@ -36,12 +36,11 @@ fn daemon_completes_a_sweep_abandoned_by_a_killed_worker() {
     // 1. The dead worker finished a quarter of the sweep before dying.
     let staged = plan_of(&spec);
     let shard_executed = Execution::new(staged.matrix())
-        .shard(ShardSpec::new(1, 4))
         .dir(&sweep_dir)
+        .shard(ShardSpec::new(1, 4))
         .serial()
         .run()
         .unwrap()
-        .report()
         .sources
         .executed;
     assert!(shard_executed > 0 && shard_executed < planned);

@@ -21,21 +21,23 @@
 //! Every execution is one drain loop. It owns a set of plan slots and
 //! visits them pass by pass on the worker pool; per slot it checks whether
 //! the run is already done, claims it, runs it, and stores the result. The
-//! configuration picks which slots are owned and where results go:
+//! mode picks which slots are owned and where results go, and it is the
+//! builder's type parameter, so a contradiction does not compile:
 //!
-//! | Slots owned | Results in memory | Results in the outcome directory |
-//! |---|---|---|
-//! | every slot | *(nothing configured)* | [`dir`](Execution::dir): resumable, loaded back once complete |
-//! | the `K/N` slice, by canonical rank | — | [`shard`](Execution::shard) + `dir` |
-//! | every slot, each taken by an `O_EXCL` lock claim | — | [`queue`](Execution::queue) + `dir` |
+//! | Mode | Built by | Slots owned | Results | `run()` returns |
+//! |---|---|---|---|---|
+//! | [`InMemory`] | [`Execution::new`] | every slot | in memory | [`ExecutionOutput`] |
+//! | [`Durable`] | `.dir(d)` | every slot | the outcome directory: resumable, loaded back once complete | [`ExecutionOutput`] |
+//! | [`Sharded`] | `.dir(d).shard(spec)` | the `K/N` slice, by canonical rank | the outcome directory | [`ExecutionReport`] |
+//! | [`Queued`] | `.dir(d).queue(config)` | every slot, each taken by an `O_EXCL` lock claim | the shared outcome directory | [`ExecutionReport`] |
 //!
-//! The rest applies to every row:
+//! The rest applies to every mode:
 //!
 //! * [`reuse`](Execution::reuse) is a pre-pass: cache hits are copied into
 //!   memory, or written into the directory for the owned slots, and then
 //!   count as already done;
 //! * [`policy`](Execution::policy) is one sort of the owned slots — the
-//!   canonical order, or biggest-first by [`CostModel`];
+//!   canonical order, or biggest-first by [`RunCost::of`];
 //! * [`observer`](Execution::observer) sees every slot's
 //!   [`RunEvent`]s and [`cancel`](Execution::cancel) stops the drain
 //!   between claims.
@@ -50,7 +52,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::matrix::{default_threads, parallel_map_with_threads, MatrixFingerprint, RunMatrix};
 use crate::results::RunResult;
-use crate::schedule::{rank_by_cost, CostModel, RunCost, SchedulePolicy};
+use crate::schedule::{rank_by_cost, RunCost, SchedulePolicy};
 use crate::shard::{
     claim_lock, recover_rate, CancelToken, LockClaim, LockHeartbeat, QueueConfig, RunEvent,
     RunObserver, ShardSpec,
@@ -99,8 +101,8 @@ pub struct ExecutionReport {
     pub complete: bool,
 }
 
-/// The result of [`Execution::run`]: the unified report, plus the outcomes
-/// when the execution owned every run and completed.
+/// The result of an in-memory or durable [`run`](Execution::run): the
+/// report, plus every planned run's outcome once the execution completed.
 #[derive(Debug)]
 pub struct ExecutionOutput {
     report: ExecutionReport,
@@ -113,84 +115,247 @@ impl ExecutionOutput {
         &self.report
     }
 
-    /// The outcomes of every planned run: `None` for shard and queue
-    /// executions (those persist to the outcome directory for a later
-    /// [`RunStore`] merge instead) and for any execution that did not
-    /// complete.
+    /// The outcomes of every planned run: `None` when the execution was
+    /// cancelled before it completed.
     pub fn outcomes(&self) -> Option<&RunOutcomes> {
         self.outcomes.as_ref()
     }
 
-    /// Consumes the output, returning the in-memory outcomes.
+    /// Consumes the output, returning the outcomes of every planned run.
     ///
     /// # Panics
     ///
-    /// Panics when [`outcomes`](ExecutionOutput::outcomes) is `None`:
-    /// shard/queue executions, which persist to their outcome directory —
-    /// merge it with [`RunStore`] instead — and incomplete executions.
+    /// Panics when the execution was cancelled before it completed.
     pub fn into_outcomes(self) -> RunOutcomes {
-        self.outcomes.expect(
-            "this execution persists to the outcome directory or did not complete; \
-             merge it with RunStore::load instead of into_outcomes()",
-        )
+        self.outcomes
+            .expect("the execution was cancelled before it completed")
     }
 }
 
-/// Builder for executing a [`RunMatrix`] — see the [module docs](self) for
-/// the mode table.
-pub struct Execution<'a> {
+/// Mode of an [`Execution`] that keeps results in memory: what
+/// [`Execution::new`] builds.
+#[derive(Debug)]
+pub struct InMemory;
+
+/// Mode of an [`Execution`] that writes every run to an outcome directory,
+/// resumes from it, and loads it back once complete: what
+/// [`dir`](Execution::dir) builds.
+#[derive(Debug)]
+pub struct Durable(PathBuf);
+
+/// Mode of an [`Execution`] that runs one `K/N` slice of the matrix into an
+/// outcome directory: what [`shard`](Execution::shard) builds.
+#[derive(Debug)]
+pub struct Sharded(PathBuf, ShardSpec);
+
+/// Mode of an [`Execution`] that drains a shared outcome directory as one
+/// work-queue worker: what [`queue`](Execution::queue) builds.
+#[derive(Debug)]
+pub struct Queued(PathBuf, QueueConfig);
+
+/// Builder for executing a [`RunMatrix`] in mode `M` — see the
+/// [module docs](self) for the mode table.
+///
+/// [`shard`](Execution::shard) and [`queue`](Execution::queue) exist only on
+/// a [`Durable`] execution, and neither exists on the other's result; shard
+/// and queue runs return a bare [`ExecutionReport`]. So each `compile_fail`
+/// block below is a contradiction, and the compiling block after it is the
+/// same code with the fix (the two queue contradictions share theirs):
+///
+/// ```compile_fail,E0599
+/// # use shift_sim::{Execution, RunMatrix, ShardSpec};
+/// # let matrix = RunMatrix::new();
+/// let shard = Execution::new(&matrix).shard(ShardSpec::full());
+/// ```
+/// ```
+/// # use shift_sim::{Execution, RunMatrix, ShardSpec};
+/// # let matrix = RunMatrix::new();
+/// let shard = Execution::new(&matrix).dir("out").shard(ShardSpec::full());
+/// ```
+/// ```compile_fail,E0599
+/// # use shift_sim::{Execution, QueueConfig, RunMatrix};
+/// # let matrix = RunMatrix::new();
+/// let worker = Execution::new(&matrix).queue(QueueConfig::new("w"));
+/// ```
+/// ```compile_fail,E0599
+/// # use shift_sim::{Execution, QueueConfig, RunMatrix, ShardSpec};
+/// # let matrix = RunMatrix::new();
+/// let worker = Execution::new(&matrix).dir("out").shard(ShardSpec::full()).queue(QueueConfig::new("w"));
+/// ```
+/// ```
+/// # use shift_sim::{Execution, QueueConfig, RunMatrix};
+/// # let matrix = RunMatrix::new();
+/// let worker = Execution::new(&matrix).dir("out").queue(QueueConfig::new("w"));
+/// ```
+/// ```compile_fail,E0599
+/// # use shift_sim::{Execution, RunMatrix, ShardSpec};
+/// # let matrix = RunMatrix::new();
+/// let outcomes = Execution::new(&matrix).dir("out").shard(ShardSpec::full()).run()?.into_outcomes();
+/// # Ok::<(), std::io::Error>(())
+/// ```
+/// ```no_run
+/// # use shift_sim::{Execution, RunMatrix, ShardSpec};
+/// # let matrix = RunMatrix::new();
+/// let outcomes = Execution::new(&matrix).dir("out").run()?.into_outcomes();
+/// # Ok::<(), std::io::Error>(())
+/// ```
+pub struct Execution<'a, M = InMemory> {
+    mode: M,
+    settings: Settings<'a>,
+}
+
+/// What every mode of an [`Execution`] configures the same way.
+struct Settings<'a> {
     matrix: &'a RunMatrix,
     threads: Option<usize>,
-    dir: Option<PathBuf>,
-    shard: Option<ShardSpec>,
-    queue: Option<QueueConfig>,
     reuse: Option<PartialLoad>,
     observer: Option<&'a dyn RunObserver>,
     cancel: Option<&'a CancelToken>,
-    policy: Option<SchedulePolicy>,
-    calibration: CostModel,
+    policy: SchedulePolicy,
 }
 
-impl std::fmt::Debug for Execution<'_> {
+impl<M: std::fmt::Debug> std::fmt::Debug for Execution<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let settings = &self.settings;
         f.debug_struct("Execution")
-            .field("planned", &self.matrix.len())
-            .field("threads", &self.threads)
-            .field("dir", &self.dir)
-            .field("shard", &self.shard)
-            .field("queue", &self.queue)
-            .field("reuse", &self.reuse.is_some())
-            .field("observer", &self.observer.is_some())
-            .field("cancel", &self.cancel.is_some())
-            .field("policy", &self.policy)
-            .field("calibration", &self.calibration)
+            .field("planned", &settings.matrix.len())
+            .field("mode", &self.mode)
+            .field("threads", &settings.threads)
+            .field("reuse", &settings.reuse.is_some())
+            .field("observer", &settings.observer.is_some())
+            .field("cancel", &settings.cancel.is_some())
+            .field("policy", &settings.policy)
             .finish()
     }
 }
 
-impl<'a> Execution<'a> {
+impl<'a> Execution<'a, InMemory> {
     /// Starts building an execution of `matrix`. With no further
     /// configuration, [`run`](Execution::run) executes in memory on the
     /// default worker pool.
     pub fn new(matrix: &'a RunMatrix) -> Self {
         Execution {
-            matrix,
-            threads: None,
-            dir: None,
-            shard: None,
-            queue: None,
-            reuse: None,
-            observer: None,
-            cancel: None,
-            policy: None,
-            calibration: CostModel::default(),
+            mode: InMemory,
+            settings: Settings {
+                matrix,
+                threads: None,
+                reuse: None,
+                observer: None,
+                cancel: None,
+                policy: SchedulePolicy::default(),
+            },
         }
     }
 
+    /// Persists outcomes under `dir`: a durable execution of every run,
+    /// written as keyed outcome files, resumable, and loaded back once
+    /// complete. [`shard`](Execution::shard) and
+    /// [`queue`](Execution::queue) narrow it further.
+    #[must_use]
+    pub fn dir(self, dir: impl Into<PathBuf>) -> Execution<'a, Durable> {
+        Execution {
+            mode: Durable(dir.into()),
+            settings: self.settings,
+        }
+    }
+
+    /// Drains every run in memory and returns the report plus, once
+    /// complete, the outcomes. Nothing touches the filesystem, so this
+    /// never returns an error.
+    pub fn run(self) -> io::Result<ExecutionOutput> {
+        let matrix = self.settings.matrix;
+        let (report, memory) = self.settings.drain(None, None, None)?;
+        let outcomes = report.complete.then(|| {
+            RunOutcomes::from_results(
+                matrix.local_id(),
+                memory
+                    .into_iter()
+                    .map(|result| result.expect("a complete drain holds every result"))
+                    .collect(),
+            )
+        });
+        Ok(ExecutionOutput { report, outcomes })
+    }
+}
+
+impl<'a> Execution<'a, Durable> {
+    /// Executes only this shard's slice of the matrix, into the directory.
+    #[must_use]
+    pub fn shard(self, spec: ShardSpec) -> Execution<'a, Sharded> {
+        Execution {
+            mode: Sharded(self.mode.0, spec),
+            settings: self.settings,
+        }
+    }
+
+    /// Drains the matrix through the elastic work queue in the directory,
+    /// as the worker described by `config`.
+    #[must_use]
+    pub fn queue(self, config: QueueConfig) -> Execution<'a, Queued> {
+        Execution {
+            mode: Queued(self.mode.0, config),
+            settings: self.settings,
+        }
+    }
+
+    /// Drains every run into the directory and returns the report plus,
+    /// once complete, the outcomes loaded back through the strict merge.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors: creating the outcome directory,
+    /// writing outcome files, loading them back.
+    pub fn run(self) -> io::Result<ExecutionOutput> {
+        let matrix = self.settings.matrix;
+        let Durable(dir) = self.mode;
+        let (report, _) = self.settings.drain(Some(&dir), None, None)?;
+        let outcomes = if report.complete {
+            Some(
+                RunStore::new([&dir])
+                    .load(matrix)
+                    .map_err(|e| io::Error::other(format!("re-loading executed outcomes: {e}")))?,
+            )
+        } else {
+            None
+        };
+        Ok(ExecutionOutput { report, outcomes })
+    }
+}
+
+impl Execution<'_, Sharded> {
+    /// Drains the shard's slice into the directory. The outcomes stay
+    /// there for a later [`RunStore`] merge.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors: creating the outcome directory,
+    /// writing outcome files.
+    pub fn run(self) -> io::Result<ExecutionReport> {
+        let Sharded(dir, spec) = self.mode;
+        Ok(self.settings.drain(Some(&dir), Some(spec), None)?.0)
+    }
+}
+
+impl Execution<'_, Queued> {
+    /// Claims and runs what no live peer holds, waiting on their claims
+    /// unless the config says otherwise. The outcomes stay in the shared
+    /// directory for a later [`RunStore`] merge.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors: creating the outcome directory,
+    /// writing outcome or lock files.
+    pub fn run(self) -> io::Result<ExecutionReport> {
+        let Queued(dir, config) = self.mode;
+        Ok(self.settings.drain(Some(&dir), None, Some(&config))?.0)
+    }
+}
+
+impl<'a, M> Execution<'a, M> {
     /// Uses exactly `n` worker threads (default: [`default_threads`]).
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
+        self.settings.threads = Some(n);
         self
     }
 
@@ -200,53 +365,22 @@ impl<'a> Execution<'a> {
         self.threads(1)
     }
 
-    /// Persists outcomes under `dir`. Alone this is a durable full
-    /// execution (every run written as a keyed outcome file, resumable, and
-    /// loaded back once complete); combined with [`shard`](Execution::shard)
-    /// or [`queue`](Execution::queue) it is the shared outcome directory
-    /// those modes require.
-    #[must_use]
-    pub fn dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.dir = Some(dir.into());
-        self
-    }
-
-    /// Executes only this shard's slice of the matrix (requires
-    /// [`dir`](Execution::dir); mutually exclusive with
-    /// [`queue`](Execution::queue)).
-    #[must_use]
-    pub fn shard(mut self, spec: ShardSpec) -> Self {
-        self.shard = Some(spec);
-        self
-    }
-
-    /// Drains the matrix through the elastic work queue as the worker
-    /// described by `config` (requires [`dir`](Execution::dir); mutually
-    /// exclusive with [`shard`](Execution::shard)).
-    #[must_use]
-    pub fn queue(mut self, config: QueueConfig) -> Self {
-        self.queue = Some(config);
-        self
-    }
-
     /// Reuses the cache hits of a [`RunStore::load_partial`] probe, so only
-    /// the delta executes: in memory they are spliced in; with
-    /// [`dir`](Execution::dir) they are first seeded into the directory for
-    /// the owned runs only (a `K/N` shard seeds its own slice, keeping shard
-    /// directories disjoint).
+    /// the delta executes: in memory they are spliced in; in a directory
+    /// they are first seeded into it for the owned runs only (a `K/N` shard
+    /// seeds its own slice, keeping shard directories disjoint).
     ///
-    /// [`run`](Execution::run) panics if `partial` was probed against a
-    /// different matrix.
+    /// `run` panics if `partial` was probed against a different matrix.
     #[must_use]
     pub fn reuse(mut self, partial: PartialLoad) -> Self {
-        self.reuse = Some(partial);
+        self.settings.reuse = Some(partial);
         self
     }
 
     /// Streams every [`RunEvent`] of the execution to `observer`.
     #[must_use]
     pub fn observer(mut self, observer: &'a dyn RunObserver) -> Self {
-        self.observer = Some(observer);
+        self.settings.observer = Some(observer);
         self
     }
 
@@ -255,82 +389,47 @@ impl<'a> Execution<'a> {
     /// the report says `complete: false`.
     #[must_use]
     pub fn cancel(mut self, token: &'a CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.settings.cancel = Some(token);
         self
     }
 
     /// Sets the scheduling policy: the order in which the owned runs are
-    /// claimed, in every mode. Overrides the policy in the
-    /// [`queue`](Execution::queue) config; when neither is set, the stable
-    /// canonical order is used. Results never depend on it.
+    /// claimed (default: the stable canonical order). Results never depend
+    /// on it.
     #[must_use]
     pub fn policy(mut self, policy: SchedulePolicy) -> Self {
-        self.policy = Some(policy);
+        self.settings.policy = policy;
         self
     }
+}
 
-    /// Replaces the default cost calibration (committed `BENCH_PR6.json`
-    /// numbers) — see [`CostModel::from_bench_json`].
-    #[must_use]
-    pub fn calibration(mut self, model: CostModel) -> Self {
-        self.calibration = model;
-        self
-    }
-
-    /// Drains the owned runs (see the [module docs](self)) and returns the
-    /// report plus, when this execution owned every run and completed, the
-    /// outcomes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on contradictory configuration: [`shard`](Execution::shard)
-    /// combined with [`queue`](Execution::queue), or either of them without
-    /// [`dir`](Execution::dir).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the durable modes (creating the
-    /// outcome directory, writing outcome or lock files, loading outcomes
-    /// back).
-    pub fn run(self) -> io::Result<ExecutionOutput> {
-        assert!(
-            self.shard.is_none() || self.queue.is_none(),
-            "Execution: .shard() and .queue() are mutually exclusive \
-             (a shard is a static slice, a queue worker sees the whole matrix)"
-        );
-        let dir = self.dir.as_deref();
-        if dir.is_none() {
-            assert!(
-                self.queue.is_none(),
-                "Execution: .queue() requires .dir(shared outcome directory)"
-            );
-            assert!(
-                self.shard.is_none(),
-                "Execution: .shard() requires .dir(outcome directory)"
-            );
-        }
+impl Settings<'_> {
+    /// Drains the owned runs (see the [module docs](self)) into `dir`, or
+    /// in memory, and returns the report and the in-memory results.
+    fn drain(
+        self,
+        dir: Option<&Path>,
+        shard: Option<ShardSpec>,
+        queue: Option<&QueueConfig>,
+    ) -> io::Result<(ExecutionReport, Vec<Option<RunResult>>)> {
         let matrix = self.matrix;
-        let queue = self.queue.as_ref();
         let threads = self.threads.unwrap_or_else(default_threads);
-        let policy = self
-            .policy
-            .or(queue.map(|config| config.policy))
-            .unwrap_or_default();
+        let policy = self.policy;
 
         // Which slots: the policy's order over the whole matrix — a pure
-        // function of the plan and the model, so every worker computes the
-        // same ranking — cut to the shard's slice, which is always chosen by
-        // canonical rank so that every shard agrees on it.
+        // function of the plan, so every worker computes the same ranking —
+        // cut to the shard's slice, which is always chosen by canonical rank
+        // so that every shard agrees on it.
         let canonical = matrix.canonical_order();
         let order = match policy {
             SchedulePolicy::Canonical => canonical.clone(),
-            SchedulePolicy::CostOrdered => rank_by_cost(&self.calibration, matrix),
+            SchedulePolicy::CostOrdered => rank_by_cost(matrix),
         };
         let mut ranks = vec![0; matrix.len()];
         for (rank, &slot) in order.iter().enumerate() {
             ranks[slot] = rank;
         }
-        let owned: Vec<usize> = match self.shard {
+        let owned: Vec<usize> = match shard {
             None => order,
             Some(spec) => {
                 let mut mine = vec![false; matrix.len()];
@@ -349,9 +448,7 @@ impl<'a> Execution<'a> {
         }
         if let Some(partial) = self.reuse {
             match dir {
-                Some(dir) => {
-                    seed_outcome_slots(&index, &partial, dir, &owned)?;
-                }
+                Some(dir) => seed_outcome_slots(&index, &partial, dir, &owned)?,
                 None => memory = partial.into_results(matrix),
             }
         }
@@ -371,11 +468,7 @@ impl<'a> Execution<'a> {
             dir,
             queue,
             observer: self.observer.unwrap_or(&noop),
-            costs: matrix
-                .keys()
-                .iter()
-                .map(|key| self.calibration.cost(key))
-                .collect(),
+            costs: matrix.keys().iter().map(RunCost::of).collect(),
             ranks,
             rate: Arc::new(AtomicU64::new(rate.unwrap_or(0))),
         };
@@ -449,24 +542,7 @@ impl<'a> Execution<'a> {
             }
         }
 
-        let outcomes = match dir {
-            _ if !report.complete || self.shard.is_some() || queue.is_some() => None,
-            // Directory results stay on disk during the drain; the complete
-            // sweep loads back through the strict merge.
-            Some(dir) => Some(
-                RunStore::new([dir])
-                    .load(matrix)
-                    .map_err(|e| io::Error::other(format!("re-loading executed outcomes: {e}")))?,
-            ),
-            None => Some(RunOutcomes::from_results(
-                matrix.local_id(),
-                memory
-                    .into_iter()
-                    .map(|result| result.expect("a complete drain holds every result"))
-                    .collect(),
-            )),
-        };
-        Ok(ExecutionOutput { report, outcomes })
+        Ok((report, memory))
     }
 }
 
@@ -692,47 +768,13 @@ mod tests {
     fn shard_mode_reports_slice_and_withholds_outcomes() {
         let matrix = small_matrix();
         let dir = temp_dir("shard");
-        let output = Execution::new(&matrix)
+        let report = Execution::new(&matrix)
             .serial()
+            .dir(&dir)
             .shard(ShardSpec::new(1, 2))
-            .dir(&dir)
             .run()
             .unwrap();
-        assert!(output.report().planned < matrix.len() || matrix.len() < 2);
-        assert!(output.outcomes().is_none());
+        assert!(report.planned < matrix.len() || matrix.len() < 2);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn shard_plus_queue_is_rejected() {
-        let matrix = small_matrix();
-        let _ = Execution::new(&matrix)
-            .shard(ShardSpec::full())
-            .queue(QueueConfig::new("w"))
-            .dir("/tmp/never-used")
-            .run();
-    }
-
-    #[test]
-    #[should_panic(expected = "requires .dir")]
-    fn queue_without_dir_is_rejected() {
-        let matrix = small_matrix();
-        let _ = Execution::new(&matrix).queue(QueueConfig::new("w")).run();
-    }
-
-    #[test]
-    #[should_panic(expected = "merge it with RunStore")]
-    fn into_outcomes_panics_for_durable_slice_modes() {
-        let matrix = small_matrix();
-        let dir = temp_dir("no-outcomes");
-        let output = Execution::new(&matrix)
-            .serial()
-            .shard(ShardSpec::full())
-            .dir(&dir)
-            .run()
-            .unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = output.into_outcomes();
     }
 }

@@ -73,13 +73,12 @@
 //! Outcome directories double as a cross-sweep simulation cache:
 //! [`RunStore::load_partial`] reuses any outcome whose key still exists in a
 //! changed plan and `Execution::new(&matrix).reuse(partial)` runs only the
-//! rest. All of these modes are one drain loop behind one entry point, the
-//! [`Execution`] builder ([`execution`]), which also owns the scheduling
-//! knobs for every mode: a [`CostModel`] ranks runs by estimated work
-//! ([`schedule`]) and [`SchedulePolicy::CostOrdered`] claims biggest-first
-//! (queue workers also weigh it by their measured throughput). See
-//! `docs/SWEEP.md` and `docs/OPERATIONS.md` in the repository for the
-//! operational guides.
+//! rest. All of these modes are one drain loop behind the [`Execution`]
+//! builder ([`execution`]). Its mode is a type, and its one scheduling knob
+//! is [`policy`](Execution::policy): [`SchedulePolicy::CostOrdered`] claims
+//! biggest-first by [`RunCost::of`] ([`schedule`]), weighed by each queue
+//! worker's measured throughput. See `docs/SWEEP.md` and
+//! `docs/OPERATIONS.md` in the repository for the operational guides.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -96,9 +95,11 @@ pub mod store;
 
 pub use config::{CmpConfig, PrefetcherConfig, SimOptions};
 pub use engine::Engine;
-pub use execution::{Execution, ExecutionOutput, ExecutionReport, OutcomeSources};
+pub use execution::{
+    Durable, Execution, ExecutionOutput, ExecutionReport, InMemory, OutcomeSources, Queued, Sharded,
+};
 pub use matrix::{MatrixFingerprint, RunHandle, RunKey, RunKeyId, RunMatrix, Simulation};
 pub use results::{CoverageStats, RunResult, RESULTS_VERSION};
-pub use schedule::{CostModel, RunCost, SchedulePolicy};
+pub use schedule::{RunCost, SchedulePolicy};
 pub use shard::{CancelToken, LockHeartbeat, QueueConfig, RunEvent, RunObserver, ShardSpec};
 pub use store::{PartialLoad, RunOutcomes, RunStore, StoreError};

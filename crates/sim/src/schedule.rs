@@ -11,13 +11,12 @@
 //!
 //! * [`RunCost`] — the scalar estimate, in *weighted fetch units*: the run's
 //!   total simulated fetches (warmup + measured, times cores) multiplied by a
-//!   prefetcher-class weight. Costs are totally ordered and deterministic
-//!   functions of the [`RunKey`], so every worker computes the same ranking
-//!   without coordination.
-//! * [`CostModel`] — the calibration table behind the estimate. Defaults come
-//!   from the committed `docs/bench/BENCH_PR6.json` microbenchmarks (425.9
-//!   ns/fetch baseline; SHIFT runs ~1.43× slower per fetch); pass a newer
-//!   `BENCH_*.json` to [`CostModel::from_bench_json`] to recalibrate.
+//!   constant prefetcher-class weight measured once from the committed
+//!   `docs/bench/BENCH_PR6.json` microbenchmarks (SHIFT simulates a fetch
+//!   ~1.43× slower than the baseline; `docs/PERFORMANCE.md` tabulates every
+//!   weight). [`RunCost::of`] is a deterministic function of the
+//!   [`RunKey`], so every worker computes the same ranking without
+//!   coordination.
 //! * [`SchedulePolicy`] — the knob the [`Execution`](crate::Execution)
 //!   builder exposes: keep the stable canonical order or claim cost-ranked
 //!   biggest-first.
@@ -31,12 +30,11 @@
 //! integration tests).
 
 use std::fmt;
-use std::io;
-use std::path::Path;
 use std::str::FromStr;
 use std::time::Duration;
 
-use serde::{json, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
+use shift_core::ShiftMode;
 
 use crate::config::PrefetcherConfig;
 use crate::matrix::{RunKey, RunMatrix};
@@ -53,9 +51,16 @@ use crate::matrix::{RunKey, RunMatrix};
 pub struct RunCost(u64);
 
 impl RunCost {
-    /// A cost of exactly `units` weighted fetch units.
-    pub fn from_units(units: u64) -> Self {
-        RunCost(units)
+    /// The estimated cost of one planned run: its total simulated fetches
+    /// (warmup + measured, times cores) times its prefetcher's class
+    /// weight, rounded to whole units. A pure function of the key, so every
+    /// worker computes the same cost.
+    pub fn of(key: &RunKey) -> Self {
+        let scale = key.options().scale;
+        let per_core = scale.fetches_per_core() + scale.warmup_fetches_per_core();
+        let fetches = per_core as u64 * u64::from(key.config().cores);
+        let weighted = fetches as f64 * class_weight(&key.config().prefetcher);
+        RunCost(weighted.round() as u64)
     }
 
     /// The cost in weighted fetch units.
@@ -79,171 +84,46 @@ impl fmt::Display for RunCost {
     }
 }
 
-/// Calibration table mapping a [`RunKey`] to a [`RunCost`].
-///
-/// The model is deliberately simple — `fetches × cores × class_weight` — so
-/// it is a pure function of the key and identical on every worker. The
-/// per-class weights capture the measured per-fetch slowdown of each
-/// prefetcher class relative to the baseline engine.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
-    /// Measured baseline simulation speed, in nanoseconds per fetch (the
-    /// `engine/step_Baseline` microbenchmark).
-    pub base_ns_per_fetch: f64,
-    /// Per-fetch weight of next-line prefetching (near-free lookups).
-    pub next_line_weight: f64,
-    /// Per-fetch weight of PIF (per-core history lookups on every miss).
-    pub pif_weight: f64,
-    /// Per-fetch weight of virtualized SHIFT (the `engine/step_SHIFT` /
-    /// `engine/step_Baseline` throughput ratio).
-    pub shift_weight: f64,
-    /// Per-fetch weight of idealized zero-latency SHIFT (no LLC traffic).
-    pub shift_zero_latency_weight: f64,
-    /// Per-fetch weight of dedicated-storage SHIFT.
-    pub shift_dedicated_weight: f64,
-}
+/// Next-line prefetching: near-free lookups.
+const NEXT_LINE_WEIGHT: f64 = 1.05;
+/// PIF: per-core history lookups on every miss, interpolated from the
+/// `lookup/pif_on_access_miss` / `lookup/shift_on_access_miss` latency
+/// ratio.
+const PIF_WEIGHT: f64 = 1.25;
+/// Virtualized SHIFT: the `engine/step_Baseline` / `engine/step_SHIFT`
+/// throughput ratio.
+const SHIFT_WEIGHT: f64 = 1.433;
+/// Idealized zero-latency SHIFT: no LLC history traffic.
+const SHIFT_ZERO_LATENCY_WEIGHT: f64 = 1.35;
+/// Dedicated-storage SHIFT.
+const SHIFT_DEDICATED_WEIGHT: f64 = 1.40;
 
-impl Default for CostModel {
-    /// Calibration committed from `docs/bench/BENCH_PR6.json`:
-    /// `engine/step_Baseline` at 2,347,833 fetches/s (425.9 ns/fetch),
-    /// `engine/step_SHIFT` at 1,638,388 fetches/s (weight 1.433), and PIF
-    /// interpolated from the `lookup/pif_on_access_miss` /
-    /// `lookup/shift_on_access_miss` latency ratio.
-    fn default() -> Self {
-        CostModel {
-            base_ns_per_fetch: 425.9,
-            next_line_weight: 1.05,
-            pif_weight: 1.25,
-            shift_weight: 1.433,
-            shift_zero_latency_weight: 1.35,
-            shift_dedicated_weight: 1.40,
+/// The per-fetch weight of `prefetcher`'s class relative to the no-prefetch
+/// baseline.
+fn class_weight(prefetcher: &PrefetcherConfig) -> f64 {
+    match prefetcher {
+        PrefetcherConfig::None => 1.0,
+        PrefetcherConfig::NextLine { .. } => NEXT_LINE_WEIGHT,
+        PrefetcherConfig::Pif(_) | PrefetcherConfig::GatedPif { .. } => PIF_WEIGHT,
+        PrefetcherConfig::Shift { mode, .. } | PrefetcherConfig::ThrottledShift { mode, .. } => {
+            shift_mode_weight(*mode)
+        }
+        // Fallback/adaptive hybrids run both component hooks per fetch:
+        // the SHIFT cost plus the (small) next-line overhead.
+        PrefetcherConfig::ShiftNextLine { mode, .. }
+        | PrefetcherConfig::AdaptiveNlShift { mode, .. } => {
+            shift_mode_weight(*mode) + (NEXT_LINE_WEIGHT - 1.0).max(0.0)
         }
     }
 }
 
-impl CostModel {
-    /// Recalibrates the model from a committed `BENCH_*.json` benchmark
-    /// artifact (the `target/artifacts/BENCH.json` the `perf` binary writes,
-    /// `cargo run --release -p shift-perf --bin perf`: a
-    /// `data.components[]` table of `{group, name, ns_per_op, per_sec}`
-    /// rows).
-    ///
-    /// Uses `engine/step_Baseline` for the base ns/fetch, the
-    /// `engine/step_SHIFT` throughput ratio for the SHIFT weight, and the
-    /// miss-path lookup latency ratio for the PIF weight. Components that are
-    /// missing keep their [`CostModel::default`] values, so a partial table
-    /// still calibrates what it can.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the file cannot be read or is not valid JSON.
-    pub fn from_bench_json(path: &Path) -> io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        let doc = json::parse(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{path:?}: {e}")))?;
-        let mut model = CostModel::default();
-        let components = doc
-            .get("data")
-            .and_then(|d| d.get("components"))
-            .and_then(|c| match c {
-                Value::Seq(items) => Some(items.as_slice()),
-                _ => None,
-            })
-            .unwrap_or(&[]);
-        let field = |group: &str, name: &str, key: &str| -> Option<f64> {
-            components.iter().find_map(|c| {
-                let g = c.get("group")?.as_str()?;
-                let n = c.get("name")?.as_str()?;
-                if g == group && n == name {
-                    c.get(key)?.as_f64()
-                } else {
-                    None
-                }
-            })
-        };
-        let base_per_sec = field("engine", "step_Baseline", "per_sec");
-        if let Some(per_sec) = base_per_sec.filter(|&v| v > 0.0) {
-            model.base_ns_per_fetch = 1e9 / per_sec;
-        }
-        if let (Some(base), Some(shift)) = (
-            base_per_sec.filter(|&v| v > 0.0),
-            field("engine", "step_SHIFT", "per_sec").filter(|&v| v > 0.0),
-        ) {
-            model.shift_weight = (base / shift).max(1.0);
-            // Idealized/dedicated SHIFT scale with the virtualized weight:
-            // same history engine, less (zero-latency) or equal LLC pressure.
-            model.shift_zero_latency_weight = 1.0 + (model.shift_weight - 1.0) * 0.8;
-            model.shift_dedicated_weight = 1.0 + (model.shift_weight - 1.0) * 0.93;
-        }
-        if let (Some(pif_ns), Some(shift_ns)) = (
-            field("lookup", "pif_on_access_miss", "ns_per_op").filter(|&v| v > 0.0),
-            field("lookup", "shift_on_access_miss", "ns_per_op").filter(|&v| v > 0.0),
-        ) {
-            // PIF's per-fetch overhead is the same miss path with a cheaper
-            // lookup: scale the SHIFT overhead by the lookup latency ratio.
-            model.pif_weight = 1.0 + (model.shift_weight - 1.0) * (pif_ns / shift_ns);
-        }
-        Ok(model)
-    }
-
-    /// Total simulated fetches of the run: (warmup + measured) × cores. This
-    /// is the scale-and-width part of the cost, before class weighting.
-    pub fn estimated_fetches(&self, key: &RunKey) -> u64 {
-        let scale = key.options().scale;
-        let per_core = scale.fetches_per_core() + scale.warmup_fetches_per_core();
-        per_core as u64 * u64::from(key.config().cores)
-    }
-
-    /// The per-fetch weight of the run's prefetcher class relative to the
-    /// no-prefetch baseline.
-    pub fn class_weight(&self, prefetcher: &PrefetcherConfig) -> f64 {
-        match prefetcher {
-            PrefetcherConfig::None => 1.0,
-            PrefetcherConfig::NextLine { .. } => self.next_line_weight,
-            PrefetcherConfig::Pif(_) | PrefetcherConfig::GatedPif { .. } => self.pif_weight,
-            PrefetcherConfig::Shift { mode, .. }
-            | PrefetcherConfig::ThrottledShift { mode, .. } => self.shift_mode_weight(*mode),
-            // Fallback/adaptive hybrids run both component hooks per fetch:
-            // the SHIFT cost plus the (small) next-line overhead.
-            PrefetcherConfig::ShiftNextLine { mode, .. }
-            | PrefetcherConfig::AdaptiveNlShift { mode, .. } => {
-                self.shift_mode_weight(*mode) + (self.next_line_weight - 1.0).max(0.0)
-            }
-        }
-    }
-
-    fn shift_mode_weight(&self, mode: shift_core::ShiftMode) -> f64 {
-        use shift_core::ShiftMode;
-        match mode {
-            ShiftMode::Virtualized => self.shift_weight,
-            ShiftMode::Dedicated { zero_latency: true } => self.shift_zero_latency_weight,
-            ShiftMode::Dedicated {
-                zero_latency: false,
-            } => self.shift_dedicated_weight,
-        }
-    }
-
-    /// The estimated cost of one planned run, in weighted fetch units.
-    pub fn cost(&self, key: &RunKey) -> RunCost {
-        let weighted =
-            self.estimated_fetches(key) as f64 * self.class_weight(&key.config().prefetcher);
-        RunCost(weighted.round() as u64)
-    }
-
-    /// Estimated single-thread wall-clock duration of the run at the
-    /// calibrated base speed (used when a worker has no measured rate yet).
-    pub fn estimated_duration(&self, key: &RunKey) -> Duration {
-        let nanos = self.cost(key).units() as f64 * self.base_ns_per_fetch;
-        Duration::from_nanos(nanos.round() as u64)
-    }
-
-    /// The calibrated reference throughput, in weighted fetch units per
-    /// second: what a single un-throttled worker thread is expected to drain.
-    pub fn reference_rate(&self) -> u64 {
-        if self.base_ns_per_fetch <= 0.0 {
-            return 0;
-        }
-        (1e9 / self.base_ns_per_fetch).round() as u64
+fn shift_mode_weight(mode: ShiftMode) -> f64 {
+    match mode {
+        ShiftMode::Virtualized => SHIFT_WEIGHT,
+        ShiftMode::Dedicated { zero_latency: true } => SHIFT_ZERO_LATENCY_WEIGHT,
+        ShiftMode::Dedicated {
+            zero_latency: false,
+        } => SHIFT_DEDICATED_WEIGHT,
     }
 }
 
@@ -286,7 +166,7 @@ impl FromStr for SchedulePolicy {
             "canonical" => Ok(SchedulePolicy::Canonical),
             "cost" | "cost-ordered" | "cost_ordered" => Ok(SchedulePolicy::CostOrdered),
             other => Err(format!(
-                "unknown schedule policy `{other}` (expected `canonical` or `cost`)"
+                "unknown schedule policy `{other}` (expected `canonical` or `cost-ordered`)"
             )),
         }
     }
@@ -298,11 +178,11 @@ impl FromStr for SchedulePolicy {
 /// The tie-break makes the ranking a total order over distinct runs (key ids
 /// are unique within a matrix), so every worker — with no coordination —
 /// computes the identical claim order from the same plan.
-pub fn rank_by_cost(model: &CostModel, matrix: &RunMatrix) -> Vec<usize> {
+pub fn rank_by_cost(matrix: &RunMatrix) -> Vec<usize> {
     let keys = matrix.keys();
     let ids = matrix.key_ids();
     let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_by_key(|&slot| (std::cmp::Reverse(model.cost(&keys[slot])), ids[slot]));
+    order.sort_by_key(|&slot| (std::cmp::Reverse(RunCost::of(&keys[slot])), ids[slot]));
     order
 }
 
@@ -314,7 +194,6 @@ mod tests {
 
     #[test]
     fn cost_scales_with_cores_scale_and_class() {
-        let model = CostModel::default();
         let w = presets::tiny();
         let mut matrix = RunMatrix::new();
         let _ = matrix.standalone(&w, PrefetcherConfig::None, 2, Scale::Test, 1);
@@ -322,51 +201,18 @@ mod tests {
         let _ = matrix.standalone(&w, PrefetcherConfig::shift_virtualized(), 2, Scale::Test, 1);
         let keys = matrix.keys(); // slot order == plan order
         assert!(
-            model.cost(&keys[1]) > model.cost(&keys[0]),
+            RunCost::of(&keys[1]) > RunCost::of(&keys[0]),
             "more cores cost more"
         );
         assert!(
-            model.cost(&keys[2]) > model.cost(&keys[0]),
+            RunCost::of(&keys[2]) > RunCost::of(&keys[0]),
             "SHIFT costs more than baseline"
         );
         // 4× the cores is exactly 4× the cost within a class.
         assert_eq!(
-            model.cost(&keys[1]).units(),
-            model.cost(&keys[0]).units() * 4
+            RunCost::of(&keys[1]).units(),
+            RunCost::of(&keys[0]).units() * 4
         );
-    }
-
-    #[test]
-    fn default_model_matches_committed_bench_numbers() {
-        let model = CostModel::default();
-        assert!((model.base_ns_per_fetch - 425.9).abs() < 0.1);
-        assert!((model.shift_weight - 1.433).abs() < 0.01);
-        assert!(model.reference_rate() > 2_000_000);
-    }
-
-    #[test]
-    fn from_bench_json_recalibrates_from_committed_table() {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../docs/bench/BENCH_PR6.json");
-        let model = CostModel::from_bench_json(&path).expect("committed bench table parses");
-        // engine/step_Baseline: 2,347,832.7 fetches/s → ~425.9 ns/fetch.
-        assert!((model.base_ns_per_fetch - 425.9).abs() < 0.5, "{model:?}");
-        // step_Baseline / step_SHIFT throughput ratio → ~1.433.
-        assert!((model.shift_weight - 1.433).abs() < 0.01, "{model:?}");
-        // PIF interpolates below SHIFT via the lookup latency ratio.
-        assert!(model.pif_weight > 1.0 && model.pif_weight < model.shift_weight);
-    }
-
-    #[test]
-    fn missing_bench_file_errors_and_garbage_is_invalid_data() {
-        assert!(CostModel::from_bench_json(Path::new("/nonexistent/bench.json")).is_err());
-        let dir = std::env::temp_dir().join("shift-schedule-badjson");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.json");
-        std::fs::write(&path, "not json").unwrap();
-        let err = CostModel::from_bench_json(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -383,14 +229,19 @@ mod tests {
             "Cost-Ordered".parse::<SchedulePolicy>(),
             Ok(SchedulePolicy::CostOrdered)
         );
-        assert!("fastest".parse::<SchedulePolicy>().is_err());
+        assert_eq!(
+            "fastest".parse::<SchedulePolicy>(),
+            Err(
+                "unknown schedule policy `fastest` (expected `canonical` or `cost-ordered`)".into()
+            )
+        );
         assert_eq!(SchedulePolicy::CostOrdered.to_string(), "cost-ordered");
         assert_eq!(SchedulePolicy::default(), SchedulePolicy::Canonical);
     }
 
     #[test]
     fn duration_estimates_follow_rate() {
-        let cost = RunCost::from_units(1_000_000);
+        let cost = RunCost(1_000_000);
         assert_eq!(cost.duration_at(0), None);
         let d = cost.duration_at(500_000).unwrap();
         assert_eq!(d, Duration::from_secs(2));

@@ -45,7 +45,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use crate::matrix::RunKeyId;
-use crate::schedule::{RunCost, SchedulePolicy};
+use crate::schedule::RunCost;
 use crate::store::{lock_file_name, read_lock, LockRecord};
 
 /// Which slice of a sweep this process executes: shard `index` of `total`
@@ -173,23 +173,18 @@ pub struct QueueConfig {
     /// reporting [`ExecutionReport::complete`](crate::ExecutionReport)
     /// accordingly.
     pub wait: bool,
-    /// In what order this worker walks the not-yet-done runs when claiming.
-    /// [`SchedulePolicy::CostOrdered`] claims biggest-first by [`RunCost`]
-    /// (see [`crate::schedule`]); the default keeps the stable canonical
-    /// order. Either way every run is eventually claimed — the policy only
-    /// changes claim order and makespan, never results.
-    pub policy: SchedulePolicy,
     /// Seed for this worker's measured drain rate, in weighted fetch units
     /// per second (`None`: unknown until the first run completes, unless a
     /// leftover lock from a previous incarnation of the same worker id holds
     /// a persisted rate). Lets operators pre-calibrate known-slow hosts.
     pub initial_rate: Option<u64>,
-    /// Under [`SchedulePolicy::CostOrdered`], a worker whose measured rate
-    /// predicts a run will take longer than this *defers* it — walks past it
-    /// to cheaper runs, returning to it only when nothing cheaper is left.
-    /// Fast workers are unaffected (their estimates stay under the cutoff),
-    /// so the biggest runs land on the fastest hosts. Deferral never skips a
-    /// run permanently: a lone slow worker still drains the whole queue.
+    /// Under the cost-ordered [`Execution::policy`](crate::Execution::policy),
+    /// a worker whose measured rate predicts a run will take longer than
+    /// this *defers* it — walks past it to cheaper runs, returning to it
+    /// only when nothing cheaper is left. Fast workers are unaffected (their
+    /// estimates stay under the cutoff), so the biggest runs land on the
+    /// fastest hosts. Deferral never skips a run permanently: a lone slow
+    /// worker still drains the whole queue.
     pub slow_cutoff: Duration,
     /// Artificial per-weighted-fetch-unit slowdown in nanoseconds, slept
     /// after each simulated run while its claim is still heartbeat-fresh.
@@ -226,7 +221,6 @@ impl QueueConfig {
             lock_ttl: Self::DEFAULT_TTL,
             poll: Duration::from_millis(500),
             wait: true,
-            policy: SchedulePolicy::default(),
             initial_rate: None,
             slow_cutoff: Self::DEFAULT_SLOW_CUTOFF,
             throttle_ns_per_unit: 0,
@@ -290,11 +284,11 @@ pub enum RunEvent {
     Claimed {
         /// The claimed run.
         key_id: RunKeyId,
-        /// The run's estimated cost under the active
-        /// [`CostModel`](crate::CostModel).
+        /// The run's estimated cost: [`RunCost::of`] its key.
         cost: RunCost,
         /// The run's position in the full-matrix claim ordering of the
-        /// active [`SchedulePolicy`] (0 = claimed first).
+        /// active [`SchedulePolicy`](crate::SchedulePolicy) (0 = claimed
+        /// first).
         rank: usize,
         /// The worker's measured drain rate in weighted fetch units per
         /// second at claim time; `None` before its first completed run.
@@ -611,13 +605,12 @@ mod tests {
 
     /// The whole matrix as one durable shard, through the builder.
     fn full_shard(matrix: &RunMatrix, dir: &Path, threads: usize) -> ExecutionReport {
-        *Execution::new(matrix)
-            .shard(ShardSpec::full())
+        Execution::new(matrix)
             .dir(dir)
+            .shard(ShardSpec::full())
             .threads(threads)
             .run()
             .unwrap()
-            .report()
     }
 
     #[test]

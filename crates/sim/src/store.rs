@@ -790,8 +790,8 @@ impl<'m> PlanIndex<'m> {
 /// for one planned [`RunMatrix`], plus what the scan skipped.
 ///
 /// Feed it to [`Execution::reuse`](crate::Execution::reuse) to run only the
-/// missing slots, or to [`seed_outcomes`] to persist the hits into a fresh
-/// outcome directory under the new plan's fingerprint.
+/// missing slots; in a directory mode the hits are first persisted there
+/// under the new plan's fingerprint.
 #[derive(Clone, Debug)]
 pub struct PartialLoad {
     /// The planning matrix's process-local id; delta execution asserts it.
@@ -850,46 +850,30 @@ impl PartialLoad {
     }
 }
 
-/// Persists every cache hit of `partial` into `dir` as a regular outcome
-/// file under **`matrix`'s own fingerprint**, skipping runs whose valid
-/// outcome is already present. Returns how many files it wrote.
-///
-/// This is how `--reuse OLD --outcomes NEW` composes with every execution
-/// mode: after seeding, `NEW` looks exactly as if the reused runs had been
-/// executed into it, so shard resume, queue draining, and the strict
-/// [`RunStore::load`] all work unchanged on top.
+/// [`Execution::reuse`](crate::Execution::reuse)'s pre-pass in every
+/// directory mode: persists the cache hits of `partial` for the plan-order
+/// `slots` into `dir` under **the plan's own fingerprint**, skipping runs
+/// whose valid outcome is already present. `dir` then looks as if the reused
+/// runs had been executed into it, so resume, queue draining, and the strict
+/// [`RunStore::load`] work unchanged on top. A `K/N` shard seeds only its own
+/// slice, so the shard directories stay disjoint.
 ///
 /// # Panics
 ///
 /// Panics if `partial` was probed against a different matrix.
-///
-/// # Errors
-///
-/// Propagates filesystem errors creating `dir` or writing outcome files.
-pub fn seed_outcomes(matrix: &RunMatrix, partial: &PartialLoad, dir: &Path) -> io::Result<usize> {
-    let all: Vec<usize> = (0..matrix.len()).collect();
-    seed_outcome_slots(&PlanIndex::new(matrix), partial, dir, &all)
-}
-
-/// [`seed_outcomes`] restricted to the given plan-order `slots` — how a
-/// `K/N` shard seeds only the slice it owns, so the per-shard directories
-/// stay disjoint and the strict merge's duplicate check keeps its teeth.
 pub(crate) fn seed_outcome_slots(
     index: &PlanIndex,
     partial: &PartialLoad,
     dir: &Path,
     slots: &[usize],
-) -> io::Result<usize> {
+) -> io::Result<()> {
     partial.assert_probed(index.matrix);
-    fs::create_dir_all(dir)?;
-    let mut written = 0usize;
     for &slot in slots {
         if let Some(result) = partial.hit(slot).filter(|_| !index.is_done(dir, slot)) {
             write_outcome(dir, index.fingerprint, &index.matrix.keys()[slot], result)?;
-            written += 1;
         }
     }
-    Ok(written)
+    Ok(())
 }
 
 /// The outcome files under `dir`, sorted by name for deterministic error
@@ -1035,13 +1019,12 @@ mod tests {
         assert_eq!(partial.missing_slots(&matrix).len(), 1);
 
         // Shard resume re-executes and re-stamps instead of trusting it.
-        let report = *crate::Execution::new(&matrix)
-            .shard(crate::ShardSpec::full())
+        let report = crate::Execution::new(&matrix)
             .dir(&dir)
+            .shard(crate::ShardSpec::full())
             .serial()
             .run()
-            .unwrap()
-            .report();
+            .unwrap();
         assert_eq!(report.sources.executed, 1, "stale outcome must re-run");
         assert_eq!(
             read_outcome(&path).unwrap().results_version,

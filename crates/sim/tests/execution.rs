@@ -5,14 +5,15 @@
 
 use std::collections::BTreeSet;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use shift_sim::schedule::rank_by_cost;
 use shift_sim::{
-    CancelToken, CostModel, Execution, ExecutionOutput, ExecutionReport, PrefetcherConfig,
-    QueueConfig, RunEvent, RunKeyId, RunMatrix, RunStore, SchedulePolicy, ShardSpec,
+    CancelToken, Execution, ExecutionOutput, ExecutionReport, PrefetcherConfig, QueueConfig,
+    RunEvent, RunKeyId, RunMatrix, RunStore, SchedulePolicy, ShardSpec,
 };
 use shift_trace::{presets, Scale};
 
@@ -43,17 +44,16 @@ fn worker(tag: &str) -> QueueConfig {
     config
 }
 
-/// Runs `configure(Execution::new(matrix))` with an observer attached and
-/// returns its output with every event it emitted, in emission order.
-fn observe<'m>(
-    matrix: &'m RunMatrix,
-    configure: impl for<'a> FnOnce(Execution<'a>) -> Execution<'a>,
-) -> (ExecutionOutput, Vec<RunEvent>) {
+/// Runs `run(Execution::new(matrix))` with an observer attached and
+/// returns what the run returned with every event it emitted, in emission
+/// order.
+fn observe<T>(
+    matrix: &RunMatrix,
+    run: impl for<'a> FnOnce(Execution<'a>) -> io::Result<T>,
+) -> (T, Vec<RunEvent>) {
     let events = Mutex::new(Vec::new());
     let observer = |event: RunEvent| events.lock().unwrap().push(event);
-    let output = configure(Execution::new(matrix).observer(&observer))
-        .run()
-        .expect("execution");
+    let output = run(Execution::new(matrix).observer(&observer)).expect("execution");
     (output, events.into_inner().unwrap())
 }
 
@@ -99,8 +99,8 @@ fn every_mode_emits_the_same_per_run_events() {
     // A cache holding half the runs, for the reuse pre-pass.
     let cache = temp_dir("events-cache");
     Execution::new(&matrix)
-        .shard(ShardSpec::new(1, 2))
         .dir(&cache)
+        .shard(ShardSpec::new(1, 2))
         .serial()
         .run()
         .unwrap();
@@ -111,35 +111,34 @@ fn every_mode_emits_the_same_per_run_events() {
     let reuse_dir = temp_dir("events-reuse-dir");
     let shard_dirs = [temp_dir("events-shard-1"), temp_dir("events-shard-2")];
     let queue_dir = temp_dir("events-queue");
-    let mut modes: Vec<(&str, ExecutionOutput, Vec<RunEvent>)> = Vec::new();
-    let mut push = |mode, (output, events)| modes.push((mode, output, events));
-    push("serial", observe(&matrix, |e| e.serial()));
-    push("threads(2)", observe(&matrix, |e| e.threads(2)));
-    push("dir", observe(&matrix, |e| e.dir(&dir).threads(2)));
+    let mut modes: Vec<(&str, ExecutionReport, Vec<RunEvent>)> = Vec::new();
+    let mut push = |mode, (output, events): (ExecutionOutput, _)| {
+        modes.push((mode, *output.report(), events));
+    };
+    push("serial", observe(&matrix, |e| e.serial().run()));
+    push("threads(2)", observe(&matrix, |e| e.threads(2).run()));
+    push("dir", observe(&matrix, |e| e.dir(&dir).threads(2).run()));
     let p = partial.clone();
-    push("reuse", observe(&matrix, |e| e.reuse(p).serial()));
+    push("reuse", observe(&matrix, |e| e.reuse(p).serial().run()));
     let p = partial.clone();
     push(
         "reuse+dir",
-        observe(&matrix, |e| e.reuse(p).dir(&reuse_dir)),
+        observe(&matrix, |e| e.reuse(p).dir(&reuse_dir).run()),
     );
     let mut shards = BTreeSet::new();
     for (k, shard_dir) in shard_dirs.iter().enumerate() {
         let spec = ShardSpec::new(k + 1, 2);
-        let (output, events) = observe(&matrix, |e| e.shard(spec).dir(shard_dir).serial());
-        shards.extend(check_events(
-            &format!("shard {spec}"),
-            output.report(),
-            &events,
-        ));
-        assert!(output.outcomes().is_none());
+        let (report, events) = observe(&matrix, |e| e.dir(shard_dir).shard(spec).serial().run());
+        shards.extend(check_events(&format!("shard {spec}"), &report, &events));
     }
     assert_eq!(shards, all, "the shards' union covers the matrix");
     let workers: Vec<_> = std::thread::scope(|scope| {
         let joins: Vec<_> = ["a", "b"]
             .map(|tag| {
                 let (matrix, dir) = (&matrix, &queue_dir);
-                scope.spawn(move || observe(matrix, |e| e.queue(worker(tag)).dir(dir).serial()))
+                scope.spawn(move || {
+                    observe(matrix, |e| e.dir(dir).queue(worker(tag)).serial().run())
+                })
             })
             .into_iter()
             .collect();
@@ -147,23 +146,23 @@ fn every_mode_emits_the_same_per_run_events() {
     });
     let executed: usize = workers
         .iter()
-        .map(|(o, _)| o.report().sources.executed)
+        .map(|(report, _)| report.sources.executed)
         .sum();
     assert_eq!(executed, matrix.len(), "the two workers split the runs");
-    for (output, events) in workers {
-        push("queue worker", (output, events));
+    for (report, events) in workers {
+        modes.push(("queue worker", report, events));
     }
 
-    for (mode, output, events) in &modes {
+    for (mode, report, events) in &modes {
         assert_eq!(
-            check_events(mode, output.report(), events),
+            check_events(mode, report, events),
             all,
             "{mode}: same key ids as every other mode"
         );
     }
     let reused = |mode: &str| {
-        let (_, output, _) = modes.iter().find(|(m, ..)| *m == mode).unwrap();
-        output.report().sources
+        let (_, report, _) = modes.iter().find(|(m, ..)| *m == mode).unwrap();
+        report.sources
     };
     assert_eq!((reused("reuse").reused, reused("reuse").executed), (2, 2));
     assert_eq!(
@@ -181,12 +180,14 @@ fn every_mode_emits_the_same_per_run_events() {
         .map(|slot| matrix.key_ids()[slot])
         .collect();
     assert_eq!(ids, canonical);
-    let by_cost: Vec<RunKeyId> = rank_by_cost(&CostModel::default(), &matrix)
+    let by_cost: Vec<RunKeyId> = rank_by_cost(&matrix)
         .into_iter()
         .map(|slot| matrix.key_ids()[slot])
         .collect();
     assert_ne!(by_cost, canonical, "the matrix tells the two orders apart");
-    let (_, events) = observe(&matrix, |e| e.serial().policy(SchedulePolicy::CostOrdered));
+    let (_, events) = observe(&matrix, |e| {
+        e.serial().policy(SchedulePolicy::CostOrdered).run()
+    });
     let claims = claimed(&events);
     assert!(
         claims.windows(2).all(|pair| pair[0].1 < pair[1].1),
@@ -196,10 +197,11 @@ fn every_mode_emits_the_same_per_run_events() {
     assert_eq!(ids, by_cost);
     let shard_dir = temp_dir("events-shard-cost");
     let (_, events) = observe(&matrix, |e| {
-        e.shard(ShardSpec::new(2, 2))
-            .dir(&shard_dir)
+        e.dir(&shard_dir)
+            .shard(ShardSpec::new(2, 2))
             .serial()
             .policy(SchedulePolicy::CostOrdered)
+            .run()
     });
     let ids: Vec<RunKeyId> = claimed(&events).into_iter().map(|(id, _)| id).collect();
     let slice: Vec<RunKeyId> = by_cost
@@ -227,19 +229,25 @@ fn outcome_and_lock_files(dir: &Path) -> (usize, usize) {
     (count("run-"), count("claim-"))
 }
 
-/// `execution` on one thread, into `dir` and restricted to `shard` if set.
-fn serial_in<'a>(
-    mut execution: Execution<'a>,
+/// `execution` on one thread, in memory or into `dir`, as `shard` of it if
+/// both are set: its report, and whether outcomes came back (a shard run
+/// returns none).
+fn serial_in(
+    execution: Execution,
     dir: Option<&Path>,
     shard: Option<ShardSpec>,
-) -> Execution<'a> {
-    if let Some(dir) = dir {
-        execution = execution.dir(dir);
+) -> (ExecutionReport, bool) {
+    let execution = execution.serial();
+    let output = match (dir, shard) {
+        (Some(dir), Some(spec)) => {
+            let report = execution.dir(dir).shard(spec).run().expect("shard");
+            return (report, false);
+        }
+        (Some(dir), None) => execution.dir(dir).run(),
+        (None, _) => execution.run(),
     }
-    if let Some(spec) = shard {
-        execution = execution.shard(spec);
-    }
-    execution.serial()
+    .expect("execution");
+    (*output.report(), output.outcomes().is_some())
 }
 
 #[test]
@@ -262,31 +270,21 @@ fn cancel_stops_every_mode_after_the_run_in_flight() {
                 }
             }
         };
-        let output = serial_in(Execution::new(&matrix), dir, shard)
-            .observer(&observer)
-            .cancel(&cancel)
-            .run()
-            .expect("a cancelled execution still reports");
-        let report = output.report();
+        let execution = Execution::new(&matrix).observer(&observer).cancel(&cancel);
+        let (report, outcomes) = serial_in(execution, dir, shard);
         assert!(!report.complete, "{mode}: cancelled, so incomplete");
         assert_eq!(report.sources.executed, 1, "{mode}: only the run in flight");
-        assert!(output.outcomes().is_none(), "{mode}: no partial outcomes");
+        assert!(!outcomes, "{mode}: no partial outcomes");
         if let Some(dir) = dir {
             assert_eq!(outcome_and_lock_files(dir), (1, 0), "{mode}");
         }
 
-        let rerun = serial_in(Execution::new(&matrix), dir, shard)
-            .run()
-            .unwrap();
-        assert!(rerun.report().complete, "{mode}: the rerun completes");
+        let (rerun, outcomes) = serial_in(Execution::new(&matrix), dir, shard);
+        assert!(rerun.complete, "{mode}: the rerun completes");
         let resumed = usize::from(dir.is_some());
-        assert_eq!(rerun.report().sources.reused, resumed, "{mode}");
-        assert_eq!(
-            rerun.report().sources.executed,
-            rerun.report().planned - resumed,
-            "{mode}"
-        );
-        assert_eq!(rerun.outcomes().is_some(), shard.is_none(), "{mode}");
+        assert_eq!(rerun.sources.reused, resumed, "{mode}");
+        assert_eq!(rerun.sources.executed, rerun.planned - resumed, "{mode}");
+        assert_eq!(outcomes, shard.is_none(), "{mode}");
     }
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&shard_dir);

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use shift_sim::store::{lock_file_name, outcome_file_name, read_lock, seed_outcomes};
+use shift_sim::store::{lock_file_name, outcome_file_name, read_lock};
 use shift_sim::{
     CancelToken, Execution, ExecutionReport, LockHeartbeat, PrefetcherConfig, QueueConfig,
     RunEvent, RunKeyId, RunMatrix, RunOutcomes, RunStore, ShardSpec, StoreError,
@@ -80,13 +80,12 @@ fn drain(
     config: QueueConfig,
     threads: usize,
 ) -> ExecutionReport {
-    *Execution::new(matrix)
-        .queue(config)
+    Execution::new(matrix)
         .dir(dir)
+        .queue(config)
         .threads(threads)
         .run()
         .expect("queue drain")
-        .report()
 }
 
 /// Serial reference execution every merge is compared against.
@@ -100,13 +99,12 @@ fn serial_reference(matrix: &RunMatrix) -> RunOutcomes {
 
 /// A durable shard execution through the builder.
 fn shard_exec(matrix: &RunMatrix, spec: ShardSpec, dir: &std::path::Path) -> ExecutionReport {
-    *Execution::new(matrix)
-        .shard(spec)
+    Execution::new(matrix)
         .dir(dir)
+        .shard(spec)
         .serial()
         .run()
         .expect("shard execution")
-        .report()
 }
 
 proptest! {
@@ -402,16 +400,35 @@ fn partial_load_reuses_across_foreign_fingerprints_and_seeds_a_new_directory() {
     assert_eq!(partial.skipped_foreign, 0);
     assert!(partial.skipped_malformed.is_empty());
 
-    // Seeding writes the hits under the NEW fingerprint; a queue worker
-    // then drains only the delta, and the strict merge accepts the result.
+    // A queue worker reusing the probe seeds the hits into a fresh
+    // directory under the NEW fingerprint, then drains only the delta, and
+    // the strict merge accepts the result.
     let new_dir = temp_dir("reuse-new");
-    let seeded = seed_outcomes(&new_matrix, &partial, &new_dir).expect("seed");
-    assert_eq!(seeded, old_matrix.len());
-    // Seeding is idempotent: valid outcomes are not rewritten.
-    assert_eq!(seed_outcomes(&new_matrix, &partial, &new_dir).unwrap(), 0);
-
-    let report = drain(&new_matrix, &new_dir, worker("delta"), 1);
+    let drain_reusing = |tag: &str| {
+        Execution::new(&new_matrix)
+            .dir(&new_dir)
+            .reuse(partial.clone())
+            .queue(worker(tag))
+            .serial()
+            .run()
+            .expect("reusing queue worker")
+    };
+    let report = drain_reusing("delta");
+    assert_eq!(report.sources.reused, old_matrix.len(), "every hit seeded");
     assert_eq!(report.sources.executed, new_matrix.len() - old_matrix.len());
+    // Seeding is idempotent: a second reusing worker executes nothing and
+    // leaves every outcome file byte-identical.
+    let outcome_files = || {
+        let paths = fs::read_dir(&new_dir).unwrap().map(|e| e.unwrap().path());
+        let mut files: Vec<_> = paths.map(|p| (fs::read(&p).unwrap(), p)).collect();
+        files.sort();
+        files
+    };
+    let before = outcome_files();
+    assert_eq!(before.len(), new_matrix.len());
+    assert_eq!(drain_reusing("again").sources.executed, 0);
+    assert_eq!(outcome_files(), before);
+
     let merged = RunStore::new([&new_dir]).load(&new_matrix).expect("merge");
     let serial = serial_reference(&new_matrix);
     for &handle in &handles {
@@ -443,14 +460,13 @@ fn per_shard_seeding_keeps_shard_directories_disjoint() {
     let mut executed_total = 0;
     for (k, dir) in dirs.iter().enumerate() {
         // Fresh shard directories: everything a shard reuses, it seeded.
-        let report = *Execution::new(&new_matrix)
-            .shard(ShardSpec::new(k + 1, SHARDS))
+        let report = Execution::new(&new_matrix)
             .dir(dir)
+            .shard(ShardSpec::new(k + 1, SHARDS))
             .reuse(partial.clone())
             .serial()
             .run()
-            .expect("seeded shard execution")
-            .report();
+            .expect("seeded shard execution");
         seeded_total += report.sources.reused;
         executed_total += report.sources.executed;
     }
@@ -507,14 +523,13 @@ fn observer_sees_one_claim_and_one_execution_per_run() {
     let events: Mutex<Vec<RunEvent>> = Mutex::new(Vec::new());
     let observer = |event: RunEvent| events.lock().unwrap().push(event);
 
-    let report = *Execution::new(&matrix)
-        .queue(worker("observed"))
+    let report = Execution::new(&matrix)
         .dir(&dir)
+        .queue(worker("observed"))
         .threads(2)
         .observer(&observer)
         .run()
-        .expect("observed drain")
-        .report();
+        .expect("observed drain");
     assert!(report.complete);
     assert_eq!(report.sources.executed, matrix.len());
 
@@ -543,14 +558,13 @@ fn observer_sees_one_claim_and_one_execution_per_run() {
     // A second drain over the full directory is all cache hits.
     let hits: Mutex<Vec<RunEvent>> = Mutex::new(Vec::new());
     let observer = |event: RunEvent| hits.lock().unwrap().push(event);
-    let report = *Execution::new(&matrix)
-        .queue(worker("observed-2"))
+    let report = Execution::new(&matrix)
         .dir(&dir)
+        .queue(worker("observed-2"))
         .serial()
         .observer(&observer)
         .run()
-        .unwrap()
-        .report();
+        .unwrap();
     assert!(report.complete);
     assert_eq!(report.sources.executed, 0);
     assert_eq!(report.sources.reused, matrix.len(), "all cache hits");
@@ -580,15 +594,14 @@ fn cancelled_drain_stops_cleanly_without_orphaned_claims() {
         }
     };
 
-    let report = *Execution::new(&matrix)
-        .queue(worker("cancelled"))
+    let report = Execution::new(&matrix)
         .dir(&dir)
+        .queue(worker("cancelled"))
         .serial()
         .observer(&observer)
         .cancel(&cancel)
         .run()
-        .expect("cancelled drain still returns its tally")
-        .report();
+        .expect("cancelled drain still returns its tally");
     assert!(!report.complete, "a cancelled drain is not complete");
     assert_eq!(
         report.sources.executed, 1,

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use shift_sim::schedule::rank_by_cost;
 use shift_sim::{
-    CmpConfig, CostModel, Execution, ExecutionReport, PrefetcherConfig, QueueConfig, RunKey,
+    CmpConfig, Execution, ExecutionReport, PrefetcherConfig, QueueConfig, RunCost, RunKey,
     RunMatrix, RunOutcomes, RunStore, SchedulePolicy, SimOptions,
 };
 use shift_trace::{presets, Scale};
@@ -92,8 +92,7 @@ fn cost_ranking_is_a_total_order_with_stable_ties() {
     // And one run that dwarfs them.
     matrix.standalone(&workload, PrefetcherConfig::None, 8, Scale::Test, 0);
 
-    let model = CostModel::default();
-    let order = rank_by_cost(&model, &matrix);
+    let order = rank_by_cost(&matrix);
 
     // A permutation of the slots...
     let mut sorted = order.clone();
@@ -101,14 +100,14 @@ fn cost_ranking_is_a_total_order_with_stable_ties() {
     assert_eq!(sorted, (0..matrix.len()).collect::<Vec<_>>());
 
     // ...deterministic across calls...
-    assert_eq!(order, rank_by_cost(&model, &matrix));
+    assert_eq!(order, rank_by_cost(&matrix));
 
     // ...cost-descending, with equal costs ordered by ascending key id.
     let keys = matrix.keys();
     let ids = matrix.key_ids();
     for pair in order.windows(2) {
         let (a, b) = (pair[0], pair[1]);
-        let (cost_a, cost_b) = (model.cost(&keys[a]), model.cost(&keys[b]));
+        let (cost_a, cost_b) = (RunCost::of(&keys[a]), RunCost::of(&keys[b]));
         assert!(
             cost_a > cost_b || (cost_a == cost_b && ids[a] < ids[b]),
             "rank violates the (cost desc, key id asc) total order: \
@@ -142,7 +141,7 @@ fn run_costs_are_pinned_per_prefetcher() {
         for (cores, units) in [(2, two_cores), (16, sixteen_cores)] {
             let config = CmpConfig::micro13(cores, prefetcher);
             let key = RunKey::standalone(config, presets::tiny(), SimOptions::new(Scale::Test, 7));
-            let cost = CostModel::default().cost(&key);
+            let cost = RunCost::of(&key);
             assert_eq!(cost.units(), units, "{prefetcher:?} on {cores} cores");
         }
     }
@@ -175,18 +174,17 @@ proptest! {
                     let dir = dir.clone();
                     let mut config = QueueConfig::new(format!("sched-w{w}"));
                     config.poll = Duration::from_millis(10);
-                    config.policy = SchedulePolicy::CostOrdered;
                     config.throttle_ns_per_unit = throttles[w];
                     config.initial_rate = (rates[w] > 0).then_some(rates[w]);
                     config.slow_cutoff = Duration::from_millis(cutoffs_ms[w]);
                     scope.spawn(move || {
-                        *Execution::new(matrix)
-                            .queue(config)
+                        Execution::new(matrix)
                             .dir(&dir)
+                            .queue(config)
                             .serial()
+                            .policy(SchedulePolicy::CostOrdered)
                             .run()
                             .expect("queue worker")
-                            .report()
                     })
                 })
                 .collect();
@@ -234,7 +232,6 @@ fn drain_fleet(matrix: &RunMatrix, dir: &Path, policy: SchedulePolicy) -> Durati
         let slow = scope.spawn(move || {
             let mut config = QueueConfig::new("slow".to_owned());
             config.poll = Duration::from_millis(10);
-            config.policy = policy;
             config.throttle_ns_per_unit = SLOW_THROTTLE_NS_PER_UNIT;
             // The slow worker advertises its throughput up front, as a
             // restarted worker recovering its calibration would: 150k
@@ -242,13 +239,13 @@ fn drain_fleet(matrix: &RunMatrix, dir: &Path, policy: SchedulePolicy) -> Durati
             // far over the cutoff and a small one (~100k) well under it.
             config.initial_rate = Some(150_000);
             config.slow_cutoff = Duration::from_millis(1_500);
-            let report = *Execution::new(matrix)
-                .queue(config)
+            let report = Execution::new(matrix)
                 .dir(dir)
+                .queue(config)
                 .serial()
+                .policy(policy)
                 .run()
-                .expect("slow worker")
-                .report();
+                .expect("slow worker");
             assert!(report.complete);
         });
         // The head start guarantees the slow worker faces the full queue
@@ -259,14 +256,13 @@ fn drain_fleet(matrix: &RunMatrix, dir: &Path, policy: SchedulePolicy) -> Durati
                 scope.spawn(move || {
                     let mut config = QueueConfig::new(format!("fast-{w}"));
                     config.poll = Duration::from_millis(10);
-                    config.policy = policy;
-                    let report = *Execution::new(matrix)
-                        .queue(config)
+                    let report = Execution::new(matrix)
                         .dir(dir)
+                        .queue(config)
                         .serial()
+                        .policy(policy)
                         .run()
-                        .expect("fast worker")
-                        .report();
+                        .expect("fast worker");
                     assert!(report.complete);
                 })
             })

@@ -70,13 +70,13 @@ proptest! {
             .collect();
         let mut sliced = 0usize;
         for (k, dir) in dirs.iter().enumerate() {
-            let output = Execution::new(&matrix)
-                .shard(ShardSpec::new(k + 1, total))
+            let report = Execution::new(&matrix)
                 .dir(dir)
+                .shard(ShardSpec::new(k + 1, total))
                 .threads(2)
                 .run()
                 .expect("shard executes");
-            sliced += output.report().planned;
+            sliced += report.planned;
         }
         prop_assert_eq!(sliced, matrix.len(), "shards must partition the matrix");
 
@@ -103,8 +103,8 @@ fn missing_shard_is_detected() {
     let dir = temp_dir("missing");
     // Execute only shard 1 of 3.
     Execution::new(&matrix)
-        .shard(ShardSpec::new(1, 3))
         .dir(&dir)
+        .shard(ShardSpec::new(1, 3))
         .serial()
         .run()
         .unwrap();
@@ -134,8 +134,8 @@ fn duplicate_outcomes_are_rejected() {
     let (matrix, _) = build_matrix(&[(0, 0, 0), (1, 1, 1)]);
     let dir = temp_dir("duplicate");
     Execution::new(&matrix)
-        .shard(ShardSpec::full())
         .dir(&dir)
+        .shard(ShardSpec::full())
         .serial()
         .run()
         .unwrap();
@@ -159,8 +159,8 @@ fn foreign_matrix_outcomes_are_rejected() {
     four_core.standalone(&w, PrefetcherConfig::None, 4, Scale::Test, 1);
     let dir = temp_dir("foreign");
     Execution::new(&four_core)
-        .shard(ShardSpec::full())
         .dir(&dir)
+        .shard(ShardSpec::full())
         .serial()
         .run()
         .unwrap();
