@@ -42,7 +42,8 @@
 //!   `docs/PERFORMANCE.md`).
 //! * **`--decision-log FILE`** — write one NDJSON line per claim — with the
 //!   run's estimated cost, its rank in the schedule, and the measured fetch
-//!   rate — plus a final `drained` line carrying the makespan.
+//!   rate — plus a final `drained` line carrying the makespan. A failed
+//!   write cancels the execution after the runs in flight and exits 1.
 //!
 //! All modes read the sweep settings from `SHIFT_SCALE` / `SHIFT_CORES` /
 //! `SHIFT_WORKLOADS`; shard, queue, and merge hosts must agree on them (the
@@ -61,7 +62,8 @@ use shift_bench::artifacts::artifacts_dir;
 use shift_bench::reproduce::{PaperPlan, PaperReport, ReproduceSettings};
 use shift_sim::matrix::default_threads;
 use shift_sim::{
-    Execution, ExecutionReport, QueueConfig, RunEvent, RunStore, SchedulePolicy, ShardSpec,
+    CancelToken, Execution, ExecutionReport, QueueConfig, RunEvent, RunStore, SchedulePolicy,
+    ShardSpec,
 };
 
 /// What the command line asked for.
@@ -80,6 +82,43 @@ struct Run {
     reuse: Vec<PathBuf>,
     policy: SchedulePolicy,
     decision_log: Option<PathBuf>,
+}
+
+/// The `--decision-log` writer. The first failed write is kept instead of
+/// panicking a worker thread, and it cancels the execution; `reproduce`
+/// reports it as an operator error.
+struct DecisionLog {
+    path: PathBuf,
+    out: BufWriter<File>,
+    error: Option<io::Error>,
+}
+
+impl DecisionLog {
+    /// Runs `write` unless an earlier write failed; a failure is kept and
+    /// cancels the execution.
+    fn write(
+        &mut self,
+        cancel: &CancelToken,
+        write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+    ) {
+        if self.error.is_none() {
+            if let Err(e) = write(&mut self.out) {
+                self.error = Some(e);
+                cancel.cancel();
+            }
+        }
+    }
+
+    /// The kept write error, as the message to exit with.
+    fn result(&mut self) -> Result<(), String> {
+        match self.error.take() {
+            Some(e) => Err(format!(
+                "cannot write --decision-log {}: {e}",
+                self.path.display()
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Which runs one execution owns and where their outcomes go.
@@ -284,14 +323,19 @@ fn reproduce(mode: Mode) -> Result<(), String> {
         }
     };
 
-    let log = match &decision_log {
+    let log = match decision_log {
         Some(path) => {
-            let file = File::create(path)
+            let file = File::create(&path)
                 .map_err(|e| format!("cannot open --decision-log {}: {e}", path.display()))?;
-            Some(Mutex::new(BufWriter::new(file)))
+            Some(Mutex::new(DecisionLog {
+                path,
+                out: BufWriter::new(file),
+                error: None,
+            }))
         }
         None => None,
     };
+    let cancel = CancelToken::new();
     let start = Instant::now();
     let observer = |event: RunEvent| {
         let Some(log) = &log else { return };
@@ -306,34 +350,39 @@ fn reproduce(mode: Mode) -> Result<(), String> {
                 .map(|r| r.to_string())
                 .unwrap_or_else(|| "null".to_owned());
             let mut log = log.lock().expect("decision log poisoned");
-            writeln!(
-                log,
-                "{{\"event\":\"claimed\",\"run\":\"{key_id}\",\"worker\":\"{worker}\",\
-                 \"policy\":\"{policy}\",\"cost\":{cost_units},\"rank\":{rank},\
-                 \"worker_rate\":{rate},\"t_ms\":{t}}}",
-                cost_units = cost.units(),
-                t = start.elapsed().as_millis(),
-            )
-            .expect("decision log write");
+            log.write(&cancel, |out| {
+                writeln!(
+                    out,
+                    "{{\"event\":\"claimed\",\"run\":\"{key_id}\",\"worker\":\"{worker}\",\
+                     \"policy\":\"{policy}\",\"cost\":{cost_units},\"rank\":{rank},\
+                     \"worker_rate\":{rate},\"t_ms\":{t}}}",
+                    cost_units = cost.units(),
+                    t = start.elapsed().as_millis(),
+                )
+            });
         }
     };
-    // Ends the decision log with its `drained` line and prints one summary
-    // line.
+    // Ends the decision log with its `drained` line, prints one summary
+    // line, and fails with the decision-log write error that cancelled the
+    // execution.
     let summarize = |report: &ExecutionReport, dir: Option<&Path>| {
-        if let Some(log) = &log {
-            let mut log = log.lock().expect("decision log poisoned");
-            writeln!(
-                log,
-                "{{\"event\":\"drained\",\"worker\":\"{worker}\",\"policy\":\"{policy}\",\
-                 \"executed\":{executed},\"reclaimed\":{reclaimed},\"passes\":{passes},\
-                 \"makespan_ms\":{makespan}}}",
-                executed = report.sources.executed,
-                reclaimed = report.sources.reclaimed,
-                passes = report.passes,
-                makespan = start.elapsed().as_millis(),
-            )
-            .expect("decision log write");
-            log.flush().expect("decision log flush");
+        let mut log = log
+            .as_ref()
+            .map(|log| log.lock().expect("decision log poisoned"));
+        if let Some(log) = &mut log {
+            log.write(&cancel, |out| {
+                writeln!(
+                    out,
+                    "{{\"event\":\"drained\",\"worker\":\"{worker}\",\"policy\":\"{policy}\",\
+                     \"executed\":{executed},\"reclaimed\":{reclaimed},\"passes\":{passes},\
+                     \"makespan_ms\":{makespan}}}",
+                    executed = report.sources.executed,
+                    reclaimed = report.sources.reclaimed,
+                    passes = report.passes,
+                    makespan = start.elapsed().as_millis(),
+                )?;
+                out.flush()
+            });
         }
         println!(
             "{worker}: {} of {} runs executed, {} reused, {} stale claims reclaimed \
@@ -345,23 +394,24 @@ fn reproduce(mode: Mode) -> Result<(), String> {
             report.passes,
             dir.map_or_else(String::new, |dir| format!(", under {}", dir.display())),
         );
+        log.map_or(Ok(()), |mut log| log.result())
     };
-    let execution = execution.observer(&observer);
+    let execution = execution.observer(&observer).cancel(&cancel);
     let failed = |e: io::Error| format!("{worker} failed: {e}");
     match target {
         Target::InMemory => {
             let output = execution.run().map_err(failed)?;
-            summarize(output.report(), None);
+            summarize(output.report(), None)?;
             write_report(&plan.collect(&output.into_outcomes()))
         }
         Target::Durable(dir) => {
             let output = execution.dir(&dir).run().map_err(failed)?;
-            summarize(output.report(), Some(&dir));
+            summarize(output.report(), Some(&dir))?;
             write_report(&plan.collect(&output.into_outcomes()))
         }
         Target::Shard(dir, spec) => {
             let report = execution.dir(&dir).shard(spec).run().map_err(failed)?;
-            summarize(&report, Some(&dir));
+            summarize(&report, Some(&dir))?;
             println!(
                 "merge with: reproduce --merge {} <other shard dirs...>",
                 dir.display()
@@ -370,7 +420,7 @@ fn reproduce(mode: Mode) -> Result<(), String> {
         }
         Target::Queue(dir, config) => {
             let report = execution.dir(&dir).queue(config).run().map_err(failed)?;
-            summarize(&report, Some(&dir));
+            summarize(&report, Some(&dir))?;
             println!("merge with: reproduce --merge {}", dir.display());
             Ok(())
         }

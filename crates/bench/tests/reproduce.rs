@@ -191,6 +191,35 @@ fn reproduce_binary_reports_store_errors_without_panicking() {
 }
 
 #[test]
+#[cfg(target_os = "linux")]
+fn reproduce_binary_reports_an_unwritable_decision_log_without_panicking() {
+    // `/dev/full` opens, but every write to it fails: an operator error that
+    // must name the flag, the path and the error, and exit 1.
+    let dir = std::env::temp_dir().join("shift-bench-reproduce-decision-log");
+    let _ = fs::remove_dir_all(&dir);
+    let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--shard", "1/64", "--outcomes"])
+        .arg(&dir)
+        .args(["--decision-log", "/dev/full"])
+        .env("SHIFT_SCALE", "test")
+        .env("SHIFT_CORES", "2")
+        .env("SHIFT_WORKLOADS", "web")
+        .output()
+        .expect("run the reproduce binary");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+    let no_space = std::io::Error::from_raw_os_error(28);
+    assert!(
+        stderr.contains(&format!(
+            "cannot write --decision-log /dev/full: {no_space}"
+        )),
+        "stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
 fn reproduce_binary_warns_once_about_an_invalid_thread_count() {
     // The banner and the execution both ask for the default thread count;
     // a bad value is reported once, not once per question, and a valid one

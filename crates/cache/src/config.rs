@@ -134,13 +134,6 @@ impl LlcConfig {
     pub fn capacity_blocks(&self) -> usize {
         self.total_bytes / self.block_bytes
     }
-
-    /// Storage overhead, in bytes, of appending `index_pointer_bits` to every
-    /// LLC tag — the paper's 240 KB figure for an 8 MB LLC with 15-bit
-    /// pointers.
-    pub fn index_table_overhead_bytes(&self) -> usize {
-        self.capacity_blocks() * self.index_pointer_bits as usize / 8
-    }
 }
 
 #[cfg(test)]
@@ -166,13 +159,6 @@ mod tests {
         assert_eq!(llc.banks, 16);
         assert_eq!(llc.hit_latency, 5);
         assert_eq!(llc.bank_config().sets(), 512 * 1024 / (16 * 64));
-    }
-
-    #[test]
-    fn index_table_overhead_matches_paper() {
-        // 8 MB LLC → 128 K tags × 15 bits = 240 KB.
-        let llc = LlcConfig::micro13(16);
-        assert_eq!(llc.index_table_overhead_bytes(), 240 * 1024);
     }
 
     #[test]

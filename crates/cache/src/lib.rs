@@ -3,10 +3,9 @@
 //! This crate provides the storage substrates the simulated CMP is built
 //! from:
 //!
-//! * [`SetAssocCache`] — a set-associative cache with pluggable replacement,
-//!   per-line user metadata, and optional *pinned* (non-evictable) lines. The
-//!   L1 instruction and data caches are instances of it.
-//! * [`Mshr`] — miss-status holding registers that merge secondary misses.
+//! * [`SetAssocCache`] — a set-associative LRU cache with per-line user
+//!   metadata and optional *pinned* (non-evictable) lines. The L1
+//!   instruction and data caches and every LLC bank are instances of it.
 //! * [`NucaLlc`] — the shared, banked last-level cache. It supports the two
 //!   extensions virtualized SHIFT needs: an index-pointer field appended to
 //!   every tag (the paper's embedded index table) and a non-evictable address
@@ -33,14 +32,10 @@
 
 pub mod config;
 pub mod llc;
-pub mod mshr;
-pub mod replacement;
 pub mod set_assoc;
 pub mod stats;
 
 pub use config::{CacheConfig, LlcConfig};
 pub use llc::{LlcAccessOutcome, LlcMeta, NucaLlc};
-pub use mshr::{Mshr, MshrAllocation};
-pub use replacement::ReplacementPolicy;
 pub use set_assoc::{AccessResult, EvictedLine, SetAssocCache};
 pub use stats::{CacheStats, TrafficStats};

@@ -11,15 +11,13 @@
 //!
 //! Within a set, live lines occupy ways `0..len` in the order the previous
 //! `Vec`-per-set representation kept them (fills append, evictions
-//! `swap_remove`), so replacement decisions — including the deterministic
-//! `Random` policy's k-th-unpinned-way choice — are bit-identical to the old
+//! `swap_remove`), so LRU victim choices are bit-identical to the old
 //! layout.
 
 use serde::{Deserialize, Serialize};
 use shift_types::BlockAddr;
 
 use crate::config::CacheConfig;
-use crate::replacement::{ReplacementPolicy, VictimRng};
 use crate::stats::CacheStats;
 
 /// Result of a lookup through [`SetAssocCache::access`].
@@ -87,7 +85,7 @@ fn hit_mask(tags: &[u64], target: u64) -> u64 {
     }
 }
 
-/// A set-associative cache parameterized by per-line metadata `M`.
+/// A set-associative LRU cache parameterized by per-line metadata `M`.
 ///
 /// The cache tracks only tags and metadata, never data contents — exactly what
 /// a trace-driven simulator needs. Lookups ([`access`](Self::access)) update
@@ -110,7 +108,6 @@ fn hit_mask(tags: &[u64], target: u64) -> u64 {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SetAssocCache<M> {
     config: CacheConfig,
-    policy: ReplacementPolicy,
     /// Associativity, hoisted out of `config` for the per-access path.
     ways: usize,
     /// Tag lane: the raw block number per line slot (`set * ways + way`).
@@ -133,22 +130,16 @@ pub struct SetAssocCache<M> {
     index_mask: Option<u64>,
     clock: u64,
     stats: CacheStats,
-    victim_rng: VictimRng,
 }
 
 impl<M: Default> SetAssocCache<M> {
     /// Creates an empty cache with LRU replacement.
-    pub fn new(config: CacheConfig) -> Self {
-        Self::with_policy(config, ReplacementPolicy::Lru)
-    }
-
-    /// Creates an empty cache with the given replacement policy.
     ///
     /// # Panics
     ///
     /// Panics if the associativity exceeds 64 (the pinned/live way bitmasks
     /// are single words).
-    pub fn with_policy(config: CacheConfig, policy: ReplacementPolicy) -> Self {
+    pub fn new(config: CacheConfig) -> Self {
         assert!(config.ways <= 64, "associativity above 64 ways unsupported");
         let sets = config.sets();
         let set_count = sets as u64;
@@ -156,7 +147,6 @@ impl<M: Default> SetAssocCache<M> {
         let mut meta = Vec::with_capacity(slots);
         meta.resize_with(slots, M::default);
         SetAssocCache {
-            policy,
             ways: config.ways,
             tags: vec![0; slots],
             last_use: vec![0; slots],
@@ -167,7 +157,6 @@ impl<M: Default> SetAssocCache<M> {
             index_mask: set_count.is_power_of_two().then(|| set_count - 1),
             clock: 0,
             stats: CacheStats::default(),
-            victim_rng: VictimRng::default(),
             config,
         }
     }
@@ -355,42 +344,24 @@ impl<M> SetAssocCache<M> {
             return None;
         }
 
-        // Victim selection over the unpinned live ways, directly on the
+        // LRU victim selection over the unpinned live ways, directly on the
         // bitmask; fills are on the miss path of every cache level, so this
         // must stay allocation-free.
         let live_mask = u64::MAX >> (64 - len as u32);
-        let unpinned_mask = live_mask & !self.pinned[idx];
+        let mut rest = live_mask & !self.pinned[idx];
         assert!(
-            unpinned_mask != 0,
+            rest != 0,
             "all ways of set {idx} are pinned; cannot fill {block}"
         );
-        let victim = match self.policy {
-            ReplacementPolicy::Lru => {
-                let mut rest = unpinned_mask;
-                let mut best = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                while rest != 0 {
-                    let w = rest.trailing_zeros() as usize;
-                    if self.last_use[base + w] < self.last_use[base + best] {
-                        best = w;
-                    }
-                    rest &= rest - 1;
-                }
-                best
+        let mut victim = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        while rest != 0 {
+            let w = rest.trailing_zeros() as usize;
+            if self.last_use[base + w] < self.last_use[base + victim] {
+                victim = w;
             }
-            ReplacementPolicy::Random => {
-                // The k-th unpinned way in way order — the same candidate
-                // order the Vec representation enumerated.
-                let k = self
-                    .victim_rng
-                    .next_below(unpinned_mask.count_ones() as usize);
-                let mut rest = unpinned_mask;
-                for _ in 0..k {
-                    rest &= rest - 1;
-                }
-                rest.trailing_zeros() as usize
-            }
-        };
+            rest &= rest - 1;
+        }
         self.stats.evictions += 1;
 
         // Emulate `swap_remove(victim)` + `push(new)`: the last live way
@@ -584,16 +555,6 @@ mod tests {
         assert!(c.resident_blocks() <= c.config().capacity_blocks());
         assert_eq!(c.resident_blocks(), 8);
         assert_eq!(c.resident().count(), 8);
-    }
-
-    #[test]
-    fn random_policy_still_bounds_capacity() {
-        let mut c: SetAssocCache<()> =
-            SetAssocCache::with_policy(CacheConfig::new(512, 2, 64, 1), ReplacementPolicy::Random);
-        for i in 0..1000 {
-            c.fill(BlockAddr::new(i), ());
-        }
-        assert_eq!(c.resident_blocks(), 8);
     }
 
     #[test]

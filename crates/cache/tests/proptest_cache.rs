@@ -1,7 +1,7 @@
 //! Property tests for the cache substrates.
 
 use proptest::prelude::*;
-use shift_cache::{CacheConfig, LlcConfig, Mshr, NucaLlc, SetAssocCache};
+use shift_cache::{CacheConfig, LlcConfig, NucaLlc, SetAssocCache};
 use shift_types::{AccessClass, BlockAddr};
 
 proptest! {
@@ -118,23 +118,6 @@ proptest! {
         for key in 0..64u64 {
             let in_model = model[(key % SETS) as usize].iter().any(|l| l.0 == key);
             prop_assert_eq!(cache.probe(BlockAddr::new(key)), in_model);
-        }
-    }
-
-    /// MSHR occupancy never exceeds capacity and completes exactly what was
-    /// allocated.
-    #[test]
-    fn mshr_occupancy_bounded(ops in proptest::collection::vec((0u64..32, any::<bool>()), 1..300)) {
-        let mut mshr = Mshr::new(8);
-        for &(block, complete) in &ops {
-            let b = BlockAddr::new(block);
-            if complete {
-                mshr.complete(b);
-            } else {
-                mshr.allocate(b);
-            }
-            prop_assert!(mshr.occupancy() <= 8);
-            prop_assert!(mshr.peak_occupancy() <= 8);
         }
     }
 }

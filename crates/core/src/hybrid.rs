@@ -22,7 +22,10 @@
 //! All four wrappers are generic over the wrapped
 //! [`InstructionPrefetcher`] type(s), so the simulation engine can
 //! monomorphize its stepping loop per composition exactly as it does for the
-//! base designs — no dynamic dispatch on the hot path.
+//! base designs — no dynamic dispatch on the hot path. A wrapper is its three
+//! hooks and the state they need; its name and storage cost come from its
+//! configuration (`shift_sim::PrefetcherConfig::{label, storage}`), where a
+//! next-line side, a gate and a port cost nothing.
 //!
 //! Composition semantics are locked by differential property tests
 //! (`tests/proptest_hybrid.rs`): `FallbackPrefetcher(A, Null)` is
@@ -47,15 +50,13 @@
 //! let mut out = Vec::new();
 //! hybrid.on_access(CoreId::new(0), BlockAddr::new(100), false, &mut llc, &mut out);
 //! assert_eq!(out[0].block, BlockAddr::new(101));
-//! assert!(hybrid.name().starts_with("PIF_32K+"));
 //! ```
 
 use serde::{Deserialize, Serialize};
 use shift_cache::NucaLlc;
 use shift_types::{BlockAddr, CoreId};
 
-use crate::prefetcher::{InstructionPrefetcher, PrefetchCandidate, PrefetcherKind};
-use crate::storage::StorageCost;
+use crate::prefetcher::{InstructionPrefetcher, PrefetchCandidate};
 
 /// A primary prefetcher with a secondary fallback.
 ///
@@ -66,81 +67,20 @@ use crate::storage::StorageCost;
 /// for prefetch bandwidth when the primary has a stream to replay.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct FallbackPrefetcher<P, S> {
-    name: String,
     primary: P,
     secondary: S,
-    primary_candidates: u64,
-    secondary_candidates: u64,
-    suppressed_candidates: u64,
 }
 
-impl<P: InstructionPrefetcher, S: InstructionPrefetcher> FallbackPrefetcher<P, S> {
+impl<P, S> FallbackPrefetcher<P, S> {
     /// Composes `primary` with a `secondary` fallback.
     pub fn new(primary: P, secondary: S) -> Self {
-        FallbackPrefetcher {
-            name: format!("{}+{}", primary.name(), secondary.name()),
-            primary,
-            secondary,
-            primary_candidates: 0,
-            secondary_candidates: 0,
-            suppressed_candidates: 0,
-        }
-    }
-
-    /// The wrapped primary design.
-    pub fn primary(&self) -> &P {
-        &self.primary
-    }
-
-    /// The wrapped secondary design.
-    pub fn secondary(&self) -> &S {
-        &self.secondary
-    }
-
-    /// Candidates issued by the primary design.
-    pub fn primary_candidates(&self) -> u64 {
-        self.primary_candidates
-    }
-
-    /// Candidates issued by the secondary on primary-silent invocations.
-    pub fn secondary_candidates(&self) -> u64 {
-        self.secondary_candidates
-    }
-
-    /// Secondary candidates suppressed because the primary fired.
-    pub fn suppressed_candidates(&self) -> u64 {
-        self.suppressed_candidates
-    }
-
-    /// Runs the secondary hook appending into `out`, then keeps or discards
-    /// its candidates depending on whether the primary produced any.
-    fn gate_secondary(
-        &mut self,
-        out: &mut Vec<PrefetchCandidate>,
-        primary_fired: bool,
-        mark: usize,
-    ) {
-        let produced = (out.len() - mark) as u64;
-        if primary_fired {
-            self.suppressed_candidates += produced;
-            out.truncate(mark);
-        } else {
-            self.secondary_candidates += produced;
-        }
+        FallbackPrefetcher { primary, secondary }
     }
 }
 
 impl<P: InstructionPrefetcher, S: InstructionPrefetcher> InstructionPrefetcher
     for FallbackPrefetcher<P, S>
 {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> PrefetcherKind {
-        PrefetcherKind::Fallback
-    }
-
     fn on_access(
         &mut self,
         core: CoreId,
@@ -151,11 +91,12 @@ impl<P: InstructionPrefetcher, S: InstructionPrefetcher> InstructionPrefetcher
     ) {
         let before = out.len();
         self.primary.on_access(core, block, hit, llc, out);
-        let primary_fired = out.len() > before;
-        self.primary_candidates += (out.len() - before) as u64;
         let mark = out.len();
         self.secondary.on_access(core, block, hit, llc, out);
-        self.gate_secondary(out, primary_fired, mark);
+        if mark > before {
+            // The primary fired: drop the secondary's candidates.
+            out.truncate(mark);
+        }
     }
 
     fn on_retire(
@@ -167,21 +108,16 @@ impl<P: InstructionPrefetcher, S: InstructionPrefetcher> InstructionPrefetcher
     ) {
         let before = out.len();
         self.primary.on_retire(core, block, llc, out);
-        let primary_fired = out.len() > before;
-        self.primary_candidates += (out.len() - before) as u64;
         let mark = out.len();
         self.secondary.on_retire(core, block, llc, out);
-        self.gate_secondary(out, primary_fired, mark);
+        if mark > before {
+            // The primary fired: drop the secondary's candidates.
+            out.truncate(mark);
+        }
     }
 
     fn covers(&self, core: CoreId, block: BlockAddr) -> bool {
         self.primary.covers(core, block) || self.secondary.covers(core, block)
-    }
-
-    fn storage(&self, cores: u16) -> StorageCost {
-        self.primary
-            .storage(cores)
-            .plus(self.secondary.storage(cores))
     }
 }
 
@@ -234,15 +170,12 @@ impl GateConfig {
 /// — and stop paying discard traffic — until confidence recovers.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct ConfidenceGatedPrefetcher<P> {
-    name: String,
     inner: P,
     gate: GateConfig,
     confidence: Vec<u32>,
-    passed_candidates: u64,
-    suppressed_candidates: u64,
 }
 
-impl<P: InstructionPrefetcher> ConfidenceGatedPrefetcher<P> {
+impl<P> ConfidenceGatedPrefetcher<P> {
     /// Gates `inner` with the given configuration for a CMP with `cores`
     /// cores.
     ///
@@ -258,23 +191,10 @@ impl<P: InstructionPrefetcher> ConfidenceGatedPrefetcher<P> {
         );
         assert!(gate.initial <= gate.max, "gate initial above saturation");
         ConfidenceGatedPrefetcher {
-            name: format!("Gated-{}", inner.name()),
             inner,
             gate,
             confidence: vec![gate.initial; cores as usize],
-            passed_candidates: 0,
-            suppressed_candidates: 0,
         }
-    }
-
-    /// The wrapped design.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// The gate configuration.
-    pub fn gate(&self) -> GateConfig {
-        self.gate
     }
 
     /// Current confidence of `core`'s gate.
@@ -282,36 +202,15 @@ impl<P: InstructionPrefetcher> ConfidenceGatedPrefetcher<P> {
         self.confidence[core.index()]
     }
 
-    /// Candidates that passed the gate.
-    pub fn passed_candidates(&self) -> u64 {
-        self.passed_candidates
-    }
-
-    /// Candidates suppressed by the gate.
-    pub fn suppressed_candidates(&self) -> u64 {
-        self.suppressed_candidates
-    }
-
-    fn apply_gate(&mut self, core: CoreId, out: &mut Vec<PrefetchCandidate>, mark: usize) {
-        let produced = (out.len() - mark) as u64;
+    /// Drops the candidates past `mark` while `core`'s gate is closed.
+    fn apply_gate(&self, core: CoreId, out: &mut Vec<PrefetchCandidate>, mark: usize) {
         if self.confidence[core.index()] < self.gate.threshold {
-            self.suppressed_candidates += produced;
             out.truncate(mark);
-        } else {
-            self.passed_candidates += produced;
         }
     }
 }
 
 impl<P: InstructionPrefetcher> InstructionPrefetcher for ConfidenceGatedPrefetcher<P> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> PrefetcherKind {
-        PrefetcherKind::Gated
-    }
-
     fn on_access(
         &mut self,
         core: CoreId,
@@ -352,13 +251,6 @@ impl<P: InstructionPrefetcher> InstructionPrefetcher for ConfidenceGatedPrefetch
         // Prediction (the Figure 6 methodology) is unaffected by the issue
         // gate: the streams still predict the block either way.
         self.inner.covers(core, block)
-    }
-
-    fn storage(&self, cores: u16) -> StorageCost {
-        // The per-core confidence counter is a handful of bits; like the
-        // next-line last-access register, the paper's costing counts such
-        // control state as zero.
-        self.inner.storage(cores)
     }
 }
 
@@ -406,7 +298,6 @@ pub enum Selection {
 /// issues.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct AdaptivePrefetcher<A, B> {
-    name: String,
     low: A,
     high: B,
     adapt: AdaptConfig,
@@ -415,7 +306,7 @@ pub struct AdaptivePrefetcher<A, B> {
     selected: Vec<Selection>,
 }
 
-impl<A: InstructionPrefetcher, B: InstructionPrefetcher> AdaptivePrefetcher<A, B> {
+impl<A, B> AdaptivePrefetcher<A, B> {
     /// Composes the conservative `low` and aggressive `high` designs for a
     /// CMP with `cores` cores.
     ///
@@ -431,7 +322,6 @@ impl<A: InstructionPrefetcher, B: InstructionPrefetcher> AdaptivePrefetcher<A, B
             "miss-rate threshold must be in [0, 1]"
         );
         AdaptivePrefetcher {
-            name: format!("Adaptive({}/{})", low.name(), high.name()),
             low,
             high,
             adapt,
@@ -441,29 +331,9 @@ impl<A: InstructionPrefetcher, B: InstructionPrefetcher> AdaptivePrefetcher<A, B
         }
     }
 
-    /// The conservative design.
-    pub fn low(&self) -> &A {
-        &self.low
-    }
-
-    /// The aggressive design.
-    pub fn high(&self) -> &B {
-        &self.high
-    }
-
     /// What `core` has committed to so far.
     pub fn selection(&self, core: CoreId) -> Selection {
         self.selected[core.index()]
-    }
-
-    /// Miss rate `core` observed during (or so far into) its warm-up window.
-    pub fn observed_miss_rate(&self, core: CoreId) -> f64 {
-        let idx = core.index();
-        if self.accesses[idx] == 0 {
-            0.0
-        } else {
-            self.misses[idx] as f64 / self.accesses[idx] as f64
-        }
     }
 
     fn use_low(&self, core: CoreId) -> bool {
@@ -474,14 +344,6 @@ impl<A: InstructionPrefetcher, B: InstructionPrefetcher> AdaptivePrefetcher<A, B
 impl<A: InstructionPrefetcher, B: InstructionPrefetcher> InstructionPrefetcher
     for AdaptivePrefetcher<A, B>
 {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> PrefetcherKind {
-        PrefetcherKind::Adaptive
-    }
-
     fn on_access(
         &mut self,
         core: CoreId,
@@ -545,12 +407,6 @@ impl<A: InstructionPrefetcher, B: InstructionPrefetcher> InstructionPrefetcher
             self.high.covers(core, block)
         }
     }
-
-    fn storage(&self, cores: u16) -> StorageCost {
-        // Both structures exist in hardware regardless of which one a core
-        // selected; the per-core counters are control bits, costed as zero.
-        self.low.storage(cores).plus(self.high.storage(cores))
-    }
 }
 
 /// Bandwidth of a shared history port, as a candidate budget per window of
@@ -585,16 +441,13 @@ impl HistoryPortConfig {
 /// experiment.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct ThrottledPrefetcher<P> {
-    name: String,
     inner: P,
     port: HistoryPortConfig,
     window_accesses_seen: u32,
     window_budget_left: u32,
-    issued_candidates: u64,
-    dropped_candidates: u64,
 }
 
-impl<P: InstructionPrefetcher> ThrottledPrefetcher<P> {
+impl<P> ThrottledPrefetcher<P> {
     /// Throttles `inner` behind the given history port.
     ///
     /// # Panics
@@ -603,55 +456,23 @@ impl<P: InstructionPrefetcher> ThrottledPrefetcher<P> {
     pub fn new(inner: P, port: HistoryPortConfig) -> Self {
         assert!(port.window_accesses > 0, "port window must be positive");
         ThrottledPrefetcher {
-            name: format!("{}@bw{}", inner.name(), port.candidates_per_window),
             inner,
             port,
             window_accesses_seen: 0,
             window_budget_left: port.candidates_per_window,
-            issued_candidates: 0,
-            dropped_candidates: 0,
         }
     }
 
-    /// The wrapped design.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// The port configuration.
-    pub fn port(&self) -> HistoryPortConfig {
-        self.port
-    }
-
-    /// Candidates the port delivered.
-    pub fn issued_candidates(&self) -> u64 {
-        self.issued_candidates
-    }
-
-    /// Candidates dropped because the window budget was exhausted.
-    pub fn dropped_candidates(&self) -> u64 {
-        self.dropped_candidates
-    }
-
+    /// Keeps the candidates past `mark` that the window budget still
+    /// allows and drops the rest.
     fn throttle(&mut self, out: &mut Vec<PrefetchCandidate>, mark: usize) {
-        let produced = out.len() - mark;
-        let keep = (self.window_budget_left as usize).min(produced);
+        let keep = (self.window_budget_left as usize).min(out.len() - mark);
         self.window_budget_left -= keep as u32;
-        self.issued_candidates += keep as u64;
-        self.dropped_candidates += (produced - keep) as u64;
         out.truncate(mark + keep);
     }
 }
 
 impl<P: InstructionPrefetcher> InstructionPrefetcher for ThrottledPrefetcher<P> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> PrefetcherKind {
-        PrefetcherKind::Throttled
-    }
-
     fn on_access(
         &mut self,
         core: CoreId,
@@ -688,10 +509,6 @@ impl<P: InstructionPrefetcher> InstructionPrefetcher for ThrottledPrefetcher<P> 
         // Prediction quality is a property of the streams, not the port.
         self.inner.covers(core, block)
     }
-
-    fn storage(&self, cores: u16) -> StorageCost {
-        self.inner.storage(cores)
-    }
 }
 
 #[cfg(test)]
@@ -724,38 +541,32 @@ mod tests {
         let mut llc = llc();
         let mut pif = Pif::new(PifConfig::pif_32k(), 1);
         warm_pif(&mut pif, &mut llc);
+        let mut standalone = Pif::new(PifConfig::pif_32k(), 1);
+        warm_pif(&mut standalone, &mut llc);
         let mut hybrid = FallbackPrefetcher::new(pif, NextLinePrefetcher::new(1, 1));
 
         // Cold stream head: PIF has a stream for block 100, so the fallback
-        // must emit PIF's candidates only (no next-line 101 duplicate from
-        // the secondary path — the blocks come from the stream).
+        // must emit exactly PIF's candidates (no next-line 101 appended by
+        // the secondary).
         let mut out = Vec::new();
         hybrid.on_access(CORE, BlockAddr::new(100), false, &mut llc, &mut out);
-        assert!(!out.is_empty());
-        assert!(hybrid.primary_candidates() > 0);
-        assert_eq!(hybrid.secondary_candidates(), 0);
-        assert!(hybrid.suppressed_candidates() > 0);
+        let mut alone = Vec::new();
+        standalone.on_access(CORE, BlockAddr::new(100), false, &mut llc, &mut alone);
+        assert!(!alone.is_empty());
+        assert_eq!(out, alone);
 
         // A block PIF never recorded: the primary is silent, the next-line
         // fallback fires.
         out.clear();
         hybrid.on_access(CORE, BlockAddr::new(9_000), false, &mut llc, &mut out);
-        assert_eq!(out.last().unwrap().block, BlockAddr::new(9_001));
-        assert!(hybrid.secondary_candidates() > 0);
+        assert_eq!(out, [PrefetchCandidate::immediate(BlockAddr::new(9_001))]);
     }
 
     #[test]
-    fn fallback_name_kind_storage_and_covers_compose() {
-        let llc_cfg = llc();
-        drop(llc_cfg);
+    fn fallback_covers_the_union_of_both_designs() {
         let mut llc = llc();
         let pif = Pif::new(PifConfig::pif_32k(), 2);
-        let pif_storage = pif.storage(2);
         let mut hybrid = FallbackPrefetcher::new(pif, NextLinePrefetcher::new(1, 2));
-        assert_eq!(hybrid.name(), "PIF_32K+NextLine");
-        assert_eq!(hybrid.kind(), PrefetcherKind::Fallback);
-        // Next-line costs nothing, so the pair costs exactly PIF.
-        assert_eq!(hybrid.storage(2), pif_storage);
 
         // covers() is the union: after an access, the next-line side covers
         // the successor even though PIF has no streams.
@@ -782,23 +593,21 @@ mod tests {
         assert_eq!(gated.confidence(CORE), 0);
 
         // Sequential misses: each miss is covered by the previous access's
-        // next-line window, so confidence climbs 0 → 4 over four misses
+        // next-line window, so confidence climbs 0 → 3 over four misses
         // (the first miss has no prior access and decrements nothing: the
-        // counter is already at the floor).
+        // counter is already at the floor). Below threshold, every miss's
+        // candidates are suppressed.
         let mut out = Vec::new();
         for b in 100..104u64 {
             out.clear();
             gated.on_access(CORE, BlockAddr::new(b), false, &mut llc, &mut out);
+            assert!(out.is_empty(), "miss on {b} passed a closed gate");
         }
-        // Below threshold for the first misses: everything suppressed.
-        assert!(gated.suppressed_candidates() > 0);
-        assert_eq!(gated.passed_candidates(), 0);
 
         // One more sequential miss reaches threshold 4: candidates pass.
         out.clear();
         gated.on_access(CORE, BlockAddr::new(104), false, &mut llc, &mut out);
         assert_eq!(out[0].block, BlockAddr::new(105));
-        assert!(gated.passed_candidates() > 0);
 
         // A burst of random (uncovered) misses drains confidence and closes
         // the gate again.
@@ -810,16 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn gate_metadata_and_bounds() {
-        let gated = ConfidenceGatedPrefetcher::new(
-            NextLinePrefetcher::new(1, 2),
-            GateConfig::default_gate(),
-            2,
-        );
-        assert_eq!(gated.name(), "Gated-NextLine");
-        assert_eq!(gated.kind(), PrefetcherKind::Gated);
-        assert_eq!(gated.gate(), GateConfig::default_gate());
-        assert_eq!(gated.storage(2), StorageCost::none());
+    fn transparent_gate_has_threshold_zero() {
         assert_eq!(
             GateConfig::transparent().threshold,
             0,
@@ -851,8 +651,6 @@ mod tests {
             adapt,
             2,
         );
-        assert_eq!(adaptive.name(), "Adaptive(NextLine/NextLine)");
-        assert_eq!(adaptive.kind(), PrefetcherKind::Adaptive);
         assert_eq!(adaptive.selection(CORE), Selection::Warming);
 
         let mut out = Vec::new();
@@ -863,7 +661,6 @@ mod tests {
             adaptive.on_access(CORE, BlockAddr::new(b), true, &mut llc, &mut out);
         }
         assert_eq!(adaptive.selection(CORE), Selection::Low);
-        assert_eq!(adaptive.observed_miss_rate(CORE), 0.0);
         out.clear();
         adaptive.on_access(CORE, BlockAddr::new(100), true, &mut llc, &mut out);
         assert_eq!(out.len(), 1, "low design has degree 1");
@@ -875,7 +672,6 @@ mod tests {
             adaptive.on_access(core1, BlockAddr::new(b), false, &mut llc, &mut out);
         }
         assert_eq!(adaptive.selection(core1), Selection::High);
-        assert_eq!(adaptive.observed_miss_rate(core1), 1.0);
         out.clear();
         adaptive.on_access(core1, BlockAddr::new(100), false, &mut llc, &mut out);
         assert_eq!(out.len(), 4, "high design has degree 4");
@@ -891,8 +687,6 @@ mod tests {
             window_accesses: 4,
         };
         let mut throttled = ThrottledPrefetcher::new(NextLinePrefetcher::new(1, 1), port);
-        assert_eq!(throttled.name(), "NextLine@bw2");
-        assert_eq!(throttled.kind(), PrefetcherKind::Throttled);
 
         let mut out = Vec::new();
         let mut kept = 0usize;
@@ -904,14 +698,11 @@ mod tests {
         // Four accesses each produced one candidate; the 2-candidate budget
         // kept exactly two.
         assert_eq!(kept, 2);
-        assert_eq!(throttled.issued_candidates(), 2);
-        assert_eq!(throttled.dropped_candidates(), 2);
 
         // The next window refills the budget.
         out.clear();
         throttled.on_access(CORE, BlockAddr::new(9_000), false, &mut llc, &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(throttled.issued_candidates(), 3);
     }
 
     #[test]
@@ -929,10 +720,9 @@ mod tests {
             );
             let mut out = Vec::new();
             for &b in &stream {
-                out.clear();
                 throttled.on_access(CORE, BlockAddr::new(b), false, &mut llc, &mut out);
             }
-            issued.push(throttled.issued_candidates());
+            issued.push(out.len());
         }
         assert!(
             issued.windows(2).all(|w| w[0] <= w[1]),

@@ -19,6 +19,14 @@
 //!   bandwidth-throttled history port, all generic wrappers over the designs
 //!   above.
 //!
+//! Every design is exactly the three simulation hooks of
+//! [`InstructionPrefetcher`] — `on_access`, `on_retire` and `covers` — plus
+//! the state they need. A configured design is named and costed in one
+//! place, `shift_sim::PrefetcherConfig` (`label` and `storage`), from
+//! [`PifConfig::storage`] and [`ShiftConfig::storage`]. The types keep no
+//! counters of their own: a run's history and index traffic is counted by
+//! the LLC's traffic classes.
+//!
 //! The shared building blocks mirror the hardware structures of the paper:
 //! [`SpatialRegion`] records (trigger block + bit vector over eight blocks),
 //! the [`SpatialRegionCompactor`] that folds the retire-order access stream
@@ -71,7 +79,7 @@ pub use hybrid::{
 pub use index::IndexTable;
 pub use next_line::NextLinePrefetcher;
 pub use pif::{Pif, PifConfig};
-pub use prefetcher::{InstructionPrefetcher, NullPrefetcher, PrefetchCandidate, PrefetcherKind};
+pub use prefetcher::{InstructionPrefetcher, NullPrefetcher, PrefetchCandidate};
 pub use region::{SpatialRegion, SpatialRegionCompactor};
 pub use sab::{StreamAddressBuffer, StreamAddressBufferSet};
 pub use shift::{Shift, ShiftConfig, ShiftMode};

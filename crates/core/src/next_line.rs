@@ -10,8 +10,7 @@ use serde::{Deserialize, Serialize};
 use shift_cache::NucaLlc;
 use shift_types::{BlockAddr, CoreId};
 
-use crate::prefetcher::{InstructionPrefetcher, PrefetchCandidate, PrefetcherKind};
-use crate::storage::StorageCost;
+use crate::prefetcher::{InstructionPrefetcher, PrefetchCandidate};
 
 /// A per-core next-line prefetcher of configurable degree.
 ///
@@ -49,22 +48,9 @@ impl NextLinePrefetcher {
             last_access: vec![None; cores as usize],
         }
     }
-
-    /// The configured prefetch degree.
-    pub fn degree(&self) -> u64 {
-        self.degree
-    }
 }
 
 impl InstructionPrefetcher for NextLinePrefetcher {
-    fn name(&self) -> &str {
-        "NextLine"
-    }
-
-    fn kind(&self) -> PrefetcherKind {
-        PrefetcherKind::NextLine
-    }
-
     fn on_access(
         &mut self,
         core: CoreId,
@@ -96,12 +82,6 @@ impl InstructionPrefetcher for NextLinePrefetcher {
             },
             None => false,
         }
-    }
-
-    fn storage(&self, _cores: u16) -> StorageCost {
-        // One block-address register per core; negligible, counted as zero as
-        // the paper does.
-        StorageCost::none()
     }
 }
 
@@ -153,13 +133,6 @@ mod tests {
         );
         assert!(nl.covers(CoreId::new(0), BlockAddr::new(11)));
         assert!(!nl.covers(CoreId::new(1), BlockAddr::new(11)));
-    }
-
-    #[test]
-    fn no_storage_cost() {
-        let nl = NextLinePrefetcher::new(1, 16);
-        assert_eq!(nl.storage(16).total_bytes(16), 0);
-        assert_eq!(nl.kind(), PrefetcherKind::NextLine);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use shift_types::{BlockAddr, CoreId};
 
 use crate::history::HistoryBuffer;
 use crate::index::IndexTable;
-use crate::prefetcher::{InstructionPrefetcher, PrefetchCandidate, PrefetcherKind};
+use crate::prefetcher::{InstructionPrefetcher, PrefetchCandidate};
 use crate::region::{SpatialRegion, SpatialRegionCompactor};
 use crate::sab::{SabConfig, StreamAddressBufferSet};
 use crate::storage::{self, StorageCost};
@@ -117,8 +117,6 @@ impl PifCore {
 /// The PIF prefetcher: one private history, index, and SAB set per core.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Pif {
-    config: PifConfig,
-    name: String,
     cores: Vec<PifCore>,
 }
 
@@ -131,20 +129,8 @@ impl Pif {
     pub fn new(config: PifConfig, cores: u16) -> Self {
         assert!(cores > 0, "need at least one core");
         Pif {
-            name: config.design_name(),
             cores: (0..cores).map(|_| PifCore::new(&config)).collect(),
-            config,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PifConfig {
-        &self.config
-    }
-
-    /// Records observed so far by one core's history (for tests/inspection).
-    pub fn history_appends(&self, core: CoreId) -> u64 {
-        self.cores[core.index()].history.total_appends()
     }
 }
 
@@ -159,14 +145,6 @@ fn read_and_advance(
 }
 
 impl InstructionPrefetcher for Pif {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> PrefetcherKind {
-        PrefetcherKind::Pif
-    }
-
     fn on_access(
         &mut self,
         core: CoreId,
@@ -240,10 +218,6 @@ impl InstructionPrefetcher for Pif {
     fn covers(&self, core: CoreId, block: BlockAddr) -> bool {
         self.cores[core.index()].sabs.covers(block)
     }
-
-    fn storage(&self, _cores: u16) -> StorageCost {
-        self.config.storage()
-    }
 }
 
 #[cfg(test)]
@@ -309,19 +283,19 @@ mod tests {
         let mut out = Vec::new();
         pif.on_access(CoreId::new(1), BlockAddr::new(1), false, &mut llc, &mut out);
         assert!(out.is_empty());
-        assert!(pif.history_appends(CoreId::new(0)) > 0);
-        assert_eq!(pif.history_appends(CoreId::new(1)), 0);
+        // Core 0 recorded the stream, so the same miss on core 0 replays it.
+        pif.on_access(CoreId::new(0), BlockAddr::new(1), false, &mut llc, &mut out);
+        assert!(out.contains(&PrefetchCandidate::immediate(BlockAddr::new(2))));
     }
 
     #[test]
     fn storage_cost_matches_paper_numbers() {
-        let pif32 = Pif::new(PifConfig::pif_32k(), 16);
-        let per_core = pif32.storage(16).per_core_bytes;
+        let per_core = PifConfig::pif_32k().storage().per_core_bytes;
         // 164 KB history + 49 KB index ≈ 213 KB per core.
         assert_eq!(per_core / 1024, 213);
-        // PIF_2K: 2 K × 41 bits ≈ 10 KB history + 512 × 49 bits ≈ 3 KB index.
-        let pif2 = Pif::new(PifConfig::pif_2k(), 16);
-        assert!(pif2.storage(16).per_core_bytes < 16 * 1024);
+        // PIF_2K: 2 K × 41 bits ≈ 10 KB history + 512 × 45 bits (11-bit
+        // pointers) ≈ 3 KB index.
+        assert!(PifConfig::pif_2k().storage().per_core_bytes < 16 * 1024);
     }
 
     #[test]

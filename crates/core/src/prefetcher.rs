@@ -1,12 +1,8 @@
 //! The common instruction-prefetcher interface.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 use shift_cache::NucaLlc;
 use shift_types::{BlockAddr, CoreId};
-
-use crate::storage::StorageCost;
 
 /// A prefetch request produced by a prefetcher.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -37,102 +33,6 @@ impl PrefetchCandidate {
     }
 }
 
-/// Coarse classification of the prefetcher designs the paper evaluates —
-/// plus the composed designs of the [`hybrid`](crate::hybrid) lab; used for
-/// labelling results.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PrefetcherKind {
-    /// No instruction prefetching (the baseline).
-    None,
-    /// Next-line prefetcher.
-    NextLine,
-    /// Proactive Instruction Fetch with per-core history.
-    Pif,
-    /// Shared History Instruction Fetch.
-    Shift,
-    /// Primary design with a secondary fallback
-    /// ([`FallbackPrefetcher`](crate::hybrid::FallbackPrefetcher)).
-    Fallback,
-    /// Confidence-gated wrapper
-    /// ([`ConfidenceGatedPrefetcher`](crate::hybrid::ConfidenceGatedPrefetcher)).
-    Gated,
-    /// Per-core adaptive selection
-    /// ([`AdaptivePrefetcher`](crate::hybrid::AdaptivePrefetcher)).
-    Adaptive,
-    /// Design behind a bandwidth-throttled history port
-    /// ([`ThrottledPrefetcher`](crate::hybrid::ThrottledPrefetcher)).
-    Throttled,
-}
-
-impl PrefetcherKind {
-    /// Every kind, in declaration order — the exhaustive list the string
-    /// round-trip tests iterate so a new variant cannot be added without a
-    /// matching [`fmt::Display`] / [`std::str::FromStr`] pair.
-    pub const ALL: [PrefetcherKind; 8] = [
-        PrefetcherKind::None,
-        PrefetcherKind::NextLine,
-        PrefetcherKind::Pif,
-        PrefetcherKind::Shift,
-        PrefetcherKind::Fallback,
-        PrefetcherKind::Gated,
-        PrefetcherKind::Adaptive,
-        PrefetcherKind::Throttled,
-    ];
-
-    /// The stable display name (`"baseline"`, `"SHIFT"`, …); what
-    /// [`fmt::Display`] prints and [`std::str::FromStr`] parses.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PrefetcherKind::None => "baseline",
-            PrefetcherKind::NextLine => "next-line",
-            PrefetcherKind::Pif => "PIF",
-            PrefetcherKind::Shift => "SHIFT",
-            PrefetcherKind::Fallback => "fallback",
-            PrefetcherKind::Gated => "gated",
-            PrefetcherKind::Adaptive => "adaptive",
-            PrefetcherKind::Throttled => "throttled",
-        }
-    }
-}
-
-impl fmt::Display for PrefetcherKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Error returned when a string names no [`PrefetcherKind`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownKind(pub String);
-
-impl fmt::Display for UnknownKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown prefetcher kind {:?}; known: ", self.0)?;
-        for (i, kind) in PrefetcherKind::ALL.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            f.write_str(kind.as_str())?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for UnknownKind {}
-
-impl std::str::FromStr for PrefetcherKind {
-    type Err = UnknownKind;
-
-    /// Parses exactly the names [`fmt::Display`] produces (case-insensitive),
-    /// so CLI/env/plan parsing cannot drift from the display names.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        PrefetcherKind::ALL
-            .into_iter()
-            .find(|kind| kind.as_str().eq_ignore_ascii_case(s))
-            .ok_or_else(|| UnknownKind(s.to_owned()))
-    }
-}
-
 /// Interface every instruction prefetcher implements.
 ///
 /// A single prefetcher object manages the state of *all* cores of the CMP (or
@@ -141,12 +41,6 @@ impl std::str::FromStr for PrefetcherKind {
 /// passed in because virtualized SHIFT stores its history and index there;
 /// other designs simply ignore it.
 pub trait InstructionPrefetcher {
-    /// Short human-readable name for reports (e.g. `"PIF_32K"`).
-    fn name(&self) -> &str;
-
-    /// Which design family this prefetcher belongs to.
-    fn kind(&self) -> PrefetcherKind;
-
     /// Called for every L1-I access with its hit/miss outcome, *before* the
     /// miss (if any) is sent to the LLC. Prefetch candidates are appended to
     /// `out`.
@@ -174,9 +68,6 @@ pub trait InstructionPrefetcher {
     /// `core` — i.e. the block is part of an actively replayed stream. Used
     /// by the prediction-only study of Figure 6.
     fn covers(&self, core: CoreId, block: BlockAddr) -> bool;
-
-    /// Storage cost of this design for a CMP with `cores` cores.
-    fn storage(&self, cores: u16) -> StorageCost;
 }
 
 /// The no-prefetching baseline.
@@ -191,14 +82,6 @@ impl NullPrefetcher {
 }
 
 impl InstructionPrefetcher for NullPrefetcher {
-    fn name(&self) -> &str {
-        "baseline"
-    }
-
-    fn kind(&self) -> PrefetcherKind {
-        PrefetcherKind::None
-    }
-
     fn on_access(
         &mut self,
         _core: CoreId,
@@ -221,10 +104,6 @@ impl InstructionPrefetcher for NullPrefetcher {
     fn covers(&self, _core: CoreId, _block: BlockAddr) -> bool {
         false
     }
-
-    fn storage(&self, _cores: u16) -> StorageCost {
-        StorageCost::none()
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +112,7 @@ mod tests {
     use shift_cache::LlcConfig;
 
     #[test]
-    fn null_prefetcher_never_prefetches_and_costs_nothing() {
+    fn null_prefetcher_never_prefetches() {
         let mut llc = NucaLlc::new(LlcConfig::micro13(1));
         let mut p = NullPrefetcher::new();
         let mut out = Vec::new();
@@ -241,8 +120,6 @@ mod tests {
         p.on_retire(CoreId::new(0), BlockAddr::new(1), &mut llc, &mut out);
         assert!(out.is_empty());
         assert!(!p.covers(CoreId::new(0), BlockAddr::new(1)));
-        assert_eq!(p.storage(16).total_bytes(16), 0);
-        assert_eq!(p.kind(), PrefetcherKind::None);
     }
 
     #[test]
@@ -252,46 +129,5 @@ mod tests {
         let b = PrefetchCandidate::delayed(BlockAddr::new(4), 11);
         assert_eq!(b.ready_delay, 11);
         assert_eq!(a.block, b.block);
-    }
-
-    #[test]
-    fn kind_display_names() {
-        assert_eq!(PrefetcherKind::Shift.to_string(), "SHIFT");
-        assert_eq!(PrefetcherKind::Pif.to_string(), "PIF");
-        assert_eq!(PrefetcherKind::NextLine.to_string(), "next-line");
-        assert_eq!(PrefetcherKind::None.to_string(), "baseline");
-        assert_eq!(PrefetcherKind::Fallback.to_string(), "fallback");
-        assert_eq!(PrefetcherKind::Gated.to_string(), "gated");
-        assert_eq!(PrefetcherKind::Adaptive.to_string(), "adaptive");
-        assert_eq!(PrefetcherKind::Throttled.to_string(), "throttled");
-    }
-
-    #[test]
-    fn every_kind_round_trips_through_its_display_name() {
-        // Exhaustive over ALL: FromStr must invert Display for every kind,
-        // old and new, and ALL must actually be exhaustive.
-        for kind in PrefetcherKind::ALL {
-            let name = kind.to_string();
-            assert_eq!(name.parse::<PrefetcherKind>(), Ok(kind), "{name}");
-            // Case-insensitive, as env/CLI input tends to arrive lowercased.
-            assert_eq!(name.to_uppercase().parse::<PrefetcherKind>(), Ok(kind));
-            assert_eq!(name.to_lowercase().parse::<PrefetcherKind>(), Ok(kind));
-        }
-        let names: std::collections::HashSet<&str> =
-            PrefetcherKind::ALL.iter().map(|k| k.as_str()).collect();
-        assert_eq!(
-            names.len(),
-            PrefetcherKind::ALL.len(),
-            "names must be distinct"
-        );
-    }
-
-    #[test]
-    fn unknown_kind_parse_fails_with_the_known_list() {
-        let err = "no-such-design".parse::<PrefetcherKind>().unwrap_err();
-        assert_eq!(err, UnknownKind("no-such-design".to_owned()));
-        let msg = err.to_string();
-        assert!(msg.contains("no-such-design"));
-        assert!(msg.contains("SHIFT") && msg.contains("fallback"));
     }
 }

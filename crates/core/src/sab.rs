@@ -61,21 +61,6 @@ pub struct StreamAddressBuffer {
 }
 
 impl StreamAddressBuffer {
-    /// Returns `true` if the buffer holds an active stream.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
-    /// The buffered region records, oldest first.
-    pub fn regions(&self) -> impl Iterator<Item = &SpatialRegion> {
-        self.regions.iter()
-    }
-
-    /// History pointer of the next record to read when the stream advances.
-    pub fn next_ptr(&self) -> u32 {
-        self.next_ptr
-    }
-
     /// Returns the index of the buffered region whose *recorded accesses*
     /// include `block`, if any.
     #[inline]
@@ -148,8 +133,6 @@ pub struct StreamAddressBufferSet {
     config: SabConfig,
     streams: Vec<StreamAddressBuffer>,
     clock: u64,
-    streams_allocated: u64,
-    advances: u64,
     /// Reused window for records handed back by the [`HistoryReader`].
     scratch_records: Vec<SpatialRegion>,
 }
@@ -173,25 +156,8 @@ impl StreamAddressBufferSet {
                 .map(|_| StreamAddressBuffer::default())
                 .collect(),
             clock: 0,
-            streams_allocated: 0,
-            advances: 0,
             scratch_records: Vec::new(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SabConfig {
-        &self.config
-    }
-
-    /// Number of streams allocated so far.
-    pub fn streams_allocated(&self) -> u64 {
-        self.streams_allocated
-    }
-
-    /// Number of stream advancements (retired blocks that matched a stream).
-    pub fn advances(&self) -> u64 {
-        self.advances
     }
 
     /// Returns `true` if `block` is among the recorded accesses of any
@@ -216,7 +182,6 @@ impl StreamAddressBufferSet {
         out: &mut Vec<BlockAddr>,
     ) {
         self.clock += 1;
-        self.streams_allocated += 1;
         let now = self.clock;
         let victim = self
             .streams
@@ -262,7 +227,6 @@ impl StreamAddressBufferSet {
         let Some((stream_idx, pos)) = matched else {
             return;
         };
-        self.advances += 1;
         let stream = &mut self.streams[stream_idx];
         stream.last_use = now;
 
@@ -282,15 +246,6 @@ impl StreamAddressBufferSet {
             stream.push_record(record, capacity);
         }
         self.scratch_records = records;
-    }
-
-    /// Invalidates all streams (e.g. on a context switch in sensitivity
-    /// studies).
-    pub fn clear(&mut self) {
-        for s in &mut self.streams {
-            s.valid = false;
-            s.regions.clear();
-        }
     }
 }
 
@@ -347,7 +302,6 @@ mod tests {
         assert!(!candidates.contains(&BlockAddr::new(600)));
         assert!(sabs.covers(BlockAddr::new(201)));
         assert!(!sabs.covers(BlockAddr::new(601)));
-        assert_eq!(sabs.streams_allocated(), 1);
     }
 
     #[test]
@@ -371,7 +325,6 @@ mod tests {
             new.contains(&BlockAddr::new(1000 + 3 * 16))
                 || new.contains(&BlockAddr::new(1000 + 4 * 16))
         );
-        assert_eq!(sabs.advances(), 1);
     }
 
     #[test]
@@ -381,11 +334,13 @@ mod tests {
         let mut sabs = StreamAddressBufferSet::new(SabConfig::micro13());
         let mut rd = reader(&history);
         sabs.allocate(0, &mut rd, &mut Vec::new());
+        let last_use: Vec<u64> = sabs.streams.iter().map(|s| s.last_use).collect();
         let mut rd = reader(&history);
         let mut out = Vec::new();
         sabs.on_retire(BlockAddr::new(999), &mut rd, &mut out);
         assert!(out.is_empty());
-        assert_eq!(sabs.advances(), 0);
+        let after: Vec<u64> = sabs.streams.iter().map(|s| s.last_use).collect();
+        assert_eq!(after, last_use, "no stream may advance");
     }
 
     #[test]
@@ -427,18 +382,6 @@ mod tests {
         }
         let buffered: usize = sabs.streams.iter().map(|s| s.regions.len()).sum();
         assert!(buffered <= 4, "buffered {buffered} regions, capacity 4");
-    }
-
-    #[test]
-    fn clear_invalidates_all_streams() {
-        let records = vec![region(1, &[]), region(2, &[])];
-        let history = history_with(&records);
-        let mut sabs = StreamAddressBufferSet::new(SabConfig::micro13());
-        let mut rd = reader(&history);
-        sabs.allocate(0, &mut rd, &mut Vec::new());
-        assert!(sabs.covers(BlockAddr::new(1)));
-        sabs.clear();
-        assert!(!sabs.covers(BlockAddr::new(1)));
     }
 
     #[test]

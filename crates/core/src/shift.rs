@@ -25,7 +25,7 @@ use shift_types::{AccessClass, BlockAddr, CoreId};
 
 use crate::history::HistoryBuffer;
 use crate::index::IndexTable;
-use crate::prefetcher::{InstructionPrefetcher, PrefetchCandidate, PrefetcherKind};
+use crate::prefetcher::{InstructionPrefetcher, PrefetchCandidate};
 use crate::region::{SpatialRegion, SpatialRegionCompactor};
 use crate::sab::{SabConfig, StreamAddressBufferSet};
 use crate::storage::{self, StorageCost};
@@ -139,17 +139,6 @@ impl ShiftConfig {
             },
         }
     }
-
-    /// Human-readable design name used in reports.
-    pub fn design_name(&self) -> &'static str {
-        match self.mode {
-            ShiftMode::Virtualized => "SHIFT",
-            ShiftMode::Dedicated { zero_latency: true } => "ZeroLat-SHIFT",
-            ShiftMode::Dedicated {
-                zero_latency: false,
-            } => "SHIFT-dedicated",
-        }
-    }
 }
 
 /// The SHIFT prefetcher.
@@ -166,10 +155,6 @@ pub struct Shift {
     cbb_records: usize,
     sabs: Vec<StreamAddressBufferSet>,
     llc_installed: bool,
-    records_written: u64,
-    history_block_reads: u64,
-    history_block_writes: u64,
-    index_updates: u64,
     /// Reused candidate-block buffer for SAB replay (cleared per call).
     scratch_blocks: Vec<BlockAddr>,
 }
@@ -199,44 +184,9 @@ impl Shift {
                 .map(|_| StreamAddressBufferSet::new(config.sab))
                 .collect(),
             llc_installed: false,
-            records_written: 0,
-            history_block_reads: 0,
-            history_block_writes: 0,
-            index_updates: 0,
             scratch_blocks: Vec::new(),
             config,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ShiftConfig {
-        &self.config
-    }
-
-    /// The core generating the shared history.
-    pub fn generator_core(&self) -> CoreId {
-        self.config.generator_core
-    }
-
-    /// Total spatial region records written to the shared history.
-    pub fn records_written(&self) -> u64 {
-        self.records_written
-    }
-
-    /// History-buffer cache blocks read from the LLC (virtualized mode).
-    pub fn history_block_reads(&self) -> u64 {
-        self.history_block_reads
-    }
-
-    /// History-buffer cache blocks written to the LLC (virtualized mode).
-    pub fn history_block_writes(&self) -> u64 {
-        self.history_block_writes
-    }
-
-    /// Index-pointer updates issued to the LLC tag array (virtualized mode)
-    /// or to the dedicated index table.
-    pub fn index_updates(&self) -> u64 {
-        self.index_updates
     }
 
     /// Reserves the virtualized history window in the LLC. Called lazily on
@@ -276,7 +226,6 @@ impl Shift {
             }
             last_block = Some(block);
             let outcome = llc.access(block, AccessClass::HistoryRead);
-            self.history_block_reads += 1;
             max_latency = max_latency.max(outcome.latency);
         }
         max_latency + self.config.noc_round_trip
@@ -287,8 +236,6 @@ impl Shift {
             return;
         };
         let ptr = self.history.append(record);
-        self.records_written += 1;
-        self.index_updates += 1;
         if self.is_virtualized() {
             // Index update request to the LLC tag array for the trigger block.
             llc.update_index_ptr(record.trigger(), ptr);
@@ -297,7 +244,6 @@ impl Shift {
             if self.cbb_records >= self.config.records_per_llc_block {
                 let hb_block = self.history_block_of(ptr);
                 llc.access(hb_block, AccessClass::HistoryWrite);
-                self.history_block_writes += 1;
                 self.cbb_records = 0;
             }
         } else {
@@ -318,14 +264,6 @@ impl Shift {
 }
 
 impl InstructionPrefetcher for Shift {
-    fn name(&self) -> &str {
-        self.config.design_name()
-    }
-
-    fn kind(&self) -> PrefetcherKind {
-        PrefetcherKind::Shift
-    }
-
     fn on_access(
         &mut self,
         core: CoreId,
@@ -403,10 +341,6 @@ impl InstructionPrefetcher for Shift {
     fn covers(&self, core: CoreId, block: BlockAddr) -> bool {
         self.sabs[core.index()].covers(block)
     }
-
-    fn storage(&self, _cores: u16) -> StorageCost {
-        self.config.storage()
-    }
 }
 
 #[cfg(test)]
@@ -474,9 +408,9 @@ mod tests {
         let mut shift = Shift::new(virt_config(), 4);
         drive_retires(&mut shift, CoreId::new(2), &mut llc, &STREAM);
         drive_retires(&mut shift, CoreId::new(3), &mut llc, &STREAM);
-        assert_eq!(shift.records_written(), 0);
+        assert_eq!(llc.traffic().count(AccessClass::IndexUpdate), 0);
         drive_retires(&mut shift, CoreId::new(0), &mut llc, &STREAM);
-        assert!(shift.records_written() > 0);
+        assert!(llc.traffic().count(AccessClass::IndexUpdate) > 0);
     }
 
     #[test]
@@ -538,16 +472,12 @@ mod tests {
             }
         }
         drive_retires(&mut shift, CoreId::new(0), &mut llc, &blocks);
-        assert!(shift.index_updates() > 0);
-        assert!(llc.traffic().count(AccessClass::IndexUpdate) > 0);
-        assert!(
-            llc.traffic().count(AccessClass::HistoryWrite) > 0,
-            "CBB flushes must reach the LLC"
-        );
-        assert_eq!(
-            shift.history_block_writes(),
-            llc.traffic().count(AccessClass::HistoryWrite)
-        );
+        // One index update per record; one CBB flush per 12 records.
+        let index_updates = llc.traffic().count(AccessClass::IndexUpdate);
+        let history_writes = llc.traffic().count(AccessClass::HistoryWrite);
+        assert!(index_updates > 0);
+        assert!(history_writes > 0, "CBB flushes must reach the LLC");
+        assert_eq!(history_writes, index_updates / 12);
     }
 
     #[test]
@@ -564,8 +494,7 @@ mod tests {
 
     #[test]
     fn storage_cost_matches_paper() {
-        let shift = Shift::new(virt_config(), 16);
-        let cost = shift.storage(16);
+        let cost = virt_config().storage();
         // Embedded index: 128 K tags × 15 bits = 240 KB.
         assert_eq!(cost.llc_tag_bytes / 1024, 240);
         // History occupies ~171 KB of existing LLC capacity.
@@ -573,23 +502,9 @@ mod tests {
         // Dedicated per-core cost is tiny (stream address buffers only).
         assert!(cost.per_core_bytes < 1024);
 
-        let dedicated = Shift::new(ShiftConfig::dedicated_micro13(CoreId::new(0)), 16);
-        let dcost = dedicated.storage(16);
+        let dcost = ShiftConfig::dedicated_micro13(CoreId::new(0)).storage();
         assert!(dcost.shared_bytes > 200 * 1024);
         assert_eq!(dcost.llc_tag_bytes, 0);
-    }
-
-    #[test]
-    fn design_names() {
-        assert_eq!(virt_config().design_name(), "SHIFT");
-        assert_eq!(
-            ShiftConfig::zero_latency_micro13(CoreId::new(0)).design_name(),
-            "ZeroLat-SHIFT"
-        );
-        assert_eq!(
-            ShiftConfig::dedicated_micro13(CoreId::new(0)).design_name(),
-            "SHIFT-dedicated"
-        );
     }
 
     #[test]

@@ -52,19 +52,6 @@ impl StorageCost {
     pub fn added_sram_kib(&self, cores: u16) -> f64 {
         self.added_sram_bytes(cores) as f64 / 1024.0
     }
-
-    /// Component-wise sum of two costs — the storage of a composed design
-    /// (e.g. a [`hybrid`](crate::hybrid) fallback pair) is the sum of its
-    /// parts, since both structures are physically present.
-    #[must_use]
-    pub fn plus(self, other: StorageCost) -> StorageCost {
-        StorageCost {
-            per_core_bytes: self.per_core_bytes + other.per_core_bytes,
-            shared_bytes: self.shared_bytes + other.shared_bytes,
-            llc_data_bytes: self.llc_data_bytes + other.llc_data_bytes,
-            llc_tag_bytes: self.llc_tag_bytes + other.llc_tag_bytes,
-        }
-    }
 }
 
 /// Bytes occupied by `records` history records of `bits_per_record` bits.
@@ -125,27 +112,5 @@ mod tests {
     #[test]
     fn none_has_zero_cost() {
         assert_eq!(StorageCost::none().total_bytes(16), 0);
-    }
-
-    #[test]
-    fn plus_sums_component_wise() {
-        let a = StorageCost {
-            per_core_bytes: 1,
-            shared_bytes: 2,
-            llc_data_bytes: 3,
-            llc_tag_bytes: 4,
-        };
-        let b = StorageCost {
-            per_core_bytes: 10,
-            shared_bytes: 20,
-            llc_data_bytes: 30,
-            llc_tag_bytes: 40,
-        };
-        let sum = a.plus(b);
-        assert_eq!(sum.per_core_bytes, 11);
-        assert_eq!(sum.shared_bytes, 22);
-        assert_eq!(sum.llc_data_bytes, 33);
-        assert_eq!(sum.llc_tag_bytes, 44);
-        assert_eq!(a.plus(StorageCost::none()), a);
     }
 }

@@ -15,6 +15,10 @@ use std::time::Duration;
 
 use shift_serve::{ServeConfig, Server};
 
+const USAGE: &str = "\
+usage: shift-serve --root DIR [--listen ADDR] [--unix PATH] [--threads N] [--poll-ms MS]
+";
+
 struct Args {
     root: PathBuf,
     listen: String,
@@ -23,7 +27,8 @@ struct Args {
     poll_ms: Option<u64>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The command line's settings, or `None` when it asks for `--help`.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         root: PathBuf::from("serve-root"),
         listen: "127.0.0.1:7513".to_owned(),
@@ -52,22 +57,20 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("bad --poll-ms: {e}"))?,
                 )
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: shift-serve --root DIR [--listen ADDR] [--unix PATH] \
-                     [--threads N] [--poll-ms MS]"
-                        .to_owned(),
-                )
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(args) => args,
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;

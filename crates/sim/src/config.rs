@@ -2,10 +2,12 @@
 
 use serde::{Deserialize, Serialize};
 use shift_cache::{CacheConfig, LlcConfig};
-use shift_core::{AdaptConfig, GateConfig, HistoryPortConfig, PifConfig, ShiftMode};
+use shift_core::{AdaptConfig, GateConfig, HistoryPortConfig, PifConfig, ShiftMode, StorageCost};
 use shift_cpu::CoreKind;
 use shift_noc::MeshConfig;
 use shift_trace::Scale;
+
+use crate::engine::shift_config;
 
 /// Which instruction prefetcher the simulated CMP uses.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -179,6 +181,39 @@ impl PrefetcherConfig {
         }
     }
 
+    /// Storage cost of this design on an LLC of `llc_blocks` tags, computed
+    /// from the configuration alone. A composed design costs its PIF or
+    /// SHIFT part: a next-line side, a confidence gate and a history port
+    /// are a few control bits per core, which the paper's costing counts as
+    /// zero.
+    pub fn storage(&self, llc_blocks: usize) -> StorageCost {
+        match self {
+            PrefetcherConfig::None | PrefetcherConfig::NextLine { .. } => StorageCost::none(),
+            PrefetcherConfig::Pif(config) | PrefetcherConfig::GatedPif { config, .. } => {
+                config.storage()
+            }
+            PrefetcherConfig::Shift {
+                history_records,
+                mode,
+            }
+            | PrefetcherConfig::ShiftNextLine {
+                history_records,
+                mode,
+                ..
+            }
+            | PrefetcherConfig::AdaptiveNlShift {
+                history_records,
+                mode,
+                ..
+            }
+            | PrefetcherConfig::ThrottledShift {
+                history_records,
+                mode,
+                ..
+            } => shift_config(*history_records, *mode, llc_blocks).storage(),
+        }
+    }
+
     /// The five configurations Figure 8 compares, in the paper's order.
     pub fn figure8_suite() -> Vec<PrefetcherConfig> {
         vec![
@@ -349,6 +384,52 @@ mod tests {
             let text = json::to_string(&config);
             let back: PrefetcherConfig = json::from_str(&text).unwrap();
             assert_eq!(back, config);
+        }
+    }
+
+    #[test]
+    fn every_design_costs_its_pinned_storage() {
+        let cost = |per_core_bytes, shared_bytes, llc_data_bytes, llc_tag_bytes| StorageCost {
+            per_core_bytes,
+            shared_bytes,
+            llc_data_bytes,
+            llc_tag_bytes,
+        };
+        let none = cost(0, 0, 0, 0);
+        // Virtualized SHIFT on the LLCs of 2 and 16 cores: 2 731 history
+        // blocks, and a 15-bit pointer on each of 16 K or 128 K tags.
+        let shift = [
+            cost(246, 0, 174_784, 30_720),
+            cost(246, 0, 174_784, 245_760),
+        ];
+        let dedicated = cost(246, 368_640, 0, 0);
+        let pif_32k = cost(218_112, 0, 0, 0);
+        // A next-line fallback and the adaptive selector's next-line side
+        // cost nothing, and so do the gate and the port: each composed
+        // design costs exactly its PIF or SHIFT part.
+        let designs = [
+            (PrefetcherConfig::None, [none; 2]),
+            (PrefetcherConfig::next_line(), [none; 2]),
+            (PrefetcherConfig::pif_2k(), [cost(13_376, 0, 0, 0); 2]),
+            (PrefetcherConfig::pif_32k(), [pif_32k; 2]),
+            (PrefetcherConfig::gated_pif_32k(), [pif_32k; 2]),
+            (PrefetcherConfig::shift_virtualized(), shift),
+            (PrefetcherConfig::shift_zero_latency(), [dedicated; 2]),
+            (PrefetcherConfig::shift_dedicated(), [dedicated; 2]),
+            (PrefetcherConfig::shift_next_line(), shift),
+            (PrefetcherConfig::adaptive_nl_shift(), shift),
+            (PrefetcherConfig::shift_throttled(2), shift),
+        ];
+        for (design, expected) in designs {
+            for (cores, expected) in [2, 16].into_iter().zip(expected) {
+                let llc_blocks = LlcConfig::micro13(cores).capacity_blocks();
+                assert_eq!(
+                    design.storage(llc_blocks),
+                    expected,
+                    "{} at {cores} cores",
+                    design.label()
+                );
+            }
         }
     }
 

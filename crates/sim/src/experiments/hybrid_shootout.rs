@@ -19,7 +19,6 @@ use shift_trace::{Scale, WorkloadSpec};
 use shift_types::AccessClass;
 
 use crate::config::{CmpConfig, PrefetcherConfig};
-use crate::experiments::performance_density::storage_of;
 use crate::matrix::{RunHandle, RunMatrix};
 use crate::results::geometric_mean;
 use crate::store::RunOutcomes;
@@ -210,7 +209,7 @@ impl HybridShootoutPlan {
                     overprediction: overprediction.iter().sum::<f64>() / n,
                     discard_ratio: discard.iter().sum::<f64>() / n,
                     speedup: geometric_mean(&speedups),
-                    storage_kib: storage_of(design, llc_blocks).added_sram_kib(self.cores),
+                    storage_kib: design.storage(llc_blocks).added_sram_kib(self.cores),
                 }
             })
             .collect();

@@ -14,7 +14,6 @@ use shift_metrics::{AreaModel, PdComparison};
 use shift_trace::{Scale, WorkloadSpec};
 
 use crate::config::{CmpConfig, PrefetcherConfig, SimOptions};
-use crate::engine::shift_config;
 use crate::matrix::{RunHandle, RunMatrix};
 use crate::results::geometric_mean;
 use crate::store::RunOutcomes;
@@ -63,38 +62,6 @@ impl PerformanceDensityResult {
         let pa = self.point(kind, a)?;
         let pb = self.point(kind, b)?;
         Some(pa.pd_ratio() / pb.pd_ratio())
-    }
-}
-
-/// Storage cost of a prefetcher design on an LLC of `llc_blocks` tags,
-/// computed from its configuration. The hybrids cost the sum of their parts;
-/// next-line fallbacks and the gate/port control bits are free, so each
-/// reduces to its history-bearing component.
-pub(crate) fn storage_of(prefetcher: &PrefetcherConfig, llc_blocks: usize) -> StorageCost {
-    match prefetcher {
-        PrefetcherConfig::None | PrefetcherConfig::NextLine { .. } => StorageCost::none(),
-        PrefetcherConfig::Pif(config) | PrefetcherConfig::GatedPif { config, .. } => {
-            config.storage()
-        }
-        PrefetcherConfig::Shift {
-            history_records,
-            mode,
-        }
-        | PrefetcherConfig::ShiftNextLine {
-            history_records,
-            mode,
-            ..
-        }
-        | PrefetcherConfig::AdaptiveNlShift {
-            history_records,
-            mode,
-            ..
-        }
-        | PrefetcherConfig::ThrottledShift {
-            history_records,
-            mode,
-            ..
-        } => shift_config(*history_records, *mode, llc_blocks).storage(),
     }
 }
 
@@ -174,7 +141,7 @@ impl PerformanceDensityPlan {
                     .map(|(&run, &baseline)| outcomes[run].speedup_over(&outcomes[baseline]))
                     .collect();
                 let llc_blocks = CmpConfig::micro13(cores, *prefetcher).llc.capacity_blocks();
-                let storage = storage_of(prefetcher, llc_blocks);
+                let storage = prefetcher.storage(llc_blocks);
                 let area = area_model.cmp_core_area_mm2(*kind, cores, &storage);
                 points.push(PdPoint {
                     core_kind: *kind,
@@ -191,54 +158,7 @@ impl PerformanceDensityPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shift_cache::LlcConfig;
     use shift_trace::presets;
-
-    #[test]
-    fn every_design_costs_its_pinned_storage() {
-        let cost = |per_core_bytes, shared_bytes, llc_data_bytes, llc_tag_bytes| StorageCost {
-            per_core_bytes,
-            shared_bytes,
-            llc_data_bytes,
-            llc_tag_bytes,
-        };
-        let none = cost(0, 0, 0, 0);
-        // Virtualized SHIFT on the LLCs of 2 and 16 cores: 2 731 history
-        // blocks, and a 15-bit pointer on each of 16 K or 128 K tags.
-        let shift = [
-            cost(246, 0, 174_784, 30_720),
-            cost(246, 0, 174_784, 245_760),
-        ];
-        let dedicated = cost(246, 368_640, 0, 0);
-        let pif_32k = cost(218_112, 0, 0, 0);
-        // A next-line fallback and the adaptive selector's next-line side
-        // cost nothing, and so do the gate and the port: each composed
-        // design costs exactly its PIF or SHIFT part.
-        let designs = [
-            (PrefetcherConfig::None, [none; 2]),
-            (PrefetcherConfig::next_line(), [none; 2]),
-            (PrefetcherConfig::pif_2k(), [cost(13_376, 0, 0, 0); 2]),
-            (PrefetcherConfig::pif_32k(), [pif_32k; 2]),
-            (PrefetcherConfig::gated_pif_32k(), [pif_32k; 2]),
-            (PrefetcherConfig::shift_virtualized(), shift),
-            (PrefetcherConfig::shift_zero_latency(), [dedicated; 2]),
-            (PrefetcherConfig::shift_dedicated(), [dedicated; 2]),
-            (PrefetcherConfig::shift_next_line(), shift),
-            (PrefetcherConfig::adaptive_nl_shift(), shift),
-            (PrefetcherConfig::shift_throttled(2), shift),
-        ];
-        for (design, expected) in designs {
-            for (cores, expected) in [2, 16].into_iter().zip(expected) {
-                let llc_blocks = LlcConfig::micro13(cores).capacity_blocks();
-                assert_eq!(
-                    storage_of(&design, llc_blocks),
-                    expected,
-                    "{} at {cores} cores",
-                    design.label()
-                );
-            }
-        }
-    }
 
     #[test]
     fn shift_area_overhead_is_far_smaller_than_pif() {

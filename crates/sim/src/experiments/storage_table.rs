@@ -2,10 +2,10 @@
 //! discussion and the basis for the equal-cost PIF_2K design point).
 
 use serde::{Deserialize, Serialize};
-use shift_core::{PifConfig, ShiftMode, StorageCost};
+use shift_core::StorageCost;
 use shift_metrics::AreaModel;
 
-use crate::engine::shift_config;
+use crate::config::PrefetcherConfig;
 
 /// One design's storage and area summary.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -51,26 +51,22 @@ impl StorageTableResult {
 /// microseconds and are computed inline.
 pub fn storage_table(cores: u16, llc_capacity_blocks: usize) -> StorageTableResult {
     let area = AreaModel::nm40();
-    let mut rows = Vec::new();
-
-    for config in [PifConfig::pif_2k(), PifConfig::pif_32k()] {
-        let storage = config.storage();
-        rows.push(StorageRow {
-            design: config.design_name(),
+    let rows = [
+        PrefetcherConfig::pif_2k(),
+        PrefetcherConfig::pif_32k(),
+        PrefetcherConfig::shift_virtualized(),
+    ]
+    .iter()
+    .map(|design| {
+        let storage = design.storage(llc_capacity_blocks);
+        StorageRow {
+            design: design.label(),
             added_sram_kib: storage.added_sram_kib(cores),
             added_area_mm2: area.prefetcher_mm2(&storage, cores),
             storage,
-        });
-    }
-
-    let storage = shift_config(32 * 1024, ShiftMode::Virtualized, llc_capacity_blocks).storage();
-    rows.push(StorageRow {
-        design: "SHIFT".to_owned(),
-        added_sram_kib: storage.added_sram_kib(cores),
-        added_area_mm2: area.prefetcher_mm2(&storage, cores),
-        storage,
-    });
-
+        }
+    })
+    .collect();
     StorageTableResult { rows, cores }
 }
 

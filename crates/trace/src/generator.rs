@@ -46,8 +46,6 @@ pub struct CoreTraceGenerator {
     /// Next unconsumed index into `pending`.
     cursor: usize,
     scratch_blocks: Vec<BlockAddr>,
-    requests_generated: u64,
-    fetches_generated: u64,
     data_ref_carry: f64,
     // Strength-reduced reducers for the uniform draws on the per-event hot
     // path. Each produces exactly `next_u64() % span` (the compat `rand`
@@ -105,8 +103,6 @@ impl CoreTraceGenerator {
             pending: Vec::with_capacity(max_burst),
             cursor: 0,
             scratch_blocks: Vec::with_capacity(max_function_blocks),
-            requests_generated: 0,
-            fetches_generated: 0,
             data_ref_carry: 0.0,
             instr_mod,
             hot_data_mod,
@@ -125,16 +121,6 @@ impl CoreTraceGenerator {
         &self.program
     }
 
-    /// Number of complete requests generated so far.
-    pub fn requests_generated(&self) -> u64 {
-        self.requests_generated
-    }
-
-    /// Number of fetch events generated so far.
-    pub fn fetches_generated(&self) -> u64 {
-        self.fetches_generated
-    }
-
     /// Produces the next event, generating a new request when the current one
     /// is exhausted. Never returns `None`; the trace is conceptually infinite.
     #[inline]
@@ -142,9 +128,6 @@ impl CoreTraceGenerator {
         loop {
             if let Some(&event) = self.pending.get(self.cursor) {
                 self.cursor += 1;
-                if matches!(event, TraceEvent::Fetch(_)) {
-                    self.fetches_generated += 1;
-                }
                 return event;
             }
             self.generate_request();
@@ -167,7 +150,6 @@ impl CoreTraceGenerator {
             if let Some(pos) = rest.iter().position(|e| matches!(e, TraceEvent::Fetch(_))) {
                 out.extend_from_slice(&rest[..=pos]);
                 self.cursor += pos + 1;
-                self.fetches_generated += 1;
                 return;
             }
             out.extend_from_slice(rest);
@@ -216,7 +198,6 @@ impl CoreTraceGenerator {
         let types = program.request_types();
         let idx = pick_request_with_total(&mut self.rng, types, program.total_request_weight());
         let request = &types[idx];
-        self.requests_generated += 1;
 
         for (step_idx, step) in request.steps().iter().enumerate() {
             if step.execute_probability < 1.0
@@ -397,8 +378,12 @@ mod tests {
         let scratch_capacity = gen.scratch_blocks.capacity();
         assert!(pending_capacity >= gen.program().max_burst_events());
         let mut max_pending = 0usize;
-        while gen.requests_generated() < 500 {
+        // Each request refills the buffer, after which the first event read
+        // leaves the cursor at 1.
+        let mut requests = 0;
+        while requests < 500 {
             let _ = gen.next_event();
+            requests += usize::from(gen.cursor == 1);
             max_pending = max_pending.max(gen.pending.len() - gen.cursor);
         }
         assert!(max_pending > 0, "bursts must actually fill the queue");
@@ -418,8 +403,8 @@ mod tests {
     fn batched_events_match_event_by_event_consumption() {
         // `next_events_into` must be an exact restatement of "call
         // `next_event` until it returns a fetch": same events, same order,
-        // same fetch counter — the property the engine's batched stepping
-        // path (and the golden tests behind it) relies on.
+        // same buffered request and position — the property the engine's
+        // batched stepping path (and the golden tests behind it) relies on.
         let spec = presets::tiny();
         let mut batched = CoreTraceGenerator::new(&spec, CoreId::new(0), 21);
         let mut serial = CoreTraceGenerator::new(&spec, CoreId::new(0), 21);
@@ -431,8 +416,8 @@ mod tests {
                 assert_eq!(event, serial.next_event());
             }
         }
-        assert_eq!(batched.fetches_generated(), serial.fetches_generated());
-        assert_eq!(batched.requests_generated(), serial.requests_generated());
+        assert_eq!(batched.pending, serial.pending);
+        assert_eq!(batched.cursor, serial.cursor);
     }
 
     #[test]

@@ -35,14 +35,17 @@ fn main() {
             shift.on_retire(CoreId::new(0), BlockAddr::new(blk), &mut llc, &mut out);
         }
     }
+    // Every spatial region record sends one index update to the LLC tags;
+    // every twelfth fills the cache-block buffer, which is flushed to the
+    // history window in the LLC.
+    let traffic = llc.traffic();
     println!(
-        "spatial region records written : {}",
-        shift.records_written()
+        "index updates sent to LLC tags : {}",
+        traffic.count(AccessClass::IndexUpdate)
     );
-    println!("index updates sent to LLC tags : {}", shift.index_updates());
     println!(
         "history blocks flushed (CBB)   : {}",
-        shift.history_block_writes()
+        traffic.count(AccessClass::HistoryWrite)
     );
     println!("LLC blocks pinned for history  : {}", llc.pinned_blocks());
 

@@ -8,7 +8,7 @@
 //!
 //! * [`types`] — addresses, identifiers, cycles.
 //! * [`trace`] — synthetic server-workload trace generation (Table I suite).
-//! * [`cache`] — L1 caches, MSHRs, and the banked NUCA LLC with the
+//! * [`cache`] — LRU L1 caches and the banked NUCA LLC with the
 //!   virtualized-history extensions.
 //! * [`noc`] — the 2D-mesh interconnect model.
 //! * [`cpu`] — core parameters and the front-end stall timing model.

@@ -3,14 +3,13 @@
 //! performance-density arithmetic.
 
 use shift::metrics::{AreaModel, PdComparison, PowerModel};
-use shift::prefetch::{InstructionPrefetcher, Pif, PifConfig, Shift, ShiftConfig};
+use shift::prefetch::{PifConfig, ShiftConfig};
 use shift::sim::experiments::storage_table;
 use shift::types::{BlockAddr, CoreId};
 
 #[test]
 fn pif_per_core_storage_is_213_kb_and_0_9_mm2() {
-    let pif = Pif::new(PifConfig::pif_32k(), 16);
-    let storage = pif.storage(16);
+    let storage = PifConfig::pif_32k().storage();
     assert_eq!(storage.per_core_bytes / 1024, 213);
     let area = AreaModel::nm40();
     let per_core = area.prefetcher_mm2_per_core(&storage, 16);
@@ -28,8 +27,7 @@ fn shift_storage_is_roughly_14x_cheaper_than_pif() {
 fn shift_history_occupies_2731_llc_lines() {
     let cfg = ShiftConfig::virtualized_micro13(CoreId::new(0), BlockAddr::new(0));
     assert_eq!(cfg.history_llc_blocks(), 2731);
-    let shift = Shift::new(cfg, 16);
-    let storage = shift.storage(16);
+    let storage = cfg.storage();
     assert_eq!(storage.llc_tag_bytes / 1024, 240);
     assert!(storage.llc_data_bytes / 1024 >= 170);
 }
