@@ -194,28 +194,48 @@ fn reproduce_binary_reports_store_errors_without_panicking() {
 #[cfg(target_os = "linux")]
 fn reproduce_binary_reports_an_unwritable_decision_log_without_panicking() {
     // `/dev/full` opens, but every write to it fails: an operator error that
-    // must name the flag, the path and the error, and exit 1.
+    // must name the flag, the path and the error, and exit 1. A 1/64 shard's
+    // few claims fail only at the final flush; an in-memory run's claims
+    // overflow the log's buffer mid-run, which must cancel the execution.
     let dir = std::env::temp_dir().join("shift-bench-reproduce-decision-log");
     let _ = fs::remove_dir_all(&dir);
-    let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .args(["--shard", "1/64", "--outcomes"])
-        .arg(&dir)
-        .args(["--decision-log", "/dev/full"])
-        .env("SHIFT_SCALE", "test")
-        .env("SHIFT_CORES", "2")
-        .env("SHIFT_WORKLOADS", "web")
-        .output()
-        .expect("run the reproduce binary");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
-    let no_space = std::io::Error::from_raw_os_error(28);
-    assert!(
-        stderr.contains(&format!(
-            "cannot write --decision-log /dev/full: {no_space}"
-        )),
-        "stderr:\n{stderr}"
-    );
-    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    for sharded in [true, false] {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_reproduce"));
+        if sharded {
+            command.args(["--shard", "1/64", "--outcomes"]).arg(&dir);
+        }
+        let output = command
+            .args(["--decision-log", "/dev/full"])
+            .env("SHIFT_SCALE", "test")
+            .env("SHIFT_CORES", "2")
+            .env("SHIFT_WORKLOADS", "web")
+            .output()
+            .expect("run the reproduce binary");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+        let no_space = std::io::Error::from_raw_os_error(28);
+        assert!(
+            stderr.contains(&format!(
+                "cannot write --decision-log /dev/full: {no_space}"
+            )),
+            "stderr:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+        if !sharded {
+            // "in-process: X of Y runs executed, ...": cancelled short of Y.
+            let stdout = String::from_utf8_lossy(&output.stdout);
+            let summary = stdout.lines().find(|l| l.starts_with("in-process: "));
+            let counts: Vec<usize> = summary
+                .unwrap_or_default()
+                .split(' ')
+                .filter_map(|word| word.parse().ok())
+                .collect();
+            assert!(
+                counts.len() > 1 && counts[0] < counts[1],
+                "stdout:\n{stdout}"
+            );
+        }
+    }
     fs::remove_dir_all(&dir).expect("cleanup");
 }
 

@@ -189,6 +189,16 @@ impl Shift {
         }
     }
 
+    /// The configuration.
+    pub fn config(&self) -> &ShiftConfig {
+        &self.config
+    }
+
+    /// The core generating the shared history.
+    pub fn generator_core(&self) -> CoreId {
+        self.config.generator_core
+    }
+
     /// Reserves the virtualized history window in the LLC. Called lazily on
     /// first use; exposed for explicit installation by the simulator.
     pub fn install(&mut self, llc: &mut NucaLlc) {

@@ -2,12 +2,13 @@
 
 use serde::{Deserialize, Serialize};
 use shift_cache::{CacheConfig, LlcConfig};
-use shift_core::{AdaptConfig, GateConfig, HistoryPortConfig, PifConfig, ShiftMode, StorageCost};
+use shift_core::{
+    AdaptConfig, GateConfig, HistoryPortConfig, PifConfig, ShiftConfig, ShiftMode, StorageCost,
+};
 use shift_cpu::CoreKind;
 use shift_noc::MeshConfig;
 use shift_trace::Scale;
-
-use crate::engine::shift_config;
+use shift_types::{BlockAddr, CoreId};
 
 /// Which instruction prefetcher the simulated CMP uses.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -223,6 +224,25 @@ impl PrefetcherConfig {
             PrefetcherConfig::shift_zero_latency(),
             PrefetcherConfig::shift_virtualized(),
         ]
+    }
+}
+
+/// The SHIFT design a `history_records`-record history in `mode` on an LLC
+/// of `llc_capacity_blocks` tags describes: the paper's design with an index
+/// of one entry per record. Everything that sets the design's cost is here;
+/// the engine adds each unit's generator core, LLC history window and NoC
+/// latency, which cost nothing.
+pub(crate) fn shift_config(
+    history_records: usize,
+    mode: ShiftMode,
+    llc_capacity_blocks: usize,
+) -> ShiftConfig {
+    ShiftConfig {
+        history_records,
+        index_entries: history_records.max(16),
+        mode,
+        llc_capacity_blocks,
+        ..ShiftConfig::virtualized_micro13(CoreId::new(0), BlockAddr::new(0))
     }
 }
 

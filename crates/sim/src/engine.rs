@@ -41,7 +41,7 @@ use shift_trace::workload::WorkloadProgram;
 use shift_trace::{ConsolidationSpec, CoreTraceGenerator, TraceEvent};
 use shift_types::{AccessClass, BlockAddr, CoreId};
 
-use crate::config::{CmpConfig, PrefetcherConfig, SimOptions};
+use crate::config::{shift_config, CmpConfig, PrefetcherConfig, SimOptions};
 use crate::results::{CoreResult, CoverageStats, RunResult};
 
 /// Per-L1-I-line bookkeeping used to classify covered misses and discards.
@@ -685,25 +685,6 @@ fn build_prefetchers(
         } => Box::new(
             shift_units(*history_records, *mode).map(|s| ThrottledPrefetcher::new(s, *port)),
         ),
-    }
-}
-
-/// The SHIFT design the engine builds for a `history_records`-record history
-/// in `mode` on an LLC of `llc_capacity_blocks` tags: the paper's design with
-/// an index of one entry per record. Everything that sets the design's cost
-/// is here; [`build_shift_units`] adds each unit's generator core, LLC
-/// history window and NoC latency, which cost nothing.
-pub(crate) fn shift_config(
-    history_records: usize,
-    mode: ShiftMode,
-    llc_capacity_blocks: usize,
-) -> ShiftConfig {
-    ShiftConfig {
-        history_records,
-        index_entries: history_records.max(16),
-        mode,
-        llc_capacity_blocks,
-        ..ShiftConfig::virtualized_micro13(CoreId::new(0), BlockAddr::new(0))
     }
 }
 
