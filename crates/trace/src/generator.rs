@@ -8,6 +8,7 @@ use shift_types::{AccessKind, BlockAddr, CoreId};
 
 use crate::event::{DataEvent, FetchEvent, TraceEvent};
 use crate::fastdiv::InvariantModulus;
+use crate::layout::Function;
 use crate::request::pick_request_with_total;
 use crate::workload::{WorkloadProgram, WorkloadSpec};
 
@@ -19,6 +20,12 @@ use crate::workload::{WorkloadProgram, WorkloadSpec};
 /// its own data-dependent control-flow decisions from a per-core RNG. This is
 /// exactly the structure the paper exploits: the streams of different cores
 /// are highly similar (same code, same request types) but not identical.
+///
+/// The generator streams: it keeps the current request and the index of its
+/// next call step, and each refill of its event buffer expands one executed
+/// step — the called function and, if drawn, an OS handler — so the buffer
+/// holds one step's events rather than a whole request's. A new request is
+/// drawn only once the current one is exhausted.
 ///
 /// The generator is an infinite [`Iterator`] over [`TraceEvent`]s; callers
 /// bound it with [`Iterator::take`] or by counting fetch events.
@@ -40,7 +47,12 @@ pub struct CoreTraceGenerator {
     core: CoreId,
     core_bias: u64,
     rng: SmallRng,
-    /// Events of the current request, consumed through `cursor`: a flat
+    /// Index of the current request type in the program's mix.
+    request: usize,
+    /// Index of the current request's next call step; equal to its step
+    /// count once the request is exhausted.
+    next_step: usize,
+    /// Events of the current call step, consumed through `cursor`: a flat
     /// buffer instead of a ring, so batch reads are contiguous slice copies.
     pending: Vec<TraceEvent>,
     /// Next unconsumed index into `pending`.
@@ -75,12 +87,12 @@ impl CoreTraceGenerator {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(seed)
             .wrapping_add((core.index() as u64 + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        // Pre-size both per-request buffers to their worst-case burst so the
-        // `next_event` hot path never grows an allocation mid-trace: the
-        // pending queue holds at most one full request's events
-        // (`generate_request` drains it to empty before refilling), and the
-        // scratch holds at most one function execution's blocks.
-        let max_burst = program.max_burst_events();
+        // Pre-size both buffers to their worst case so the `next_event` hot
+        // path never grows an allocation mid-trace: the pending queue holds
+        // at most one call step's events (`generate_step` drains it to empty
+        // before refilling), and the scratch holds at most one function
+        // execution's blocks.
+        let max_step_events = program.max_step_events();
         let max_function_blocks = program.max_function_blocks();
         let spec = program.spec();
         let instr_span = (spec
@@ -92,6 +104,8 @@ impl CoreTraceGenerator {
         let hot_data_mod = InvariantModulus::new(spec.hot_data_blocks.max(1));
         let cold_data_mod = InvariantModulus::new(spec.data_region_blocks.max(1));
         let os_fn_mod = InvariantModulus::new(program.layout().os_functions().len().max(1) as u64);
+        // No request is under way: the first refill draws one.
+        let next_step = program.request_types()[0].steps().len();
         CoreTraceGenerator {
             program,
             core,
@@ -100,7 +114,9 @@ impl CoreTraceGenerator {
             // core diverges the same way in every run.
             core_bias: spec_seed ^ ((core.index() as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407)),
             rng: SmallRng::seed_from_u64(mixed),
-            pending: Vec::with_capacity(max_burst),
+            request: 0,
+            next_step,
+            pending: Vec::with_capacity(max_step_events),
             cursor: 0,
             scratch_blocks: Vec::with_capacity(max_function_blocks),
             data_ref_carry: 0.0,
@@ -121,8 +137,9 @@ impl CoreTraceGenerator {
         &self.program
     }
 
-    /// Produces the next event, generating a new request when the current one
-    /// is exhausted. Never returns `None`; the trace is conceptually infinite.
+    /// Produces the next event, generating the next call step when the
+    /// current one is exhausted. Never returns `None`; the trace is
+    /// conceptually infinite.
     #[inline]
     pub fn next_event(&mut self) -> TraceEvent {
         loop {
@@ -130,7 +147,7 @@ impl CoreTraceGenerator {
                 self.cursor += 1;
                 return event;
             }
-            self.generate_request();
+            self.generate_step();
         }
     }
 
@@ -154,7 +171,7 @@ impl CoreTraceGenerator {
             }
             out.extend_from_slice(rest);
             self.cursor = self.pending.len();
-            self.generate_request();
+            self.generate_step();
         }
     }
 
@@ -187,41 +204,49 @@ impl CoreTraceGenerator {
         (h as f64 / u64::MAX as f64) < probability
     }
 
-    fn generate_request(&mut self) {
+    /// Refills the pending queue with the next executed call step of the
+    /// current request, drawing a new request first if it is exhausted.
+    /// Steps this core does not take are skipped; the refill emits the
+    /// called function and, if drawn, one OS handler.
+    fn generate_step(&mut self) {
         // Only called once the current buffer is fully consumed, so clearing
-        // never discards events and the buffer never outgrows one request.
+        // never discards events and the buffer never outgrows one step.
         debug_assert_eq!(self.cursor, self.pending.len());
         self.pending.clear();
         self.cursor = 0;
         let program = Arc::clone(&self.program);
         let spec = program.spec();
         let types = program.request_types();
-        let idx = pick_request_with_total(&mut self.rng, types, program.total_request_weight());
-        let request = &types[idx];
-
-        for (step_idx, step) in request.steps().iter().enumerate() {
+        loop {
+            let steps = types[self.request].steps();
+            let Some(&step) = steps.get(self.next_step) else {
+                self.request =
+                    pick_request_with_total(&mut self.rng, types, program.total_request_weight());
+                self.next_step = 0;
+                continue;
+            };
+            let step_idx = self.next_step;
+            self.next_step += 1;
             if step.execute_probability < 1.0
-                && !self.core_takes_conditional(idx, step_idx, step.execute_probability)
+                && !self.core_takes_conditional(self.request, step_idx, step.execute_probability)
             {
                 continue;
             }
-            let function = &program.layout().functions()[step.function];
-            self.emit_function(function, spec);
+            self.emit_function(program.layout().function(step.function), spec);
 
             // Spontaneous OS activity (scheduler tick, TLB fill, interrupt)
             // fragments the application's temporal streams, as §6.1 discusses.
             if spec.os_invocation_probability > 0.0
                 && self.rng.gen_bool(spec.os_invocation_probability)
             {
-                let os_fns = program.layout().os_functions();
                 let os_idx = self.os_fn_mod.rem(self.rng.next_u64()) as usize;
-                let handler = &os_fns[os_idx];
-                self.emit_function(handler, spec);
+                self.emit_function(program.layout().os_function(os_idx), spec);
             }
+            return;
         }
     }
 
-    fn emit_function(&mut self, function: &crate::layout::Function, spec: &WorkloadSpec) {
+    fn emit_function(&mut self, function: Function<'_>, spec: &WorkloadSpec) {
         self.scratch_blocks.clear();
         function.execute(&mut self.rng, &mut self.scratch_blocks);
         let blocks = std::mem::take(&mut self.scratch_blocks);
@@ -368,29 +393,29 @@ mod tests {
 
     #[test]
     fn bursty_requests_never_grow_the_pending_queue() {
-        // The pending queue is pre-sized to the worst-case request burst
-        // (`WorkloadProgram::max_burst_events`), so generating any number of
-        // requests must never reallocate it — that was the last allocation
+        // The pending queue is pre-sized to the largest call step
+        // (`WorkloadProgram::max_step_events`), so generating any number of
+        // steps must never reallocate it — that was the last allocation
         // site on the trace hot path.
         let spec = presets::tiny();
         let mut gen = CoreTraceGenerator::new(&spec, CoreId::new(0), 13);
         let pending_capacity = gen.pending.capacity();
         let scratch_capacity = gen.scratch_blocks.capacity();
-        assert!(pending_capacity >= gen.program().max_burst_events());
+        assert_eq!(pending_capacity, gen.program().max_step_events());
         let mut max_pending = 0usize;
-        // Each request refills the buffer, after which the first event read
-        // leaves the cursor at 1.
-        let mut requests = 0;
-        while requests < 500 {
+        // Each call step refills the buffer, after which the first event
+        // read leaves the cursor at 1.
+        let mut steps = 0;
+        while steps < 10_000 {
             let _ = gen.next_event();
-            requests += usize::from(gen.cursor == 1);
+            steps += usize::from(gen.cursor == 1);
             max_pending = max_pending.max(gen.pending.len() - gen.cursor);
         }
         assert!(max_pending > 0, "bursts must actually fill the queue");
         assert_eq!(
             gen.pending.capacity(),
             pending_capacity,
-            "pending queue reallocated (burst exceeded the pre-sized bound)"
+            "pending queue reallocated (a step exceeded the pre-sized bound)"
         );
         assert_eq!(
             gen.scratch_blocks.capacity(),
@@ -403,7 +428,7 @@ mod tests {
     fn batched_events_match_event_by_event_consumption() {
         // `next_events_into` must be an exact restatement of "call
         // `next_event` until it returns a fetch": same events, same order,
-        // same buffered request and position — the property the engine's
+        // same buffered step and position — the property the engine's
         // batched stepping path (and the golden tests behind it) relies on.
         let spec = presets::tiny();
         let mut batched = CoreTraceGenerator::new(&spec, CoreId::new(0), 21);

@@ -117,7 +117,8 @@ impl Fragment {
     }
 }
 
-/// A function: a contiguous range of blocks subdivided into fragments.
+/// A function of a [`CodeLayout`]: a contiguous range of blocks subdivided
+/// into fragments.
 ///
 /// Fragments are laid out back to back in the address space, but *execute* in
 /// a fixed, per-function order that generally differs from address order —
@@ -125,67 +126,18 @@ impl Fragment {
 /// is part of the function's static identity, so every execution of the
 /// function produces the same block sequence (up to skipped fragments), which
 /// is what makes temporal streams recur.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Function {
+///
+/// The layout stores every function's fragments in one array, each
+/// function's in its execution order, so a `Function` is a borrowed view of
+/// one slice of that array.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Function<'a> {
     entry: BlockAddr,
     len_blocks: u32,
-    fragments: Vec<Fragment>,
-    execution_order: Vec<u32>,
+    fragments: &'a [Fragment],
 }
 
-impl Function {
-    /// Creates a function whose fragments must tile `[0, len_blocks)` without
-    /// overlapping (gaps are allowed: padding blocks that are never fetched).
-    /// Fragments execute in address order; use
-    /// [`Function::with_execution_order`] to model taken branches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any fragment extends past `len_blocks`.
-    pub fn new(entry: BlockAddr, len_blocks: u32, fragments: Vec<Fragment>) -> Self {
-        for frag in &fragments {
-            assert!(
-                frag.offset + frag.len <= len_blocks,
-                "fragment extends past end of function"
-            );
-        }
-        let execution_order = (0..fragments.len() as u32).collect();
-        Function {
-            entry,
-            len_blocks,
-            fragments,
-            execution_order,
-        }
-    }
-
-    /// Replaces the fragment execution order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of `0..fragments.len()` or does
-    /// not start with fragment `0` (the entry fragment must execute first).
-    #[must_use]
-    pub fn with_execution_order(mut self, order: Vec<u32>) -> Self {
-        assert_eq!(
-            order.len(),
-            self.fragments.len(),
-            "order must cover all fragments"
-        );
-        let mut seen = vec![false; self.fragments.len()];
-        for &i in &order {
-            let idx = i as usize;
-            assert!(
-                idx < self.fragments.len(),
-                "order references unknown fragment"
-            );
-            assert!(!seen[idx], "order repeats a fragment");
-            seen[idx] = true;
-        }
-        assert_eq!(order.first(), Some(&0), "entry fragment must execute first");
-        self.execution_order = order;
-        self
-    }
-
+impl Function<'_> {
     /// First block of the function (its entry point).
     pub fn entry(&self) -> BlockAddr {
         self.entry
@@ -196,9 +148,10 @@ impl Function {
         self.len_blocks
     }
 
-    /// The function's fragments in static program order.
+    /// The function's fragments in execution order; the first is the entry
+    /// fragment (offset 0).
     pub fn fragments(&self) -> &[Fragment] {
-        &self.fragments
+        self.fragments
     }
 
     /// Expected number of blocks fetched by one execution (each fragment
@@ -217,19 +170,13 @@ impl Function {
         self.fragments.iter().map(|f| f.len).sum()
     }
 
-    /// The fixed fragment execution order.
-    pub fn execution_order(&self) -> &[u32] {
-        &self.execution_order
-    }
-
     /// Emits the block addresses touched by one execution of the function,
     /// using `rng` to decide which fragments are skipped, appending them to
     /// `out`. Fragments are emitted in the function's execution order; the
     /// entry fragment is never skipped so that every execution touches the
     /// function entry block.
     pub fn execute<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<BlockAddr>) {
-        for &idx in &self.execution_order {
-            let frag = &self.fragments[idx as usize];
+        for frag in self.fragments {
             let always = frag.offset == 0;
             if !always && frag.skip_probability > 0.0 && rng.gen_bool(frag.skip_probability) {
                 continue;
@@ -241,17 +188,99 @@ impl Function {
     }
 }
 
+/// Where one function sits in the address space and in its layout's
+/// fragment array.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+struct FunctionRecord {
+    entry: BlockAddr,
+    len_blocks: u32,
+    /// The function's fragments are `fragments[first_fragment..end_fragment]`
+    /// of the layout, in execution order.
+    first_fragment: usize,
+    end_fragment: usize,
+}
+
+impl FunctionRecord {
+    fn view<'a>(&self, fragments: &'a [Fragment]) -> Function<'a> {
+        Function {
+            entry: self.entry,
+            len_blocks: self.len_blocks,
+            fragments: &fragments[self.first_fragment..self.end_fragment],
+        }
+    }
+}
+
+/// Appends one function's fragments to `fragments` in execution order and
+/// returns its record. `by_address` holds the fragments in address order and
+/// `order` the indices into it in the order they execute.
+///
+/// # Panics
+///
+/// Panics if any fragment extends past `len_blocks`, or if `order` is not a
+/// permutation of `0..by_address.len()` or does not start with fragment `0`
+/// (the entry fragment must execute first).
+fn push_function(
+    fragments: &mut Vec<Fragment>,
+    entry: BlockAddr,
+    len_blocks: u32,
+    by_address: &[Fragment],
+    order: &[u32],
+    seen: &mut Vec<bool>,
+) -> FunctionRecord {
+    for frag in by_address {
+        assert!(
+            frag.offset + frag.len <= len_blocks,
+            "fragment extends past end of function"
+        );
+    }
+    assert_eq!(
+        order.len(),
+        by_address.len(),
+        "order must cover all fragments"
+    );
+    seen.clear();
+    seen.resize(by_address.len(), false);
+    for &i in order {
+        let idx = i as usize;
+        assert!(idx < by_address.len(), "order references unknown fragment");
+        assert!(!seen[idx], "order repeats a fragment");
+        seen[idx] = true;
+    }
+    assert_eq!(order.first(), Some(&0), "entry fragment must execute first");
+    let first_fragment = fragments.len();
+    fragments.extend(order.iter().map(|&i| by_address[i as usize]));
+    FunctionRecord {
+        entry,
+        len_blocks,
+        first_fragment,
+        end_fragment: fragments.len(),
+    }
+}
+
+/// Buffers for synthesizing one function, reused across all functions of a
+/// layout.
+#[derive(Default)]
+struct FunctionScratch {
+    by_address: Vec<Fragment>,
+    remaining: Vec<u32>,
+    order: Vec<u32>,
+    seen: Vec<bool>,
+}
+
 /// The complete code layout of one workload.
 ///
 /// Application functions live in the workload's code region; operating-system
 /// handler functions (scheduler, TLB-miss handler, interrupt handlers) live in
-/// a separate OS region shared by all request types.
+/// a separate OS region shared by all request types. All fragments of all
+/// functions sit in one array, each function's in its execution order, beside
+/// one small record per function.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CodeLayout {
     code_region: AddressRegion,
     os_region: AddressRegion,
-    functions: Vec<Function>,
-    os_functions: Vec<Function>,
+    fragments: Vec<Fragment>,
+    functions: Vec<FunctionRecord>,
+    os_functions: Vec<FunctionRecord>,
 }
 
 /// Parameters controlling random layout synthesis.
@@ -289,8 +318,12 @@ impl CodeLayout {
         os_base: BlockAddr,
     ) -> Self {
         assert!(params.functions > 0, "layout needs at least one function");
+        let mut fragments = Vec::new();
+        let mut scratch = FunctionScratch::default();
         let functions = Self::generate_functions(
             rng,
+            &mut fragments,
+            &mut scratch,
             code_base,
             params.functions,
             params.mean_function_blocks,
@@ -300,6 +333,8 @@ impl CodeLayout {
         );
         let os_functions = Self::generate_functions(
             rng,
+            &mut fragments,
+            &mut scratch,
             os_base,
             params.os_functions.max(1),
             params.mean_os_function_blocks,
@@ -308,34 +343,36 @@ impl CodeLayout {
             params.fragment_skip_probability * 0.5,
             params.taken_branch_probability * 0.7,
         );
-        let code_len = functions
-            .last()
-            .map(|f| f.entry().offset(f.len_blocks() as u64) - code_base)
-            .unwrap_or(1)
-            .max(1);
-        let os_len = os_functions
-            .last()
-            .map(|f| f.entry().offset(f.len_blocks() as u64) - os_base)
-            .unwrap_or(1)
-            .max(1);
+        let region_len = |records: &[FunctionRecord], base: BlockAddr| {
+            records
+                .last()
+                .map(|f| f.entry.offset(f.len_blocks as u64) - base)
+                .unwrap_or(1)
+                .max(1)
+        };
         CodeLayout {
-            code_region: AddressRegion::new(code_base, code_len),
-            os_region: AddressRegion::new(os_base, os_len),
+            code_region: AddressRegion::new(code_base, region_len(&functions, code_base)),
+            os_region: AddressRegion::new(os_base, region_len(&os_functions, os_base)),
+            fragments,
             functions,
             os_functions,
         }
     }
 
+    /// Appends `count` functions laid out back to back from `base` to
+    /// `fragments` and returns their records.
     #[allow(clippy::too_many_arguments)]
     fn generate_functions<R: Rng + ?Sized>(
         rng: &mut R,
+        fragments: &mut Vec<Fragment>,
+        scratch: &mut FunctionScratch,
         base: BlockAddr,
         count: usize,
         mean_blocks: f64,
         mean_fragment_blocks: f64,
         skip_probability: f64,
         taken_branch_probability: f64,
-    ) -> Vec<Function> {
+    ) -> Vec<FunctionRecord> {
         let mut functions = Vec::with_capacity(count);
         let mut cursor = base;
         for _ in 0..count {
@@ -343,24 +380,47 @@ impl CodeLayout {
             let lo = (mean_blocks * 0.5).max(1.0);
             let hi = (mean_blocks * 1.5).max(lo + 1.0);
             let len = rng.gen_range(lo..hi).round().max(1.0) as u32;
-            let fragments = Self::fragment(rng, len, mean_fragment_blocks, skip_probability);
-            let order = Self::execution_order(rng, fragments.len(), taken_branch_probability);
-            functions.push(Function::new(cursor, len, fragments).with_execution_order(order));
+            Self::fragment(
+                rng,
+                len,
+                mean_fragment_blocks,
+                skip_probability,
+                &mut scratch.by_address,
+            );
+            Self::execution_order(
+                rng,
+                scratch.by_address.len(),
+                taken_branch_probability,
+                &mut scratch.remaining,
+                &mut scratch.order,
+            );
+            functions.push(push_function(
+                fragments,
+                cursor,
+                len,
+                &scratch.by_address,
+                &scratch.order,
+                &mut scratch.seen,
+            ));
             cursor = cursor.offset(len as u64);
         }
         functions
     }
 
-    /// Builds a per-function fragment execution order: starting from address
-    /// order, each fragment boundary becomes a taken branch (a jump to a
-    /// random not-yet-executed fragment) with the given probability.
+    /// Writes a function's fragment execution order to `order`: starting
+    /// from address order, each fragment boundary becomes a taken branch (a
+    /// jump to a random not-yet-executed fragment) with the given
+    /// probability.
     fn execution_order<R: Rng + ?Sized>(
         rng: &mut R,
         fragment_count: usize,
         taken_branch_probability: f64,
-    ) -> Vec<u32> {
-        let mut remaining: Vec<u32> = (1..fragment_count as u32).collect();
-        let mut order = Vec::with_capacity(fragment_count);
+        remaining: &mut Vec<u32>,
+        order: &mut Vec<u32>,
+    ) {
+        remaining.clear();
+        remaining.extend(1..fragment_count as u32);
+        order.clear();
         order.push(0u32);
         let mut last = 0u32;
         while !remaining.is_empty() {
@@ -372,16 +432,18 @@ impl CodeLayout {
             last = remaining.swap_remove(pick);
             order.push(last);
         }
-        order
     }
 
+    /// Writes the fragments of a `len_blocks`-block function to `out`, in
+    /// address order.
     fn fragment<R: Rng + ?Sized>(
         rng: &mut R,
         len_blocks: u32,
         mean_fragment_blocks: f64,
         skip_probability: f64,
-    ) -> Vec<Fragment> {
-        let mut fragments = Vec::new();
+        out: &mut Vec<Fragment>,
+    ) {
+        out.clear();
         let mut offset = 0u32;
         while offset < len_blocks {
             let remaining = len_blocks - offset;
@@ -392,10 +454,9 @@ impl CodeLayout {
             // The entry fragment is never skipped; later fragments are skipped
             // with the configured probability.
             let skip = if offset == 0 { 0.0 } else { skip_probability };
-            fragments.push(Fragment::new(offset, frag_len, skip));
+            out.push(Fragment::new(offset, frag_len, skip));
             offset += frag_len;
         }
-        fragments
     }
 
     /// The application code region.
@@ -408,25 +469,41 @@ impl CodeLayout {
         self.os_region
     }
 
-    /// Application functions.
-    pub fn functions(&self) -> &[Function] {
-        &self.functions
+    /// Application function `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the number of application functions.
+    pub fn function(&self, index: usize) -> Function<'_> {
+        self.functions[index].view(&self.fragments)
     }
 
-    /// OS handler functions.
-    pub fn os_functions(&self) -> &[Function] {
-        &self.os_functions
+    /// OS handler function `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the number of OS handler functions.
+    pub fn os_function(&self, index: usize) -> Function<'_> {
+        self.os_functions[index].view(&self.fragments)
+    }
+
+    /// Application functions, in address order.
+    pub fn functions(&self) -> impl ExactSizeIterator<Item = Function<'_>> + '_ {
+        self.functions.iter().map(|f| f.view(&self.fragments))
+    }
+
+    /// OS handler functions, in address order.
+    pub fn os_functions(&self) -> impl ExactSizeIterator<Item = Function<'_>> + '_ {
+        self.os_functions.iter().map(|f| f.view(&self.fragments))
     }
 
     /// Total instruction footprint (application + OS) in blocks.
     pub fn footprint_blocks(&self) -> u64 {
-        let app: u64 = self.functions.iter().map(|f| f.len_blocks() as u64).sum();
-        let os: u64 = self
-            .os_functions
+        self.functions
             .iter()
-            .map(|f| f.len_blocks() as u64)
-            .sum();
-        app + os
+            .chain(&self.os_functions)
+            .map(|f| f.len_blocks as u64)
+            .sum()
     }
 
     /// Total instruction footprint in bytes.
@@ -480,7 +557,7 @@ mod tests {
             BlockAddr::new(0x10000),
             BlockAddr::new(0x80000),
         );
-        let fns = layout.functions();
+        let fns: Vec<Function<'_>> = layout.functions().collect();
         assert_eq!(fns.len(), 50);
         for pair in fns.windows(2) {
             let end = pair[0].entry().offset(pair[0].len_blocks() as u64);
@@ -488,6 +565,28 @@ mod tests {
         }
         assert!(layout.code_region().contains(fns[0].entry()));
         assert!(!layout.code_region().overlaps(&layout.os_region()));
+        // One array holds every function's fragments, back to back in
+        // function order (application, then OS)...
+        let mut next = 0;
+        for record in layout.functions.iter().chain(&layout.os_functions) {
+            assert_eq!(record.first_fragment, next, "fragment ranges must abut");
+            next = record.end_fragment;
+        }
+        assert_eq!(next, layout.fragments.len());
+        // ...each function's in an execution order that starts at the entry
+        // and visits every fragment of the function once.
+        for f in layout.functions().chain(layout.os_functions()) {
+            assert_eq!(f.fragments()[0].offset, 0, "entry fragment must run first");
+            let mut by_address: Vec<(u32, u32)> =
+                f.fragments().iter().map(|fr| (fr.offset, fr.len)).collect();
+            by_address.sort_unstable();
+            let mut offset = 0;
+            for (start, len) in by_address {
+                assert_eq!(start, offset, "fragments must tile the function");
+                offset += len;
+            }
+            assert_eq!(offset, f.len_blocks());
+        }
     }
 
     #[test]
@@ -499,7 +598,7 @@ mod tests {
             BlockAddr::new(0),
             BlockAddr::new(0x80000),
         );
-        let f = &layout.functions()[7];
+        let f = layout.function(7);
         let mut blocks = Vec::new();
         f.execute(&mut rng, &mut blocks);
         assert!(!blocks.is_empty());
@@ -513,12 +612,16 @@ mod tests {
 
     #[test]
     fn expected_blocks_reflects_skip_probability() {
-        let f = Function::new(
+        let mut fragments = Vec::new();
+        let record = push_function(
+            &mut fragments,
             BlockAddr::new(0),
             4,
-            vec![Fragment::new(0, 2, 0.0), Fragment::new(2, 2, 0.5)],
+            &[Fragment::new(0, 2, 0.0), Fragment::new(2, 2, 0.5)],
+            &[0, 1],
+            &mut Vec::new(),
         );
-        let expected = f.expected_blocks_per_execution();
+        let expected = record.view(&fragments).expected_blocks_per_execution();
         assert!((expected - 3.0).abs() < 1e-9);
     }
 
@@ -533,7 +636,6 @@ mod tests {
         );
         let sum: u64 = layout
             .functions()
-            .iter()
             .chain(layout.os_functions())
             .map(|f| f.len_blocks() as u64)
             .sum();
@@ -544,6 +646,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "extends past end")]
     fn fragment_past_function_end_rejected() {
-        let _ = Function::new(BlockAddr::new(0), 2, vec![Fragment::new(1, 4, 0.0)]);
+        let _ = push_function(
+            &mut Vec::new(),
+            BlockAddr::new(0),
+            2,
+            &[Fragment::new(1, 4, 0.0)],
+            &[0],
+            &mut Vec::new(),
+        );
     }
 }

@@ -156,6 +156,12 @@ impl WorkloadSpec {
 
 /// A compiled workload: the concrete code layout and request mix that every
 /// core running the workload shares.
+///
+/// The layout keeps all fragments of all functions in one array, each
+/// function's in its execution order, so compiling allocates per layout
+/// rather than per function. The program also carries the bounds the per-core
+/// generators pre-size their buffers to: the blocks of one function
+/// execution and the events of one call step.
 #[derive(Clone, Debug)]
 pub struct WorkloadProgram {
     spec: WorkloadSpec,
@@ -167,8 +173,8 @@ pub struct WorkloadProgram {
     /// [`WorkloadProgram::max_function_blocks`], walked once at build time
     /// rather than once per core generator.
     max_function_blocks: usize,
-    /// [`WorkloadProgram::max_burst_events`], likewise.
-    max_burst_events: usize,
+    /// [`WorkloadProgram::max_step_events`], likewise.
+    max_step_events: usize,
 }
 
 impl WorkloadProgram {
@@ -198,7 +204,7 @@ impl WorkloadProgram {
         let total_request_weight = request_types.iter().map(|t| t.weight()).sum();
         Arc::new(WorkloadProgram {
             max_function_blocks: walk_max_function_blocks(&layout),
-            max_burst_events: walk_max_burst_events(spec, &layout, &request_types),
+            max_step_events: walk_max_step_events(spec, &layout),
             spec: spec.clone(),
             layout,
             request_types,
@@ -233,13 +239,14 @@ impl WorkloadProgram {
         self.max_function_blocks
     }
 
-    /// Upper bound on the trace events one request can emit: the deepest
-    /// call path, every step also invoking the largest OS handler, every
+    /// Upper bound on the trace events one call step can emit: the largest
+    /// application function followed by the largest OS handler, every
     /// fragment taken, every block at the maximum instruction count and
-    /// data-reference rate. The per-core generator pre-sizes its pending
-    /// queue to this, so bursts never reallocate on the hot path.
-    pub fn max_burst_events(&self) -> usize {
-        self.max_burst_events
+    /// data-reference rate. The per-core generator refills its pending queue
+    /// one call step at a time and pre-sizes it to this, so refills never
+    /// reallocate on the hot path.
+    pub fn max_step_events(&self) -> usize {
+        self.max_step_events
     }
 }
 
@@ -248,44 +255,32 @@ impl WorkloadProgram {
 fn walk_max_function_blocks(layout: &CodeLayout) -> usize {
     layout
         .functions()
-        .iter()
         .chain(layout.os_functions())
         .map(|f| f.max_blocks_per_execution() as usize)
         .max()
         .unwrap_or(0)
 }
 
-/// Walks the layout and the request mix for
-/// [`WorkloadProgram::max_burst_events`].
-fn walk_max_burst_events(
-    spec: &WorkloadSpec,
-    layout: &CodeLayout,
-    request_types: &[RequestType],
-) -> usize {
+/// Walks every function of the layout for
+/// [`WorkloadProgram::max_step_events`].
+fn walk_max_step_events(spec: &WorkloadSpec, layout: &CodeLayout) -> usize {
     let max_app_blocks = layout
         .functions()
-        .iter()
         .map(|f| f.max_blocks_per_execution())
         .max()
         .unwrap_or(0) as usize;
     let max_os_blocks = layout
         .os_functions()
-        .iter()
         .map(|f| f.max_blocks_per_execution())
         .max()
         .unwrap_or(0) as usize;
-    let max_steps = request_types
-        .iter()
-        .map(|t| t.steps().len())
-        .max()
-        .unwrap_or(0);
     // Per block: one fetch event plus the data references it can spawn
     // (expected count rounded up, plus one for the fractional carry).
     let max_data_refs_per_block =
         (spec.instructions_per_block_max as f64 * spec.data_refs_per_instruction).ceil() as usize
             + 1;
     let events_per_block = 1 + max_data_refs_per_block;
-    max_steps * (max_app_blocks + max_os_blocks) * events_per_block
+    (max_app_blocks + max_os_blocks) * events_per_block
 }
 
 #[cfg(test)]
@@ -342,8 +337,8 @@ mod tests {
                 spec.name
             );
             assert_eq!(
-                program.max_burst_events(),
-                walk_max_burst_events(&spec, program.layout(), program.request_types()),
+                program.max_step_events(),
+                walk_max_step_events(&spec, program.layout()),
                 "{}",
                 spec.name
             );
