@@ -35,6 +35,10 @@ fn main() {
             shift.on_retire(CoreId::new(0), BlockAddr::new(blk), &mut llc, &mut out);
         }
     }
+    // The last pass ends in B's region, whose record stays open until the
+    // stream leaves it: retire one block outside it so B's record reaches the
+    // history too.
+    shift.on_retire(CoreId::new(0), BlockAddr::new(a + 64), &mut llc, &mut out);
     // Every spatial region record sends one index update to the LLC tags;
     // every twelfth fills the cache-block buffer, which is flushed to the
     // history window in the LLC.
@@ -62,9 +66,11 @@ fn main() {
         );
     }
     println!();
+    let predicts_a2 = shift.covers(CoreId::new(1), BlockAddr::new(a + 2));
+    let predicts_b = shift.covers(CoreId::new(1), BlockAddr::new(b));
     println!(
-        "core 1 now predicts A+2: {} (the discontinuity to B is predicted too: {})",
-        shift.covers(CoreId::new(1), BlockAddr::new(a + 2)),
-        shift.covers(CoreId::new(1), BlockAddr::new(b))
+        "core 1 now predicts A+2: {predicts_a2} (the discontinuity to B is predicted too: {predicts_b})"
     );
+    assert!(predicts_a2, "the replay must predict A+2");
+    assert!(predicts_b, "the replay must cross the discontinuity to B");
 }
