@@ -117,7 +117,6 @@ impl PifCore {
 /// The PIF prefetcher: one private history, index, and SAB set per core.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Pif {
-    config: PifConfig,
     cores: Vec<PifCore>,
 }
 
@@ -131,13 +130,7 @@ impl Pif {
         assert!(cores > 0, "need at least one core");
         Pif {
             cores: (0..cores).map(|_| PifCore::new(&config)).collect(),
-            config,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PifConfig {
-        &self.config
     }
 }
 

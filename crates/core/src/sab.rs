@@ -61,21 +61,6 @@ pub struct StreamAddressBuffer {
 }
 
 impl StreamAddressBuffer {
-    /// Returns `true` if the buffer holds an active stream.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
-    /// The buffered region records, oldest first.
-    pub fn regions(&self) -> impl Iterator<Item = &SpatialRegion> {
-        self.regions.iter()
-    }
-
-    /// History pointer of the next record to read when the stream advances.
-    pub fn next_ptr(&self) -> u32 {
-        self.next_ptr
-    }
-
     /// Returns the index of the buffered region whose *recorded accesses*
     /// include `block`, if any.
     #[inline]
@@ -175,11 +160,6 @@ impl StreamAddressBufferSet {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SabConfig {
-        &self.config
-    }
-
     /// Returns `true` if `block` is among the recorded accesses of any
     /// buffered region — i.e. the prefetcher "predicts" this block. Used both
     /// by replay and by the paper's prediction-only study (Figure 6).
@@ -266,15 +246,6 @@ impl StreamAddressBufferSet {
             stream.push_record(record, capacity);
         }
         self.scratch_records = records;
-    }
-
-    /// Invalidates all streams (e.g. on a context switch in sensitivity
-    /// studies).
-    pub fn clear(&mut self) {
-        for s in &mut self.streams {
-            s.valid = false;
-            s.regions.clear();
-        }
     }
 }
 
@@ -411,18 +382,6 @@ mod tests {
         }
         let buffered: usize = sabs.streams.iter().map(|s| s.regions.len()).sum();
         assert!(buffered <= 4, "buffered {buffered} regions, capacity 4");
-    }
-
-    #[test]
-    fn clear_invalidates_all_streams() {
-        let records = vec![region(1, &[]), region(2, &[])];
-        let history = history_with(&records);
-        let mut sabs = StreamAddressBufferSet::new(SabConfig::micro13());
-        let mut rd = reader(&history);
-        sabs.allocate(0, &mut rd, &mut Vec::new());
-        assert!(sabs.covers(BlockAddr::new(1)));
-        sabs.clear();
-        assert!(!sabs.covers(BlockAddr::new(1)));
     }
 
     #[test]
