@@ -190,7 +190,7 @@ impl Function<'_> {
 
 /// Where one function sits in the address space and in its layout's
 /// fragment array.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 struct FunctionRecord {
     entry: BlockAddr,
     len_blocks: u32,
