@@ -190,7 +190,7 @@ impl Function<'_> {
 
 /// Where one function sits in the address space and in its layout's
 /// fragment array.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct FunctionRecord {
     entry: BlockAddr,
     len_blocks: u32,
@@ -274,7 +274,7 @@ struct FunctionScratch {
 /// a separate OS region shared by all request types. All fragments of all
 /// functions sit in one array, each function's in its execution order, beside
 /// one small record per function.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CodeLayout {
     code_region: AddressRegion,
     os_region: AddressRegion,
