@@ -359,8 +359,8 @@ impl CodeLayout {
         }
     }
 
-    /// Appends `count` functions laid out back to back from `base` to
-    /// `fragments` and returns their records.
+    /// Synthesizes `count` functions laid out back to back from `base`,
+    /// appends their fragments to `fragments` and returns their records.
     #[allow(clippy::too_many_arguments)]
     fn generate_functions<R: Rng + ?Sized>(
         rng: &mut R,
