@@ -3,13 +3,13 @@
 //! Each core's trace generator buffers the events of one call step of its
 //! current request, not the whole request: OLTP Oracle's largest request
 //! is over 11 k events (about 270 KB per core, 4 MiB over 16 cores), its
-//! largest call step at most 462. So once a 16-core OLTP Oracle engine is
-//! built, stepping it grows the process by little: on a 2-vCPU Xeon VM,
-//! 1.75 MiB over 5,000 rounds, nearly all of it the caches' zero-filled tag
-//! and recency lanes faulting in on first touch, against 5.5 MiB when each
-//! refill expanded a whole request. The test reads the process's resident
-//! set from `/proc/self/status`, so it runs on Linux only, in a test binary
-//! of its own so no other test shares the process.
+//! largest call step at most 462 events. So once a 16-core OLTP Oracle
+//! engine is built, stepping it grows the process by little: on a 2-vCPU
+//! Xeon VM, 1.75 MiB over 5,000 rounds, nearly all of it the caches'
+//! zero-filled tag and recency lanes faulting in on first touch, against
+//! 5.5 MiB when each refill expanded a whole request. The test reads the
+//! process's resident set from `/proc/self/status`, so it runs on Linux
+//! only, in a test binary of its own so no other test shares the process.
 
 #![cfg(target_os = "linux")]
 
