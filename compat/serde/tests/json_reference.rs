@@ -1,6 +1,8 @@
 //! Differential test of the JSON writer: [`json::to_string`] and
-//! [`json::to_string_pretty`] must render every [`Value`] tree byte for byte
-//! like the reference renderer below.
+//! [`json::to_string_pretty`] must render every [`Value`] tree, and every
+//! derived type of each supported shape, byte for byte like the reference
+//! renderer below (a derived value through its [`Serialize::to_value`]
+//! tree).
 //!
 //! The reference is the writer as it stood before its per-value fast paths
 //! (digit buffers for integers, integer digits for whole floats, escape-run
@@ -11,9 +13,13 @@
 
 use std::fmt::Write as _;
 
+use std::collections::BTreeMap;
+use std::rc::Rc;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use serde::{json, Value};
+use serde::{json, Serialize, Value};
 
 // --- The reference renderer (verbatim). -----------------------------------
 
@@ -279,6 +285,202 @@ fn assert_same_bytes(value: &Value) {
     );
 }
 
+// --- Derived types of every supported shape. ------------------------------
+
+#[derive(Serialize)]
+struct Record {
+    inner: Inner,
+    items: Vec<Inner>,
+    maybe: Option<f64>,
+    maybe_inner: Option<Inner>,
+    single: f32,
+    double: f64,
+    singles: Vec<f32>,
+    ints: Ints,
+    flag: bool,
+    text: String,
+    pair: Pair,
+    wrapped: Wrapped,
+    marker: Marker,
+    shapes: Vec<Shape>,
+    fixed: [u16; 3],
+    boxed: Box<Inner>,
+    shared: Rc<String>,
+    atomic: Arc<str>,
+    tuple: (u8, f64, String),
+    table: BTreeMap<String, i32>,
+}
+
+#[derive(Serialize)]
+struct Inner {
+    id: u32,
+    label: String,
+    ratio: f32,
+}
+
+#[derive(Serialize)]
+struct Ints {
+    a: u8,
+    b: u16,
+    c: u32,
+    d: u64,
+    e: usize,
+    f: i8,
+    g: i16,
+    h: i32,
+    i: i64,
+    j: isize,
+}
+
+#[derive(Serialize)]
+struct Pair(i64, String);
+
+#[derive(Serialize)]
+struct Wrapped(f64);
+
+#[derive(Serialize)]
+struct Marker;
+
+#[derive(Serialize)]
+enum Shape {
+    Unit,
+    Newtype(f64),
+    Tuple(u8, String),
+    Struct { x: i32, y: Option<f32> },
+}
+
+#[derive(Serialize)]
+struct Generic<'a, T, const N: usize> {
+    name: &'a str,
+    items: [T; N],
+    rest: &'a [T],
+}
+
+/// `f32`s at the writer's branch points after widening to `f64`, and
+/// arbitrary bit patterns (non-finite values and subnormals among them).
+fn any_f32(rng: &mut TestRng) -> f32 {
+    match draw(rng, 3) {
+        0 => [
+            0.0,
+            -0.0,
+            1.0,
+            0.1,
+            -2.5,
+            1e-45,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+        ][draw(rng, 8)],
+        1 => f32::from_bits(bits(rng) as u32),
+        _ => any_float(rng) as f32,
+    }
+}
+
+/// Random derived values with every field drawn from the value pools.
+struct Records {
+    chars: Vec<char>,
+}
+
+impl Records {
+    fn inner(&self, rng: &mut TestRng) -> Inner {
+        Inner {
+            id: bits(rng) as u32,
+            label: any_string(rng, &self.chars),
+            ratio: any_f32(rng),
+        }
+    }
+
+    fn ints(&self, rng: &mut TestRng) -> Ints {
+        // Half the draws take each field's extreme, the rest any bit pattern.
+        let edge = |rng: &mut TestRng, lo: i128, hi: i128| -> i128 {
+            match draw(rng, 4) {
+                0 => lo,
+                1 => hi,
+                _ => i128::from(bits(rng) as i64),
+            }
+        };
+        Ints {
+            a: edge(rng, 0, u8::MAX.into()) as u8,
+            b: edge(rng, 0, u16::MAX.into()) as u16,
+            c: edge(rng, 0, u32::MAX.into()) as u32,
+            d: edge(rng, 0, u64::MAX.into()) as u64,
+            e: edge(rng, 0, usize::MAX as i128) as usize,
+            f: edge(rng, i8::MIN.into(), i8::MAX.into()) as i8,
+            g: edge(rng, i16::MIN.into(), i16::MAX.into()) as i16,
+            h: edge(rng, i32::MIN.into(), i32::MAX.into()) as i32,
+            i: edge(rng, i64::MIN.into(), i64::MAX.into()) as i64,
+            j: edge(rng, isize::MIN as i128, isize::MAX as i128) as isize,
+        }
+    }
+
+    fn shape(&self, rng: &mut TestRng) -> Shape {
+        match draw(rng, 4) {
+            0 => Shape::Unit,
+            1 => Shape::Newtype(any_float(rng)),
+            2 => Shape::Tuple(bits(rng) as u8, any_string(rng, &self.chars)),
+            _ => Shape::Struct {
+                x: bits(rng) as i32,
+                y: (draw(rng, 2) == 0).then(|| any_f32(rng)),
+            },
+        }
+    }
+}
+
+impl Strategy for Records {
+    type Value = Record;
+
+    fn generate(&self, rng: &mut TestRng) -> Record {
+        Record {
+            inner: self.inner(rng),
+            items: (0..draw(rng, 4)).map(|_| self.inner(rng)).collect(),
+            maybe: (draw(rng, 2) == 0).then(|| any_float(rng)),
+            maybe_inner: (draw(rng, 2) == 0).then(|| self.inner(rng)),
+            single: any_f32(rng),
+            double: any_float(rng),
+            singles: (0..draw(rng, 4)).map(|_| any_f32(rng)).collect(),
+            ints: self.ints(rng),
+            flag: bits(rng) & 1 == 1,
+            text: any_string(rng, &self.chars),
+            pair: Pair(bits(rng) as i64, any_string(rng, &self.chars)),
+            wrapped: Wrapped(any_float(rng)),
+            marker: Marker,
+            shapes: (0..draw(rng, 5)).map(|_| self.shape(rng)).collect(),
+            fixed: [bits(rng) as u16, bits(rng) as u16, bits(rng) as u16],
+            boxed: Box::new(self.inner(rng)),
+            shared: Rc::new(any_string(rng, &self.chars)),
+            atomic: any_string(rng, &self.chars).into(),
+            tuple: (
+                bits(rng) as u8,
+                any_float(rng),
+                any_string(rng, &self.chars),
+            ),
+            table: (0..draw(rng, 3))
+                .map(|_| (any_string(rng, &self.chars), bits(rng) as i32))
+                .collect(),
+        }
+    }
+}
+
+fn records() -> Records {
+    Records {
+        chars: string_chars(),
+    }
+}
+
+/// A typed value renders like the reference renderer over its `Value` tree.
+fn assert_same_bytes_as_tree<T: Serialize + ?Sized>(value: &T) {
+    let tree = value.to_value();
+    assert_eq!(
+        json::to_string(value),
+        reference_to_string(&tree),
+        "{tree:?}"
+    );
+    assert_eq!(
+        json::to_string_pretty(value),
+        reference_to_string_pretty(&tree),
+        "{tree:?}"
+    );
+}
+
 // --- The properties. -------------------------------------------------------
 
 proptest! {
@@ -289,6 +491,50 @@ proptest! {
         prop_assert_eq!(json::to_string(&value), reference_to_string(&value));
         prop_assert_eq!(json::to_string_pretty(&value), reference_to_string_pretty(&value));
     }
+
+    #[test]
+    fn derived_values_render_like_the_reference(record in records()) {
+        assert_same_bytes_as_tree(&record);
+    }
+}
+
+#[test]
+fn every_derived_shape_renders_like_the_reference() {
+    let mut rng = TestRng::deterministic("every_derived_shape_renders_like_the_reference");
+    let records = records();
+    for _ in 0..64 {
+        let record = records.generate(&mut rng);
+        assert_same_bytes_as_tree(&record.inner);
+        assert_same_bytes_as_tree(&record.items);
+        assert_same_bytes_as_tree(&record.pair);
+        assert_same_bytes_as_tree(&record.wrapped);
+        assert_same_bytes_as_tree(&record.shapes);
+        assert_same_bytes_as_tree(&record.table);
+        assert_same_bytes_as_tree(&record);
+    }
+    for shape in [
+        Shape::Unit,
+        Shape::Newtype(-0.0),
+        Shape::Tuple(0, String::new()),
+        Shape::Struct { x: -1, y: None },
+    ] {
+        assert_same_bytes_as_tree(&shape);
+    }
+    assert_same_bytes_as_tree(&Marker);
+    assert_same_bytes_as_tree(&Vec::<Inner>::new());
+    assert_same_bytes_as_tree(&[0u8; 0]);
+    assert_same_bytes_as_tree(&None::<Inner>);
+    let rest = [1.5f64, f64::NAN];
+    assert_same_bytes_as_tree(&Generic::<'_, f64, 2> {
+        name: "g\"\n",
+        items: [f64::from_bits(1), -1e300],
+        rest: &rest,
+    });
+    assert_same_bytes_as_tree(&Generic::<'_, Marker, 0> {
+        name: "",
+        items: [],
+        rest: &[],
+    });
 }
 
 #[test]

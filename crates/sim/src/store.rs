@@ -935,6 +935,54 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every outcome file a durable execution writes is, byte for byte, the
+    /// pretty JSON of the document the store has always written: a map of
+    /// the schema, the results version, the matrix fingerprint, the key id,
+    /// the key and the result, rendered through the `Value` tree.
+    #[test]
+    fn outcome_files_keep_their_bytes() {
+        let dir = temp_dir("bytes");
+        let mut matrix = RunMatrix::new();
+        let w = presets::tiny();
+        for prefetcher in [
+            PrefetcherConfig::None,
+            PrefetcherConfig::next_line(),
+            PrefetcherConfig::pif_2k(),
+            PrefetcherConfig::shift_virtualized(),
+            PrefetcherConfig::adaptive_nl_shift(),
+        ] {
+            matrix.standalone(&w, prefetcher, 2, Scale::Test, 5);
+        }
+        let mix = shift_trace::ConsolidationSpec::even_split(vec![w.clone(), w], 2);
+        let config = crate::CmpConfig::micro13(2, PrefetcherConfig::shift_throttled(4));
+        matrix.consolidated(config, &mix, crate::SimOptions::new(Scale::Test, 5));
+        let outcomes = crate::Execution::new(&matrix)
+            .serial()
+            .run()
+            .unwrap()
+            .into_outcomes();
+        crate::Execution::new(&matrix)
+            .dir(&dir)
+            .serial()
+            .run()
+            .unwrap();
+
+        for (slot, key) in matrix.keys().iter().enumerate() {
+            let key_id = matrix.key_ids()[slot];
+            let doc = Value::Map(vec![
+                ("schema".to_owned(), OUTCOME_SCHEMA.to_value()),
+                ("results".to_owned(), RESULTS_VERSION.to_value()),
+                ("matrix".to_owned(), matrix.fingerprint().to_value()),
+                ("key_id".to_owned(), key_id.to_value()),
+                ("key".to_owned(), key.to_value()),
+                ("result".to_owned(), outcomes.results[slot].to_value()),
+            ]);
+            let written = fs::read_to_string(dir.join(outcome_file_name(key_id))).unwrap();
+            assert_eq!(written, json::to_string_pretty(&doc), "slot {slot}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn corrupt_files_are_rejected_with_reasons() {
         let dir = temp_dir("corrupt");
