@@ -1,12 +1,15 @@
-//! JSON rendering and parsing of [`Value`] trees.
+//! JSON rendering of serializable values and parsing into [`Value`] trees.
 //!
 //! Output follows `serde_json` conventions: struct maps keep field order,
 //! strings are escaped per RFC 8259, and non-finite floats (which JSON
-//! cannot represent) render as `null`. [`parse`] is the inverse — a full
-//! RFC 8259 parser producing a [`Value`] tree — and [`from_str`] composes it
-//! with [`Deserialize::from_value`], so any value this module wrote can be
-//! read back: numbers round-trip bit-identically (integers as integers,
-//! floats through Rust's shortest round-trip formatting).
+//! cannot represent) render as `null`. [`to_string`] and [`to_string_pretty`]
+//! hand a [`Writer`] to [`Serialize::write_json`], so a derived type writes
+//! its fields straight to text; only types without a `write_json` of their
+//! own render through their [`Value`] tree. [`parse`] is the inverse — a
+//! full RFC 8259 parser producing a [`Value`] tree — and [`from_str`] composes it with [`Deserialize::from_value`], so
+//! any value this module wrote can be read back: numbers round-trip
+//! bit-identically (integers as integers, floats through Rust's shortest
+//! round-trip formatting).
 //!
 //! # Byte identity
 //!
@@ -15,12 +18,15 @@
 //! that moved one byte would change every key id and orphan every stored
 //! outcome. The writer takes fast paths per value — integers and whole
 //! floats from a digit buffer, escape-free strings in one copy, indentation
-//! without a string per line — and each must produce exactly what the plain
-//! `write!`-per-value rendering produced. The differential test
-//! `writer_matches_the_reference_renderer` (`tests/json_reference.rs`)
-//! holds that: it renders random value trees, signed zeros, subnormals,
-//! every cut-off float, every control byte and multibyte UTF-8 through both
-//! writers and compares the bytes.
+//! without a string per line, field names as pre-escaped literals — and
+//! each must produce exactly what the plain `write!`-per-value rendering of
+//! the value's tree produced. The differential tests in
+//! `tests/json_reference.rs` hold that: `writer_matches_the_reference_renderer`
+//! renders random value trees, signed zeros, subnormals, every cut-off
+//! float, every control byte and multibyte UTF-8 through both writers, and
+//! `derived_values_render_like_the_reference` does the same for derived
+//! types of every shape against the reference rendering of their
+//! [`Serialize::to_value`] tree.
 
 use std::fmt::Write as _;
 
@@ -29,133 +35,227 @@ use crate::{Deserialize, Serialize, Value};
 
 /// Serializes a value as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    out
+    let mut w = Writer::new(false);
+    value.write_json(&mut w);
+    w.out
 }
 
 /// Serializes a value as indented (2-space) JSON with a trailing newline,
 /// the format the figure artifacts are written in.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> String {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    out.push('\n');
-    out
+    let mut w = Writer::new(true);
+    value.write_json(&mut w);
+    w.out.push('\n');
+    w.out
 }
 
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(n) => write_u64(out, *n),
-        Value::Int(n) => {
-            if *n < 0 {
-                out.push('-');
-            }
-            write_u64(out, n.unsigned_abs());
-        }
-        Value::Float(x) => write_float(out, *x),
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => write_compound(out, indent, depth, items.len(), '[', ']', |out, i| {
-            write_value(out, &items[i], indent, depth + 1);
-        }),
-        Value::Map(entries) => {
-            write_compound(out, indent, depth, entries.len(), '{', '}', |out, i| {
-                let (key, val) = &entries[i];
-                write_string(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, depth + 1);
-            })
-        }
-    }
-}
-
-fn write_compound(
-    out: &mut String,
-    indent: Option<usize>,
+/// JSON text being written: the output and its indentation setting.
+///
+/// [`Serialize::write_json`] drives it with scalars ([`Writer::write_u64`],
+/// [`Writer::write_float`], [`Writer::write_string`], …) and compound steps.
+/// A sequence is [`Writer::begin_seq`], then [`Writer::element`] before the
+/// `i`-th item, then [`Writer::end_seq`] with the item count; a map is
+/// [`Writer::begin_map`], [`Writer::key`] (or the pre-escaped
+/// [`Writer::field`]) before the `i`-th value, and [`Writer::end_map`].
+/// The steps place every comma, newline and indent, so any value that
+/// drives them renders as the same bytes as its [`Value`] tree.
+#[derive(Debug)]
+pub struct Writer {
+    out: String,
+    pretty: bool,
     depth: usize,
-    len: usize,
-    open: char,
-    close: char,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(step) = indent {
-            new_line(out, step * (depth + 1));
-        }
-        item(out, i);
-    }
-    if len > 0 {
-        if let Some(step) = indent {
-            new_line(out, step * depth);
-        }
-    }
-    out.push(close);
 }
 
-/// A newline followed by `width` spaces of indentation.
-fn new_line(out: &mut String, width: usize) {
-    out.push('\n');
-    out.extend(std::iter::repeat_n(' ', width));
-}
+/// Spaces per nesting level in indented output.
+const INDENT: usize = 2;
 
-/// Decimal digits of `n`, two at a time from a table of digit pairs,
-/// rendered right to left into a stack buffer: the bytes `write!(out,
-/// "{n}")` produces, without the formatting machinery.
-fn write_u64(out: &mut String, mut n: u64) {
-    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
-                                2021222324252627282930313233343536373839\
-                                4041424344454647484950515253545556575859\
-                                6061626364656667686970717273747576777879\
-                                8081828384858687888990919293949596979899";
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    while n >= 100 {
-        let pair = 2 * (n % 100) as usize;
-        n /= 100;
-        start -= 2;
-        digits[start..start + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+impl Writer {
+    fn new(pretty: bool) -> Self {
+        Writer {
+            out: String::new(),
+            pretty,
+            depth: 0,
+        }
     }
-    if n >= 10 {
-        let pair = 2 * n as usize;
-        start -= 2;
-        digits[start..start + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-    } else {
-        start -= 1;
-        digits[start] = b'0' + n as u8;
-    }
-    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
-}
 
-fn write_float(out: &mut String, x: f64) {
-    if x.is_finite() {
-        if x == x.trunc() && x.abs() < 1e15 {
-            // Keep whole floats recognizably floating-point, as serde_json
-            // does ("1.0", not "1"). Below 1e15 a whole float is an exact
-            // integer, so its digits plus ".0" are what `{x:.1}` renders,
-            // the sign of -0.0 included.
-            if x.is_sign_negative() {
-                out.push('-');
-            }
-            write_u64(out, x.abs() as u64);
-            out.push_str(".0");
-        } else if x != 0.0 && (x.abs() >= 1e17 || x.abs() < 1e-5) {
-            // Rust's `{}` never uses scientific notation; avoid hundreds of
-            // digits for extreme magnitudes (still valid JSON numbers).
-            let _ = write!(out, "{x:e}");
+    /// Writes `null`.
+    pub fn write_null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn write_bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes the decimal digits of `n`, two at a time from a table of digit
+    /// pairs, rendered right to left into a stack buffer: the bytes
+    /// `write!(out, "{n}")` produces, without the formatting machinery.
+    pub fn write_u64(&mut self, mut n: u64) {
+        const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+                                    2021222324252627282930313233343536373839\
+                                    4041424344454647484950515253545556575859\
+                                    6061626364656667686970717273747576777879\
+                                    8081828384858687888990919293949596979899";
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        while n >= 100 {
+            let pair = 2 * (n % 100) as usize;
+            n /= 100;
+            start -= 2;
+            digits[start..start + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        }
+        if n >= 10 {
+            let pair = 2 * n as usize;
+            start -= 2;
+            digits[start..start + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
         } else {
-            let _ = write!(out, "{x}");
+            start -= 1;
+            digits[start] = b'0' + n as u8;
         }
-    } else {
-        // JSON has no NaN/Infinity; serde_json's Value also maps them to null.
-        out.push_str("null");
+        self.out
+            .push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+    }
+
+    /// Writes `n` in decimal, with a `-` when negative.
+    pub fn write_i64(&mut self, n: i64) {
+        if n < 0 {
+            self.out.push('-');
+        }
+        self.write_u64(n.unsigned_abs());
+    }
+
+    /// Writes a float: whole values below 1e15 as digits plus `.0`, extreme
+    /// magnitudes in scientific notation, others in Rust's shortest
+    /// round-trip form, and non-finite values as `null`.
+    pub fn write_float(&mut self, x: f64) {
+        if x.is_finite() {
+            if x == x.trunc() && x.abs() < 1e15 {
+                // Keep whole floats recognizably floating-point, as serde_json
+                // does ("1.0", not "1"). Below 1e15 a whole float is an exact
+                // integer, so its digits plus ".0" are what `{x:.1}` renders,
+                // the sign of -0.0 included.
+                if x.is_sign_negative() {
+                    self.out.push('-');
+                }
+                self.write_u64(x.abs() as u64);
+                self.out.push_str(".0");
+            } else if x != 0.0 && (x.abs() >= 1e17 || x.abs() < 1e-5) {
+                // Rust's `{}` never uses scientific notation; avoid hundreds of
+                // digits for extreme magnitudes (still valid JSON numbers).
+                let _ = write!(self.out, "{x:e}");
+            } else {
+                let _ = write!(self.out, "{x}");
+            }
+        } else {
+            // JSON has no NaN/Infinity; serde_json's Value also maps them to null.
+            self.out.push_str("null");
+        }
+    }
+
+    /// Writes `s` as a quoted JSON string. Only ASCII bytes ever need an
+    /// escape, so the runs between escapes fall on char boundaries and copy
+    /// as whole slices; an escape-free string is a single copy.
+    pub fn write_string(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let out = &mut self.out;
+        out.push('"');
+        let mut run_start = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            let escape = match b {
+                b'"' | b'\\' => b,
+                b'\n' => b'n',
+                b'\r' => b'r',
+                b'\t' => b't',
+                0..=0x1f => b'u',
+                _ => continue,
+            };
+            out.push_str(&s[run_start..i]);
+            out.push('\\');
+            out.push(char::from(escape));
+            if escape == b'u' {
+                out.push_str("00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+            run_start = i + 1;
+        }
+        out.push_str(&s[run_start..]);
+        out.push('"');
+    }
+
+    /// Opens a sequence.
+    pub fn begin_seq(&mut self) {
+        self.begin('[');
+    }
+
+    /// Closes a sequence of `len` elements.
+    pub fn end_seq(&mut self, len: usize) {
+        self.end(']', len);
+    }
+
+    /// Opens a map.
+    pub fn begin_map(&mut self) {
+        self.begin('{');
+    }
+
+    /// Closes a map of `len` entries.
+    pub fn end_map(&mut self, len: usize) {
+        self.end('}', len);
+    }
+
+    /// Starts the `i`-th element of the open sequence (counting from 0).
+    pub fn element(&mut self, i: usize) {
+        if i > 0 {
+            self.out.push(',');
+        }
+        if self.pretty {
+            self.new_line(self.depth);
+        }
+    }
+
+    /// Starts the `i`-th entry of the open map with `key`, escaped.
+    pub fn key(&mut self, i: usize, key: &str) {
+        self.element(i);
+        self.write_string(key);
+        self.colon();
+    }
+
+    /// Starts the `i`-th entry of the open map with `quoted_key`, a key
+    /// already quoted and escaped and followed by its colon (`"name":`):
+    /// the derive writes field and variant names this way.
+    pub fn field(&mut self, i: usize, quoted_key: &str) {
+        self.element(i);
+        self.out.push_str(quoted_key);
+        if self.pretty {
+            self.out.push(' ');
+        }
+    }
+
+    fn colon(&mut self) {
+        self.out.push(':');
+        if self.pretty {
+            self.out.push(' ');
+        }
+    }
+
+    fn begin(&mut self, open: char) {
+        self.out.push(open);
+        self.depth += 1;
+    }
+
+    fn end(&mut self, close: char, len: usize) {
+        self.depth -= 1;
+        if len > 0 && self.pretty {
+            self.new_line(self.depth);
+        }
+        self.out.push(close);
+    }
+
+    /// A newline followed by the indentation of nesting level `depth`.
+    fn new_line(&mut self, depth: usize) {
+        self.out.push('\n');
+        self.out.extend(std::iter::repeat_n(' ', INDENT * depth));
     }
 }
 
@@ -428,36 +528,6 @@ impl Parser<'_> {
             .map(Value::Float)
             .map_err(|_| self.error("malformed number"))
     }
-}
-
-/// Writes `s` as a quoted JSON string. Only ASCII bytes ever need an
-/// escape, so the runs between escapes fall on char boundaries and copy as
-/// whole slices; an escape-free string is a single copy.
-fn write_string(out: &mut String, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.push('"');
-    let mut run_start = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        let escape = match b {
-            b'"' | b'\\' => b,
-            b'\n' => b'n',
-            b'\r' => b'r',
-            b'\t' => b't',
-            0..=0x1f => b'u',
-            _ => continue,
-        };
-        out.push_str(&s[run_start..i]);
-        out.push('\\');
-        out.push(char::from(escape));
-        if escape == b'u' {
-            out.push_str("00");
-            out.push(char::from(HEX[usize::from(b >> 4)]));
-            out.push(char::from(HEX[usize::from(b & 0xf)]));
-        }
-        run_start = i + 1;
-    }
-    out.push_str(&s[run_start..]);
-    out.push('"');
 }
 
 #[cfg(test)]

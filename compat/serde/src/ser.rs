@@ -1,20 +1,39 @@
 //! The [`Serialize`] trait and its implementations for standard types.
+//!
+//! Integers, floats, `bool`, strings, `Option`, slices, arrays, `Vec` and
+//! the pointer types write themselves straight to JSON
+//! ([`Serialize::write_json`]); the rest (`char`, `()`, tuples, `VecDeque`
+//! and the maps) render through their [`Value`] tree, whose own
+//! `write_json` is the tree renderer.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
+use crate::json::Writer;
 use crate::Value;
 
-/// Conversion of a Rust value into the [`Value`] tree data model.
+/// Conversion of a Rust value into the [`Value`] tree data model, and
+/// straight into JSON text.
 ///
 /// Derivable with `#[derive(Serialize)]`: the derive expands to a visitor
 /// over the type's fields (structs serialize as insertion-ordered maps,
 /// enums as externally tagged values, matching `serde_json`'s default
-/// representation).
+/// representation), once as [`Serialize::to_value`] and once as
+/// [`Serialize::write_json`].
 pub trait Serialize {
     /// Converts `self` into a [`Value`].
     fn to_value(&self) -> Value;
+
+    /// Writes `self` as JSON, the same bytes as its [`Value`] tree renders
+    /// to. [`json::to_string`](crate::json::to_string) and
+    /// [`json::to_string_pretty`](crate::json::to_string_pretty) call this,
+    /// so a type that streams its fields here renders without building a
+    /// tree. The default renders [`Serialize::to_value`], which keeps a
+    /// hand-written impl correct without a method of its own.
+    fn write_json(&self, w: &mut Writer) {
+        self.to_value().write_json(w);
+    }
 }
 
 macro_rules! impl_uint {
@@ -22,6 +41,10 @@ macro_rules! impl_uint {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::UInt(*self as u64)
+            }
+
+            fn write_json(&self, w: &mut Writer) {
+                w.write_u64(*self as u64);
             }
         }
     )*};
@@ -32,6 +55,10 @@ macro_rules! impl_int {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Int(*self as i64)
+            }
+
+            fn write_json(&self, w: &mut Writer) {
+                w.write_i64(*self as i64);
             }
         }
     )*};
@@ -44,17 +71,29 @@ impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::Float(f64::from(*self))
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.write_float(f64::from(*self));
+    }
 }
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Float(*self)
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.write_float(*self);
+    }
 }
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.write_bool(*self);
     }
 }
 
@@ -68,11 +107,19 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_owned())
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.write_string(self);
+    }
 }
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.write_string(self);
     }
 }
 
@@ -82,9 +129,31 @@ impl Serialize for () {
     }
 }
 
+/// The tree renderer: every value without a `write_json` of its own
+/// renders through here.
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            Value::Null => w.write_null(),
+            Value::Bool(b) => w.write_bool(*b),
+            Value::UInt(n) => w.write_u64(*n),
+            Value::Int(n) => w.write_i64(*n),
+            Value::Float(x) => w.write_float(*x),
+            Value::Str(s) => w.write_string(s),
+            Value::Seq(items) => items.write_json(w),
+            Value::Map(entries) => {
+                w.begin_map();
+                for (i, (key, value)) in entries.iter().enumerate() {
+                    w.key(i, key);
+                    value.write_json(w);
+                }
+                w.end_map(entries.len());
+            }
+        }
     }
 }
 
@@ -92,11 +161,19 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        (**self).write_json(w);
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        (**self).write_json(w);
     }
 }
 
@@ -104,11 +181,19 @@ impl<T: Serialize + ?Sized> Serialize for Rc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        (**self).write_json(w);
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        (**self).write_json(w);
     }
 }
 
@@ -119,11 +204,27 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            Some(v) => v.write_json(w),
+            None => w.write_null(),
+        }
+    }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_seq();
+        for (i, item) in self.iter().enumerate() {
+            w.element(i);
+            item.write_json(w);
+        }
+        w.end_seq(self.len());
     }
 }
 
@@ -131,11 +232,19 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         self.as_slice().to_value()
     }
+
+    fn write_json(&self, w: &mut Writer) {
+        self.as_slice().write_json(w);
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         self.as_slice().to_value()
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        self.as_slice().write_json(w);
     }
 }
 

@@ -5,6 +5,10 @@
 //! the shim `serde::Serialize` trait: structs serialize as insertion-ordered
 //! maps of their fields, newtype/tuple structs as their contents, and enums
 //! as externally tagged values — matching `serde_json`'s default data model.
+//! It emits both methods with that one shape: `to_value` builds the
+//! `serde::Value` tree, and `write_json` drives a `serde::json::Writer`
+//! directly, writing field and variant names as pre-escaped `"name":`
+//! literals, so `serde::json::to_string` of a derived value builds no tree.
 //! `#[derive(Deserialize)]` expands to the exact inverse (a `from_value`
 //! implementation of the shim `serde::Deserialize` trait), so derived types
 //! round-trip through `serde::json`. The parser is hand-rolled over
@@ -113,6 +117,58 @@ fn impl_header(item: &Item, bound: &str) -> (String, String) {
     )
 }
 
+/// The `write_json` body of a map of `fields`, each bound to the expression
+/// `access(field)`: the fields in order, each under its pre-escaped name.
+fn write_map(fields: &[String], access: impl Fn(&str) -> String) -> String {
+    let entries: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "__w.field({i}, \"\\\"{f}\\\":\");\n\
+                 ::serde::Serialize::write_json({value}, __w);\n",
+                value = access(f)
+            )
+        })
+        .collect();
+    format!(
+        "__w.begin_map();\n{entries}__w.end_map({len});\n",
+        len = fields.len()
+    )
+}
+
+/// The `write_json` body of a sequence of `items` (expressions of
+/// references to the elements).
+fn write_seq(items: &[String]) -> String {
+    let elements: String = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            format!("__w.element({i});\n::serde::Serialize::write_json({item}, __w);\n")
+        })
+        .collect();
+    format!(
+        "__w.begin_seq();\n{elements}__w.end_seq({len});\n",
+        len = items.len()
+    )
+}
+
+/// The `write_json` body of the externally tagged `{"variant": payload}`.
+fn write_tagged(variant: &str, payload: &str) -> String {
+    format!("__w.begin_map();\n__w.field(0, \"\\\"{variant}\\\":\");\n{payload}__w.end_map(1);\n")
+}
+
+/// `impl{params} ::serde::Serialize for {ty}` with both methods.
+fn serialize_impl(item: &Item, to_value: &str, write_json: &str) -> String {
+    let (params, ty) = impl_header(item, "Serialize");
+    format!(
+        "impl{params} ::serde::Serialize for {ty} {{\n\
+             fn to_value(&self) -> ::serde::Value {{\n{to_value}\n}}\n\
+             fn write_json(&self, __w: &mut ::serde::json::Writer) {{\n{write_json}}}\n\
+         }}"
+    )
+}
+
 fn named_struct_impl(item: &Item, fields: &[String]) -> String {
     let pushes: String = fields
         .iter()
@@ -122,99 +178,114 @@ fn named_struct_impl(item: &Item, fields: &[String]) -> String {
             )
         })
         .collect();
-    let (params, ty) = impl_header(item, "Serialize");
     let count = fields.len();
-    format!(
-        "impl{params} ::serde::Serialize for {ty} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n\
-                 let mut fields: Vec<(String, ::serde::Value)> = Vec::with_capacity({count});\n\
-                 {pushes}\
-                 ::serde::Value::Map(fields)\n\
-             }}\n\
-         }}"
+    let to_value = format!(
+        "let mut fields: Vec<(String, ::serde::Value)> = Vec::with_capacity({count});\n\
+         {pushes}\
+         ::serde::Value::Map(fields)"
+    );
+    serialize_impl(
+        item,
+        &to_value,
+        &write_map(fields, |f| format!("&self.{f}")),
     )
 }
 
 fn tuple_struct_impl(item: &Item, arity: usize) -> String {
-    let (params, ty) = impl_header(item, "Serialize");
-    let body = if arity == 1 {
+    let items: Vec<String> = (0..arity).map(|i| format!("&self.{i}")).collect();
+    let (to_value, write_json) = if arity == 1 {
         // Newtype structs serialize transparently as their contents.
-        "::serde::Serialize::to_value(&self.0)".to_string()
+        (
+            "::serde::Serialize::to_value(&self.0)".to_string(),
+            "::serde::Serialize::write_json(&self.0, __w);\n".to_string(),
+        )
     } else {
-        let items: Vec<String> = (0..arity)
-            .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
+        let values: Vec<String> = items
+            .iter()
+            .map(|i| format!("::serde::Serialize::to_value({i})"))
             .collect();
-        format!("::serde::Value::Seq(vec![{}])", items.join(", "))
+        (
+            format!("::serde::Value::Seq(vec![{}])", values.join(", ")),
+            write_seq(&items),
+        )
     };
-    format!(
-        "impl{params} ::serde::Serialize for {ty} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-         }}"
-    )
+    serialize_impl(item, &to_value, &write_json)
 }
 
 fn unit_struct_impl(item: &Item) -> String {
-    let (params, ty) = impl_header(item, "Serialize");
     let name = &item.name;
-    format!(
-        "impl{params} ::serde::Serialize for {ty} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ ::serde::Value::Str(\"{name}\".to_string()) }}\n\
-         }}"
+    serialize_impl(
+        item,
+        &format!("::serde::Value::Str(\"{name}\".to_string())"),
+        &format!("__w.write_string(\"{name}\");\n"),
     )
 }
 
 fn enum_impl(item: &Item, variants: &[Variant]) -> String {
     let name = &item.name;
-    let arms: String = variants
-        .iter()
-        .map(|v| {
-            let vname = &v.name;
-            match &v.kind {
-                VariantKind::Unit => {
-                    format!("{name}::{vname} => ::serde::Value::Str(\"{vname}\".to_string()),\n")
-                }
-                VariantKind::Tuple(arity) => {
-                    let binds: Vec<String> = (0..*arity).map(|i| format!("f{i}")).collect();
-                    let payload = if *arity == 1 {
-                        "::serde::Serialize::to_value(f0)".to_string()
-                    } else {
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-                    };
-                    format!(
-                        "{name}::{vname}({binds}) => ::serde::Value::Map(vec![(\
-                             \"{vname}\".to_string(), {payload})]),\n",
-                        binds = binds.join(", ")
-                    )
-                }
-                VariantKind::Struct(fields) => {
-                    let pushes: Vec<String> = fields
-                        .iter()
-                        .map(|f| {
-                            format!("(\"{f}\".to_string(), ::serde::Serialize::to_value({f}))")
-                        })
-                        .collect();
-                    format!(
-                        "{name}::{vname} {{ {fields} }} => ::serde::Value::Map(vec![(\
-                             \"{vname}\".to_string(), \
-                             ::serde::Value::Map(vec![{pushes}]))]),\n",
-                        fields = fields.join(", "),
-                        pushes = pushes.join(", ")
-                    )
-                }
+    let mut to_value_arms = String::new();
+    let mut write_arms = String::new();
+    for v in variants {
+        let vname = &v.name;
+        match &v.kind {
+            VariantKind::Unit => {
+                to_value_arms.push_str(&format!(
+                    "{name}::{vname} => ::serde::Value::Str(\"{vname}\".to_string()),\n"
+                ));
+                write_arms.push_str(&format!(
+                    "{name}::{vname} => __w.write_string(\"{vname}\"),\n"
+                ));
             }
-        })
-        .collect();
-    let (params, ty) = impl_header(item, "Serialize");
-    format!(
-        "impl{params} ::serde::Serialize for {ty} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n\
-                 match self {{\n{arms}}}\n\
-             }}\n\
-         }}"
+            VariantKind::Tuple(arity) => {
+                let binds: Vec<String> = (0..*arity).map(|i| format!("f{i}")).collect();
+                let (payload, write_payload) = if *arity == 1 {
+                    (
+                        "::serde::Serialize::to_value(f0)".to_string(),
+                        "::serde::Serialize::write_json(f0, __w);\n".to_string(),
+                    )
+                } else {
+                    let items: Vec<String> = binds
+                        .iter()
+                        .map(|b| format!("::serde::Serialize::to_value({b})"))
+                        .collect();
+                    (
+                        format!("::serde::Value::Seq(vec![{}])", items.join(", ")),
+                        write_seq(&binds),
+                    )
+                };
+                let binds = binds.join(", ");
+                to_value_arms.push_str(&format!(
+                    "{name}::{vname}({binds}) => ::serde::Value::Map(vec![(\
+                         \"{vname}\".to_string(), {payload})]),\n"
+                ));
+                write_arms.push_str(&format!(
+                    "{name}::{vname}({binds}) => {{\n{}}}\n",
+                    write_tagged(vname, &write_payload)
+                ));
+            }
+            VariantKind::Struct(fields) => {
+                let pushes: Vec<String> = fields
+                    .iter()
+                    .map(|f| format!("(\"{f}\".to_string(), ::serde::Serialize::to_value({f}))"))
+                    .collect();
+                let binds = fields.join(", ");
+                to_value_arms.push_str(&format!(
+                    "{name}::{vname} {{ {binds} }} => ::serde::Value::Map(vec![(\
+                         \"{vname}\".to_string(), \
+                         ::serde::Value::Map(vec![{pushes}]))]),\n",
+                    pushes = pushes.join(", ")
+                ));
+                write_arms.push_str(&format!(
+                    "{name}::{vname} {{ {binds} }} => {{\n{}}}\n",
+                    write_tagged(vname, &write_map(fields, str::to_string))
+                ));
+            }
+        }
+    }
+    serialize_impl(
+        item,
+        &format!("match self {{\n{to_value_arms}}}"),
+        &format!("match self {{\n{write_arms}}}\n"),
     )
 }
 

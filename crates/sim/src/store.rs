@@ -454,6 +454,19 @@ fn optional_field<T: Deserialize>(doc: &Value, name: &str) -> Result<Option<T>, 
         .transpose()
 }
 
+/// The document of one outcome file, borrowing the run it records, so the
+/// key and the result stream into the file without a [`Value`] tree.
+/// [`read_outcome`] reads these fields back by name.
+#[derive(Serialize)]
+struct OutcomeDoc<'a> {
+    schema: u32,
+    results: u32,
+    matrix: MatrixFingerprint,
+    key_id: RunKeyId,
+    key: &'a RunKey,
+    result: &'a RunResult,
+}
+
 /// Process-wide counter making concurrent writers' temp files distinct.
 static NEXT_TMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
@@ -474,14 +487,14 @@ pub(crate) fn write_outcome(
     result: &RunResult,
 ) -> io::Result<()> {
     let key_id = key.id();
-    let doc = Value::Map(vec![
-        ("schema".to_owned(), OUTCOME_SCHEMA.to_value()),
-        ("results".to_owned(), RESULTS_VERSION.to_value()),
-        ("matrix".to_owned(), fingerprint.to_value()),
-        ("key_id".to_owned(), key_id.to_value()),
-        ("key".to_owned(), key.to_value()),
-        ("result".to_owned(), result.to_value()),
-    ]);
+    let doc = OutcomeDoc {
+        schema: OUTCOME_SCHEMA,
+        results: RESULTS_VERSION,
+        matrix: fingerprint,
+        key_id,
+        key,
+        result,
+    };
     let final_path = dir.join(outcome_file_name(key_id));
     let tmp_path = dir.join(format!(
         ".tmp-{key_id}-{}-{}.json",
