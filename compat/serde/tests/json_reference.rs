@@ -2,7 +2,9 @@
 //! [`json::to_string_pretty`] must render every [`Value`] tree, and every
 //! derived type of each supported shape, byte for byte like the reference
 //! renderer below (a derived value through its [`Serialize::to_value`]
-//! tree).
+//! tree). The reader is held to the writer too: every rendered tree reads
+//! back to the same bytes, and arbitrary or byte-mutated text read by
+//! [`json::parse`] comes back as a value or a typed error, never a panic.
 //!
 //! The reference is the writer as it stood before its per-value fast paths
 //! (digit buffers for integers, integer digits for whole floats, escape-run
@@ -567,4 +569,93 @@ fn every_edge_value_renders_like_the_reference() {
     assert_same_bytes(&Value::Str(String::new()));
     assert_same_bytes(&Value::Seq(vec![]));
     assert_same_bytes(&Value::Map(vec![]));
+}
+
+// --- The reader. -----------------------------------------------------------
+
+/// Text built from the characters that steer the parser (structure,
+/// literals, numbers) and every character the string writer treats
+/// differently.
+struct Texts {
+    chars: Vec<char>,
+}
+
+impl Strategy for Texts {
+    type Value = String;
+
+    fn generate(&self, rng: &mut TestRng) -> String {
+        (0..draw(rng, 40))
+            .map(|_| self.chars[draw(rng, self.chars.len())])
+            .collect()
+    }
+}
+
+fn texts() -> Texts {
+    let mut chars = string_chars();
+    chars.extend("{}[]:,-+.eE19nultrfas".chars());
+    Texts { chars }
+}
+
+/// Bytes that open, close or separate JSON values.
+const STRUCTURE: &[u8] = b"{}[]\":,\\-.e0";
+
+/// A rendered tree with a few of its bytes replaced, deleted, inserted or
+/// cut off. Bytes that no longer form UTF-8 read as U+FFFD, since the
+/// reader takes text.
+struct Mutated(Trees);
+
+impl Strategy for Mutated {
+    type Value = String;
+
+    fn generate(&self, rng: &mut TestRng) -> String {
+        let tree = self.0.generate(rng);
+        let text = if bits(rng) & 1 == 1 {
+            json::to_string(&tree)
+        } else {
+            json::to_string_pretty(&tree)
+        };
+        let mut bytes = text.into_bytes();
+        for _ in 0..=draw(rng, 4) {
+            let at = draw(rng, bytes.len() + 1);
+            match draw(rng, 4) {
+                0 if at < bytes.len() => bytes[at] = bits(rng) as u8,
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                2 => bytes.insert(at, STRUCTURE[draw(rng, STRUCTURE.len())]),
+                _ => bytes.truncate(at),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+}
+
+fn assert_parses_or_fails_cleanly(text: &str) {
+    if let Err(e) = json::parse(text) {
+        assert!(e.to_string().contains("JSON parse error"), "{text:?}: {e}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    #[test]
+    fn arbitrary_text_parses_or_fails_without_panicking(text in texts()) {
+        assert_parses_or_fails_cleanly(&text);
+    }
+
+    #[test]
+    fn mutated_documents_parse_or_fail_without_panicking(text in Mutated(trees())) {
+        assert_parses_or_fails_cleanly(&text);
+    }
+
+    #[test]
+    fn rendered_trees_read_back_to_the_same_bytes(value in trees()) {
+        let compact = json::to_string(&value);
+        let read = json::parse(&compact).expect("the writer's output parses");
+        prop_assert_eq!(json::to_string(&read), compact);
+        let pretty = json::to_string_pretty(&value);
+        let read = json::parse(&pretty).expect("the writer's output parses");
+        prop_assert_eq!(json::to_string_pretty(&read), pretty);
+    }
 }
