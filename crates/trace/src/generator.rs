@@ -45,6 +45,13 @@ use crate::workload::{WorkloadProgram, WorkloadSpec};
 pub struct CoreTraceGenerator {
     program: Arc<WorkloadProgram>,
     core: CoreId,
+    state: StepState,
+}
+
+/// Everything a refill reads or changes apart from the program, so a refill
+/// borrows the program while it writes here.
+#[derive(Debug)]
+struct StepState {
     core_bias: u64,
     rng: SmallRng,
     /// Index of the current request type in the program's mix.
@@ -106,9 +113,7 @@ impl CoreTraceGenerator {
         let os_fn_mod = InvariantModulus::new(program.layout().os_functions().len().max(1) as u64);
         // No request is under way: the first refill draws one.
         let next_step = program.request_types()[0].steps().len();
-        CoreTraceGenerator {
-            program,
-            core,
+        let state = StepState {
             // Per-core sticky-branch bias: depends on the core identity and the
             // workload structure, but *not* on the experiment seed, so the same
             // core diverges the same way in every run.
@@ -124,6 +129,11 @@ impl CoreTraceGenerator {
             hot_data_mod,
             cold_data_mod,
             os_fn_mod,
+        };
+        CoreTraceGenerator {
+            program,
+            core,
+            state,
         }
     }
 
@@ -142,12 +152,13 @@ impl CoreTraceGenerator {
     /// conceptually infinite.
     #[inline]
     pub fn next_event(&mut self) -> TraceEvent {
+        let state = &mut self.state;
         loop {
-            if let Some(&event) = self.pending.get(self.cursor) {
-                self.cursor += 1;
+            if let Some(&event) = state.pending.get(state.cursor) {
+                state.cursor += 1;
                 return event;
             }
-            self.generate_step();
+            state.generate_step(&self.program);
         }
     }
 
@@ -162,16 +173,17 @@ impl CoreTraceGenerator {
     #[inline]
     pub fn next_events_into(&mut self, out: &mut Vec<TraceEvent>) {
         out.clear();
+        let state = &mut self.state;
         loop {
-            let rest = &self.pending[self.cursor..];
+            let rest = &state.pending[state.cursor..];
             if let Some(pos) = rest.iter().position(|e| matches!(e, TraceEvent::Fetch(_))) {
                 out.extend_from_slice(&rest[..=pos]);
-                self.cursor += pos + 1;
+                state.cursor += pos + 1;
                 return;
             }
             out.extend_from_slice(rest);
-            self.cursor = self.pending.len();
-            self.generate_step();
+            state.cursor = state.pending.len();
+            state.generate_step(&self.program);
         }
     }
 
@@ -184,7 +196,9 @@ impl CoreTraceGenerator {
             }
         }
     }
+}
 
+impl StepState {
     /// Deterministic per-core decision for a conditional call step.
     ///
     /// Conditional calls model data-dependent paths that are *sticky per
@@ -208,13 +222,12 @@ impl CoreTraceGenerator {
     /// current request, drawing a new request first if it is exhausted.
     /// Steps this core does not take are skipped; the refill emits the
     /// called function and, if drawn, one OS handler.
-    fn generate_step(&mut self) {
+    fn generate_step(&mut self, program: &WorkloadProgram) {
         // Only called once the current buffer is fully consumed, so clearing
         // never discards events and the buffer never outgrows one step.
         debug_assert_eq!(self.cursor, self.pending.len());
         self.pending.clear();
         self.cursor = 0;
-        let program = Arc::clone(&self.program);
         let spec = program.spec();
         let types = program.request_types();
         loop {
@@ -399,8 +412,8 @@ mod tests {
         // site on the trace hot path.
         let spec = presets::tiny();
         let mut gen = CoreTraceGenerator::new(&spec, CoreId::new(0), 13);
-        let pending_capacity = gen.pending.capacity();
-        let scratch_capacity = gen.scratch_blocks.capacity();
+        let pending_capacity = gen.state.pending.capacity();
+        let scratch_capacity = gen.state.scratch_blocks.capacity();
         assert_eq!(pending_capacity, gen.program().max_step_events());
         let mut max_pending = 0usize;
         // Each call step refills the buffer, after which the first event
@@ -408,17 +421,17 @@ mod tests {
         let mut steps = 0;
         while steps < 10_000 {
             let _ = gen.next_event();
-            steps += usize::from(gen.cursor == 1);
-            max_pending = max_pending.max(gen.pending.len() - gen.cursor);
+            steps += usize::from(gen.state.cursor == 1);
+            max_pending = max_pending.max(gen.state.pending.len() - gen.state.cursor);
         }
         assert!(max_pending > 0, "bursts must actually fill the queue");
         assert_eq!(
-            gen.pending.capacity(),
+            gen.state.pending.capacity(),
             pending_capacity,
             "pending queue reallocated (a step exceeded the pre-sized bound)"
         );
         assert_eq!(
-            gen.scratch_blocks.capacity(),
+            gen.state.scratch_blocks.capacity(),
             scratch_capacity,
             "scratch block buffer reallocated"
         );
@@ -441,8 +454,8 @@ mod tests {
                 assert_eq!(event, serial.next_event());
             }
         }
-        assert_eq!(batched.pending, serial.pending);
-        assert_eq!(batched.cursor, serial.cursor);
+        assert_eq!(batched.state.pending, serial.state.pending);
+        assert_eq!(batched.state.cursor, serial.state.cursor);
     }
 
     #[test]
