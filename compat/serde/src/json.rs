@@ -219,7 +219,10 @@ impl Writer {
     pub fn key(&mut self, i: usize, key: &str) {
         self.element(i);
         self.write_string(key);
-        self.colon();
+        self.out.push(':');
+        if self.pretty {
+            self.out.push(' ');
+        }
     }
 
     /// Starts the `i`-th entry of the open map with `quoted_key`, a key
@@ -228,13 +231,6 @@ impl Writer {
     pub fn field(&mut self, i: usize, quoted_key: &str) {
         self.element(i);
         self.out.push_str(quoted_key);
-        if self.pretty {
-            self.out.push(' ');
-        }
-    }
-
-    fn colon(&mut self) {
-        self.out.push(':');
         if self.pretty {
             self.out.push(' ');
         }
