@@ -120,4 +120,107 @@ proptest! {
             prop_assert_eq!(cache.probe(BlockAddr::new(key)), in_model);
         }
     }
+
+    /// The two cache shapes the simulator configures (a 256-set × 2-way L1
+    /// and a 512-set × 16-way LLC bank) behave like a scalar per-set LRU
+    /// model over the whole tag range: blocks `set + sets·t` with `t` small,
+    /// around 2^31 and just below 2^32, under accesses, fills, pinned fills
+    /// and invalidations. The model's clock is a `u64`.
+    #[test]
+    fn lru_choices_hold_across_the_tag_range(
+        shape in 0u8..2,
+        ops in proptest::collection::vec((0u8..6, 0usize..4, 0u8..3, 0u64..8), 1..400),
+    ) {
+        let (sets, ways) = if shape == 0 { (256u64, 2usize) } else { (512, 16) };
+        let mut cache: SetAssocCache<u64> =
+            SetAssocCache::new(CacheConfig::new(sets as usize * ways * 64, ways, 64, 1));
+        let set_of = [0, 1, sets / 2, sets - 1];
+        let block_of = |set_pick: usize, band: u8, offset: u64| {
+            let t = match band {
+                0 => offset,
+                1 => (1u64 << 31) - 4 + offset,
+                _ => (1u64 << 32) - 8 + offset,
+            };
+            set_of[set_pick] + sets * t
+        };
+
+        // Per set: (block, meta, last use, pinned), in no particular order.
+        let mut model: Vec<Vec<(u64, u64, u64, bool)>> = vec![Vec::new(); set_of.len()];
+        let mut clock = 0u64;
+
+        for (i, &(op, set_pick, band, offset)) in ops.iter().enumerate() {
+            let key = block_of(set_pick, band, offset);
+            let block = BlockAddr::new(key);
+            let set = &mut model[set_pick];
+            let line = set.iter().position(|l| l.0 == key);
+            match op {
+                0 => {
+                    clock += 1;
+                    if let Some(w) = line {
+                        set[w].2 = clock;
+                    }
+                    prop_assert_eq!(cache.access(block).is_hit(), line.is_some());
+                }
+                1 | 2 => {
+                    let pinned = op == 2;
+                    // At most `ways - 1` pinned lines per set, so a fill
+                    // always finds a victim.
+                    let pins = set.iter().filter(|l| l.3).count();
+                    let already = line.is_some_and(|w| set[w].3);
+                    if pinned && !already && pins + 1 >= ways {
+                        continue;
+                    }
+                    clock += 1;
+                    let meta = i as u64;
+                    let model_victim = if let Some(w) = line {
+                        set[w].1 = meta;
+                        set[w].2 = clock;
+                        set[w].3 |= pinned;
+                        None
+                    } else if set.len() < ways {
+                        set.push((key, meta, clock, pinned));
+                        None
+                    } else {
+                        let victim = (0..set.len())
+                            .filter(|&w| !set[w].3)
+                            .min_by_key(|&w| set[w].2)
+                            .expect("an unpinned way");
+                        let evicted = set.swap_remove(victim);
+                        set.push((key, meta, clock, pinned));
+                        Some((evicted.0, evicted.1))
+                    };
+                    let filled = if pinned {
+                        cache.fill_pinned(block, meta)
+                    } else {
+                        cache.fill(block, meta)
+                    };
+                    prop_assert_eq!(filled.map(|e| (e.block.get(), e.meta)), model_victim);
+                }
+                3 => {
+                    let model_meta = line.map(|w| set.remove(w).1);
+                    prop_assert_eq!(cache.invalidate(block), model_meta);
+                }
+                _ => {
+                    prop_assert_eq!(cache.probe(block), line.is_some());
+                    prop_assert_eq!(cache.meta(block).copied(), line.map(|w| set[w].1));
+                }
+            }
+        }
+
+        let mut expected: Vec<u64> = model.iter().flatten().map(|l| l.0).collect();
+        let mut resident: Vec<u64> = cache.resident().map(BlockAddr::get).collect();
+        expected.sort_unstable();
+        resident.sort_unstable();
+        prop_assert_eq!(resident, expected);
+        for (set_pick, set) in model.iter().enumerate() {
+            for band in 0..3 {
+                for offset in 0..8 {
+                    let key = block_of(set_pick, band, offset);
+                    let meta = set.iter().find(|l| l.0 == key).map(|l| l.1);
+                    prop_assert_eq!(cache.probe(BlockAddr::new(key)), meta.is_some());
+                    prop_assert_eq!(cache.meta(BlockAddr::new(key)).copied(), meta);
+                }
+            }
+        }
+    }
 }
