@@ -6,6 +6,8 @@
 //! embedded index table of §4.2). The LLC also accounts traffic per
 //! [`AccessClass`] so that the Figure 9 overhead breakdown can be reproduced.
 
+use std::num::NonZeroU32;
+
 use serde::{Deserialize, Serialize};
 use shift_types::{AccessClass, BlockAddr};
 
@@ -14,11 +16,21 @@ use crate::set_assoc::SetAssocCache;
 use crate::stats::{CacheStats, TrafficStats};
 
 /// Per-line LLC metadata: the index pointer appended to the tag.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Four bytes. A history holds at most `u32::MAX` records, so a pointer is
+/// at most `u32::MAX - 1`; it is stored plus one, and zero means "no
+/// pointer".
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LlcMeta {
+    index_ptr_plus_one: Option<NonZeroU32>,
+}
+
+impl LlcMeta {
     /// Pointer to the most recent occurrence of this (instruction) block's
     /// trigger in the virtualized history buffer, if any.
-    pub index_ptr: Option<u32>,
+    pub fn index_ptr(self) -> Option<u32> {
+        self.index_ptr_plus_one.map(|p| p.get() - 1)
+    }
 }
 
 /// Outcome of an LLC access.
@@ -52,7 +64,7 @@ pub struct LlcAccessOutcome {
 /// let outcome = llc.access(BlockAddr::new(0x1234), AccessClass::Demand);
 /// assert!(outcome.hit);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NucaLlc {
     config: LlcConfig,
     banks: Vec<SetAssocCache<LlcMeta>>,
@@ -155,7 +167,7 @@ impl NucaLlc {
         let (result, meta) = self.banks[bank_idx].access_meta(local);
         let hit = result.is_hit();
         let index_ptr = if let Some(meta) = meta {
-            meta.index_ptr
+            meta.index_ptr()
         } else {
             if self.is_pinned(block) {
                 self.banks[bank_idx].fill_pinned(local, LlcMeta::default());
@@ -188,7 +200,7 @@ impl NucaLlc {
     pub fn index_ptr(&self, block: BlockAddr) -> Option<u32> {
         self.banks[self.bank_of(block)]
             .meta(self.bank_local(block))
-            .and_then(|m| m.index_ptr)
+            .and_then(|m| m.index_ptr())
     }
 
     /// Updates the index pointer of `block` if it is resident, recording the
@@ -196,7 +208,14 @@ impl NucaLlc {
     ///
     /// This is the "index update request" the history generator core issues
     /// for every new spatial-region record (§4.2, record step 2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ptr` is `u32::MAX`, which points past any history.
     pub fn update_index_ptr(&mut self, block: BlockAddr, ptr: u32) -> bool {
+        let stored = NonZeroU32::MIN
+            .checked_add(ptr)
+            .unwrap_or_else(|| panic!("index pointer {ptr} points past any history"));
         // Index updates only touch the tag array; account two bytes (the
         // 15-bit pointer) rather than a full block.
         self.traffic.record(AccessClass::IndexUpdate, 2);
@@ -204,7 +223,7 @@ impl NucaLlc {
         let local = self.bank_local(block);
         match self.banks[bank].meta_mut(local) {
             Some(meta) => {
-                meta.index_ptr = Some(ptr);
+                meta.index_ptr_plus_one = Some(stored);
                 true
             }
             None => false,
@@ -295,6 +314,26 @@ mod tests {
         // A demand hit returns the pointer with the response.
         let outcome = llc.access(b, AccessClass::Demand);
         assert_eq!(outcome.index_ptr, Some(5));
+    }
+
+    #[test]
+    fn the_index_pointer_takes_four_bytes_and_holds_its_whole_range() {
+        assert_eq!(std::mem::size_of::<LlcMeta>(), 4);
+        let mut llc = small_llc();
+        let b = BlockAddr::new(100);
+        llc.access(b, AccessClass::Demand);
+        assert_eq!(llc.index_ptr(b), None);
+        for ptr in [0, 1, u32::MAX - 1] {
+            assert!(llc.update_index_ptr(b, ptr));
+            assert_eq!(llc.index_ptr(b), Some(ptr));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index pointer 4294967295 points past any history")]
+    fn u32_max_is_not_an_index_pointer() {
+        let mut llc = small_llc();
+        llc.update_index_ptr(BlockAddr::new(100), u32::MAX);
     }
 
     #[test]

@@ -5,9 +5,24 @@
 //! Per-line state lives in parallel packed arrays (`tags`, `last_use`,
 //! `meta`) indexed by `set * ways + way`, with per-set occupancy counts and a
 //! per-set pinned-way bitmask — a struct-of-arrays layout in which the tag
-//! scan of a lookup touches only the 8-byte tag lane instead of striding over
-//! full line structs. The scan itself is a branch-light fixed-width loop that
+//! scan of a lookup touches only the tag lane instead of striding over full
+//! line structs. The scan itself is a branch-light fixed-width loop that
 //! builds a hit bitmask (one bit per way) the compiler can autovectorize.
+//!
+//! A tag is the block's bits above the set index, as a hardware tag array
+//! holds it: `block >> log2(sets)` for a power-of-two set count (every
+//! configured cache), `block / sets` otherwise, stored as a `u32`. A cache
+//! therefore holds blocks below `sets · 2^32`: 2^40 for a 256-set L1, 2^45
+//! for a 16-bank LLC of 512-set banks (the bank bits are stripped before the
+//! set). A block beyond that range panics. A 16-way set's tags fill one
+//! 64-byte line.
+//!
+//! Recency is a `u32` stamp of a per-cache clock that ticks on every access
+//! and fill. Victims are chosen within a set by stamp order alone, so when
+//! the clock would wrap, a cold pass renumbers each set's live stamps
+//! `1..=len` in recency order and restarts the clock at `ways`; every later
+//! choice is the one an unbounded clock would make. A line costs 8 bytes
+//! plus its metadata: 12 for an LLC line with its index pointer.
 //!
 //! Within a set, live lines occupy ways `0..len` in the order the previous
 //! `Vec`-per-set representation kept them (fills append, evictions
@@ -55,8 +70,8 @@ pub struct EvictedLine<M> {
 /// `tags[w] == target`. Monomorphizing per associativity gives the compiler a
 /// compile-time trip count it fully unrolls and autovectorizes.
 #[inline(always)]
-fn hit_mask_fixed<const W: usize>(tags: &[u64], target: u64) -> u64 {
-    let row: &[u64; W] = tags.first_chunk::<W>().expect("set narrower than ways");
+fn hit_mask_fixed<const W: usize>(tags: &[u32], target: u32) -> u64 {
+    let row: &[u32; W] = tags.first_chunk::<W>().expect("set narrower than ways");
     let mut mask = 0u64;
     let mut w = 0;
     while w < W {
@@ -69,7 +84,7 @@ fn hit_mask_fixed<const W: usize>(tags: &[u64], target: u64) -> u64 {
 /// Hit-mask scan, specialized for the associativities the simulator actually
 /// configures (2-way L1s, 16-way LLC banks, 4/8-way studies).
 #[inline(always)]
-fn hit_mask(tags: &[u64], target: u64) -> u64 {
+fn hit_mask(tags: &[u32], target: u32) -> u64 {
     match tags.len() {
         2 => hit_mask_fixed::<2>(tags, target),
         4 => hit_mask_fixed::<4>(tags, target),
@@ -105,17 +120,17 @@ fn hit_mask(tags: &[u64], target: u64) -> u64 {
 /// assert_eq!(cache.meta(BlockAddr::new(1)), Some(&10));
 /// assert!(cache.access(BlockAddr::new(1)).is_hit());
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SetAssocCache<M> {
     config: CacheConfig,
     /// Associativity, hoisted out of `config` for the per-access path.
     ways: usize,
-    /// Tag lane: the raw block number per line slot (`set * ways + way`).
-    /// Slots at or beyond a set's occupancy hold stale values that the
-    /// live-way mask excludes from every match.
-    tags: Vec<u64>,
+    /// Tag lane: the block's bits above the set index per line slot
+    /// (`set * ways + way`). Slots at or beyond a set's occupancy hold stale
+    /// values that the live-way mask excludes from every match.
+    tags: Vec<u32>,
     /// Recency lane: the cache clock at each line's last touch.
-    last_use: Vec<u64>,
+    last_use: Vec<u32>,
     /// Metadata lane.
     meta: Vec<M>,
     /// Number of live ways per set; live lines pack ways `0..len`.
@@ -125,10 +140,12 @@ pub struct SetAssocCache<M> {
     /// Number of sets, cached so the per-access index computation performs no
     /// division over the configuration.
     set_count: u64,
-    /// `set_count - 1` when the set count is a power of two: set selection is
-    /// then a single AND instead of a modulo.
-    index_mask: Option<u64>,
-    clock: u64,
+    /// `log2(set_count)` when the set count is a power of two: splitting a
+    /// block into set and tag is then a mask and a shift instead of a modulo
+    /// and a division.
+    set_bits: Option<u32>,
+    /// The stamp of the latest touch; see [`tick`](Self::tick).
+    clock: u32,
     stats: CacheStats,
 }
 
@@ -154,7 +171,9 @@ impl<M: Default> SetAssocCache<M> {
             set_len: vec![0; sets],
             pinned: vec![0; sets],
             set_count,
-            index_mask: set_count.is_power_of_two().then(|| set_count - 1),
+            set_bits: set_count
+                .is_power_of_two()
+                .then(|| set_count.trailing_zeros()),
             clock: 0,
             stats: CacheStats::default(),
             config,
@@ -164,10 +183,10 @@ impl<M: Default> SetAssocCache<M> {
     /// Removes `block` from the cache, returning its metadata if it was
     /// resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<M> {
-        let idx = self.set_index(block);
+        let (idx, tag) = self.split(block);
         let base = idx * self.ways;
         let len = self.set_len[idx] as usize;
-        let w = self.match_way(base, len, block.get())?;
+        let w = self.match_way(base, len, tag)?;
         let last = len - 1;
         // Vacate the last live way and let it backfill the removed slot —
         // the same compaction `Vec::swap_remove` performed.
@@ -208,17 +227,80 @@ impl<M> SetAssocCache<M> {
         self.set_len.iter().map(|&l| l as usize).sum()
     }
 
+    /// Splits `block` into its set index and its tag.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tag does not fit in 32 bits.
     #[inline]
-    fn set_index(&self, block: BlockAddr) -> usize {
-        match self.index_mask {
-            Some(mask) => (block.get() & mask) as usize,
-            None => (block.get() % self.set_count) as usize,
+    fn split(&self, block: BlockAddr) -> (usize, u32) {
+        let raw = block.get();
+        let (set, tag) = match self.set_bits {
+            Some(bits) => (raw & (self.set_count - 1), raw >> bits),
+            None => (raw % self.set_count, raw / self.set_count),
+        };
+        match u32::try_from(tag) {
+            Ok(tag) => (set as usize, tag),
+            Err(_) => self.beyond_tag_range(block),
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn beyond_tag_range(&self, block: BlockAddr) -> ! {
+        panic!(
+            "{block} is beyond the cache's tag range: {} sets of 32-bit tags hold blocks below {:#x}",
+            self.set_count,
+            u128::from(self.set_count) << 32
+        )
+    }
+
+    /// The block that `tag` stands for in `set`: the inverse of
+    /// [`split`](Self::split).
+    #[inline]
+    fn block_at(&self, set: usize, tag: u32) -> BlockAddr {
+        let tag = u64::from(tag);
+        BlockAddr::new(match self.set_bits {
+            Some(bits) => tag << bits | set as u64,
+            None => tag * self.set_count + set as u64,
+        })
+    }
+
+    /// Advances the clock and returns the new stamp.
+    #[inline]
+    fn tick(&mut self) -> u32 {
+        if self.clock == u32::MAX {
+            self.renumber_stamps();
+        }
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Renumbers each set's live stamps `1..=len` in recency order and
+    /// restarts the clock at `ways`, so every later stamp exceeds every live
+    /// one. Victims are chosen within a set by stamp order alone, so no
+    /// choice changes.
+    #[cold]
+    #[inline(never)]
+    fn renumber_stamps(&mut self) {
+        let mut order = [(0u32, 0usize); 64];
+        for (idx, &len) in self.set_len.iter().enumerate() {
+            let base = idx * self.ways;
+            let order = &mut order[..len as usize];
+            for (w, slot) in order.iter_mut().enumerate() {
+                *slot = (self.last_use[base + w], w);
+            }
+            order.sort_unstable();
+            for (rank, &(_, w)) in order.iter().enumerate() {
+                self.last_use[base + w] = rank as u32 + 1;
+            }
+        }
+        self.clock = self.ways as u32;
     }
 
     /// Finds the live way holding `target` in the set at `base`, if any.
     #[inline(always)]
-    fn match_way(&self, base: usize, len: usize, target: u64) -> Option<usize> {
+    fn match_way(&self, base: usize, len: usize, target: u32) -> Option<usize> {
         if len == 0 {
             return None;
         }
@@ -235,8 +317,8 @@ impl<M> SetAssocCache<M> {
     /// statistics.
     #[inline]
     pub fn probe(&self, block: BlockAddr) -> bool {
-        let idx = self.set_index(block);
-        self.match_way(idx * self.ways, self.set_len[idx] as usize, block.get())
+        let (idx, tag) = self.split(block);
+        self.match_way(idx * self.ways, self.set_len[idx] as usize, tag)
             .is_some()
     }
 
@@ -245,13 +327,13 @@ impl<M> SetAssocCache<M> {
     /// [`fill`](Self::fill).
     #[inline]
     pub fn access(&mut self, block: BlockAddr) -> AccessResult {
-        self.clock += 1;
+        let (idx, tag) = self.split(block);
+        let stamp = self.tick();
         self.stats.accesses += 1;
-        let idx = self.set_index(block);
         let base = idx * self.ways;
-        match self.match_way(base, self.set_len[idx] as usize, block.get()) {
+        match self.match_way(base, self.set_len[idx] as usize, tag) {
             Some(w) => {
-                self.last_use[base + w] = self.clock;
+                self.last_use[base + w] = stamp;
                 self.stats.hits += 1;
                 AccessResult::Hit
             }
@@ -270,13 +352,13 @@ impl<M> SetAssocCache<M> {
     /// every L1-I hit.
     #[inline]
     pub fn access_meta(&mut self, block: BlockAddr) -> (AccessResult, Option<&mut M>) {
-        self.clock += 1;
+        let (idx, tag) = self.split(block);
+        let stamp = self.tick();
         self.stats.accesses += 1;
-        let idx = self.set_index(block);
         let base = idx * self.ways;
-        match self.match_way(base, self.set_len[idx] as usize, block.get()) {
+        match self.match_way(base, self.set_len[idx] as usize, tag) {
             Some(w) => {
-                self.last_use[base + w] = self.clock;
+                self.last_use[base + w] = stamp;
                 self.stats.hits += 1;
                 (AccessResult::Hit, Some(&mut self.meta[base + w]))
             }
@@ -310,14 +392,12 @@ impl<M> SetAssocCache<M> {
     }
 
     fn fill_inner(&mut self, block: BlockAddr, meta: M, pinned: bool) -> Option<EvictedLine<M>> {
-        self.clock += 1;
+        let (idx, key) = self.split(block);
+        let clock = self.tick();
         self.stats.fills += 1;
-        let clock = self.clock;
         let ways = self.ways;
-        let idx = self.set_index(block);
         let base = idx * ways;
         let len = self.set_len[idx] as usize;
-        let key = block.get();
 
         // Fast path: block already resident → update metadata in place.
         if let Some(w) = self.match_way(base, len, key) {
@@ -369,7 +449,7 @@ impl<M> SetAssocCache<M> {
         let last = len - 1;
         let vslot = base + victim;
         let lslot = base + last;
-        let evicted_block = BlockAddr::new(self.tags[vslot]);
+        let evicted_block = self.block_at(idx, self.tags[vslot]);
         let evicted_meta = if victim == last {
             std::mem::replace(&mut self.meta[vslot], meta)
         } else {
@@ -397,18 +477,18 @@ impl<M> SetAssocCache<M> {
     /// Returns a reference to the metadata of `block`, if resident.
     #[inline]
     pub fn meta(&self, block: BlockAddr) -> Option<&M> {
-        let idx = self.set_index(block);
+        let (idx, tag) = self.split(block);
         let base = idx * self.ways;
-        self.match_way(base, self.set_len[idx] as usize, block.get())
+        self.match_way(base, self.set_len[idx] as usize, tag)
             .map(|w| &self.meta[base + w])
     }
 
     /// Returns a mutable reference to the metadata of `block`, if resident.
     #[inline]
     pub fn meta_mut(&mut self, block: BlockAddr) -> Option<&mut M> {
-        let idx = self.set_index(block);
+        let (idx, tag) = self.split(block);
         let base = idx * self.ways;
-        self.match_way(base, self.set_len[idx] as usize, block.get())
+        self.match_way(base, self.set_len[idx] as usize, tag)
             .map(|w| &mut self.meta[base + w])
     }
 
@@ -421,7 +501,7 @@ impl<M> SetAssocCache<M> {
                 let base = idx * self.ways;
                 self.tags[base..base + len as usize]
                     .iter()
-                    .map(|&t| BlockAddr::new(t))
+                    .map(move |&tag| self.block_at(idx, tag))
             })
     }
 
@@ -592,6 +672,98 @@ mod tests {
         c.invalidate(BlockAddr::new(4));
         assert!(!c.probe(BlockAddr::new(4)), "stale tag matched");
         assert!(c.access(BlockAddr::new(4)).is_miss());
+    }
+
+    #[test]
+    fn a_line_holds_a_four_byte_tag_and_a_four_byte_stamp() {
+        fn lane_bytes<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let c = small();
+        assert_eq!(lane_bytes(&c.tags), 4);
+        assert_eq!(lane_bytes(&c.last_use), 4);
+    }
+
+    #[test]
+    fn tags_rebuild_blocks_up_to_the_top_of_the_tag_range() {
+        // 4 sets: blocks below 4 · 2^32 fit, the top one included.
+        let top = (4u64 << 32) - 1;
+        let mut c = small();
+        c.fill(BlockAddr::new(top), 1);
+        c.fill(BlockAddr::new(top - 4), 2);
+        assert!(c.probe(BlockAddr::new(top)));
+        assert!(!c.probe(BlockAddr::new(top - 8)));
+        assert!(c.access(BlockAddr::new(top - 4)).is_hit());
+        let evicted = c.fill(BlockAddr::new(3), 3).expect("set 3 is full");
+        assert_eq!(evicted.block, BlockAddr::new(top));
+        let mut resident: Vec<u64> = c.resident().map(BlockAddr::get).collect();
+        resident.sort_unstable();
+        assert_eq!(resident, [3, top - 4]);
+    }
+
+    #[test]
+    fn sets_that_are_not_a_power_of_two_divide_blocks() {
+        // 3 sets × 2 ways: set = block % 3, tag = block / 3.
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(CacheConfig::new(3 * 2 * 64, 2, 64, 1));
+        let top = (3u64 << 32) - 1;
+        c.fill(BlockAddr::new(2), 1);
+        c.fill(BlockAddr::new(top), 2);
+        assert_eq!(c.meta(BlockAddr::new(top)), Some(&2));
+        let evicted = c.fill(BlockAddr::new(5), 3).expect("set 2 is full");
+        assert_eq!(evicted.block, BlockAddr::new(2));
+        assert_eq!(c.invalidate(BlockAddr::new(top)), Some(2));
+        assert_eq!(c.resident().collect::<Vec<_>>(), [BlockAddr::new(5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "blk:0x400000000 is beyond the cache's tag range: \
+                    4 sets of 32-bit tags hold blocks below 0x400000000")]
+    fn a_block_beyond_the_tag_range_panics() {
+        let mut c = small();
+        let _ = c.access(BlockAddr::new(4 << 32));
+    }
+
+    #[test]
+    fn a_wrapping_clock_makes_the_same_choices() {
+        // 4 sets × 16 ways with pinned lines, invalidations and refills; one
+        // cache's clock starts six ticks short of wrapping and is pushed
+        // back there every 64 operations, so it wraps hundreds of times.
+        let config = CacheConfig::new(4 * 16 * 64, 16, 64, 1);
+        let mut steady: SetAssocCache<u64> = SetAssocCache::new(config);
+        let mut wrapping: SetAssocCache<u64> = SetAssocCache::new(config);
+        wrapping.clock = u32::MAX - 5;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut wraps = 0;
+        for i in 0..40_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // 96 blocks over 4 sets; only blocks 0..8 are ever pinned, so a
+            // set holds at most 2 pinned lines.
+            let block = BlockAddr::new(x % 96);
+            let before = wrapping.clock;
+            match x >> 61 {
+                0..=3 => assert_eq!(steady.access(block), wrapping.access(block)),
+                4 | 5 => assert_eq!(steady.fill(block, i), wrapping.fill(block, i)),
+                6 if block.get() < 8 => {
+                    assert_eq!(steady.fill_pinned(block, i), wrapping.fill_pinned(block, i));
+                }
+                _ => assert_eq!(steady.invalidate(block), wrapping.invalidate(block)),
+            }
+            if wrapping.clock < before {
+                wraps += 1;
+            }
+            if i % 64 == 0 {
+                wrapping.clock = wrapping.clock.max(u32::MAX - 5);
+            }
+        }
+        assert!(wraps > 500, "the clock wrapped only {wraps} times");
+        assert_eq!(steady.stats(), wrapping.stats());
+        let mut a: Vec<u64> = steady.resident().map(BlockAddr::get).collect();
+        let mut b: Vec<u64> = wrapping.resident().map(BlockAddr::get).collect();
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b);
     }
 
     #[test]
