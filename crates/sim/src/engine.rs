@@ -707,7 +707,7 @@ fn build_shift_units(
         let workload_cores = consolidation.cores_of(shift_types::WorkloadId::new(w as u8));
         let cfg = ShiftConfig {
             generator_core: workload_cores[0],
-            history_base: BlockAddr::new(0x7000_0000 + (w as u64) * 0x1_0000),
+            history_base: shift_history_base(w),
             noc_round_trip: memory.mesh().average_round_trip_latency(0).round() as u64,
             ..shift_config(history_records, mode, config.llc.capacity_blocks())
         };
@@ -719,4 +719,56 @@ fn build_shift_units(
         units.push(shift);
     }
     Stepper { units, pf_of_core }
+}
+
+/// First LLC block of workload `w`'s SHIFT history window.
+fn shift_history_base(w: usize) -> BlockAddr {
+    BlockAddr::new(0x7000_0000 + (w as u64) * 0x1_0000)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use shift_trace::presets;
+
+    /// Every block a run can touch lies below 2^40, the smallest tag range
+    /// the simulator configures: a cache of `sets` sets holds blocks below
+    /// `sets · 2^32`, which is 2^40 for the 256-set L1s and 2^45 for a
+    /// 16-bank LLC. The highest blocks come from the last consolidation
+    /// slot (a workload id is a `u8`): its data region at
+    /// `with_region_index(255)`, and workload 255's SHIFT history window
+    /// at the largest history a `HistoryBuffer` holds (`u32::MAX` records).
+    #[test]
+    fn every_block_a_run_can_touch_fits_every_tag_range() {
+        let tag_range = |sets: usize, banks: usize| ((sets * banks) as u64) << 32;
+        let mut smallest_range = u64::MAX;
+        for cores in 1..=16 {
+            let config = CmpConfig::micro13(cores, PrefetcherConfig::None);
+            smallest_range = smallest_range
+                .min(tag_range(config.l1i.sets(), 1))
+                .min(tag_range(config.l1d.sets(), 1))
+                .min(tag_range(config.llc.bank_config().sets(), config.llc.banks));
+        }
+        assert_eq!(smallest_range, 1 << 40);
+        let llc16 = CmpConfig::micro13(16, PrefetcherConfig::None).llc;
+        assert_eq!(tag_range(llc16.bank_config().sets(), llc16.banks), 1 << 45);
+
+        let last = usize::from(u8::MAX);
+        let mut highest = 0;
+        for spec in presets::paper_suite().into_iter().chain([presets::tiny()]) {
+            let spec = spec.with_region_index(last);
+            let program = WorkloadProgram::build(&spec);
+            let layout = program.layout();
+            for region in [layout.code_region(), layout.os_region(), spec.data_region()] {
+                highest = highest.max(region.end().get() - 1);
+            }
+        }
+        let largest = shift_config(u32::MAX as usize, ShiftMode::Virtualized, 1 << 17);
+        let history_end = shift_history_base(last).offset(largest.history_llc_blocks());
+        highest = highest.max(history_end.get() - 1);
+        assert!(
+            highest < smallest_range,
+            "block {highest:#x} lies beyond the smallest tag range, {smallest_range:#x} blocks"
+        );
+    }
 }
