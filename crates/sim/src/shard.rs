@@ -501,7 +501,10 @@ pub(crate) enum LockClaim {
 ///    write the outcome (temp file + rename), then remove the lock;
 /// 4. on a lost creation race: a fresh foreign lock blocks; a stale one is
 ///    reclaimed by *renaming* it to a worker-unique name — exactly one
-///    contender wins the rename — and the claim retries from step 1.
+///    contender wins the rename — and the claim retries from step 1. The
+///    renamed lock is judged again (see [`reclaim_stale`]), so a fresh lock
+///    that took the path after the first judgement is put back, not
+///    reclaimed.
 ///
 /// Each run therefore executes exactly once under cooperating workers, and
 /// at least once — always converging to the same bit-identical outcome
@@ -539,18 +542,39 @@ pub(crate) fn claim_lock(
                 LockState::Fresh => LockClaim::Held,
                 LockState::Stale => {
                     let tomb = dir.join(format!(".reclaim-{key_id}-{}", config.worker));
-                    if std::fs::rename(&lock, &tomb).is_ok() {
-                        let _ = std::fs::remove_file(&tomb);
-                        LockClaim::Reclaimed
-                    } else {
-                        // Someone else reclaimed, or the owner finished.
-                        LockClaim::Retry
-                    }
+                    reclaim_stale(&lock, &tomb, config.lock_ttl)
                 }
             })
         }
         Err(e) => Err(e),
     }
+}
+
+/// Reclaims the lock at `lock`, judged stale, by renaming it to `tomb`.
+///
+/// The rename moves whatever lock the path holds *now*, which need not be
+/// the one judged: between the judgement and the rename, another contender
+/// may have reclaimed that lock and created a fresh one of its own. So the
+/// tomb is judged again. A stale tomb is removed and the reclaim counts; a
+/// fresh one is linked back into place (unless a newer lock already holds
+/// the path) and the claim is held.
+fn reclaim_stale(lock: &Path, tomb: &Path, ttl: Duration) -> LockClaim {
+    if std::fs::rename(lock, tomb).is_err() {
+        // Someone else reclaimed, or the owner finished.
+        return LockClaim::Retry;
+    }
+    let claim = match lock_state(tomb, ttl) {
+        LockState::Stale => LockClaim::Reclaimed,
+        LockState::Fresh => {
+            // Fails with `AlreadyExists` when a newer lock took the path;
+            // that lock holds the claim just the same.
+            let _ = std::fs::hard_link(tomb, lock);
+            LockClaim::Held
+        }
+        LockState::Gone => LockClaim::Retry,
+    };
+    let _ = std::fs::remove_file(tomb);
+    claim
 }
 
 /// Recovers a restarted worker's measured rate from its own leftover claim
@@ -695,6 +719,46 @@ mod tests {
         // The converged directory still merges to a complete, valid sweep.
         let outcomes = RunStore::new([&dir]).load(&matrix).expect("merge");
         assert_eq!(outcomes.len(), matrix.len());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn lock_bytes(claimed_unix: u64) -> String {
+        LockRecord {
+            key_id: RunKeyId::of_canonical_json("{}"),
+            worker: "owner".to_owned(),
+            claimed_unix,
+            rate: None,
+        }
+        .to_json()
+    }
+
+    #[test]
+    fn reclaim_puts_back_a_fresh_lock_that_took_the_path() {
+        // The contender judged an older lock stale; by the time it renames
+        // the path, another worker's fresh claim sits there.
+        let dir = temp_dir("reclaim-fresh");
+        fs::create_dir_all(&dir).unwrap();
+        let (lock, tomb) = (dir.join("claim.lock"), dir.join(".reclaim-tomb"));
+        let fresh = lock_bytes(unix_now());
+        fs::write(&lock, &fresh).unwrap();
+        let claim = reclaim_stale(&lock, &tomb, Duration::from_secs(3600));
+        assert!(matches!(claim, LockClaim::Held), "a fresh lock is held");
+        assert_eq!(fs::read_to_string(&lock).unwrap(), fresh);
+        assert!(!tomb.exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reclaim_removes_a_stale_lock() {
+        let dir = temp_dir("reclaim-stale");
+        fs::create_dir_all(&dir).unwrap();
+        let (lock, tomb) = (dir.join("claim.lock"), dir.join(".reclaim-tomb"));
+        fs::write(&lock, lock_bytes(0)).unwrap();
+        let claim = reclaim_stale(&lock, &tomb, Duration::from_secs(3600));
+        assert!(matches!(claim, LockClaim::Reclaimed));
+        assert!(!lock.exists() && !tomb.exists());
+        let claim = reclaim_stale(&lock, &tomb, Duration::from_secs(3600));
+        assert!(matches!(claim, LockClaim::Retry), "nothing left to reclaim");
         fs::remove_dir_all(&dir).unwrap();
     }
 
