@@ -1159,4 +1159,261 @@ mod tests {
         assert_eq!(merged.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
+
+    // --- The two readers on untrusted bytes. ---------------------------------
+
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    /// A directory of its own for the test named `tag`.
+    fn fuzz_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("shift-store-test-fuzz-{tag}"));
+        fs::create_dir_all(&dir).expect("create temp dir");
+        dir
+    }
+
+    /// Reading `bytes` with `read` yields a record or a typed error: a
+    /// document that does not parse or does not describe a record is
+    /// `Malformed`, and bytes that are not UTF-8 are an `InvalidData` I/O
+    /// error.
+    fn assert_reads_cleanly<T>(
+        path: &Path,
+        bytes: &[u8],
+        read: fn(&Path) -> Result<T, StoreError>,
+    ) {
+        fs::write(path, bytes).unwrap();
+        match read(path) {
+            Ok(_) | Err(StoreError::Malformed { .. }) => {}
+            Err(StoreError::Io(e)) if e.kind() == io::ErrorKind::InvalidData => {}
+            Err(e) => panic!("{:?}: unexpected error {e}", String::from_utf8_lossy(bytes)),
+        }
+    }
+
+    /// Pieces of lock and outcome documents: structure, field names,
+    /// literals, and numbers at and past the limits of their types.
+    const TOKENS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        " ",
+        "\"schema\"",
+        "\"key_id\"",
+        "\"worker\"",
+        "\"claimed_unix\"",
+        "\"rate\"",
+        "\"results\"",
+        "\"matrix\"",
+        "\"key\"",
+        "\"result\"",
+        "1",
+        "0",
+        "-1",
+        "1.5",
+        "1e999",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "\"00000000000000ff\"",
+        "null",
+        "true",
+        "\\u0000",
+        "\\ud800",
+    ];
+
+    /// Up to 40 tokens or raw bytes, a quarter of them raw.
+    fn arbitrary_bytes(rng: &mut SmallRng) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for _ in 0..rng.gen_range(0..40usize) {
+            if rng.gen_range(0..4u8) == 0 {
+                bytes.push(rng.next_u64() as u8);
+            } else {
+                bytes.extend_from_slice(TOKENS[rng.gen_range(0..TOKENS.len())].as_bytes());
+            }
+        }
+        bytes
+    }
+
+    /// `bytes` with one to five bytes replaced, deleted or inserted, or the
+    /// rest cut off.
+    fn mutate(mut bytes: Vec<u8>, rng: &mut SmallRng) -> Vec<u8> {
+        const STRUCTURE: &[u8] = b"{}[]\":,\\-.e0";
+        for _ in 0..rng.gen_range(1..=5u8) {
+            let at = rng.gen_range(0..=bytes.len());
+            match rng.gen_range(0..8u8) {
+                0..=2 if at < bytes.len() => bytes[at] = rng.next_u64() as u8,
+                3 | 4 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                7 => bytes.truncate(at),
+                _ => bytes.insert(at, STRUCTURE[rng.gen_range(0..STRUCTURE.len())]),
+            }
+        }
+        bytes
+    }
+
+    fn random_u64(rng: &mut SmallRng) -> u64 {
+        match rng.gen_range(0..4u8) {
+            0 => rng.gen_range(0..10u64),
+            1 => u64::MAX - rng.gen_range(0..10u64),
+            _ => rng.next_u64(),
+        }
+    }
+
+    /// A finite float: an edge value or random bits.
+    fn random_f64(rng: &mut SmallRng) -> f64 {
+        const EDGES: &[f64] = &[
+            0.0,
+            -0.0,
+            0.1,
+            1.0,
+            -1e-300,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        if rng.gen_bool(0.5) {
+            return EDGES[rng.gen_range(0..EDGES.len())];
+        }
+        loop {
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                return x;
+            }
+        }
+    }
+
+    /// Text with quotes, backslashes, control characters and multibyte
+    /// characters.
+    fn random_text(rng: &mut SmallRng) -> String {
+        const CHARS: &[char] = &[
+            'a', 'Z', '0', ' ', '"', '\\', '/', '{', '\n', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é',
+            '€', '\u{2028}', '😀',
+        ];
+        (0..rng.gen_range(0..12usize))
+            .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+            .collect()
+    }
+
+    fn random_lock(rng: &mut SmallRng) -> LockRecord {
+        LockRecord {
+            key_id: RunKeyId::of_canonical_json(&random_text(rng)),
+            worker: random_text(rng),
+            claimed_unix: random_u64(rng),
+            rate: rng.gen_bool(0.5).then(|| random_u64(rng)),
+        }
+    }
+
+    /// `value` with every number and string replaced by a random one of the
+    /// same kind.
+    fn scramble(value: &Value, rng: &mut SmallRng) -> Value {
+        match value {
+            Value::UInt(_) => Value::UInt(random_u64(rng)),
+            Value::Float(_) => Value::Float(random_f64(rng)),
+            Value::Str(_) => Value::Str(random_text(rng)),
+            Value::Seq(items) => Value::Seq(items.iter().map(|v| scramble(v, rng)).collect()),
+            Value::Map(fields) => Value::Map(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.clone(), scramble(v, rng)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    /// A one-run plan with a random key, and a random result with the
+    /// fields of a real one.
+    fn random_outcome(rng: &mut SmallRng) -> (RunMatrix, RunResult) {
+        static REAL: std::sync::OnceLock<Value> = std::sync::OnceLock::new();
+        let real = REAL.get_or_init(|| {
+            let mut matrix = RunMatrix::new();
+            let w = presets::tiny();
+            let handle = matrix.standalone(&w, PrefetcherConfig::None, 2, Scale::Test, 5);
+            let outcomes = crate::Execution::new(&matrix).serial().run().unwrap();
+            outcomes.into_outcomes()[handle].to_value()
+        });
+        let prefetcher = [
+            PrefetcherConfig::None,
+            PrefetcherConfig::next_line(),
+            PrefetcherConfig::pif_2k(),
+            PrefetcherConfig::shift_virtualized(),
+        ][rng.gen_range(0..4usize)];
+        let mut matrix = RunMatrix::new();
+        let cores = rng.gen_range(2..=16u16);
+        matrix.standalone(
+            &presets::tiny(),
+            prefetcher,
+            cores,
+            Scale::Test,
+            rng.next_u64(),
+        );
+        let result = RunResult::from_value(&scramble(real, rng)).expect("a scrambled result");
+        (matrix, result)
+    }
+
+    /// Writes the outcome of `matrix`'s one run and returns its path.
+    fn write_one(dir: &Path, matrix: &RunMatrix, result: &RunResult) -> PathBuf {
+        write_outcome(dir, matrix.fingerprint(), &matrix.keys()[0], result).unwrap();
+        dir.join(outcome_file_name(matrix.key_ids()[0]))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn arbitrary_bytes_read_as_a_record_or_a_typed_error(seed in 0..u64::MAX) {
+            let bytes = arbitrary_bytes(&mut SmallRng::seed_from_u64(seed));
+            let path = fuzz_dir("arbitrary").join("doc.json");
+            assert_reads_cleanly(&path, &bytes, read_lock);
+            assert_reads_cleanly(&path, &bytes, read_outcome);
+        }
+
+        #[test]
+        fn mutated_locks_read_as_a_record_or_a_typed_error(seed in 0..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let bytes = mutate(random_lock(&mut rng).to_json().into_bytes(), &mut rng);
+            let path = fuzz_dir("mutated-lock").join("doc.json");
+            assert_reads_cleanly(&path, &bytes, read_lock);
+        }
+
+        #[test]
+        fn mutated_outcomes_read_as_a_record_or_a_typed_error(seed in 0..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (matrix, result) = random_outcome(&mut rng);
+            let dir = fuzz_dir("mutated-outcome");
+            let written = write_one(&dir, &matrix, &result);
+            let bytes = mutate(fs::read(&written).unwrap(), &mut rng);
+            fs::remove_file(&written).unwrap();
+            assert_reads_cleanly(&dir.join("doc.json"), &bytes, read_outcome);
+        }
+
+        #[test]
+        fn valid_locks_read_back_as_written(seed in 0..u64::MAX) {
+            let record = random_lock(&mut SmallRng::seed_from_u64(seed));
+            let path = fuzz_dir("lock-round-trip").join("doc.json");
+            fs::write(&path, record.to_json()).unwrap();
+            prop_assert_eq!(read_lock(&path).unwrap(), record);
+        }
+
+        #[test]
+        fn valid_outcomes_read_back_as_written(seed in 0..u64::MAX) {
+            let (matrix, result) = random_outcome(&mut SmallRng::seed_from_u64(seed));
+            let path = write_one(&fuzz_dir("outcome-round-trip"), &matrix, &result);
+            let record = read_outcome(&path).unwrap();
+            fs::remove_file(&path).unwrap();
+            prop_assert_eq!(record.results_version, RESULTS_VERSION);
+            prop_assert_eq!(record.matrix, matrix.fingerprint());
+            prop_assert_eq!(record.key_id, matrix.key_ids()[0]);
+            prop_assert_eq!(&record.key_json, &matrix.keys()[0].canonical_json());
+            // Floats bit for bit: a shortest rendering names one float.
+            prop_assert_eq!(json::to_string(&record.result), json::to_string(&result));
+            prop_assert_eq!(record.result, result);
+        }
+    }
 }
