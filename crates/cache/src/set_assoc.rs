@@ -261,7 +261,7 @@ impl<M> SetAssocCache<M> {
     fn block_at(&self, set: usize, tag: u32) -> BlockAddr {
         let tag = u64::from(tag);
         BlockAddr::new(match self.set_bits {
-            Some(bits) => tag << bits | set as u64,
+            Some(bits) => (tag << bits) | set as u64,
             None => tag * self.set_count + set as u64,
         })
     }
@@ -286,12 +286,12 @@ impl<M> SetAssocCache<M> {
         let mut order = [(0u32, 0usize); 64];
         for (idx, &len) in self.set_len.iter().enumerate() {
             let base = idx * self.ways;
-            let order = &mut order[..len as usize];
-            for (w, slot) in order.iter_mut().enumerate() {
+            let live = &mut order[..len as usize];
+            for (w, slot) in live.iter_mut().enumerate() {
                 *slot = (self.last_use[base + w], w);
             }
-            order.sort_unstable();
-            for (rank, &(_, w)) in order.iter().enumerate() {
+            live.sort_unstable();
+            for (rank, &(_, w)) in live.iter().enumerate() {
                 self.last_use[base + w] = rank as u32 + 1;
             }
         }
