@@ -44,7 +44,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,11 +63,11 @@ use crate::store::{
 
 /// Where each planned run's outcome came from, summed over one execution.
 ///
-/// The three sources are exhaustive and disjoint per run *as this invocation
-/// saw it*: simulated here (`executed`), already present — cache hit,
-/// resumed file, or another queue worker's work (`reused`) — or taken over
-/// from a dead worker's stale claim (`reclaimed`, a subset of `executed`
-/// counted separately because operators alert on it).
+/// The two sources are exhaustive and disjoint per run *as this invocation
+/// saw it*: simulated here (`executed`), or already present — cache hit,
+/// resumed file, or another queue worker's work (`reused`). Stale claims
+/// taken over from dead workers are counted beside them (`reclaimed`),
+/// because operators alert on them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OutcomeSources {
     /// Runs simulated by this invocation.
@@ -76,8 +76,10 @@ pub struct OutcomeSources {
     /// existed (resume, cache seed, or other workers' completions observed
     /// by this one).
     pub reused: usize,
-    /// Stale claims taken over from dead workers (these runs also count in
-    /// `executed`).
+    /// Stale claims this invocation took over from dead workers. The run
+    /// behind one is usually executed here too, but once the stale lock is
+    /// gone a peer may claim the run first, so each stale claim counts once
+    /// across a fleet: in the report of the worker that removed it.
     pub reclaimed: usize,
 }
 
@@ -471,6 +473,7 @@ impl Settings<'_> {
             costs: matrix.keys().iter().map(RunCost::of).collect(),
             ranks,
             rate: Arc::new(AtomicU64::new(rate.unwrap_or(0))),
+            reclaims: AtomicUsize::new(0),
         };
         let cancel = self.cancel.unwrap_or(&uncancelled);
         let failed = AtomicBool::new(false);
@@ -517,11 +520,10 @@ impl Settings<'_> {
             let mut blocked = false;
             for (&slot, visit) in candidates.iter().zip(visits) {
                 match visit? {
-                    Visit::Executed { result, reclaimed } => {
+                    Visit::Executed { result } => {
                         done[slot] = true;
                         memory[slot] = result.map(|result| *result);
                         report.sources.executed += 1;
-                        report.sources.reclaimed += usize::from(reclaimed);
                     }
                     Visit::AlreadyDone => {
                         done[slot] = true;
@@ -542,6 +544,7 @@ impl Settings<'_> {
             }
         }
 
+        report.sources.reclaimed = drain.reclaims.load(Ordering::Relaxed);
         Ok((report, memory))
     }
 }
@@ -549,11 +552,8 @@ impl Settings<'_> {
 /// What one slot's visit in a pass came to.
 enum Visit {
     /// Claimed and simulated here. `result` is kept only when results stay
-    /// in memory; `reclaimed` says a dead worker's stale lock was taken over.
-    Executed {
-        result: Option<Box<RunResult>>,
-        reclaimed: bool,
-    },
+    /// in memory.
+    Executed { result: Option<Box<RunResult>> },
     /// A result already existed.
     AlreadyDone,
     /// Another live queue worker holds the claim.
@@ -582,6 +582,9 @@ struct Drain<'a> {
     /// The measured drain rate in weighted fetch units per second (0 =
     /// unknown), shared with every worker thread and the lock heartbeats.
     rate: Arc<AtomicU64>,
+    /// Stale claims taken over, counted where the reclaim happens: the
+    /// reclaiming visit may then lose the run to a peer's fresh claim.
+    reclaims: AtomicUsize,
 }
 
 impl Drain<'_> {
@@ -625,7 +628,6 @@ impl Drain<'_> {
         // round once more, so the outcome is re-checked before running:
         // another worker may have finished between the check and the claim.
         let mut lock: Option<PathBuf> = None;
-        let mut reclaimed = false;
         loop {
             if is_done() {
                 if let Some(lock) = &lock {
@@ -641,7 +643,7 @@ impl Drain<'_> {
                 LockClaim::Taken(path) => lock = Some(path),
                 LockClaim::Held => return Ok(Visit::Blocked),
                 LockClaim::Reclaimed => {
-                    reclaimed = true;
+                    self.reclaims.fetch_add(1, Ordering::Relaxed);
                     self.observer.on_event(RunEvent::Reclaimed { key_id });
                 }
                 LockClaim::Retry => {}
@@ -695,10 +697,7 @@ impl Drain<'_> {
             }
         };
         self.observer.on_event(RunEvent::Executed { key_id });
-        Ok(Visit::Executed {
-            result: kept,
-            reclaimed,
-        })
+        Ok(Visit::Executed { result: kept })
     }
 }
 
