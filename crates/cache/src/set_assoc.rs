@@ -392,17 +392,17 @@ impl<M> SetAssocCache<M> {
     }
 
     fn fill_inner(&mut self, block: BlockAddr, meta: M, pinned: bool) -> Option<EvictedLine<M>> {
-        let (idx, key) = self.split(block);
-        let clock = self.tick();
+        let (idx, tag) = self.split(block);
+        let stamp = self.tick();
         self.stats.fills += 1;
         let ways = self.ways;
         let base = idx * ways;
         let len = self.set_len[idx] as usize;
 
         // Fast path: block already resident → update metadata in place.
-        if let Some(w) = self.match_way(base, len, key) {
+        if let Some(w) = self.match_way(base, len, tag) {
             self.meta[base + w] = meta;
-            self.last_use[base + w] = clock;
+            self.last_use[base + w] = stamp;
             if pinned {
                 self.pinned[idx] |= 1 << w;
             }
@@ -412,9 +412,9 @@ impl<M> SetAssocCache<M> {
         if len < ways {
             // A free way: append, as the Vec representation's `push` did.
             let slot = base + len;
-            self.tags[slot] = key;
+            self.tags[slot] = tag;
             self.meta[slot] = meta;
-            self.last_use[slot] = clock;
+            self.last_use[slot] = stamp;
             if pinned {
                 self.pinned[idx] |= 1 << len;
             } else {
@@ -461,8 +461,8 @@ impl<M> SetAssocCache<M> {
             self.pinned[idx] = (self.pinned[idx] & !(1 << victim)) | (moved_pin << victim);
             evicted
         };
-        self.tags[lslot] = key;
-        self.last_use[lslot] = clock;
+        self.tags[lslot] = tag;
+        self.last_use[lslot] = stamp;
         if pinned {
             self.pinned[idx] |= 1 << last;
         } else {
