@@ -13,12 +13,17 @@
 //! Both structures are also snapshotted through the serde data model (as the
 //! benchmark's traced replay snapshots a `Shift`): the copy must behave
 //! exactly like the original.
+//!
+//! The [`SpatialRegion`] records those structures hold are pinned against a
+//! scalar model too (`ModelRegion`: the region size plus the sorted set of
+//! recorded offsets), for every region size the type accepts, so a change
+//! to how a record is stored cannot change what it answers.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
-use shift_core::{HistoryBuffer, IndexTable, SpatialRegion};
+use shift_core::{HistoryBuffer, IndexTable, SpatialRegion, SpatialRegionCompactor};
 use shift_types::BlockAddr;
 
 /// Reference model: a bounded LRU map built from a recency-stamp `BTreeMap`.
@@ -300,5 +305,138 @@ proptest! {
         for key in 0..512u64 {
             prop_assert_eq!(table_copy.peek(BlockAddr::new(key)), table.peek(BlockAddr::new(key)));
         }
+    }
+}
+
+/// Reference model of one spatial region record: the trigger, the region
+/// size and the sorted offsets (past the trigger) recorded as accessed.
+#[derive(Clone, Debug)]
+struct ModelRegion {
+    trigger: u64,
+    region_blocks: u8,
+    offsets: BTreeSet<u64>,
+}
+
+impl ModelRegion {
+    fn new(trigger: u64, region_blocks: u8) -> Self {
+        ModelRegion {
+            trigger,
+            region_blocks,
+            offsets: BTreeSet::new(),
+        }
+    }
+
+    /// The offset of `block` from the trigger when it lies inside the region.
+    fn offset_of(&self, block: u64) -> Option<u64> {
+        block
+            .checked_sub(self.trigger)
+            .filter(|&off| off < u64::from(self.region_blocks))
+    }
+}
+
+/// Reference model of the compactor: leaving the current region emits it.
+struct ModelCompactor {
+    region_blocks: u8,
+    current: Option<ModelRegion>,
+}
+
+impl ModelCompactor {
+    fn observe(&mut self, block: u64) -> Option<ModelRegion> {
+        if let Some(region) = self.current.as_mut() {
+            if let Some(off) = region.offset_of(block) {
+                if off > 0 {
+                    region.offsets.insert(off);
+                }
+                return None;
+            }
+        }
+        self.current
+            .replace(ModelRegion::new(block, self.region_blocks))
+    }
+}
+
+/// Checks every observation of `record` against `model`.
+fn assert_record_agrees(record: &SpatialRegion, model: &ModelRegion) {
+    assert_eq!(record.trigger(), BlockAddr::new(model.trigger));
+    assert_eq!(record.region_blocks(), model.region_blocks);
+    let vector = model.offsets.iter().fold(0u64, |v, off| v | 1 << (off - 1));
+    assert_eq!(record.bit_vector(), vector);
+    assert_eq!(record.accessed_blocks() as usize, 1 + model.offsets.len());
+    let expected: Vec<BlockAddr> = std::iter::once(0)
+        .chain(model.offsets.iter().copied())
+        .map(|off| BlockAddr::new(model.trigger + off))
+        .collect();
+    assert_eq!(record.blocks().len(), expected.len());
+    assert_eq!(record.blocks().collect::<Vec<_>>(), expected);
+    for off in -1i64..=65 {
+        let Some(block) = model.trigger.checked_add_signed(off) else {
+            continue;
+        };
+        let inside = model.offset_of(block);
+        assert_eq!(
+            record.contains_address(BlockAddr::new(block)),
+            inside.is_some(),
+            "contains_address at offset {off}"
+        );
+        let accessed = inside.is_some_and(|o| o == 0 || model.offsets.contains(&o));
+        assert_eq!(
+            record.contains_access(BlockAddr::new(block)),
+            accessed,
+            "contains_access at offset {off}"
+        );
+    }
+    assert_eq!(&round_trip(record), record);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// Every record the compactor emits (and the one a flush returns), for
+    /// every region size in 2..=64, answers like the scalar model: trigger,
+    /// size, bit vector, accessed-block count, the block iterator, address
+    /// and access containment at offsets −1..=65, and a serde round trip.
+    /// The stream mixes steps inside the current region (including its
+    /// last block and the trigger), steps just past it, single steps back
+    /// and jumps to fresh triggers below 2^40.
+    #[test]
+    fn compacted_records_match_a_scalar_model(
+        region_blocks in 2u8..=64,
+        trigger in 0u64..(1 << 40),
+        steps in proptest::collection::vec((0u8..8, 0u64..66, 0u64..(1 << 40)), 1..160),
+    ) {
+        let mut compactor = SpatialRegionCompactor::new(region_blocks);
+        let mut model = ModelCompactor { region_blocks, current: None };
+        let mut emitted = 0usize;
+        let mut observe = |block: u64| {
+            let got = compactor.observe(BlockAddr::new(block));
+            let want = model.observe(block);
+            assert_eq!(got.is_some(), want.is_some(), "emission at block {block}");
+            if let (Some(got), Some(want)) = (got, want) {
+                assert_record_agrees(&got, &want);
+                emitted += 1;
+            }
+            let current = model.current.as_ref().expect("a block was observed");
+            (current.trigger, compactor.current().copied())
+        };
+        let (mut base, _) = observe(trigger);
+        for &(kind, off, fresh) in &steps {
+            let block = match kind {
+                // Mostly inside the region, sometimes at its last block.
+                0..=3 => base + off % u64::from(region_blocks),
+                4 => base + u64::from(region_blocks) - 1,
+                5 => base + off,
+                6 => base.saturating_sub(1),
+                _ => fresh,
+            };
+            let (next_base, current) = observe(block);
+            base = next_base;
+            let current = current.expect("the compactor holds a record");
+            prop_assert_eq!(current.trigger(), BlockAddr::new(base));
+        }
+        let flushed = compactor.flush().expect("a pending record");
+        let pending = model.current.take().expect("a pending model record");
+        assert_record_agrees(&flushed, &pending);
+        prop_assert!(compactor.flush().is_none());
+        prop_assert!(emitted <= steps.len());
     }
 }
