@@ -6,8 +6,18 @@
 //! vector marking which of the following blocks in the same region were also
 //! accessed before control flow left the region (§4.1, Figure 4a). The paper
 //! uses regions of eight blocks (trigger + 7 bit positions).
+//!
+//! A record is 16 bytes: the trigger and one `u64` that holds the access
+//! vector plus an *end marker* at bit `region_blocks - 1`. The marker is the
+//! highest set bit, so the region size needs no field of its own (it would
+//! be repeated in every record of a history), and the per-fetch tests need
+//! no bit scan: offset `off` lies inside the region exactly when
+//! `off < 64 && bits >> off != 0`, the block iterator stops once only the
+//! marker is left, and the marker stands in for the trigger when counting
+//! accessed blocks.
 
-use serde::{Deserialize, Serialize};
+use serde::de::{self, Error};
+use serde::{Deserialize, Serialize, Value};
 use shift_types::BlockAddr;
 
 /// Default spatial region size (in blocks) used throughout the paper.
@@ -28,11 +38,12 @@ pub const DEFAULT_REGION_BLOCKS: u8 = 8;
 /// let blocks: Vec<_> = region.blocks().collect();
 /// assert_eq!(blocks, vec![BlockAddr::new(0x100), BlockAddr::new(0x102)]);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub struct SpatialRegion {
     trigger: BlockAddr,
+    /// Bit `i` below the marker set: block `trigger + i + 1` was accessed.
+    /// The marker, at bit `region_blocks - 1`, is always the highest set bit.
     bits: u64,
-    region_blocks: u8,
 }
 
 impl SpatialRegion {
@@ -49,8 +60,7 @@ impl SpatialRegion {
         );
         SpatialRegion {
             trigger,
-            bits: 0,
-            region_blocks,
+            bits: 1 << (region_blocks - 1),
         }
     }
 
@@ -61,19 +71,27 @@ impl SpatialRegion {
 
     /// The region size in blocks.
     pub fn region_blocks(&self) -> u8 {
-        self.region_blocks
+        (u64::BITS - self.bits.leading_zeros()) as u8
     }
 
     /// The raw bit vector (bit `i` set means block `trigger + i + 1` was
     /// accessed).
     pub fn bit_vector(&self) -> u64 {
-        self.bits
+        self.bits ^ (1 << (self.region_blocks() - 1))
+    }
+
+    /// Whether offset `off` from the trigger lies inside the region: the
+    /// marker at bit `region_blocks - 1` is the highest set bit, so a shift
+    /// by `off` leaves it standing exactly when `off < region_blocks`.
+    #[inline]
+    fn spans(&self, off: u64) -> bool {
+        off < 64 && self.bits >> off != 0
     }
 
     /// Returns `true` if `block` falls inside this region's address range.
     pub fn contains_address(&self, block: BlockAddr) -> bool {
         match block.offset_from(self.trigger) {
-            Some(off) => off < self.region_blocks as u64,
+            Some(off) => self.spans(off),
             None => false,
         }
     }
@@ -83,7 +101,7 @@ impl SpatialRegion {
     pub fn contains_access(&self, block: BlockAddr) -> bool {
         match block.offset_from(self.trigger) {
             Some(0) => true,
-            Some(off) if off < self.region_blocks as u64 => self.bits & (1 << (off - 1)) != 0,
+            Some(off) if self.spans(off) => self.bits & (1 << (off - 1)) != 0,
             _ => false,
         }
     }
@@ -93,7 +111,7 @@ impl SpatialRegion {
     pub fn try_record(&mut self, block: BlockAddr) -> bool {
         match block.offset_from(self.trigger) {
             Some(0) => true,
-            Some(off) if off < self.region_blocks as u64 => {
+            Some(off) if self.spans(off) => {
                 self.bits |= 1 << (off - 1);
                 true
             }
@@ -117,9 +135,10 @@ impl SpatialRegion {
         }
     }
 
-    /// Number of accessed blocks encoded (including the trigger).
+    /// Number of accessed blocks encoded (including the trigger, for which
+    /// the end marker stands in).
     pub fn accessed_blocks(&self) -> u32 {
-        1 + self.bits.count_ones()
+        self.bits.count_ones()
     }
 
     /// Number of storage bits one record occupies: a block address plus
@@ -130,8 +149,25 @@ impl SpatialRegion {
     }
 }
 
+/// Reads the two serialized fields back, refusing a vector with no end
+/// marker at bits 1..=63 (that is, below 2): it would be a record of size 0
+/// or 1, which [`SpatialRegion::new`] never makes.
+impl Deserialize for SpatialRegion {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let trigger = de::field(value, "SpatialRegion", "trigger")?;
+        let bits: u64 = de::field(value, "SpatialRegion", "bits")?;
+        if bits < 2 {
+            return Err(Error::custom(format!(
+                "SpatialRegion.bits: {bits} has no region-size marker at bits 1..=63"
+            )));
+        }
+        Ok(SpatialRegion { trigger, bits })
+    }
+}
+
 /// Iterator behind [`SpatialRegion::blocks`]: the trigger, then each set bit
-/// of the access vector in ascending order via a bit scan.
+/// of the access vector in ascending order via a bit scan, stopping at the
+/// end marker.
 struct BlockIter {
     trigger: BlockAddr,
     emit_trigger: bool,
@@ -147,7 +183,8 @@ impl Iterator for BlockIter {
             self.emit_trigger = false;
             return Some(self.trigger);
         }
-        if self.bits == 0 {
+        // Only the end marker left.
+        if self.bits & self.bits.wrapping_sub(1) == 0 {
             return None;
         }
         let off = self.bits.trailing_zeros() as u64 + 1;
@@ -157,7 +194,7 @@ impl Iterator for BlockIter {
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.emit_trigger as usize + self.bits.count_ones() as usize;
+        let n = self.emit_trigger as usize + self.bits.count_ones() as usize - 1;
         (n, Some(n))
     }
 }
@@ -304,5 +341,26 @@ mod tests {
     #[should_panic(expected = "between 2 and 64")]
     fn degenerate_region_size_rejected() {
         let _ = SpatialRegion::new(BlockAddr::new(0), 1);
+    }
+
+    #[test]
+    fn a_record_is_a_trigger_and_one_word() {
+        assert_eq!(std::mem::size_of::<SpatialRegion>(), 16);
+    }
+
+    #[test]
+    fn a_serialized_vector_without_a_marker_is_an_error() {
+        for bits in [0u64, 1] {
+            let value = Value::Map(vec![
+                ("trigger".to_owned(), Value::UInt(7)),
+                ("bits".to_owned(), Value::UInt(bits)),
+            ]);
+            let err = SpatialRegion::from_value(&value).expect_err("no marker");
+            assert!(err.message().contains("marker"), "{err}");
+        }
+        let mut region = SpatialRegion::new(BlockAddr::new(7), 2);
+        region.try_record(BlockAddr::new(8));
+        let value = region.to_value();
+        assert_eq!(SpatialRegion::from_value(&value), Ok(region));
     }
 }

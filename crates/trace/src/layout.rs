@@ -7,6 +7,12 @@
 //! skipped with a small probability when the function executes, modelling
 //! data-dependent branches — the source of the minor control-flow differences
 //! between request instances that the paper discusses.
+//!
+//! Every non-entry fragment of an application function shares one skip
+//! probability (`LayoutParams::fragment_skip_probability`), every non-entry
+//! fragment of an OS handler half of it, and the entry fragment is never
+//! skipped. So the layout holds the two probabilities once, one per kind of
+//! function, and a fragment is only its offset and length: 8 bytes.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -86,15 +92,14 @@ impl AddressRegion {
 }
 
 /// A run of consecutive instruction blocks within a function, bounded by a
-/// control-flow discontinuity.
+/// control-flow discontinuity. Whether an execution skips it is decided by
+/// its function's kind (see [`Function::execute`]).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Fragment {
     /// Offset (in blocks) of the fragment's first block from the function entry.
     pub offset: u32,
     /// Number of consecutive blocks in the fragment.
     pub len: u32,
-    /// Probability that an execution of the function skips this fragment.
-    pub skip_probability: f64,
 }
 
 impl Fragment {
@@ -102,18 +107,10 @@ impl Fragment {
     ///
     /// # Panics
     ///
-    /// Panics if `len` is zero or `skip_probability` is outside `[0, 1)`.
-    pub fn new(offset: u32, len: u32, skip_probability: f64) -> Self {
+    /// Panics if `len` is zero.
+    pub fn new(offset: u32, len: u32) -> Self {
         assert!(len > 0, "fragment must contain at least one block");
-        assert!(
-            (0.0..1.0).contains(&skip_probability),
-            "skip probability must be in [0, 1)"
-        );
-        Fragment {
-            offset,
-            len,
-            skip_probability,
-        }
+        Fragment { offset, len }
     }
 }
 
@@ -129,11 +126,13 @@ impl Fragment {
 ///
 /// The layout stores every function's fragments in one array, each
 /// function's in its execution order, so a `Function` is a borrowed view of
-/// one slice of that array.
+/// one slice of that array, carrying its kind's skip probability.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Function<'a> {
     entry: BlockAddr,
     len_blocks: u32,
+    /// Probability that an execution skips each non-entry fragment.
+    skip_probability: f64,
     fragments: &'a [Fragment],
 }
 
@@ -159,7 +158,14 @@ impl Function<'_> {
     pub fn expected_blocks_per_execution(&self) -> f64 {
         self.fragments
             .iter()
-            .map(|f| f.len as f64 * (1.0 - f.skip_probability))
+            .map(|f| {
+                let skip = if f.offset == 0 {
+                    0.0
+                } else {
+                    self.skip_probability
+                };
+                f.len as f64 * (1.0 - skip)
+            })
             .sum()
     }
 
@@ -174,11 +180,13 @@ impl Function<'_> {
     /// using `rng` to decide which fragments are skipped, appending them to
     /// `out`. Fragments are emitted in the function's execution order; the
     /// entry fragment is never skipped so that every execution touches the
-    /// function entry block.
+    /// function entry block, and each other fragment is skipped with the
+    /// kind's probability (one draw per fragment, none when it is zero).
     pub fn execute<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<BlockAddr>) {
+        let p = self.skip_probability;
         for frag in self.fragments {
             let always = frag.offset == 0;
-            if !always && frag.skip_probability > 0.0 && rng.gen_bool(frag.skip_probability) {
+            if !always && p > 0.0 && rng.gen_bool(p) {
                 continue;
             }
             for i in 0..frag.len {
@@ -201,10 +209,11 @@ struct FunctionRecord {
 }
 
 impl FunctionRecord {
-    fn view<'a>(&self, fragments: &'a [Fragment]) -> Function<'a> {
+    fn view<'a>(&self, fragments: &'a [Fragment], skip_probability: f64) -> Function<'a> {
         Function {
             entry: self.entry,
             len_blocks: self.len_blocks,
+            skip_probability,
             fragments: &fragments[self.first_fragment..self.end_fragment],
         }
     }
@@ -273,7 +282,7 @@ struct FunctionScratch {
 /// handler functions (scheduler, TLB-miss handler, interrupt handlers) live in
 /// a separate OS region shared by all request types. All fragments of all
 /// functions sit in one array, each function's in its execution order, beside
-/// one small record per function.
+/// one small record per function and one skip probability per kind.
 #[derive(Clone, Debug)]
 pub struct CodeLayout {
     code_region: AddressRegion,
@@ -281,6 +290,10 @@ pub struct CodeLayout {
     fragments: Vec<Fragment>,
     functions: Vec<FunctionRecord>,
     os_functions: Vec<FunctionRecord>,
+    /// Skip probability of every non-entry application fragment.
+    skip_probability: f64,
+    /// Skip probability of every non-entry OS handler fragment.
+    os_skip_probability: f64,
 }
 
 /// Parameters controlling random layout synthesis.
@@ -310,7 +323,8 @@ impl CodeLayout {
     ///
     /// # Panics
     ///
-    /// Panics if `params.functions` is zero.
+    /// Panics if `params.functions` is zero or
+    /// `params.fragment_skip_probability` is outside `[0, 1)`.
     pub fn generate<R: Rng + ?Sized>(
         rng: &mut R,
         params: &LayoutParams,
@@ -318,6 +332,11 @@ impl CodeLayout {
         os_base: BlockAddr,
     ) -> Self {
         assert!(params.functions > 0, "layout needs at least one function");
+        let skip_probability = params.fragment_skip_probability;
+        assert!(
+            (0.0..1.0).contains(&skip_probability),
+            "skip probability must be in [0, 1)"
+        );
         let mut fragments = Vec::new();
         let mut scratch = FunctionScratch::default();
         let functions = Self::generate_functions(
@@ -328,9 +347,9 @@ impl CodeLayout {
             params.functions,
             params.mean_function_blocks,
             params.mean_fragment_blocks,
-            params.fragment_skip_probability,
             params.taken_branch_probability,
         );
+        // OS handlers have straighter control flow.
         let os_functions = Self::generate_functions(
             rng,
             &mut fragments,
@@ -339,8 +358,6 @@ impl CodeLayout {
             params.os_functions.max(1),
             params.mean_os_function_blocks,
             params.mean_fragment_blocks,
-            // OS handlers have straighter control flow.
-            params.fragment_skip_probability * 0.5,
             params.taken_branch_probability * 0.7,
         );
         let region_len = |records: &[FunctionRecord], base: BlockAddr| {
@@ -356,6 +373,8 @@ impl CodeLayout {
             fragments,
             functions,
             os_functions,
+            skip_probability,
+            os_skip_probability: skip_probability * 0.5,
         }
     }
 
@@ -370,7 +389,6 @@ impl CodeLayout {
         count: usize,
         mean_blocks: f64,
         mean_fragment_blocks: f64,
-        skip_probability: f64,
         taken_branch_probability: f64,
     ) -> Vec<FunctionRecord> {
         let mut functions = Vec::with_capacity(count);
@@ -380,13 +398,7 @@ impl CodeLayout {
             let lo = (mean_blocks * 0.5).max(1.0);
             let hi = (mean_blocks * 1.5).max(lo + 1.0);
             let len = rng.gen_range(lo..hi).round().max(1.0) as u32;
-            Self::fragment(
-                rng,
-                len,
-                mean_fragment_blocks,
-                skip_probability,
-                &mut scratch.by_address,
-            );
+            Self::fragment(rng, len, mean_fragment_blocks, &mut scratch.by_address);
             Self::execution_order(
                 rng,
                 scratch.by_address.len(),
@@ -440,7 +452,6 @@ impl CodeLayout {
         rng: &mut R,
         len_blocks: u32,
         mean_fragment_blocks: f64,
-        skip_probability: f64,
         out: &mut Vec<Fragment>,
     ) {
         out.clear();
@@ -451,10 +462,7 @@ impl CodeLayout {
             let hi = (mean_fragment_blocks * 2.0).max(lo + 0.5);
             let frag_len = rng.gen_range(lo..hi).round().max(1.0) as u32;
             let frag_len = frag_len.min(remaining);
-            // The entry fragment is never skipped; later fragments are skipped
-            // with the configured probability.
-            let skip = if offset == 0 { 0.0 } else { skip_probability };
-            out.push(Fragment::new(offset, frag_len, skip));
+            out.push(Fragment::new(offset, frag_len));
             offset += frag_len;
         }
     }
@@ -475,7 +483,7 @@ impl CodeLayout {
     ///
     /// Panics if `index` is not below the number of application functions.
     pub fn function(&self, index: usize) -> Function<'_> {
-        self.functions[index].view(&self.fragments)
+        self.functions[index].view(&self.fragments, self.skip_probability)
     }
 
     /// OS handler function `index`.
@@ -484,17 +492,21 @@ impl CodeLayout {
     ///
     /// Panics if `index` is not below the number of OS handler functions.
     pub fn os_function(&self, index: usize) -> Function<'_> {
-        self.os_functions[index].view(&self.fragments)
+        self.os_functions[index].view(&self.fragments, self.os_skip_probability)
     }
 
     /// Application functions, in address order.
     pub fn functions(&self) -> impl ExactSizeIterator<Item = Function<'_>> + '_ {
-        self.functions.iter().map(|f| f.view(&self.fragments))
+        self.functions
+            .iter()
+            .map(|f| f.view(&self.fragments, self.skip_probability))
     }
 
     /// OS handler functions, in address order.
     pub fn os_functions(&self) -> impl ExactSizeIterator<Item = Function<'_>> + '_ {
-        self.os_functions.iter().map(|f| f.view(&self.fragments))
+        self.os_functions
+            .iter()
+            .map(|f| f.view(&self.fragments, self.os_skip_probability))
     }
 
     /// Total instruction footprint (application + OS) in blocks.
@@ -617,11 +629,11 @@ mod tests {
             &mut fragments,
             BlockAddr::new(0),
             4,
-            &[Fragment::new(0, 2, 0.0), Fragment::new(2, 2, 0.5)],
+            &[Fragment::new(0, 2), Fragment::new(2, 2)],
             &[0, 1],
             &mut Vec::new(),
         );
-        let expected = record.view(&fragments).expected_blocks_per_execution();
+        let expected = record.view(&fragments, 0.5).expected_blocks_per_execution();
         assert!((expected - 3.0).abs() < 1e-9);
     }
 
@@ -644,13 +656,34 @@ mod tests {
     }
 
     #[test]
+    fn a_fragment_is_an_offset_and_a_length() {
+        assert_eq!(std::mem::size_of::<Fragment>(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "skip probability must be in [0, 1)")]
+    fn certain_skip_probability_rejected() {
+        let params = LayoutParams {
+            fragment_skip_probability: 1.0,
+            ..small_params()
+        };
+        let mut rng = SmallRng::seed_from_u64(4);
+        let _ = CodeLayout::generate(
+            &mut rng,
+            &params,
+            BlockAddr::new(0),
+            BlockAddr::new(0x80000),
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "extends past end")]
     fn fragment_past_function_end_rejected() {
         let _ = push_function(
             &mut Vec::new(),
             BlockAddr::new(0),
             2,
-            &[Fragment::new(1, 4, 0.0)],
+            &[Fragment::new(1, 4)],
             &[0],
             &mut Vec::new(),
         );
