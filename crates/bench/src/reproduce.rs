@@ -69,13 +69,12 @@ impl ReproduceSettings {
     ///
     /// # Errors
     ///
-    /// [`PlanError::TooFewCores`] if `SHIFT_CORES` is below 2, the same
-    /// error a served plan with that core count gets.
+    /// [`PlanError::TooFewCores`] if `SHIFT_CORES` is below 2 and
+    /// [`PlanError::TooManyCores`] if it is above [`MAX_CORES`], the same
+    /// errors a served plan with that core count gets.
     pub fn from_env() -> Result<Self, PlanError> {
         let (cores, scale, workloads) = (cores_from_env(), scale_from_env(), workloads_from_env());
-        if cores < 2 {
-            return Err(PlanError::TooFewCores { cores });
-        }
+        check_cores(cores)?;
         Ok(ReproduceSettings::new(
             cores,
             scale,
@@ -109,7 +108,8 @@ impl ReproduceSettings {
 /// deduplicates across submissions.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PlanSpec {
-    /// Simulated core count (16 in the paper; at least 2).
+    /// Simulated core count (16 in the paper): at least 2 and at most
+    /// [`MAX_CORES`].
     pub cores: u16,
     /// Trace length per core.
     pub scale: Scale,
@@ -120,6 +120,13 @@ pub struct PlanSpec {
     pub workloads: Vec<String>,
 }
 
+/// The largest simulated core count a plan may ask for: a square 8 × 8
+/// mesh, four times the paper's 16-core CMP. An engine sizes its LLC and
+/// its NoC round-trip table from the core count (the table with its
+/// square), so an unbounded count from a submitted plan could ask one run
+/// for more memory than the host has and abort the daemon.
+pub const MAX_CORES: u16 = 64;
+
 /// Why a [`PlanSpec`] could not be resolved into [`ReproduceSettings`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlanError {
@@ -127,6 +134,13 @@ pub enum PlanError {
     TooFewCores {
         /// The rejected core count.
         cores: u16,
+    },
+    /// More cores than [`MAX_CORES`].
+    TooManyCores {
+        /// The rejected core count.
+        cores: u16,
+        /// The largest core count a plan may ask for.
+        max: u16,
     },
     /// A workload name matched nothing in the catalog.
     UnknownWorkload {
@@ -143,6 +157,9 @@ impl fmt::Display for PlanError {
             PlanError::TooFewCores { cores } => {
                 write!(f, "plan needs at least 2 cores, got {cores}")
             }
+            PlanError::TooManyCores { cores, max } => {
+                write!(f, "plan may simulate at most {max} cores, got {cores}")
+            }
             PlanError::UnknownWorkload { name, known } => {
                 write!(f, "unknown workload {name:?}; known: {}", known.join(", "))
             }
@@ -151,6 +168,20 @@ impl fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+/// Checks a plan's core count against `2..=MAX_CORES`.
+fn check_cores(cores: u16) -> Result<(), PlanError> {
+    if cores < 2 {
+        Err(PlanError::TooFewCores { cores })
+    } else if cores > MAX_CORES {
+        Err(PlanError::TooManyCores {
+            cores,
+            max: MAX_CORES,
+        })
+    } else {
+        Ok(())
+    }
+}
 
 impl PlanSpec {
     /// The names a submission may reference: the paper suite plus the
@@ -179,11 +210,10 @@ impl PlanSpec {
     /// # Errors
     ///
     /// [`PlanError::TooFewCores`] if `cores < 2`;
+    /// [`PlanError::TooManyCores`] if `cores > MAX_CORES`;
     /// [`PlanError::UnknownWorkload`] naming the first unmatched workload.
     pub fn resolve(&self) -> Result<ReproduceSettings, PlanError> {
-        if self.cores < 2 {
-            return Err(PlanError::TooFewCores { cores: self.cores });
-        }
+        check_cores(self.cores)?;
         let catalog = Self::catalog();
         let workloads = if self.workloads.is_empty() {
             presets::paper_suite()
@@ -633,6 +663,23 @@ mod tests {
             narrow.resolve().unwrap_err(),
             PlanError::TooFewCores { cores: 1 }
         );
+
+        // The core count is bounded above too; the bound itself still plans.
+        let wide = PlanSpec {
+            cores: MAX_CORES + 1,
+            workloads: vec!["Tiny".to_owned()],
+            ..narrow
+        };
+        assert_eq!(
+            wide.resolve().unwrap_err(),
+            PlanError::TooManyCores { cores: 65, max: 64 }
+        );
+        let widest = PlanSpec {
+            cores: MAX_CORES,
+            ..wide
+        };
+        let plan = PaperPlan::plan(widest.resolve().expect("64 cores resolve"));
+        assert!(!plan.matrix().is_empty());
 
         // Empty workloads select the full paper suite.
         let full = PlanSpec {

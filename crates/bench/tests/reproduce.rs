@@ -5,7 +5,7 @@
 use std::fs;
 use std::process::Command;
 
-use shift_bench::reproduce::{PaperPlan, PlanError, ReproduceSettings};
+use shift_bench::reproduce::{PaperPlan, PlanError, ReproduceSettings, MAX_CORES};
 use shift_bench::HARNESS_SEED;
 use shift_sim::RunStore;
 use shift_trace::{presets, Scale};
@@ -126,6 +126,27 @@ fn reproduce_binary_rejects_one_core_with_a_plan_error() {
     for warning in ["unknown SHIFT_SCALE", "SHIFT_WORKLOADS matched nothing"] {
         assert_eq!(stderr.matches(warning).count(), 1, "stderr:\n{stderr}");
     }
+}
+
+#[test]
+fn reproduce_binary_rejects_too_many_cores_with_a_plan_error() {
+    // Each engine sizes its LLC and NoC round-trip table from the core
+    // count, so an unbounded count would fail an allocation instead of the
+    // plan: the binary must refuse it with the served plan's error.
+    let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .env("SHIFT_CORES", "65")
+        .env("SHIFT_SCALE", "test")
+        .env("SHIFT_WORKLOADS", "db2")
+        .output()
+        .expect("run the reproduce binary");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+    let error = PlanError::TooManyCores {
+        cores: 65,
+        max: MAX_CORES,
+    };
+    assert!(stderr.contains(&error.to_string()), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
 }
 
 #[test]

@@ -48,6 +48,19 @@ fn bad_submissions_return_typed_errors_and_schedule_nothing() {
     assert_eq!(r.status, 400);
     assert_eq!(error_code(&r.body), "bad_plan");
 
+    // ...and too many: each run would size its LLC and NoC tables for them.
+    spec.cores = 65;
+    let r = request(addr, "POST", "/v1/sweeps", Some(&spec_body(&spec)));
+    assert_eq!(r.status, 400);
+    assert_eq!(error_code(&r.body), "bad_plan");
+    assert!(
+        r.body
+            .contains("plan may simulate at most 64 cores, got 65"),
+        "{}",
+        r.body
+    );
+    assert_scheduler_idle(addr, 0);
+
     // Unknown endpoints and ids.
     let r = request(addr, "GET", "/v2/everything", None);
     assert_eq!(r.status, 404);

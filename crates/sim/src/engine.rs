@@ -742,7 +742,7 @@ mod tests {
     fn every_block_a_run_can_touch_fits_every_tag_range() {
         let tag_range = |sets: usize, banks: usize| ((sets * banks) as u64) << 32;
         let mut smallest_range = u64::MAX;
-        for cores in 1..=16 {
+        for cores in 1..=64 {
             let config = CmpConfig::micro13(cores, PrefetcherConfig::None);
             smallest_range = smallest_range
                 .min(tag_range(config.l1i.sets(), 1))
