@@ -499,6 +499,10 @@ impl PaperReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, RngCore, SeedableRng};
+    use serde::json;
 
     fn tiny_settings() -> ReproduceSettings {
         ReproduceSettings::new(
@@ -757,5 +761,173 @@ mod tests {
             after_fig08 + settings.workloads.len() * hybrid_only,
             "shootout must reuse fig08's baseline/NextLine/PIF_32K/SHIFT runs"
         );
+    }
+
+    /// Pieces of plan documents and of broken ones.
+    const TOKENS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        " ",
+        "\"cores\"",
+        "\"scale\"",
+        "\"seed\"",
+        "\"workloads\"",
+        "\"Test\"",
+        "\"Demo\"",
+        "\"Paper\"",
+        "\"Tiny\"",
+        "\"oltp db2\"",
+        "\"Web Frontend\"",
+        "0",
+        "1",
+        "2",
+        "64",
+        "65",
+        "65535",
+        "65536",
+        "-1",
+        "1.5",
+        "1e999",
+        "18446744073709551615",
+        "18446744073709551616",
+        "null",
+        "true",
+        "\\u0000",
+        "\\ud800",
+    ];
+
+    /// Up to 40 tokens or raw bytes, a quarter of them raw, read as text.
+    fn arbitrary_text(rng: &mut SmallRng) -> String {
+        let mut bytes = Vec::new();
+        for _ in 0..rng.gen_range(0..40usize) {
+            if rng.gen_range(0..4u8) == 0 {
+                bytes.push(rng.next_u64() as u8);
+            } else {
+                bytes.extend_from_slice(TOKENS[rng.gen_range(0..TOKENS.len())].as_bytes());
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// `text` with one to five bytes replaced, deleted or inserted, or the
+    /// rest cut off, read as text.
+    fn mutate(text: &str, rng: &mut SmallRng) -> String {
+        const STRUCTURE: &[u8] = b"{}[]\":,\\-.e0";
+        let mut bytes = text.as_bytes().to_vec();
+        for _ in 0..rng.gen_range(1..=5u8) {
+            let at = rng.gen_range(0..=bytes.len());
+            match rng.gen_range(0..8u8) {
+                0..=2 if at < bytes.len() => bytes[at] = rng.next_u64() as u8,
+                3 | 4 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                7 => bytes.truncate(at),
+                _ => bytes.insert(at, STRUCTURE[rng.gen_range(0..STRUCTURE.len())]),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// A plan spec with any core count (edge values likely), scale and
+    /// seed, naming up to four catalog workloads in random letter case or,
+    /// now and then, a name the catalog lacks.
+    fn random_spec(rng: &mut SmallRng) -> PlanSpec {
+        let cores = match rng.gen_range(0..4u8) {
+            0 => rng.gen_range(0..=3u16),
+            1 => rng.gen_range(MAX_CORES - 1..=MAX_CORES + 1),
+            2 => u16::MAX - rng.gen_range(0..=1u16),
+            _ => rng.next_u64() as u16,
+        };
+        let scale = [Scale::Test, Scale::Demo, Scale::Paper][rng.gen_range(0..3usize)];
+        let catalog = PlanSpec::catalog();
+        let workloads = (0..rng.gen_range(0..=4usize))
+            .map(|_| {
+                if rng.gen_range(0..16u8) == 0 {
+                    return "No Such Workload".to_owned();
+                }
+                let name = &catalog[rng.gen_range(0..catalog.len())].name;
+                name.chars()
+                    .map(|c| match rng.gen_range(0..3u8) {
+                        0 => c.to_ascii_lowercase(),
+                        1 => c.to_ascii_uppercase(),
+                        _ => c,
+                    })
+                    .collect()
+            })
+            .collect();
+        PlanSpec {
+            cores,
+            scale,
+            seed: rng.next_u64(),
+            workloads,
+        }
+    }
+
+    /// Parses `text` as a plan and resolves it: settings with a core count
+    /// in `2..=MAX_CORES`, or a typed error, never a panic.
+    fn assert_resolves_cleanly(text: &str) {
+        let Ok(spec) = json::from_str::<PlanSpec>(text) else {
+            return;
+        };
+        match spec.resolve() {
+            Ok(settings) => {
+                assert!((2..=MAX_CORES).contains(&settings.cores), "{spec:?}");
+                assert_eq!(settings.cores, spec.cores);
+                assert!(!settings.workloads.is_empty());
+            }
+            Err(e) => assert!(!e.to_string().is_empty()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn arbitrary_text_resolves_to_settings_or_a_typed_error(seed in 0..u64::MAX) {
+            assert_resolves_cleanly(&arbitrary_text(&mut SmallRng::seed_from_u64(seed)));
+        }
+
+        #[test]
+        fn mutated_specs_resolve_to_settings_or_a_typed_error(seed in 0..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let text = json::to_string(&random_spec(&mut rng));
+            assert_resolves_cleanly(&mutate(&text, &mut rng));
+        }
+
+        #[test]
+        fn valid_specs_round_trip_and_resolve_by_their_bounds(seed in 0..u64::MAX) {
+            let spec = random_spec(&mut SmallRng::seed_from_u64(seed));
+            let back: PlanSpec = json::from_str(&json::to_string(&spec)).expect("a rendered spec");
+            prop_assert_eq!(&back, &spec);
+            let unknown = spec.workloads.iter().any(|w| w == "No Such Workload");
+            match spec.resolve() {
+                Ok(settings) => {
+                    prop_assert!((2..=MAX_CORES).contains(&spec.cores) && !unknown);
+                    prop_assert_eq!(settings.cores, spec.cores);
+                    prop_assert_eq!(settings.scale, spec.scale);
+                    prop_assert_eq!(settings.seed, spec.seed);
+                    if !spec.workloads.is_empty() {
+                        let names: Vec<&str> =
+                            settings.workloads.iter().map(|w| w.name.as_str()).collect();
+                        prop_assert_eq!(names.len(), spec.workloads.len());
+                        for (name, asked) in names.iter().zip(&spec.workloads) {
+                            prop_assert!(name.eq_ignore_ascii_case(asked));
+                        }
+                    }
+                }
+                Err(PlanError::TooFewCores { cores }) => prop_assert!(cores < 2),
+                Err(PlanError::TooManyCores { cores, max }) => {
+                    prop_assert!(cores > max && max == MAX_CORES)
+                }
+                Err(PlanError::UnknownWorkload { name, .. }) => {
+                    prop_assert!(unknown && name == "No Such Workload")
+                }
+            }
+        }
     }
 }

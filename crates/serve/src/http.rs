@@ -213,6 +213,9 @@ pub fn write_streaming_head(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, RngCore, SeedableRng};
     use std::io::BufReader;
 
     fn parse(bytes: &[u8], max_body: usize) -> Result<Request, HttpError> {
@@ -297,5 +300,153 @@ mod tests {
             !head.contains("Content-Length"),
             "stream is close-delimited"
         );
+    }
+
+    /// The body limit the reader properties run with: small, so that
+    /// random declarations land on both sides of it.
+    const MAX_BODY: usize = 64;
+
+    /// Pieces of requests and of broken ones.
+    const TOKENS: &[&str] = &[
+        "GET",
+        "POST",
+        " ",
+        "/",
+        "/v1/sweeps",
+        "?",
+        "#",
+        "=",
+        "HTTP/1.1",
+        "HTTP/1.0",
+        "HTTP/2",
+        "\r\n",
+        "\n",
+        "\r",
+        ":",
+        "Content-Length",
+        "content-length",
+        "Host",
+        "0",
+        "4",
+        "64",
+        "65",
+        "-1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "{}",
+        "é",
+    ];
+
+    /// Up to 40 tokens or raw bytes, a quarter of them raw.
+    fn arbitrary_bytes(rng: &mut SmallRng) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for _ in 0..rng.gen_range(0..40usize) {
+            if rng.gen_range(0..4u8) == 0 {
+                bytes.push(rng.next_u64() as u8);
+            } else {
+                bytes.extend_from_slice(TOKENS[rng.gen_range(0..TOKENS.len())].as_bytes());
+            }
+        }
+        bytes
+    }
+
+    /// `bytes` with one to five bytes replaced, deleted or inserted, or the
+    /// rest cut off.
+    fn mutate(mut bytes: Vec<u8>, rng: &mut SmallRng) -> Vec<u8> {
+        const STRUCTURE: &[u8] = b" \r\n:?#/0-9";
+        for _ in 0..rng.gen_range(1..=5u8) {
+            let at = rng.gen_range(0..=bytes.len());
+            match rng.gen_range(0..8u8) {
+                0..=2 if at < bytes.len() => bytes[at] = rng.next_u64() as u8,
+                3 | 4 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                7 => bytes.truncate(at),
+                _ => bytes.insert(at, STRUCTURE[rng.gen_range(0..STRUCTURE.len())]),
+            }
+        }
+        bytes
+    }
+
+    /// Up to `max` characters drawn from `chars`.
+    fn random_text(rng: &mut SmallRng, chars: &[char], max: usize) -> String {
+        (0..rng.gen_range(0..=max))
+            .map(|_| chars[rng.gen_range(0..chars.len())])
+            .collect()
+    }
+
+    /// A valid request: its method, path and body, and its bytes on the
+    /// wire with a query or fragment, other headers, either line ending and
+    /// any spelling of `Content-Length`.
+    fn valid_request(rng: &mut SmallRng) -> (Request, Vec<u8>) {
+        const METHODS: &[&str] = &["GET", "POST", "PUT", "DELETE", "HEAD", "PATCH"];
+        const PATH: &[char] = &['a', 'Z', '0', '/', '.', '-', '_', '%', 'é', '€'];
+        const VALUE: &[char] = &['a', '0', ' ', ':', '/', ';', '=', '"', 'é'];
+        let method = METHODS[rng.gen_range(0..METHODS.len())].to_owned();
+        let path = format!("/{}", random_text(rng, PATH, 16));
+        let body: Vec<u8> = (0..rng.gen_range(0..=MAX_BODY))
+            .map(|_| rng.next_u64() as u8)
+            .collect();
+        let eol = if rng.gen_bool(0.5) { "\r\n" } else { "\n" };
+        let suffix = match rng.gen_range(0..3u8) {
+            0 => String::new(),
+            1 => format!("?{}", random_text(rng, VALUE, 8).replace(' ', "+")),
+            _ => format!("#{}", random_text(rng, PATH, 8)),
+        };
+        let version = ["HTTP/1.1", "HTTP/1.0"][rng.gen_range(0..2usize)];
+        let mut wire = format!("{method} {path}{suffix} {version}{eol}");
+        let length_name =
+            ["Content-Length", "content-length", "CONTENT-LENGTH"][rng.gen_range(0..3usize)];
+        let length_at = rng.gen_range(0..4usize);
+        for i in 0..4 {
+            if i == length_at && (!body.is_empty() || rng.gen_bool(0.5)) {
+                wire.push_str(&format!("{length_name}: {}  {eol}", body.len()));
+            } else if rng.gen_bool(0.5) {
+                let value = random_text(rng, VALUE, 12);
+                wire.push_str(&format!("X-Header-{i}:{value}{eol}"));
+            }
+        }
+        wire.push_str(eol);
+        let mut wire = wire.into_bytes();
+        wire.extend_from_slice(&body);
+        let request = Request { method, path, body };
+        (request, wire)
+    }
+
+    /// Reads `bytes` as a request: a request within the body limit or a
+    /// typed error, never a panic. An in-memory reader has no transport, so
+    /// an I/O error would be a misread.
+    fn assert_reads_cleanly(bytes: &[u8]) {
+        match parse(bytes, MAX_BODY) {
+            Ok(request) => {
+                assert!(request.body.len() <= MAX_BODY);
+                assert!(!request.method.is_empty());
+                assert!(!request.path.contains(['?', '#']), "{:?}", request.path);
+            }
+            Err(HttpError::Io(e)) => panic!("transport error from memory: {e}"),
+            Err(e) => assert!(!e.to_string().is_empty()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn arbitrary_bytes_read_as_a_request_or_a_typed_error(seed in 0..u64::MAX) {
+            assert_reads_cleanly(&arbitrary_bytes(&mut SmallRng::seed_from_u64(seed)));
+        }
+
+        #[test]
+        fn mutated_requests_read_as_a_request_or_a_typed_error(seed in 0..u64::MAX) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (_, wire) = valid_request(&mut rng);
+            assert_reads_cleanly(&mutate(wire, &mut rng));
+        }
+
+        #[test]
+        fn valid_requests_read_back_as_written(seed in 0..u64::MAX) {
+            let (request, wire) = valid_request(&mut SmallRng::seed_from_u64(seed));
+            prop_assert_eq!(parse(&wire, MAX_BODY).expect("a valid request"), request);
+        }
     }
 }
