@@ -349,7 +349,8 @@ impl CodeLayout {
             params.mean_fragment_blocks,
             params.taken_branch_probability,
         );
-        // OS handlers have straighter control flow.
+        // OS handlers have straighter control flow: fewer taken branches
+        // here, and half the skip probability (`os_skip_probability`).
         let os_functions = Self::generate_functions(
             rng,
             &mut fragments,
