@@ -358,9 +358,5 @@ mod tests {
             let err = SpatialRegion::from_value(&value).expect_err("no marker");
             assert!(err.message().contains("marker"), "{err}");
         }
-        let mut region = SpatialRegion::new(BlockAddr::new(7), 2);
-        region.try_record(BlockAddr::new(8));
-        let value = region.to_value();
-        assert_eq!(SpatialRegion::from_value(&value), Ok(region));
     }
 }
