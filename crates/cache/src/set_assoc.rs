@@ -24,10 +24,10 @@
 //! choice is the one an unbounded clock would make. A line costs 8 bytes
 //! plus its metadata: 12 for an LLC line with its index pointer.
 //!
-//! Within a set, live lines occupy ways `0..len` in the order the previous
-//! `Vec`-per-set representation kept them (fills append, evictions
-//! `swap_remove`), so LRU victim choices are bit-identical to the old
-//! layout.
+//! Within a set, live lines occupy ways `0..len`: a fill into a free way
+//! appends, and an eviction writes the new line into the victim's slot. No
+//! result depends on a line's slot, because a block is live at most once
+//! per set and live stamps within a set are distinct.
 
 use serde::{Deserialize, Serialize};
 use shift_types::BlockAddr;
@@ -126,8 +126,9 @@ pub struct SetAssocCache<M> {
     /// Associativity, hoisted out of `config` for the per-access path.
     ways: usize,
     /// Tag lane: the block's bits above the set index per line slot
-    /// (`set * ways + way`). Slots at or beyond a set's occupancy hold stale
-    /// values that the live-way mask excludes from every match.
+    /// (`set * ways + way`). Slots at or beyond a set's occupancy have never
+    /// been live; they hold tag 0, which the live-way mask excludes from
+    /// every match.
     tags: Vec<u32>,
     /// Recency lane: the cache clock at each line's last touch.
     last_use: Vec<u32>,
@@ -178,31 +179,6 @@ impl<M: Default> SetAssocCache<M> {
             stats: CacheStats::default(),
             config,
         }
-    }
-
-    /// Removes `block` from the cache, returning its metadata if it was
-    /// resident.
-    pub fn invalidate(&mut self, block: BlockAddr) -> Option<M> {
-        let (idx, tag) = self.split(block);
-        let base = idx * self.ways;
-        let len = self.set_len[idx] as usize;
-        let w = self.match_way(base, len, tag)?;
-        let last = len - 1;
-        // Vacate the last live way and let it backfill the removed slot —
-        // the same compaction `Vec::swap_remove` performed.
-        let moved_meta = std::mem::take(&mut self.meta[base + last]);
-        let evicted = if w == last {
-            moved_meta
-        } else {
-            self.tags[base + w] = self.tags[base + last];
-            self.last_use[base + w] = self.last_use[base + last];
-            let moved_pin = (self.pinned[idx] >> last) & 1;
-            self.pinned[idx] = (self.pinned[idx] & !(1 << w)) | (moved_pin << w);
-            std::mem::replace(&mut self.meta[base + w], moved_meta)
-        };
-        self.pinned[idx] &= !(1 << last);
-        self.set_len[idx] = last as u8;
-        Some(evicted)
     }
 }
 
@@ -410,15 +386,13 @@ impl<M> SetAssocCache<M> {
         }
 
         if len < ways {
-            // A free way: append, as the Vec representation's `push` did.
+            // A free way, never live before, so its pin bit is clear.
             let slot = base + len;
             self.tags[slot] = tag;
             self.meta[slot] = meta;
             self.last_use[slot] = stamp;
             if pinned {
                 self.pinned[idx] |= 1 << len;
-            } else {
-                self.pinned[idx] &= !(1 << len);
             }
             self.set_len[idx] = (len + 1) as u8;
             return None;
@@ -444,33 +418,17 @@ impl<M> SetAssocCache<M> {
         }
         self.stats.evictions += 1;
 
-        // Emulate `swap_remove(victim)` + `push(new)`: the last live way
-        // backfills the victim slot and the new line lands in the last way.
-        let last = len - 1;
-        let vslot = base + victim;
-        let lslot = base + last;
-        let evicted_block = self.block_at(idx, self.tags[vslot]);
-        let evicted_meta = if victim == last {
-            std::mem::replace(&mut self.meta[vslot], meta)
-        } else {
-            let moved = std::mem::replace(&mut self.meta[lslot], meta);
-            let evicted = std::mem::replace(&mut self.meta[vslot], moved);
-            self.tags[vslot] = self.tags[lslot];
-            self.last_use[vslot] = self.last_use[lslot];
-            let moved_pin = (self.pinned[idx] >> last) & 1;
-            self.pinned[idx] = (self.pinned[idx] & !(1 << victim)) | (moved_pin << victim);
-            evicted
-        };
-        self.tags[lslot] = tag;
-        self.last_use[lslot] = stamp;
+        // The new line takes the victim's slot; the victim was unpinned.
+        let slot = base + victim;
+        let evicted_block = self.block_at(idx, self.tags[slot]);
+        self.tags[slot] = tag;
+        self.last_use[slot] = stamp;
         if pinned {
-            self.pinned[idx] |= 1 << last;
-        } else {
-            self.pinned[idx] &= !(1 << last);
+            self.pinned[idx] |= 1 << victim;
         }
         Some(EvictedLine {
             block: evicted_block,
-            meta: evicted_meta,
+            meta: std::mem::replace(&mut self.meta[slot], meta),
         })
     }
 
@@ -490,19 +448,6 @@ impl<M> SetAssocCache<M> {
         let base = idx * self.ways;
         self.match_way(base, self.set_len[idx] as usize, tag)
             .map(|w| &mut self.meta[base + w])
-    }
-
-    /// Iterates over all resident blocks (in no particular order).
-    pub fn resident(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.set_len
-            .iter()
-            .enumerate()
-            .flat_map(move |(idx, &len)| {
-                let base = idx * self.ways;
-                self.tags[base..base + len as usize]
-                    .iter()
-                    .map(move |&tag| self.block_at(idx, tag))
-            })
     }
 
     /// Applies `f` to the metadata of every resident line (used e.g. to clear
