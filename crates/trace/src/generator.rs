@@ -7,7 +7,6 @@ use rand::{Rng, RngCore, SeedableRng};
 use shift_types::{AccessKind, BlockAddr, CoreId};
 
 use crate::event::{DataEvent, FetchEvent, TraceEvent};
-use crate::fastdiv::InvariantModulus;
 use crate::layout::Function;
 use crate::request::pick_request_with_total;
 use crate::workload::{WorkloadProgram, WorkloadSpec};
@@ -66,14 +65,12 @@ struct StepState {
     cursor: usize,
     scratch_blocks: Vec<BlockAddr>,
     data_ref_carry: f64,
-    // Strength-reduced reducers for the uniform draws on the per-event hot
-    // path. Each produces exactly `next_u64() % span` (the compat `rand`
-    // `gen_range` reduction) for its loop-invariant span, replacing a
-    // hardware 64-bit division with a multiply-and-shift.
-    instr_mod: InvariantModulus,
-    hot_data_mod: InvariantModulus,
-    cold_data_mod: InvariantModulus,
-    os_fn_mod: InvariantModulus,
+    // Spans of the uniform draws, fixed for the generator's lifetime. A draw
+    // is `next_u64() % span`, the compat `rand` `gen_range` reduction.
+    instr_span: u64,
+    hot_data_span: u64,
+    cold_data_span: u64,
+    os_fn_span: u64,
 }
 
 impl CoreTraceGenerator {
@@ -107,10 +104,6 @@ impl CoreTraceGenerator {
             .max(spec.instructions_per_block_min)
             - spec.instructions_per_block_min) as u64
             + 1;
-        let instr_mod = InvariantModulus::new(instr_span);
-        let hot_data_mod = InvariantModulus::new(spec.hot_data_blocks.max(1));
-        let cold_data_mod = InvariantModulus::new(spec.data_region_blocks.max(1));
-        let os_fn_mod = InvariantModulus::new(program.layout().os_functions().len().max(1) as u64);
         // No request is under way: the first refill draws one.
         let next_step = program.request_types()[0].steps().len();
         let state = StepState {
@@ -125,10 +118,10 @@ impl CoreTraceGenerator {
             cursor: 0,
             scratch_blocks: Vec::with_capacity(max_function_blocks),
             data_ref_carry: 0.0,
-            instr_mod,
-            hot_data_mod,
-            cold_data_mod,
-            os_fn_mod,
+            instr_span,
+            hot_data_span: spec.hot_data_blocks.max(1),
+            cold_data_span: spec.data_region_blocks.max(1),
+            os_fn_span: program.layout().os_functions().len().max(1) as u64,
         };
         CoreTraceGenerator {
             program,
@@ -252,7 +245,7 @@ impl StepState {
             if spec.os_invocation_probability > 0.0
                 && self.rng.gen_bool(spec.os_invocation_probability)
             {
-                let os_idx = self.os_fn_mod.rem(self.rng.next_u64()) as usize;
+                let os_idx = (self.rng.next_u64() % self.os_fn_span) as usize;
                 self.emit_function(program.layout().os_function(os_idx), spec);
             }
             return;
@@ -265,7 +258,7 @@ impl StepState {
         let blocks = std::mem::take(&mut self.scratch_blocks);
         for &block in &blocks {
             let instructions =
-                spec.instructions_per_block_min + self.instr_mod.rem(self.rng.next_u64()) as u8;
+                spec.instructions_per_block_min + (self.rng.next_u64() % self.instr_span) as u8;
             self.pending
                 .push(TraceEvent::Fetch(FetchEvent::new(block, instructions)));
             self.emit_data_refs(instructions, spec);
@@ -282,10 +275,10 @@ impl StepState {
         for _ in 0..count {
             let block = if self.rng.gen_bool(spec.hot_data_fraction.clamp(0.0, 1.0)) {
                 spec.data_base
-                    .offset(self.hot_data_mod.rem(self.rng.next_u64()))
+                    .offset(self.rng.next_u64() % self.hot_data_span)
             } else {
                 spec.data_base
-                    .offset(self.cold_data_mod.rem(self.rng.next_u64()))
+                    .offset(self.rng.next_u64() % self.cold_data_span)
             };
             let kind = if self.rng.gen_bool(spec.store_fraction.clamp(0.0, 1.0)) {
                 AccessKind::Store

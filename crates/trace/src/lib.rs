@@ -48,7 +48,6 @@
 
 pub mod consolidation;
 pub mod event;
-pub mod fastdiv;
 pub mod generator;
 pub mod layout;
 pub mod presets;
@@ -58,7 +57,6 @@ pub mod workload;
 
 pub use consolidation::{ConsolidationSpec, CoreAssignment};
 pub use event::{DataEvent, FetchEvent, TraceEvent};
-pub use fastdiv::InvariantModulus;
 pub use generator::CoreTraceGenerator;
 pub use layout::{AddressRegion, CodeLayout, Fragment, Function};
 pub use request::{CallStep, RequestType};
