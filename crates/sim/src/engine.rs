@@ -8,11 +8,10 @@
 //!   interconnect, bundled so that an LLC round trip (request hop, bank
 //!   access, response hop) is one call instead of threading `NucaLlc` and
 //!   `Mesh` through every function.
-//! * `CoreLanes` / `CoreView` (private) — all per-core state (trace
-//!   generator, private L1 caches, timing accumulator, coverage accounting)
-//!   as parallel struct-of-arrays lanes indexed by core position, with the
-//!   fetch/data handling and prefetch-issue logic as methods on a per-core
-//!   view of the lanes.
+//! * `Core` (private) — one core's state (trace generator, private L1
+//!   caches, timing accumulator, coverage accounting), with the fetch/data
+//!   handling and prefetch-issue logic as its methods. One fetch touches all
+//!   of one core's state, so the engine keeps one plain struct per core.
 //! * `Stepper` (private) — the run's prefetcher units and the core → unit
 //!   routing table, with the one round-robin stepping loop. SHIFT and its
 //!   hybrids keep one unit per workload; every other design is one unit that
@@ -145,97 +144,45 @@ pub(crate) struct StepEnv {
     pub(crate) events: Vec<TraceEvent>,
 }
 
-/// All per-core simulation state, held as parallel vectors indexed by core
-/// position (struct-of-arrays). The round-robin stepping loop touches the
-/// per-step scalar lanes (`local_cycle`, `fetches`, timing, coverage) of every
-/// core each round; keeping each lane contiguous lets one cache line serve
-/// all cores instead of striding over fat per-core structs.
-pub(crate) struct CoreLanes {
-    ids: Vec<CoreId>,
-    generators: Vec<CoreTraceGenerator>,
-    l1i: Vec<SetAssocCache<L1iMeta>>,
-    l1d: Vec<SetAssocCache<()>>,
-    timing: Vec<TimingAccumulator>,
-    local_cycle: Vec<f64>,
-    fetches: Vec<u64>,
-    coverage: Vec<CoverageStats>,
+/// One core's simulation state: its trace generator, private L1 caches,
+/// timing accumulator, local clock, fetch count and coverage accounting.
+struct Core {
+    id: CoreId,
+    generator: CoreTraceGenerator,
+    l1i: SetAssocCache<L1iMeta>,
+    l1d: SetAssocCache<()>,
+    timing: TimingAccumulator,
+    local_cycle: f64,
+    fetches: u64,
+    coverage: CoverageStats,
 }
 
-impl CoreLanes {
-    fn with_capacity(n: usize) -> Self {
-        CoreLanes {
-            ids: Vec::with_capacity(n),
-            generators: Vec::with_capacity(n),
-            l1i: Vec::with_capacity(n),
-            l1d: Vec::with_capacity(n),
-            timing: Vec::with_capacity(n),
-            local_cycle: Vec::with_capacity(n),
-            fetches: Vec::with_capacity(n),
-            coverage: Vec::with_capacity(n),
-        }
-    }
-
-    fn push(&mut self, id: CoreId, generator: CoreTraceGenerator, config: &CmpConfig) {
-        self.ids.push(id);
-        self.generators.push(generator);
-        self.l1i.push(SetAssocCache::new(config.l1i));
-        self.l1d.push(SetAssocCache::new(config.l1d));
-        self.timing.push(TimingAccumulator::new());
-        self.local_cycle.push(0.0);
-        self.fetches.push(0);
-        self.coverage.push(CoverageStats::default());
-    }
-
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Borrows every lane of one core as a view with the per-core step logic.
-    #[inline]
-    fn core(&mut self, idx: usize) -> CoreView<'_> {
-        CoreView {
-            id: self.ids[idx],
-            generator: &mut self.generators[idx],
-            l1i: &mut self.l1i[idx],
-            l1d: &mut self.l1d[idx],
-            timing: &mut self.timing[idx],
-            local_cycle: &mut self.local_cycle[idx],
-            fetches: &mut self.fetches[idx],
-            coverage: &mut self.coverage[idx],
+impl Core {
+    fn new(id: CoreId, generator: CoreTraceGenerator, config: &CmpConfig) -> Self {
+        Core {
+            id,
+            generator,
+            l1i: SetAssocCache::new(config.l1i),
+            l1d: SetAssocCache::new(config.l1d),
+            timing: TimingAccumulator::new(),
+            local_cycle: 0.0,
+            fetches: 0,
+            coverage: CoverageStats::default(),
         }
     }
 
     fn reset_measurement(&mut self) {
-        for l1i in &mut self.l1i {
-            // Prefetches issued during warm-up have long since arrived; clear
-            // their arrival timestamps so they are not charged as late.
-            l1i.for_each_meta_mut(|m| m.ready_at = 0.0);
-            l1i.reset_stats();
-        }
-        for l1d in &mut self.l1d {
-            l1d.reset_stats();
-        }
-        self.timing.fill_with(TimingAccumulator::new);
-        self.local_cycle.fill(0.0);
-        self.fetches.fill(0);
-        self.coverage.fill(CoverageStats::default());
+        // Prefetches issued during warm-up have long since arrived; clear
+        // their arrival timestamps so they are not charged as late.
+        self.l1i.for_each_meta_mut(|m| m.ready_at = 0.0);
+        self.l1i.reset_stats();
+        self.l1d.reset_stats();
+        self.timing = TimingAccumulator::new();
+        self.local_cycle = 0.0;
+        self.fetches = 0;
+        self.coverage = CoverageStats::default();
     }
-}
 
-/// A mutable view of one core's lanes, carrying the fetch/data handling and
-/// prefetch-issue logic that used to live on the per-core struct.
-pub(crate) struct CoreView<'a> {
-    id: CoreId,
-    generator: &'a mut CoreTraceGenerator,
-    l1i: &'a mut SetAssocCache<L1iMeta>,
-    l1d: &'a mut SetAssocCache<()>,
-    timing: &'a mut TimingAccumulator,
-    local_cycle: &'a mut f64,
-    fetches: &'a mut u64,
-    coverage: &'a mut CoverageStats,
-}
-
-impl CoreView<'_> {
     /// Advances this core by exactly one instruction-block fetch (plus any
     /// data references that precede it in the trace).
     ///
@@ -270,7 +217,7 @@ impl CoreView<'_> {
         let raw =
             self.l1d.config().hit_latency + memory.round_trip(self.id, block, AccessClass::Demand);
         self.timing.data_stall(raw);
-        *self.local_cycle += raw as f64 * env.timing.params().exposed_data_fraction();
+        self.local_cycle += raw as f64 * env.timing.params().exposed_data_fraction();
         self.l1d.fill(block, ());
     }
 
@@ -282,7 +229,7 @@ impl CoreView<'_> {
         block: BlockAddr,
         instructions: u8,
     ) {
-        *self.fetches += 1;
+        self.fetches += 1;
         let (access, meta) = self.l1i.access_meta(block);
         let hit = access.is_hit();
 
@@ -299,14 +246,13 @@ impl CoreView<'_> {
                     // run-ahead window is exposed as a stall, and never more
                     // than a full demand miss would have cost.
                     let lateness = (meta.ready_at
-                        - *self.local_cycle
+                        - self.local_cycle
                         - env.timing.params().fetch_runahead_cycles as f64)
                         .clamp(0.0, miss_penalty_cap);
                     self.coverage.covered += 1;
                     if lateness > 0.0 {
                         self.timing.fetch_stall(lateness as u64);
-                        *self.local_cycle +=
-                            lateness * env.timing.params().exposed_fetch_fraction();
+                        self.local_cycle += lateness * env.timing.params().exposed_fetch_fraction();
                     }
                 }
             }
@@ -329,7 +275,7 @@ impl CoreView<'_> {
                 let raw = self.l1i.config().hit_latency
                     + memory.round_trip(self.id, block, AccessClass::Demand);
                 self.timing.fetch_stall(raw);
-                *self.local_cycle += raw as f64 * env.timing.params().exposed_fetch_fraction();
+                self.local_cycle += raw as f64 * env.timing.params().exposed_fetch_fraction();
                 self.fill_l1i(block, L1iMeta::default(), memory);
             }
         }
@@ -341,7 +287,7 @@ impl CoreView<'_> {
         pf.on_access(self.id, block, hit, memory.llc_mut(), &mut env.candidates);
 
         self.timing.retire_instructions(instructions as u64);
-        *self.local_cycle += instructions as f64 * env.timing.params().base_cpi;
+        self.local_cycle += instructions as f64 * env.timing.params().base_cpi;
 
         pf.on_retire(self.id, block, memory.llc_mut(), &mut env.candidates);
 
@@ -368,7 +314,7 @@ impl CoreView<'_> {
                 continue;
             }
             let latency = memory.round_trip(self.id, cand.block, AccessClass::PrefetchUseful);
-            let ready_at = *self.local_cycle + (cand.ready_delay + latency) as f64;
+            let ready_at = self.local_cycle + (cand.ready_delay + latency) as f64;
             self.fill_l1i(
                 cand.block,
                 L1iMeta {
@@ -387,7 +333,7 @@ impl CoreView<'_> {
 trait StepBatch {
     fn step_rounds(
         &mut self,
-        cores: &mut CoreLanes,
+        cores: &mut [Core],
         memory: &mut MemorySystem,
         env: &mut StepEnv,
         rounds: usize,
@@ -426,15 +372,14 @@ impl<P> Stepper<P> {
 impl<P: InstructionPrefetcher> StepBatch for Stepper<P> {
     fn step_rounds(
         &mut self,
-        cores: &mut CoreLanes,
+        cores: &mut [Core],
         memory: &mut MemorySystem,
         env: &mut StepEnv,
         rounds: usize,
     ) {
         for _ in 0..rounds {
-            for idx in 0..cores.len() {
-                let pf = &mut self.units[self.pf_of_core[idx]];
-                cores.core(idx).step_one_fetch(pf, memory, env);
+            for (core, &unit) in cores.iter_mut().zip(&self.pf_of_core) {
+                core.step_one_fetch(&mut self.units[unit], memory, env);
             }
         }
     }
@@ -454,7 +399,7 @@ impl<P: InstructionPrefetcher> StepBatch for Stepper<P> {
 /// per-batch state.
 pub struct Engine {
     memory: MemorySystem,
-    cores: CoreLanes,
+    cores: Vec<Core>,
     stepper: Box<dyn StepBatch + Send>,
     env: StepEnv,
     prefetcher_label: String,
@@ -483,19 +428,17 @@ impl Engine {
             .iter()
             .map(WorkloadProgram::build)
             .collect();
-        let assignments = consolidation.assignments();
-        let mut cores = CoreLanes::with_capacity(assignments.len());
-        for a in assignments {
-            cores.push(
-                a.core,
-                CoreTraceGenerator::with_program(
-                    Arc::clone(&programs[a.workload.index()]),
-                    a.core,
-                    options.seed,
-                ),
-                config,
-            );
-        }
+        // Assignments come in core-id order, so a core's position in `cores`
+        // is its index.
+        let cores = consolidation
+            .assignments()
+            .iter()
+            .map(|a| {
+                let program = Arc::clone(&programs[a.workload.index()]);
+                let generator = CoreTraceGenerator::with_program(program, a.core, options.seed);
+                Core::new(a.core, generator, config)
+            })
+            .collect();
 
         let stepper = build_prefetchers(config, consolidation, &mut memory);
 
@@ -552,7 +495,9 @@ impl Engine {
     /// from a warmed but unaccounted state (the paper's warmed-checkpoint
     /// methodology).
     pub fn begin_measurement(&mut self) {
-        self.cores.reset_measurement();
+        for core in &mut self.cores {
+            core.reset_measurement();
+        }
         self.memory.reset_stats();
     }
 
@@ -582,21 +527,21 @@ impl Engine {
         let timing = &env.timing;
 
         let mut coverage = CoverageStats::default();
-        let per_core: Vec<CoreResult> = (0..cores.len())
-            .map(|idx| {
-                let core_timing = &cores.timing[idx];
-                coverage.merge(&cores.coverage[idx]);
-                let cycles = timing.total_cycles(core_timing);
+        let per_core: Vec<CoreResult> = cores
+            .iter()
+            .map(|core| {
+                let core_timing = &core.timing;
+                coverage.merge(&core.coverage);
                 CoreResult {
                     instructions: core_timing.instructions,
-                    fetches: cores.fetches[idx],
-                    cycles,
+                    fetches: core.fetches,
+                    cycles: timing.total_cycles(core_timing),
                     ipc: timing.ipc(core_timing),
                     raw_fetch_stall_cycles: core_timing.raw_fetch_stall_cycles,
                     raw_data_stall_cycles: core_timing.raw_data_stall_cycles,
-                    l1i: *cores.l1i[idx].stats(),
-                    l1d: *cores.l1d[idx].stats(),
-                    coverage: cores.coverage[idx],
+                    l1i: *core.l1i.stats(),
+                    l1d: *core.l1d.stats(),
+                    coverage: core.coverage,
                 }
             })
             .collect();
