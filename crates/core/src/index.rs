@@ -66,8 +66,6 @@ pub struct IndexTable {
     head: u32,
     tail: u32,
     len: usize,
-    lookups: u64,
-    hits: u64,
 }
 
 impl IndexTable {
@@ -100,8 +98,6 @@ impl IndexTable {
             head: NIL,
             tail: NIL,
             len: 0,
-            lookups: 0,
-            hits: 0,
         }
     }
 
@@ -118,16 +114,6 @@ impl IndexTable {
     /// Returns `true` if the table holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of lookups performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Number of lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 
     /// Fibonacci multiplicative hash of a block number into a bucket index.
@@ -274,17 +260,15 @@ impl IndexTable {
     /// recency on a hit.
     #[inline]
     pub fn lookup(&mut self, trigger: BlockAddr) -> Option<u32> {
-        self.lookups += 1;
         let (_, slot) = self.probe(trigger.get());
         if slot == NIL {
             return None;
         }
-        self.hits += 1;
         self.touch(slot);
         Some(self.ptrs[slot as usize])
     }
 
-    /// Looks up without updating recency or statistics.
+    /// Looks up without updating recency.
     pub fn peek(&self, trigger: BlockAddr) -> Option<u32> {
         let (_, slot) = self.probe(trigger.get());
         if slot == NIL {
@@ -306,8 +290,6 @@ mod tests {
         assert_eq!(idx.lookup(BlockAddr::new(42)), Some(7));
         assert_eq!(idx.peek(BlockAddr::new(42)), Some(7));
         assert_eq!(idx.lookup(BlockAddr::new(43)), None);
-        assert_eq!(idx.lookups(), 2);
-        assert_eq!(idx.hits(), 1);
     }
 
     #[test]

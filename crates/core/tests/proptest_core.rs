@@ -300,8 +300,6 @@ proptest! {
             prop_assert_eq!(history_copy.write_ptr(), history.write_ptr());
             prop_assert_eq!(table_copy.len(), table.len());
         }
-        prop_assert_eq!(table_copy.lookups(), table.lookups());
-        prop_assert_eq!(table_copy.hits(), table.hits());
         for key in 0..512u64 {
             prop_assert_eq!(table_copy.peek(BlockAddr::new(key)), table.peek(BlockAddr::new(key)));
         }
