@@ -11,7 +11,6 @@
 //!   do.
 //! * [`CoreId`] / [`WorkloadId`] — identifiers for cores and consolidated
 //!   workloads.
-//! * [`Cycle`] — a point in (or a duration of) simulated time.
 //!
 //! # Examples
 //!
@@ -30,9 +29,7 @@
 pub mod access;
 pub mod addr;
 pub mod ids;
-pub mod time;
 
 pub use access::{AccessClass, AccessKind};
 pub use addr::{Addr, BlockAddr, BLOCK_BYTES, BLOCK_SHIFT, PHYS_ADDR_BITS};
 pub use ids::{CoreId, WorkloadId};
-pub use time::Cycle;

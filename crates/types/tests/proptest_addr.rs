@@ -1,7 +1,7 @@
 //! Property tests for address arithmetic.
 
 use proptest::prelude::*;
-use shift_types::{Addr, BlockAddr, Cycle, BLOCK_BYTES};
+use shift_types::{Addr, BlockAddr, BLOCK_BYTES};
 
 proptest! {
     #[test]
@@ -18,17 +18,5 @@ proptest! {
         let base = BlockAddr::new(block);
         prop_assert_eq!(base.offset(a).offset(b), base.offset(a + b));
         prop_assert_eq!(base.offset(a).offset_from(base), Some(a));
-    }
-
-    #[test]
-    fn cycle_saturating_since_never_underflows(a in 0u64..u64::MAX / 2, b in 0u64..u64::MAX / 2) {
-        let (x, y) = (Cycle::new(a), Cycle::new(b));
-        let d = x.saturating_since(y);
-        prop_assert!(d.get() <= a);
-        if a >= b {
-            prop_assert_eq!(d.get(), a - b);
-        } else {
-            prop_assert_eq!(d.get(), 0);
-        }
     }
 }
