@@ -5,6 +5,10 @@
 //! needs and documents the contract:
 //!
 //! * one request per connection, answered with `Connection: close`;
+//! * the request line and each header line hold at most
+//!   [`MAX_LINE_BYTES`] (8 KiB, line ending included), and a request carries
+//!   at most [`MAX_HEADERS`] (100) headers; a longer line or more headers is
+//!   `malformed`, so no client can make the reader buffer more than that;
 //! * request bodies are `Content-Length`-delimited (no chunked encoding);
 //! * response bodies are either `Content-Length`-delimited or, for the
 //!   progress stream, delimited by connection close (legal in HTTP/1.1 for
@@ -16,7 +20,16 @@
 //! a few lines away from the test that exercises it.
 
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
+
+/// The longest request line or header line the reader accepts, its line
+/// ending included. A longer line is [`HttpError::Malformed`] after at most
+/// one byte more has been read.
+pub const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// The most header lines a request may carry; one more is
+/// [`HttpError::Malformed`].
+pub const MAX_HEADERS: usize = 100;
 
 /// One parsed request: method, target path (query string split off), and
 /// the raw body bytes.
@@ -65,18 +78,25 @@ impl fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
+/// Reads one line of at most [`MAX_LINE_BYTES`], reading at most one byte
+/// past the bound, and strips its line ending.
 fn read_line(reader: &mut dyn BufRead) -> Result<String, HttpError> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
+    let mut bytes = Vec::new();
+    match reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', &mut bytes)
+    {
         Ok(0) => Err(HttpError::Disconnected),
+        Ok(n) if n > MAX_LINE_BYTES => Err(HttpError::Malformed(format!(
+            "line longer than {MAX_LINE_BYTES} bytes"
+        ))),
         Ok(_) => {
+            let mut line = String::from_utf8(bytes)
+                .map_err(|_| HttpError::Malformed("request is not UTF-8".to_owned()))?;
             while line.ends_with('\n') || line.ends_with('\r') {
                 line.pop();
             }
             Ok(line)
-        }
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-            Err(HttpError::Malformed("request is not UTF-8".to_owned()))
         }
         Err(e)
             if e.kind() == io::ErrorKind::UnexpectedEof
@@ -94,7 +114,8 @@ fn read_line(reader: &mut dyn BufRead) -> Result<String, HttpError> {
 ///
 /// # Errors
 ///
-/// [`HttpError::Malformed`] for an unparseable request line or header,
+/// [`HttpError::Malformed`] for an unparseable request line or header, a
+/// line longer than [`MAX_LINE_BYTES`] or more than [`MAX_HEADERS`] headers,
 /// [`HttpError::TooLarge`] for an over-limit body declaration,
 /// [`HttpError::Disconnected`] when the peer hangs up mid-request (the
 /// truncated-body case), and [`HttpError::Io`] for other transport errors.
@@ -114,10 +135,15 @@ pub fn read_request(reader: &mut dyn BufRead, max_body: usize) -> Result<Request
     }
 
     let mut content_length = 0usize;
-    loop {
+    for headers in 0.. {
         let line = read_line(reader)?;
         if line.is_empty() {
             break;
+        }
+        if headers == MAX_HEADERS {
+            return Err(HttpError::Malformed(format!(
+                "more than {MAX_HEADERS} headers"
+            )));
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::Malformed(format!("bad header {line:?}")));
@@ -281,6 +307,60 @@ mod tests {
         assert!(matches!(err, HttpError::Disconnected));
         // As is a peer that hangs up before sending anything.
         assert!(matches!(parse(b"", 64), Err(HttpError::Disconnected)));
+    }
+
+    /// A request line of exactly `len` bytes, its `\r\n` included.
+    fn request_line_of(len: usize) -> Vec<u8> {
+        let mut line = b"GET /".to_vec();
+        line.resize(len - " HTTP/1.1\r\n".len(), b'a');
+        line.extend_from_slice(b" HTTP/1.1\r\n");
+        assert_eq!(line.len(), len);
+        line
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_bound_parses() {
+        let mut wire = request_line_of(MAX_LINE_BYTES);
+        let mut header = b"X-Pad: ".to_vec();
+        header.resize(MAX_LINE_BYTES - 2, b'b');
+        wire.extend_from_slice(&header);
+        wire.extend_from_slice(b"\r\n\r\n");
+        let req = parse(&wire, 64).expect("a line of exactly the bound");
+        assert_eq!(req.path.len(), MAX_LINE_BYTES - "GET  HTTP/1.1\r\n".len());
+    }
+
+    #[test]
+    fn a_longer_line_is_malformed_without_reading_past_the_bound() {
+        // One byte over the bound and no newline: the reader must give up
+        // rather than wait for one, having read at most that one byte more.
+        let mut wire = b"GET /".to_vec();
+        wire.resize(MAX_LINE_BYTES + 1, b'a');
+        wire.extend_from_slice(&[b'a'; 4096]);
+        let mut cursor = io::Cursor::new(&wire[..]);
+        let err = read_request(&mut cursor, 64).unwrap_err();
+        assert!(matches!(err, HttpError::Malformed(_)), "{err:?}");
+        assert!(cursor.position() <= MAX_LINE_BYTES as u64 + 1);
+        // A header line over the bound is refused the same way.
+        let mut wire = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+        wire.resize(wire.len() + MAX_LINE_BYTES, b'b');
+        assert!(matches!(parse(&wire, 64), Err(HttpError::Malformed(_))));
+    }
+
+    #[test]
+    fn more_than_the_header_bound_is_malformed() {
+        let headers = |n: usize| {
+            let mut wire = b"GET / HTTP/1.1\r\n".to_vec();
+            for i in 0..n {
+                wire.extend_from_slice(format!("X-{i}: v\r\n").as_bytes());
+            }
+            wire.extend_from_slice(b"\r\n");
+            wire
+        };
+        assert!(parse(&headers(MAX_HEADERS), 64).is_ok());
+        assert!(matches!(
+            parse(&headers(MAX_HEADERS + 1), 64),
+            Err(HttpError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::net::TcpStream;
 
 use common::*;
 use serde::{json, Value};
+use shift_serve::http::MAX_LINE_BYTES;
 use shift_serve::Server;
 
 fn assert_scheduler_idle(addr: std::net::SocketAddr, expected_jobs: u64) {
@@ -107,6 +108,42 @@ fn bad_submissions_return_typed_errors_and_schedule_nothing() {
     assert_scheduler_idle(addr, 0);
     assert_no_locks(&root);
 
+    server.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A client that streams a request line past the line bound, with no
+/// newline, and keeps the connection open gets 400 at once: the daemon
+/// stops reading at the bound instead of buffering until a newline or its
+/// read timeout.
+#[test]
+fn an_endless_request_line_is_refused_at_the_bound() {
+    use std::io::Read;
+    use std::time::Duration;
+
+    let root = temp_root("protocol-long-line");
+    let server = Server::start(test_config(&root), "127.0.0.1:0").expect("server starts");
+    let addr = server.addr();
+
+    // Exactly one byte past the bound: no more than the daemon reads, so
+    // closing its side leaves no unread bytes to turn into a reset.
+    let mut line = b"GET /".to_vec();
+    line.resize(MAX_LINE_BYTES + 1, b'a');
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    stream.write_all(&line).expect("send the long line");
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .expect("a response before the client's 5 s timeout");
+    let response = parse_response(&raw);
+    assert_eq!(response.status, 400);
+    assert_eq!(error_code(&response.body), "bad_request");
+    drop(stream);
+
+    assert_scheduler_idle(addr, 0);
     server.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
 }
