@@ -309,23 +309,16 @@ mod tests {
         assert!(matches!(parse(b"", 64), Err(HttpError::Disconnected)));
     }
 
-    /// A request line of exactly `len` bytes, its `\r\n` included.
-    fn request_line_of(len: usize) -> Vec<u8> {
-        let mut line = b"GET /".to_vec();
-        line.resize(len - " HTTP/1.1\r\n".len(), b'a');
-        line.extend_from_slice(b" HTTP/1.1\r\n");
-        assert_eq!(line.len(), len);
-        line
-    }
-
     #[test]
     fn a_line_of_exactly_the_bound_parses() {
-        let mut wire = request_line_of(MAX_LINE_BYTES);
-        let mut header = b"X-Pad: ".to_vec();
-        header.resize(MAX_LINE_BYTES - 2, b'b');
-        wire.extend_from_slice(&header);
+        // A request line and a header line of exactly the bound, each with
+        // its `\r\n`.
+        let mut wire = b"GET /".to_vec();
+        wire.resize(MAX_LINE_BYTES - " HTTP/1.1\r\n".len(), b'a');
+        wire.extend_from_slice(b" HTTP/1.1\r\nX-Pad: ");
+        wire.resize(2 * MAX_LINE_BYTES - 2, b'b');
         wire.extend_from_slice(b"\r\n\r\n");
-        let req = parse(&wire, 64).expect("a line of exactly the bound");
+        let req = parse(&wire, 64).expect("lines of exactly the bound");
         assert_eq!(req.path.len(), MAX_LINE_BYTES - "GET  HTTP/1.1\r\n".len());
     }
 
