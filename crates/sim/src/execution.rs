@@ -45,7 +45,6 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -54,8 +53,8 @@ use crate::matrix::{default_threads, parallel_map_with_threads, MatrixFingerprin
 use crate::results::RunResult;
 use crate::schedule::{rank_by_cost, RunCost, SchedulePolicy};
 use crate::shard::{
-    claim_lock, recover_rate, CancelToken, LockClaim, LockHeartbeat, QueueConfig, RunEvent,
-    RunObserver, ShardSpec,
+    claim_lock, CancelToken, LockClaim, LockHeartbeat, QueueConfig, RunEvent, RunObserver,
+    ShardSpec,
 };
 use crate::store::{
     seed_outcome_slots, write_outcome, PartialLoad, PlanIndex, RunOutcomes, RunStore,
@@ -457,12 +456,6 @@ impl Settings<'_> {
 
         let noop = |_: RunEvent| {};
         let uncancelled = CancelToken::new();
-        let rate = match (queue, dir) {
-            (Some(config), Some(dir)) => config
-                .initial_rate
-                .or_else(|| recover_rate(dir, &config.worker)),
-            _ => None,
-        };
         let drain = Drain {
             matrix,
             fingerprint: matrix.fingerprint(),
@@ -472,7 +465,7 @@ impl Settings<'_> {
             observer: self.observer.unwrap_or(&noop),
             costs: matrix.keys().iter().map(RunCost::of).collect(),
             ranks,
-            rate: Arc::new(AtomicU64::new(rate.unwrap_or(0))),
+            rate: AtomicU64::new(queue.and_then(|config| config.initial_rate).unwrap_or(0)),
             reclaims: AtomicUsize::new(0),
         };
         let cancel = self.cancel.unwrap_or(&uncancelled);
@@ -580,8 +573,8 @@ struct Drain<'a> {
     /// Per-slot rank in the full-matrix order of the active policy.
     ranks: Vec<usize>,
     /// The measured drain rate in weighted fetch units per second (0 =
-    /// unknown), shared with every worker thread and the lock heartbeats.
-    rate: Arc<AtomicU64>,
+    /// unknown), shared with every worker thread.
+    rate: AtomicU64,
     /// Stale claims taken over, counted where the reclaim happens: the
     /// reclaiming visit may then lose the run to a peer's fresh claim.
     reclaims: AtomicUsize,
@@ -639,7 +632,7 @@ impl Drain<'_> {
             let (Some(dir), Some(config), None) = (self.dir, self.queue, &lock) else {
                 break;
             };
-            match claim_lock(dir, key_id, config, self.current_rate())? {
+            match claim_lock(dir, key_id, config)? {
                 LockClaim::Taken(path) => lock = Some(path),
                 LockClaim::Held => return Ok(Visit::Blocked),
                 LockClaim::Reclaimed => {
@@ -660,13 +653,7 @@ impl Drain<'_> {
         // Keep the claim visibly alive for the whole simulation, so the TTL
         // can be far shorter than the longest run.
         let heartbeat = lock.as_ref().zip(self.queue).map(|(path, config)| {
-            LockHeartbeat::spawn_with_rate(
-                path.clone(),
-                key_id,
-                config.worker.clone(),
-                config.poll,
-                Arc::clone(&self.rate),
-            )
+            LockHeartbeat::spawn(path.clone(), key_id, config.worker.clone(), config.poll)
         });
         let started = Instant::now();
         let result = key.run();

@@ -45,8 +45,7 @@ use crate::matrix::{RunKey, RunMatrix};
 /// will simulate, scaled by how much slower its prefetcher class is per fetch
 /// than the no-prefetch baseline. Costs compare across runs of any scale,
 /// core count, and prefetcher, and a worker's throughput in these same units
-/// (see the `rate` field of lock records) turns a cost into an estimated
-/// duration.
+/// (its measured drain rate) turns a cost into an estimated duration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct RunCost(u64);
 

@@ -40,7 +40,7 @@ use std::io;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -174,9 +174,8 @@ pub struct QueueConfig {
     /// accordingly.
     pub wait: bool,
     /// Seed for this worker's measured drain rate, in weighted fetch units
-    /// per second (`None`: unknown until the first run completes, unless a
-    /// leftover lock from a previous incarnation of the same worker id holds
-    /// a persisted rate). Lets operators pre-calibrate known-slow hosts.
+    /// per second (`None`: unknown until the first run completes). Lets
+    /// operators pre-calibrate known-slow hosts.
     pub initial_rate: Option<u64>,
     /// Under the cost-ordered [`Execution::policy`](crate::Execution::policy),
     /// a worker whose measured rate predicts a run will take longer than
@@ -404,21 +403,6 @@ impl LockHeartbeat {
     /// Starts refreshing the lock at `path` every `interval` until dropped.
     /// `key_id` and `worker` are rewritten into the lock on every beat.
     pub fn spawn(path: PathBuf, key_id: RunKeyId, worker: String, interval: Duration) -> Self {
-        Self::spawn_with_rate(path, key_id, worker, interval, Arc::new(AtomicU64::new(0)))
-    }
-
-    /// [`LockHeartbeat::spawn`], additionally re-stamping the owner's
-    /// current measured drain rate (read from `rate`; 0 means unknown and
-    /// is omitted) into the lock on every beat. Persisting the rate through
-    /// the lock is what lets a restarted worker recover its calibration by
-    /// reading its own leftover claims.
-    pub fn spawn_with_rate(
-        path: PathBuf,
-        key_id: RunKeyId,
-        worker: String,
-        interval: Duration,
-        rate: Arc<AtomicU64>,
-    ) -> Self {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let signal = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
@@ -432,8 +416,7 @@ impl LockHeartbeat {
                 if *stopped {
                     return;
                 }
-                let measured = rate.load(Ordering::Relaxed);
-                refresh_lock(&path, key_id, &worker, (measured > 0).then_some(measured));
+                refresh_lock(&path, key_id, &worker);
             }
         });
         LockHeartbeat {
@@ -459,12 +442,11 @@ impl Drop for LockHeartbeat {
 /// [`LockHeartbeat`] for why resurrection would be harmful. A reader racing
 /// the rewrite can observe a half-written lock; it falls back to the file
 /// mtime, which the rewrite also refreshed, so the claim still reads fresh.
-fn refresh_lock(path: &Path, key_id: RunKeyId, worker: &str, rate: Option<u64>) {
+fn refresh_lock(path: &Path, key_id: RunKeyId, worker: &str) {
     let record = LockRecord {
         key_id,
         worker: worker.to_owned(),
         claimed_unix: unix_now(),
-        rate,
     };
     if let Ok(mut file) = std::fs::OpenOptions::new()
         .write(true)
@@ -516,7 +498,6 @@ pub(crate) fn claim_lock(
     dir: &Path,
     key_id: RunKeyId,
     config: &QueueConfig,
-    rate: Option<u64>,
 ) -> io::Result<LockClaim> {
     let lock = dir.join(lock_file_name(key_id));
     match std::fs::OpenOptions::new()
@@ -529,7 +510,6 @@ pub(crate) fn claim_lock(
                 key_id,
                 worker: config.worker.clone(),
                 claimed_unix: unix_now(),
-                rate,
             };
             // Best-effort: an empty lock still excludes; readers fall back
             // to its mtime for staleness.
@@ -575,30 +555,6 @@ fn reclaim_stale(lock: &Path, tomb: &Path, ttl: Duration) -> LockClaim {
     };
     let _ = std::fs::remove_file(tomb);
     claim
-}
-
-/// Recovers a restarted worker's measured rate from its own leftover claim
-/// locks: a worker that died (or was killed) mid-drain left locks whose
-/// heartbeats persisted its last rate estimate, so its successor — same
-/// operator-assigned worker id — resumes calibrated instead of cold.
-pub(crate) fn recover_rate(dir: &Path, worker: &str) -> Option<u64> {
-    let entries = std::fs::read_dir(dir).ok()?;
-    let mut best: Option<u64> = None;
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if !(name.starts_with("claim-") && name.ends_with(".lock")) {
-            continue;
-        }
-        if let Ok(record) = read_lock(&entry.path()) {
-            if record.worker == worker {
-                if let Some(rate) = record.rate {
-                    best = Some(best.map_or(rate, |b| b.max(rate)));
-                }
-            }
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -727,7 +683,6 @@ mod tests {
             key_id: RunKeyId::of_canonical_json("{}"),
             worker: "owner".to_owned(),
             claimed_unix,
-            rate: None,
         }
         .to_json()
     }

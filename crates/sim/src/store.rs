@@ -375,26 +375,17 @@ pub struct LockRecord {
     /// reader's clock, so the reclaim TTL must comfortably exceed any
     /// cross-machine clock skew.
     pub claimed_unix: u64,
-    /// The claiming worker's measured drain rate, in weighted fetch units
-    /// per second (see [`crate::schedule::RunCost`]), if it has completed at
-    /// least one run. Heartbeats re-stamp it, and a restarted worker reads
-    /// its own leftover locks to recover calibration across crashes.
-    pub rate: Option<u64>,
 }
 
 impl LockRecord {
     /// The lock's serialized form (compact JSON).
     pub(crate) fn to_json(&self) -> String {
-        let mut fields = vec![
+        json::to_string(&Value::Map(vec![
             ("schema".to_owned(), LOCK_SCHEMA.to_value()),
             ("key_id".to_owned(), self.key_id.to_value()),
             ("worker".to_owned(), self.worker.to_value()),
             ("claimed_unix".to_owned(), self.claimed_unix.to_value()),
-        ];
-        if let Some(rate) = self.rate {
-            fields.push(("rate".to_owned(), rate.to_value()));
-        }
-        json::to_string(&Value::Map(fields))
+        ]))
     }
 }
 
@@ -419,9 +410,6 @@ pub fn read_lock(path: &Path) -> Result<LockRecord, StoreError> {
             key_id: field(doc, "key_id")?,
             worker: field(doc, "worker")?,
             claimed_unix: field(doc, "claimed_unix")?,
-            // Optional: locks from workers that have not completed a run yet
-            // (or were written before rate persistence existed) omit it.
-            rate: optional_field(doc, "rate")?,
         })
     })
 }
@@ -1305,7 +1293,6 @@ mod tests {
             key_id: RunKeyId::of_canonical_json(&random_text(rng)),
             worker: random_text(rng),
             claimed_unix: random_u64(rng),
-            rate: rng.gen_bool(0.5).then(|| random_u64(rng)),
         }
     }
 
