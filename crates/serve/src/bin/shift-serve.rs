@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! shift-serve --root serve-root [--listen 127.0.0.1:7513] [--unix PATH]
-//!             [--threads N] [--poll-ms MS]
+//!             [--threads N]
 //! ```
 //!
 //! Boots the resident sweep scheduler, prints the bound address, and runs
@@ -11,12 +11,11 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use shift_serve::{ServeConfig, Server};
 
 const USAGE: &str = "\
-usage: shift-serve --root DIR [--listen ADDR] [--unix PATH] [--threads N] [--poll-ms MS]
+usage: shift-serve --root DIR [--listen ADDR] [--unix PATH] [--threads N]
 ";
 
 struct Args {
@@ -24,7 +23,6 @@ struct Args {
     listen: String,
     unix: Option<PathBuf>,
     threads: Option<usize>,
-    poll_ms: Option<u64>,
 }
 
 /// The command line's settings, or `None` when it asks for `--help`.
@@ -34,7 +32,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         listen: "127.0.0.1:7513".to_owned(),
         unix: None,
         threads: None,
-        poll_ms: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -48,13 +45,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                     value("--threads")?
                         .parse()
                         .map_err(|e| format!("bad --threads: {e}"))?,
-                )
-            }
-            "--poll-ms" => {
-                args.poll_ms = Some(
-                    value("--poll-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --poll-ms: {e}"))?,
                 )
             }
             "--help" | "-h" => return Ok(None),
@@ -79,9 +69,6 @@ fn main() -> ExitCode {
     let mut config = ServeConfig::new(&args.root);
     if let Some(threads) = args.threads {
         config.threads = threads.max(1);
-    }
-    if let Some(poll_ms) = args.poll_ms {
-        config.poll = Duration::from_millis(poll_ms.max(1));
     }
     let server = match Server::start_with_unix(config, args.listen.as_str(), args.unix.clone()) {
         Ok(server) => server,

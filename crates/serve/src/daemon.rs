@@ -1,5 +1,5 @@
 //! The resident scheduler: a job registry keyed by matrix fingerprint and
-//! one scheduler thread draining submissions onto the queue-worker pool.
+//! one run lock that lets a single sweep execute at a time.
 //!
 //! # Exactly-once across overlapping submissions
 //!
@@ -7,37 +7,39 @@
 //! [`MatrixFingerprint`](shift_sim::MatrixFingerprint); identical resubmissions collapse onto the same
 //! job in the registry (a completed job answers instantly from its cached
 //! wire bundle, without touching the store). *Distinct but overlapping*
-//! plans are serialized through one scheduler thread, and each job probes
+//! plans are serialized by the run lock, which the submitting thread holds
+//! while it drains its plan, and each job probes
 //! every earlier sweep's outcome directory
 //! ([`RunStore::load_partial`](shift_sim::store::RunStore::load_partial)) before executing: runs shared with any
 //! previous sweep are seeded as cache hits and only the delta is simulated.
-//! Serial scheduling + cross-sweep reuse is what gives the serving layer
+//! One sweep at a time + cross-sweep reuse is what gives the serving layer
 //! its headline property — across any set of concurrent submissions, each
 //! distinct run key simulates exactly once.
 //!
 //! # Layout
 //!
 //! Outcomes live under `<root>/sweeps/<fingerprint>/`, one directory per
-//! distinct plan, each internally identical to a `reproduce --outcomes`
-//! directory — so the operator tooling from `docs/OPERATIONS.md` (strict
-//! merges, stale-claim inspection) applies unchanged, and a daemon restart
-//! over a warm root re-validates outcomes through the exact
-//! `RESULTS_VERSION`-checking store path the batch pipeline uses.
+//! distinct plan, written only by the daemon, each internally identical to
+//! a `reproduce --outcomes` directory — so the operator tooling from
+//! `docs/OPERATIONS.md` (strict merges) applies unchanged, and a daemon
+//! restart over a warm root re-validates outcomes through the exact
+//! `RESULTS_VERSION`-checking store path the batch pipeline uses. A sweep
+//! is a durable execution, which takes no claim locks: a restarted daemon
+//! resumes from the valid outcomes it finds and re-executes the rest,
+//! whatever a killed process left in the directory.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use serde::{json, Serialize, Value};
 use shift_bench::reproduce::{PaperPlan, PlanSpec};
 use shift_report::wire_bundle_json;
-use shift_sim::{CancelToken, Execution, ExecutionReport, QueueConfig, RunEvent, RunStore};
+use shift_sim::{Execution, ExecutionReport, RunEvent, RunStore};
 
 /// Everything that parameterizes a daemon instance.
 #[derive(Clone, Debug)]
@@ -46,19 +48,16 @@ pub struct ServeConfig {
     pub root: PathBuf,
     /// Worker threads per sweep drain.
     pub threads: usize,
-    /// Queue poll interval (claim heartbeat cadence for long runs).
-    pub poll: Duration,
     /// Maximum accepted request-body size in bytes.
     pub max_body: usize,
 }
 
 impl ServeConfig {
-    /// Defaults: 2 drain threads, 200 ms poll, 1 MiB body limit.
+    /// Defaults: 2 drain threads, 1 MiB body limit.
     pub fn new(root: impl Into<PathBuf>) -> Self {
         ServeConfig {
             root: root.into(),
             threads: 2,
-            poll: Duration::from_millis(200),
             max_body: 1 << 20,
         }
     }
@@ -72,7 +71,7 @@ impl ServeConfig {
 /// Lifecycle of a submitted sweep.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Accepted, waiting for the scheduler.
+    /// Accepted, waiting for the run lock.
     Queued,
     /// Currently draining on the worker pool.
     Running,
@@ -101,7 +100,7 @@ pub struct JobState {
     /// Distinct runs the plan needs.
     pub planned: usize,
     /// The drain's [`ExecutionReport`], once the sweep has run: where every
-    /// outcome came from (executed / reused / reclaimed) and how many queue
+    /// outcome came from (executed / reused / reclaimed) and how many
     /// passes the drain took.
     pub report: Option<ExecutionReport>,
     /// NDJSON progress events, in emission order.
@@ -112,14 +111,11 @@ pub struct JobState {
     pub scoreboard: Option<Arc<String>>,
 }
 
-/// One accepted sweep: the resolved plan plus its observable state.
+/// One accepted sweep and its observable state.
 #[derive(Debug)]
 pub struct Job {
     /// The job id: the plan's matrix fingerprint (16 hex digits).
     pub id: String,
-    /// The submission, as resolved.
-    pub spec: PlanSpec,
-    plan: Mutex<Option<PaperPlan>>,
     state: Mutex<JobState>,
     cond: Condvar,
 }
@@ -157,6 +153,11 @@ impl Job {
             }
             state = self.cond.wait(state).expect("job state poisoned");
         }
+    }
+
+    fn set_status(&self, status: JobStatus) {
+        self.state.lock().expect("job state poisoned").status = status;
+        self.cond.notify_all();
     }
 
     fn push_event(&self, line: String) {
@@ -201,16 +202,13 @@ pub struct Submission {
     pub cached: bool,
 }
 
-/// The resident scheduler: registry, submission queue, and drain state.
+/// The resident scheduler: registry, run lock, and drain state.
 pub struct Daemon {
     config: ServeConfig,
     registry: Mutex<HashMap<String, Arc<Job>>>,
-    queue: Mutex<Option<mpsc::Sender<Arc<Job>>>>,
-    queued: AtomicUsize,
-    busy: AtomicBool,
+    /// Held by the sweep that is executing, so sweeps run one at a time.
+    run: Mutex<()>,
     draining: AtomicBool,
-    cancel: CancelToken,
-    scheduler: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl fmt::Debug for Daemon {
@@ -223,42 +221,19 @@ impl fmt::Debug for Daemon {
 }
 
 impl Daemon {
-    /// Creates the root layout and starts the scheduler thread.
+    /// Creates the root layout.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors creating `<root>/sweeps`.
     pub fn start(config: ServeConfig) -> io::Result<Arc<Daemon>> {
         fs::create_dir_all(config.root.join("sweeps"))?;
-        let (tx, rx) = mpsc::channel::<Arc<Job>>();
-        let daemon = Arc::new(Daemon {
+        Ok(Arc::new(Daemon {
             config,
             registry: Mutex::new(HashMap::new()),
-            queue: Mutex::new(Some(tx)),
-            queued: AtomicUsize::new(0),
-            busy: AtomicBool::new(false),
+            run: Mutex::new(()),
             draining: AtomicBool::new(false),
-            cancel: CancelToken::new(),
-            scheduler: Mutex::new(None),
-        });
-        let worker = Arc::clone(&daemon);
-        let handle = std::thread::spawn(move || {
-            while let Ok(job) = rx.recv() {
-                worker.queued.fetch_sub(1, Ordering::Relaxed);
-                worker.busy.store(true, Ordering::Relaxed);
-                let result = worker.run_job(&job);
-                worker.busy.store(false, Ordering::Relaxed);
-                let mut state = job.state.lock().expect("job state poisoned");
-                state.status = match result {
-                    Ok(()) => JobStatus::Complete,
-                    Err(msg) => JobStatus::Failed(msg),
-                };
-                drop(state);
-                job.cond.notify_all();
-            }
-        });
-        *daemon.scheduler.lock().expect("scheduler slot poisoned") = Some(handle);
-        Ok(daemon)
+        }))
     }
 
     /// The daemon's configuration.
@@ -271,11 +246,12 @@ impl Daemon {
         self.draining.load(Ordering::Relaxed)
     }
 
-    /// Parses, resolves, and registers a submission body.
+    /// Parses, resolves, and registers a submission body; a new plan is
+    /// then drained on the calling thread once no other sweep is executing.
     ///
-    /// Identical plans (same matrix fingerprint) collapse onto one job; a
-    /// draining daemon rejects plans that would need *new* scheduling but
-    /// still answers ones that already completed.
+    /// Identical plans (same matrix fingerprint) collapse onto one job, which
+    /// only its first submission executes; a draining daemon rejects plans
+    /// that would need *new* scheduling but still answers registered ones.
     ///
     /// # Errors
     ///
@@ -301,12 +277,13 @@ impl Daemon {
                 cached,
             });
         }
+        // Checked under the registry lock, so no job is registered after
+        // `drain_and_join` took its list.
         if self.is_draining() {
             return Err(ApiError::Draining);
         }
         let job = Arc::new(Job {
             id: id.clone(),
-            spec,
             state: Mutex::new(JobState {
                 status: JobStatus::Queued,
                 planned: plan.run_count(),
@@ -315,20 +292,14 @@ impl Daemon {
                 bundle: None,
                 scoreboard: None,
             }),
-            plan: Mutex::new(Some(plan)),
             cond: Condvar::new(),
         });
         registry.insert(id, Arc::clone(&job));
-        // Holding the registry lock across the send keeps submit/drain
-        // atomic: a job is either registered *and* queued, or neither.
-        let queue = self.queue.lock().expect("queue poisoned");
-        match queue.as_ref() {
-            Some(tx) => {
-                self.queued.fetch_add(1, Ordering::Relaxed);
-                tx.send(Arc::clone(&job)).expect("scheduler alive");
-            }
-            None => return Err(ApiError::Draining),
-        }
+        drop(registry);
+        job.set_status(match self.run_job(&job, plan) {
+            Ok(()) => JobStatus::Complete,
+            Err(msg) => JobStatus::Failed(msg),
+        });
         Ok(Submission { job, cached: false })
     }
 
@@ -343,41 +314,45 @@ impl Daemon {
 
     /// The `/v1/status` document: job counts and drain state.
     pub fn status_json(&self) -> String {
-        let jobs = self.registry.lock().expect("registry poisoned").len();
+        let registry = self.registry.lock().expect("registry poisoned");
+        let count = |status: JobStatus| {
+            registry
+                .values()
+                .filter(|job| job.with_state(|s| s.status == status))
+                .count()
+        };
         json::to_string(&Value::Map(vec![
-            ("jobs".to_owned(), Value::UInt(jobs as u64)),
+            ("jobs".to_owned(), Value::UInt(registry.len() as u64)),
             (
                 "queued".to_owned(),
-                Value::UInt(self.queued.load(Ordering::Relaxed) as u64),
+                Value::UInt(count(JobStatus::Queued) as u64),
             ),
             (
                 "busy".to_owned(),
-                Value::Bool(self.busy.load(Ordering::Relaxed)),
+                Value::Bool(count(JobStatus::Running) > 0),
             ),
             ("draining".to_owned(), Value::Bool(self.is_draining())),
         ]))
     }
 
-    /// Stops accepting new plans and lets already-queued jobs finish; the
-    /// scheduler thread exits once the queue is empty. Idempotent.
+    /// Stops accepting new plans; registered jobs still finish. Idempotent.
     pub fn drain(&self) {
         self.draining.store(true, Ordering::Relaxed);
-        // Dropping the sender ends the scheduler's recv loop after the
-        // in-flight jobs drain.
-        self.queue.lock().expect("queue poisoned").take();
     }
 
-    /// [`drain`](Daemon::drain), then blocks until the scheduler thread has
-    /// exited (every queued job reached a terminal state).
+    /// [`drain`](Daemon::drain), then blocks until every registered job
+    /// reached a terminal state.
     pub fn drain_and_join(&self) {
         self.drain();
-        if let Some(handle) = self
-            .scheduler
+        let jobs: Vec<Arc<Job>> = self
+            .registry
             .lock()
-            .expect("scheduler slot poisoned")
-            .take()
-        {
-            let _ = handle.join();
+            .expect("registry poisoned")
+            .values()
+            .cloned()
+            .collect();
+        for job in jobs {
+            job.wait();
         }
     }
 
@@ -394,26 +369,18 @@ impl Daemon {
         Ok(dirs)
     }
 
-    /// Executes one job end to end; called only from the scheduler thread,
-    /// which serializes all sweeps (the exactly-once argument).
-    fn run_job(&self, job: &Job) -> Result<(), String> {
-        {
-            let mut state = job.state.lock().expect("job state poisoned");
-            state.status = JobStatus::Running;
-            job.cond.notify_all();
-        }
-        let plan = job
-            .plan
-            .lock()
-            .expect("plan slot poisoned")
-            .take()
-            .expect("a job is scheduled exactly once");
+    /// Executes one job end to end under the run lock, which serializes
+    /// all sweeps (the exactly-once argument).
+    fn run_job(&self, job: &Job, plan: PaperPlan) -> Result<(), String> {
+        // The lock guards no data: a sweep that panicked holding it left
+        // nothing to repair.
+        let _run = self.run.lock().unwrap_or_else(PoisonError::into_inner);
+        job.set_status(JobStatus::Running);
         let dir = self.config.sweep_dir(&job.id);
-        fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
 
         // Cross-sweep reuse: probe every sweep directory (including our
-        // own — a restart or a killed worker leaves partial outcomes there);
-        // the execution seeds the hits under this plan's fingerprint. Stale
+        // own — a killed daemon leaves partial outcomes there); the
+        // execution seeds the hits under this plan's fingerprint. Stale
         // RESULTS_VERSION outcomes are skipped by the probe, so they are
         // re-executed, never served.
         let probe = RunStore::new(self.sweep_dirs().map_err(|e| e.to_string())?);
@@ -457,31 +424,22 @@ impl Daemon {
             }
             job.push_event(json::to_string(&Value::Map(fields)));
         };
-        let mut queue_config = QueueConfig::new(format!("serve-{}", std::process::id()));
-        queue_config.poll = self.config.poll;
-        let report = Execution::new(plan.matrix())
+        // One sweep at a time and one directory per plan: nothing else
+        // writes `dir`, so the drain takes no claims. Its strict reload
+        // returns the outcomes.
+        let output = Execution::new(plan.matrix())
             .dir(&dir)
-            .queue(queue_config)
             .reuse(partial)
             .threads(self.config.threads)
             .observer(&observer)
-            .cancel(&self.cancel)
             .run()
             .map_err(|e| e.to_string())?;
-        if !report.complete {
-            return Err("drain cancelled before the sweep completed".to_owned());
-        }
-
-        let outcomes = RunStore::new([&dir])
-            .load(plan.matrix())
-            .map_err(|e| e.to_string())?;
-        let planned = plan.run_count();
-        let paper_report = plan.collect(&outcomes);
+        let report = *output.report();
+        let paper_report = plan.collect(&output.into_outcomes());
         let bundle = Arc::new(wire_bundle_json(paper_report.artifacts()));
         let scoreboard = Arc::new(paper_report.scoreboard());
 
         let mut state = job.state.lock().expect("job state poisoned");
-        state.planned = planned;
         state.report = Some(report);
         state.bundle = Some(bundle);
         state.scoreboard = Some(scoreboard);

@@ -3,9 +3,9 @@
 //! The batch pipeline (`reproduce`) plans a whole-paper [`RunMatrix`] and
 //! drains it once; this crate keeps that machinery resident. A daemon
 //! accepts plan submissions over localhost HTTP (and, on unix, a unix
-//! socket), schedules them onto the same queue-worker pool (the
-//! [`shift_sim::Execution`] builder's observed queue mode), streams per-run
-//! progress
+//! socket), drains them one at a time into the durable outcome store (the
+//! [`shift_sim::Execution`] builder's observed durable mode), streams
+//! per-run progress
 //! as NDJSON, and serves finished figure/table bundles and scoreboards
 //! straight from the durable outcome store — a repeat query for an
 //! already-simulated configuration returns instantly without spawning a
@@ -195,7 +195,7 @@ impl Server {
         self.daemon.drain_and_join();
     }
 
-    /// Drains the scheduler, stops the listeners, and blocks until both
+    /// Drains the daemon, stops the listeners, and blocks until both
     /// are down — the programmatic twin of `POST /v1/shutdown`.
     pub fn shutdown(self) {
         self.daemon.drain();
@@ -216,7 +216,7 @@ fn error_response(stream: &mut dyn Write, err: &ApiError) {
 
 /// Serves one request on an established connection, then closes it. Write
 /// errors are deliberately swallowed: a client hanging up mid-response
-/// abandons only its own reply — the scheduler and the outcome store never
+/// abandons only its own reply — the sweep and the outcome store never
 /// see the disconnect.
 fn handle_connection<S: Read + Write>(daemon: &Arc<Daemon>, ctl: &Arc<ServerCtl>, mut stream: S) {
     let request = {

@@ -15,6 +15,11 @@ use shift_serve::ServeConfig;
 use shift_trace::Scale;
 use std::time::Duration;
 
+/// How long a client waits for a reply before the test fails, so a hung
+/// daemon fails the test instead of hanging it: several times the slowest
+/// reply a test waits for in a debug build.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(300);
+
 /// A parsed response: status code plus the full body.
 pub struct Response {
     pub status: u16,
@@ -38,6 +43,9 @@ pub fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -
 /// Sends raw bytes (possibly malformed HTTP) and reads the response.
 pub fn raw_request(addr: SocketAddr, bytes: &[u8]) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(REPLY_TIMEOUT))
+        .expect("set the read timeout");
     stream.write_all(bytes).expect("send request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
@@ -75,11 +83,10 @@ pub fn temp_root(tag: &str) -> PathBuf {
     dir
 }
 
-/// A daemon config tuned for tests: fast poll, 2 drain threads.
+/// A daemon config tuned for tests: 2 drain threads.
 pub fn test_config(root: impl Into<PathBuf>) -> ServeConfig {
     let mut config = ServeConfig::new(root);
     config.threads = 2;
-    config.poll = Duration::from_millis(10);
     config
 }
 

@@ -24,11 +24,13 @@ fn help_prints_the_usage_and_succeeds() {
 
 #[test]
 fn an_unknown_flag_fails() {
-    let output = shift_serve("--bogus");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
-    assert!(
-        stderr.contains("unknown flag \"--bogus\""),
-        "stderr:\n{stderr}"
-    );
+    for flag in ["--bogus", "--poll-ms"] {
+        let output = shift_serve(flag);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag \"{flag}\"")),
+            "stderr:\n{stderr}"
+        );
+    }
 }

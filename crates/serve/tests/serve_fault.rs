@@ -1,14 +1,15 @@
-//! Fault injection: a queue worker dies mid-sweep, the daemon inherits the
+//! Fault injection: a worker dies mid-sweep, the daemon inherits the
 //! wreckage and still completes — byte-identically.
 //!
-//! The scenario reuses the PR 5 idiom: before the daemon ever starts, the
-//! sweep directory is staged as a crashed drain would have left it — a
-//! completed slice of outcomes (the dead worker's finished runs), a claim
-//! lock whose timestamp is ancient (the run it died holding), and a
-//! leftover temp file. The daemon's drain must treat all of that exactly
-//! like the batch queue worker does: valid outcomes are cache hits, the
-//! stale claim is reclaimed, and the served artifact bundle comes out
-//! byte-identical to a single-process `reproduce` run that never crashed.
+//! Before the daemon ever starts, the sweep directory is staged as crashed
+//! drains would have left it — a completed slice of outcomes (the dead
+//! worker's finished runs), a claim lock whose timestamp is ancient (a
+//! queue worker that died long ago), a fresh claim lock (a daemon killed a
+//! moment ago), and a leftover temp file. The daemon is the directory's
+//! only writer and takes no claims: valid outcomes are cache hits, both
+//! claimed runs re-execute with the claim files left as they are, and the
+//! served artifact bundle comes out byte-identical to a single-process
+//! `reproduce` run that never crashed.
 
 mod common;
 
@@ -16,6 +17,7 @@ use common::*;
 use shift_serve::Server;
 use shift_sim::store::lock_file_name;
 use shift_sim::{Execution, ShardSpec};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 #[test]
 fn daemon_completes_a_sweep_abandoned_by_a_killed_worker() {
@@ -45,23 +47,35 @@ fn daemon_completes_a_sweep_abandoned_by_a_killed_worker() {
         .executed;
     assert!(shard_executed > 0 && shard_executed < planned);
 
-    // 2. It died *holding a claim* on a run it never finished: the lock's
-    //    timestamp (1970) is stale under any TTL.
+    // 2. Two runs it never finished are claimed: one by a worker that died
+    //    long ago (the lock's 1970 timestamp is stale under any TTL), one by
+    //    a daemon killed a moment ago (its claim still reads as fresh).
     let staged_matrix = staged.matrix();
-    let victim = staged_matrix
+    let mut unfinished = staged_matrix
         .canonical_order()
         .into_iter()
         .map(|slot| staged_matrix.key_ids()[slot])
-        .find(|id| !sweep_dir.join(format!("run-{id}.json")).exists())
-        .expect("an unfinished run exists");
-    std::fs::write(
-        sweep_dir.join(lock_file_name(victim)),
-        format!(
-            "{{\"schema\": 1, \"key_id\": \"{victim}\", \"worker\": \"dead-worker\", \
-             \"claimed_unix\": 1000}}"
-        ),
-    )
-    .unwrap();
+        .filter(|id| !sweep_dir.join(format!("run-{id}.json")).exists());
+    let now = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .unwrap()
+        .as_secs();
+    let claims: Vec<_> = [
+        ("dead-worker".to_owned(), 1000),
+        (format!("serve-{}", std::process::id()), now),
+    ]
+    .into_iter()
+    .map(|(worker, claimed_unix)| {
+        let victim = unfinished.next().expect("an unfinished run exists");
+        let path = sweep_dir.join(lock_file_name(victim));
+        let bytes = format!(
+            "{{\"schema\": 1, \"key_id\": \"{victim}\", \"worker\": \"{worker}\", \
+             \"claimed_unix\": {claimed_unix}}}"
+        );
+        std::fs::write(&path, &bytes).unwrap();
+        (path, bytes)
+    })
+    .collect();
 
     // 3. And it left a half-written temp file behind.
     std::fs::write(
@@ -76,8 +90,8 @@ fn daemon_completes_a_sweep_abandoned_by_a_killed_worker() {
     let response = request(addr, "POST", "/v1/sweeps", Some(&spec_body(&spec)));
     assert_eq!(response.status, 200, "body: {}", response.body);
 
-    // The dead worker's finished runs were reused, the rest executed, and
-    // the stale claim was reclaimed along the way.
+    // The dead worker's finished runs were reused, the rest executed — the
+    // claimed runs included — and no claim was reclaimed.
     assert_eq!(summary_u64(&response.body, "planned") as usize, planned);
     assert_eq!(
         summary_u64(&response.body, "executed") as usize,
@@ -88,9 +102,10 @@ fn daemon_completes_a_sweep_abandoned_by_a_killed_worker() {
         summary_u64(&response.body, "reused") as usize,
         shard_executed
     );
-    assert!(
-        summary_u64(&response.body, "reclaimed") >= 1,
-        "the dead worker's stale claim was reclaimed: {}",
+    assert_eq!(
+        summary_u64(&response.body, "reclaimed"),
+        0,
+        "{}",
         response.body
     );
 
@@ -106,18 +121,10 @@ fn daemon_completes_a_sweep_abandoned_by_a_killed_worker() {
     assert_eq!(scoreboard.status, 200);
     assert_eq!(scoreboard.body, reference.scoreboard());
 
-    // The reclaim shows up in the progress stream, and no lock or claim
-    // debris survives the drain (the junk temp file is inert but the
-    // protocol files must be gone).
-    let events = request(addr, "GET", &format!("/v1/sweeps/{id}/events"), None);
-    assert_eq!(events.status, 200);
-    assert!(
-        events.body.lines().any(|l| l.contains("\"reclaimed\"")),
-        "no reclaim event in: {}",
-        events.body
-    );
-    assert!(!sweep_dir.join(lock_file_name(victim)).exists());
-    assert_no_locks(&root);
+    // Both claim files are left exactly as staged.
+    for (path, bytes) in &claims {
+        assert_eq!(&std::fs::read_to_string(path).unwrap(), bytes);
+    }
 
     server.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
