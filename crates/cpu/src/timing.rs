@@ -74,12 +74,6 @@ impl CoreTiming {
         }
     }
 
-    /// Creates a timing model from explicit parameters (used by sensitivity
-    /// studies).
-    pub fn from_params(params: CoreParams) -> Self {
-        CoreTiming { params }
-    }
-
     /// The underlying parameters.
     pub fn params(&self) -> &CoreParams {
         &self.params

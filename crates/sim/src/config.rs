@@ -291,13 +291,6 @@ impl CmpConfig {
         self.core_kind = kind;
         self
     }
-
-    /// Changes the prefetcher.
-    #[must_use]
-    pub fn with_prefetcher(mut self, prefetcher: PrefetcherConfig) -> Self {
-        self.prefetcher = prefetcher;
-        self
-    }
 }
 
 /// Options controlling one simulation run.

@@ -52,7 +52,6 @@ pub mod generator;
 pub mod layout;
 pub mod presets;
 pub mod request;
-pub mod stats;
 pub mod workload;
 
 pub use consolidation::{ConsolidationSpec, CoreAssignment};
@@ -60,5 +59,4 @@ pub use event::{DataEvent, FetchEvent, TraceEvent};
 pub use generator::CoreTraceGenerator;
 pub use layout::{AddressRegion, CodeLayout, Fragment, Function};
 pub use request::{CallStep, RequestType};
-pub use stats::TraceStats;
 pub use workload::{Scale, WorkloadSpec};
