@@ -6,7 +6,7 @@
 //! `examples/`, and the integration tests in `tests/` can depend on a single
 //! crate:
 //!
-//! * [`types`] — addresses, identifiers, cycles.
+//! * [`types`] — addresses, identifiers, access kinds.
 //! * [`trace`] — synthetic server-workload trace generation (Table I suite).
 //! * [`cache`] — LRU L1 caches and the banked NUCA LLC with the
 //!   virtualized-history extensions.
