@@ -5,6 +5,9 @@
 //! which wraps around when it reaches the end, overwriting the oldest
 //! records. Replay reads a window of consecutive records starting from a
 //! pointer obtained from the index table.
+//!
+//! Each slot is one 8-byte [`SpatialRegion`] word, so a full 32 K-record
+//! history (PIF_32K's per-core one, SHIFT's per-workload one) takes 256 KiB.
 
 use serde::{Deserialize, Serialize};
 

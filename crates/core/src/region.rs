@@ -7,14 +7,20 @@
 //! accessed before control flow left the region (§4.1, Figure 4a). The paper
 //! uses regions of eight blocks (trigger + 7 bit positions).
 //!
-//! A record is 16 bytes: the trigger and one `u64` that holds the access
-//! vector plus an *end marker* at bit `region_blocks - 1`. The marker is the
-//! highest set bit, so the region size needs no field of its own (it would
-//! be repeated in every record of a history), and the per-fetch tests need
-//! no bit scan: offset `off` lies inside the region exactly when
-//! `off < 64 && bits >> off != 0`, the block iterator stops once only the
-//! marker is left, and the marker stands in for the trigger when counting
-//! accessed blocks.
+//! A record is one 64-bit word, the 41 bits the paper stores (§4.2) with
+//! room to spare: the trigger block in bits 24..=63 and, in bits 0..=23,
+//! the access vector plus an *end marker* at bit `region_blocks - 1`. Every
+//! block a run touches lies below 2^40 (the smallest tag range of its
+//! caches), so 40 trigger bits hold any of them, and a region spans at most
+//! 24 blocks; every design uses 8. The marker is the highest set bit of the
+//! vector field, so the region size needs no field of its own (it would be
+//! repeated in every record of a history), and the per-fetch tests need no
+//! bit scan: offset `off` lies inside the region exactly when `off < 24 &&
+//! vector >> off != 0`, the block iterator stops once only the marker is
+//! left, and the marker stands in for the trigger when counting accessed
+//! blocks.
+
+use std::fmt;
 
 use serde::de::{self, Error};
 use serde::{Deserialize, Serialize, Value};
@@ -22,6 +28,15 @@ use shift_types::BlockAddr;
 
 /// Default spatial region size (in blocks) used throughout the paper.
 pub const DEFAULT_REGION_BLOCKS: u8 = 8;
+
+/// Low bits of a record's word that hold the access vector and its end
+/// marker; the trigger takes the 40 bits above them.
+const VECTOR_BITS: u32 = 24;
+const VECTOR_MASK: u64 = (1 << VECTOR_BITS) - 1;
+/// The largest region a record holds: its end marker is the top vector bit.
+const MAX_REGION_BLOCKS: u8 = VECTOR_BITS as u8;
+/// Triggers must lie below 2^40 to fit above the vector.
+const TRIGGER_LIMIT: u64 = 1 << (u64::BITS - VECTOR_BITS);
 
 /// A spatial region record: the trigger block plus a bit vector over the
 /// following `region_blocks - 1` blocks.
@@ -38,12 +53,12 @@ pub const DEFAULT_REGION_BLOCKS: u8 = 8;
 /// let blocks: Vec<_> = region.blocks().collect();
 /// assert_eq!(blocks, vec![BlockAddr::new(0x100), BlockAddr::new(0x102)]);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpatialRegion {
-    trigger: BlockAddr,
-    /// Bit `i` below the marker set: block `trigger + i + 1` was accessed.
-    /// The marker, at bit `region_blocks - 1`, is always the highest set bit.
-    bits: u64,
+    /// The trigger in bits 24..=63; below them, bit `i` set means block
+    /// `trigger + i + 1` was accessed, and the marker at bit
+    /// `region_blocks - 1` is the highest set bit of bits 0..=23.
+    word: u64,
 }
 
 impl SpatialRegion {
@@ -52,45 +67,57 @@ impl SpatialRegion {
     ///
     /// # Panics
     ///
-    /// Panics if `region_blocks` is not in `2..=64`.
+    /// Panics if `region_blocks` is not in `2..=24` or `trigger` is at or
+    /// above 2^40.
     pub fn new(trigger: BlockAddr, region_blocks: u8) -> Self {
         assert!(
-            (2..=64).contains(&region_blocks),
-            "region size must be between 2 and 64 blocks"
+            (2..=MAX_REGION_BLOCKS).contains(&region_blocks),
+            "region size must be between 2 and {MAX_REGION_BLOCKS} blocks, got {region_blocks}"
+        );
+        assert!(
+            trigger.get() < TRIGGER_LIMIT,
+            "trigger {trigger} is at or above 2^40, beyond a record's 40-bit trigger field"
         );
         SpatialRegion {
-            trigger,
-            bits: 1 << (region_blocks - 1),
+            word: trigger.get() << VECTOR_BITS | 1 << (region_blocks - 1),
         }
     }
 
     /// The trigger (first-accessed) block of the region.
+    #[inline]
     pub fn trigger(&self) -> BlockAddr {
-        self.trigger
+        BlockAddr::new(self.word >> VECTOR_BITS)
+    }
+
+    /// The access vector with its end marker (bits 0..=23 of the word).
+    #[inline]
+    fn bits(&self) -> u64 {
+        self.word & VECTOR_MASK
     }
 
     /// The region size in blocks.
     pub fn region_blocks(&self) -> u8 {
-        (u64::BITS - self.bits.leading_zeros()) as u8
+        (u64::BITS - self.bits().leading_zeros()) as u8
     }
 
     /// The raw bit vector (bit `i` set means block `trigger + i + 1` was
     /// accessed).
     pub fn bit_vector(&self) -> u64 {
-        self.bits ^ (1 << (self.region_blocks() - 1))
+        self.bits() ^ (1 << (self.region_blocks() - 1))
     }
 
     /// Whether offset `off` from the trigger lies inside the region: the
-    /// marker at bit `region_blocks - 1` is the highest set bit, so a shift
-    /// by `off` leaves it standing exactly when `off < region_blocks`.
+    /// marker at bit `region_blocks - 1` is the highest set bit of the
+    /// vector, so a shift by `off` leaves it standing exactly when
+    /// `off < region_blocks`.
     #[inline]
     fn spans(&self, off: u64) -> bool {
-        off < 64 && self.bits >> off != 0
+        off < u64::from(VECTOR_BITS) && self.bits() >> off != 0
     }
 
     /// Returns `true` if `block` falls inside this region's address range.
     pub fn contains_address(&self, block: BlockAddr) -> bool {
-        match block.offset_from(self.trigger) {
+        match block.offset_from(self.trigger()) {
             Some(off) => self.spans(off),
             None => false,
         }
@@ -99,9 +126,9 @@ impl SpatialRegion {
     /// Returns `true` if `block` was recorded as accessed (the trigger always
     /// counts as accessed).
     pub fn contains_access(&self, block: BlockAddr) -> bool {
-        match block.offset_from(self.trigger) {
+        match block.offset_from(self.trigger()) {
             Some(0) => true,
-            Some(off) if self.spans(off) => self.bits & (1 << (off - 1)) != 0,
+            Some(off) if self.spans(off) => self.word & (1 << (off - 1)) != 0,
             _ => false,
         }
     }
@@ -109,10 +136,10 @@ impl SpatialRegion {
     /// Records an access to `block` if it falls inside the region, returning
     /// whether it did.
     pub fn try_record(&mut self, block: BlockAddr) -> bool {
-        match block.offset_from(self.trigger) {
+        match block.offset_from(self.trigger()) {
             Some(0) => true,
             Some(off) if self.spans(off) => {
-                self.bits |= 1 << (off - 1);
+                self.word |= 1 << (off - 1);
                 true
             }
             _ => false,
@@ -129,16 +156,16 @@ impl SpatialRegion {
     /// exact size so `Vec::extend` reserves in one step.
     pub fn blocks(&self) -> impl ExactSizeIterator<Item = BlockAddr> + '_ {
         BlockIter {
-            trigger: self.trigger,
+            trigger: self.trigger(),
             emit_trigger: true,
-            bits: self.bits,
+            bits: self.bits(),
         }
     }
 
     /// Number of accessed blocks encoded (including the trigger, for which
     /// the end marker stands in).
     pub fn accessed_blocks(&self) -> u32 {
-        self.bits.count_ones()
+        self.bits().count_ones()
     }
 
     /// Number of storage bits one record occupies: a block address plus
@@ -149,19 +176,49 @@ impl SpatialRegion {
     }
 }
 
-/// Reads the two serialized fields back, refusing a vector with no end
-/// marker at bits 1..=63 (that is, below 2): it would be a record of size 0
-/// or 1, which [`SpatialRegion::new`] never makes.
+/// Shows the two fields a record is serialized as.
+impl fmt::Debug for SpatialRegion {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpatialRegion")
+            .field("trigger", &self.trigger())
+            .field("bits", &self.bits())
+            .finish()
+    }
+}
+
+/// Writes the trigger and the vector with its marker as two fields,
+/// `trigger` and `bits`.
+impl Serialize for SpatialRegion {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("trigger".to_owned(), self.trigger().to_value()),
+            ("bits".to_owned(), Value::UInt(self.bits())),
+        ])
+    }
+}
+
+/// Reads the two serialized fields back, refusing a trigger at or above
+/// 2^40 and a vector with no end marker at bits 1..=23 (that is, below 2
+/// or at or above 2^24): neither fits the word, and the first would be a
+/// record of size 0 or 1, which [`SpatialRegion::new`] never makes.
 impl Deserialize for SpatialRegion {
     fn from_value(value: &Value) -> Result<Self, Error> {
-        let trigger = de::field(value, "SpatialRegion", "trigger")?;
+        let trigger: BlockAddr = de::field(value, "SpatialRegion", "trigger")?;
         let bits: u64 = de::field(value, "SpatialRegion", "bits")?;
-        if bits < 2 {
+        if trigger.get() >= TRIGGER_LIMIT {
             return Err(Error::custom(format!(
-                "SpatialRegion.bits: {bits} has no region-size marker at bits 1..=63"
+                "SpatialRegion.trigger: {} is at or above 2^40",
+                trigger.get()
             )));
         }
-        Ok(SpatialRegion { trigger, bits })
+        if !(2..=VECTOR_MASK).contains(&bits) {
+            return Err(Error::custom(format!(
+                "SpatialRegion.bits: {bits} has no region-size marker at bits 1..=23"
+            )));
+        }
+        Ok(SpatialRegion {
+            word: trigger.get() << VECTOR_BITS | bits,
+        })
     }
 }
 
@@ -338,14 +395,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "between 2 and 64")]
+    #[should_panic(expected = "between 2 and 24")]
     fn degenerate_region_size_rejected() {
         let _ = SpatialRegion::new(BlockAddr::new(0), 1);
     }
 
     #[test]
-    fn a_record_is_a_trigger_and_one_word() {
-        assert_eq!(std::mem::size_of::<SpatialRegion>(), 16);
+    #[should_panic(expected = "between 2 and 24 blocks, got 25")]
+    fn a_region_past_the_vector_field_is_rejected() {
+        let _ = SpatialRegion::new(BlockAddr::new(0), 25);
+    }
+
+    #[test]
+    #[should_panic(expected = "at or above 2^40")]
+    fn a_trigger_past_the_trigger_field_is_rejected() {
+        let _ = SpatialRegion::new(BlockAddr::new(1 << 40), 8);
+    }
+
+    #[test]
+    fn the_widest_record_keeps_its_fields_apart() {
+        let top = BlockAddr::new((1 << 40) - 1);
+        let mut region = SpatialRegion::new(top, 24);
+        assert!(region.try_record(top.offset(23)));
+        assert!(!region.try_record(top.offset(24)));
+        assert_eq!(region.trigger(), top);
+        assert_eq!(region.region_blocks(), 24);
+        assert_eq!(region.bit_vector(), 1 << 22);
+        assert_eq!(region.blocks().collect::<Vec<_>>(), [top, top.offset(23)]);
+    }
+
+    #[test]
+    fn a_record_is_one_word() {
+        assert_eq!(std::mem::size_of::<SpatialRegion>(), 8);
     }
 
     #[test]
@@ -357,6 +438,21 @@ mod tests {
             ]);
             let err = SpatialRegion::from_value(&value).expect_err("no marker");
             assert!(err.message().contains("marker"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_serialized_field_past_the_word_is_an_error() {
+        for (trigger, bits, field) in [(1 << 40, 0x80, "trigger"), (7, 1 << 24, "bits")] {
+            let value = Value::Map(vec![
+                ("trigger".to_owned(), Value::UInt(trigger)),
+                ("bits".to_owned(), Value::UInt(bits)),
+            ]);
+            let err = SpatialRegion::from_value(&value).expect_err("out of range");
+            assert!(
+                err.message().starts_with(&format!("SpatialRegion.{field}")),
+                "{err}"
+            );
         }
     }
 }

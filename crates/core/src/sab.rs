@@ -8,6 +8,10 @@
 //! instructions that fall into buffered regions, the stream advances and
 //! further records are read. Prefetch requests are issued for the blocks
 //! encoded by newly read records.
+//!
+//! A buffer's queue and the set's scratch window hold the history's own
+//! 8-byte [`SpatialRegion`] words, copied as read: the paper's four
+//! 12-record buffers take 384 bytes of records per core.
 
 use std::collections::VecDeque;
 

@@ -18,11 +18,12 @@
 //! scalar model too (`ModelRegion`: the region size plus the sorted set of
 //! recorded offsets), for every region size 2..=24 and triggers below 2^40,
 //! so a change to how a record is stored cannot change what it answers.
+//! Arbitrary serialized fields read back as a record or a typed error.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use shift_core::{HistoryBuffer, IndexTable, SpatialRegion, SpatialRegionCompactor};
 use shift_types::BlockAddr;
 
@@ -440,5 +441,39 @@ proptest! {
         assert_record_agrees(&flushed, &pending);
         prop_assert!(compactor.flush().is_none());
         prop_assert!(emitted <= steps.len());
+    }
+}
+
+/// The low `width` bits of `raw`: drawn this way, values of every magnitude
+/// come up, those around each field's bound included.
+fn of_width(width: u32, raw: u64) -> u64 {
+    raw.checked_shr(u64::BITS - width).unwrap_or(0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// Arbitrary serialized `{trigger, bits}` fields read back as a record
+    /// that serializes to the same value, or as a typed error, and never
+    /// panic: a record exactly when the trigger is below 2^40 and the
+    /// highest set bit of `bits`, the region-size marker, is at 1..=23.
+    #[test]
+    fn arbitrary_serialized_records_read_back_or_fail_typed(
+        trigger in (0u32..=64, 0u64..=u64::MAX),
+        bits in (0u32..=64, 0u64..=u64::MAX),
+    ) {
+        let (trigger, bits) = (of_width(trigger.0, trigger.1), of_width(bits.0, bits.1));
+        let fits = trigger < 1 << 40 && (2..1 << 24).contains(&bits);
+        let value = Value::Map(vec![
+            ("trigger".to_owned(), Value::UInt(trigger)),
+            ("bits".to_owned(), Value::UInt(bits)),
+        ]);
+        match SpatialRegion::from_value(&value) {
+            Ok(record) => {
+                prop_assert!(fits, "{trigger:#x}/{bits:#x} read back as {record:?}");
+                prop_assert_eq!(record.to_value(), value);
+            }
+            Err(err) => prop_assert!(!fits, "{trigger:#x}/{bits:#x} refused: {err}"),
+        }
     }
 }

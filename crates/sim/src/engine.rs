@@ -683,8 +683,12 @@ mod tests {
     /// slot (a workload id is a `u8`): its data region at
     /// `with_region_index(255)`, and workload 255's SHIFT history window
     /// at the largest history a `HistoryBuffer` holds (`u32::MAX` records).
+    /// A history record's trigger field holds 40 bits, so a record built at
+    /// the highest of those blocks must read its trigger back.
     #[test]
     fn every_block_a_run_can_touch_fits_every_tag_range() {
+        use shift_core::SpatialRegion;
+
         let tag_range = |sets: usize, banks: usize| ((sets * banks) as u64) << 32;
         let mut smallest_range = u64::MAX;
         for cores in 1..=64 {
@@ -715,5 +719,7 @@ mod tests {
             highest < smallest_range,
             "block {highest:#x} lies beyond the smallest tag range, {smallest_range:#x} blocks"
         );
+        let record = SpatialRegion::new(BlockAddr::new(highest), 8);
+        assert_eq!(record.trigger().get(), highest);
     }
 }
