@@ -27,14 +27,21 @@
 //! is a durable execution, which takes no claim locks: a restarted daemon
 //! resumes from the valid outcomes it finds and re-executes the rest,
 //! whatever a killed process left in the directory.
+//!
+//! A sweep that panics (a worker's panic resurfaces from its thread scope)
+//! fails its own job with the panic message, so its waiters wake, and
+//! leaves the daemon serving: the run lock guards no data, and the job
+//! state is read through poisoning.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use serde::{json, Serialize, Value};
 use shift_bench::reproduce::{PaperPlan, PlanSpec};
@@ -121,19 +128,45 @@ pub struct Job {
 }
 
 impl Job {
+    fn new(id: String, planned: usize) -> Job {
+        Job {
+            id,
+            state: Mutex::new(JobState {
+                status: JobStatus::Queued,
+                planned,
+                report: None,
+                events: Vec::new(),
+                bundle: None,
+                scoreboard: None,
+            }),
+            cond: Condvar::new(),
+        }
+    }
+
+    /// The state lock. Every write to the state is a single assignment or
+    /// push, so a thread that panicked holding the lock left it whole.
+    fn lock(&self) -> MutexGuard<'_, JobState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Runs `f` under the state lock.
     pub fn with_state<T>(&self, f: impl FnOnce(&JobState) -> T) -> T {
-        f(&self.state.lock().expect("job state poisoned"))
+        f(&self.lock())
     }
 
     /// Blocks until the job is [`JobStatus::Complete`] or
     /// [`JobStatus::Failed`], returning the final status.
     pub fn wait(&self) -> JobStatus {
-        let mut state = self.state.lock().expect("job state poisoned");
+        let mut state = self.lock();
         loop {
             match &state.status {
                 JobStatus::Complete | JobStatus::Failed(_) => return state.status.clone(),
-                _ => state = self.cond.wait(state).expect("job state poisoned"),
+                _ => {
+                    state = self
+                        .cond
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner)
+                }
             }
         }
     }
@@ -142,7 +175,7 @@ impl Job {
     /// reached a terminal status; returns the new events past `cursor` and
     /// whether the job is finished.
     pub fn wait_events(&self, cursor: usize) -> (Vec<String>, bool) {
-        let mut state = self.state.lock().expect("job state poisoned");
+        let mut state = self.lock();
         loop {
             let finished = matches!(state.status, JobStatus::Complete | JobStatus::Failed(_));
             if state.events.len() > cursor || finished {
@@ -151,24 +184,39 @@ impl Job {
                     finished,
                 );
             }
-            state = self.cond.wait(state).expect("job state poisoned");
+            state = self
+                .cond
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     fn set_status(&self, status: JobStatus) {
-        self.state.lock().expect("job state poisoned").status = status;
+        self.lock().status = status;
         self.cond.notify_all();
     }
 
     fn push_event(&self, line: String) {
-        let mut state = self.state.lock().expect("job state poisoned");
-        state.events.push(line);
+        self.lock().events.push(line);
         self.cond.notify_all();
+    }
+
+    /// Runs `sweep` and settles the job with its outcome: `Complete`, or
+    /// `Failed` with the sweep's error or, if it panicked, the panic
+    /// message. Either way the job ends terminal and its waiters wake.
+    fn settle(&self, sweep: impl FnOnce() -> Result<(), String>) {
+        self.set_status(match panic::catch_unwind(AssertUnwindSafe(sweep)) {
+            Ok(Ok(())) => JobStatus::Complete,
+            Ok(Err(msg)) => JobStatus::Failed(msg),
+            Err(payload) => {
+                JobStatus::Failed(format!("sweep panicked: {}", panic_message(&*payload)))
+            }
+        });
     }
 
     /// The status summary document served for this job.
     pub fn summary(&self, cached: bool) -> String {
-        let state = self.state.lock().expect("job state poisoned");
+        let state = self.lock();
         let sources = state.report.map(|r| r.sources).unwrap_or_default();
         let mut fields = vec![
             ("id".to_owned(), Value::Str(self.id.clone())),
@@ -190,6 +238,16 @@ impl Job {
         }
         json::to_string(&Value::Map(fields))
     }
+}
+
+/// The text of a panic payload: `panic!` with a message carries a `&str`
+/// or a `String`.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a panic without a message")
 }
 
 /// What [`Daemon::submit`] decided about a submission.
@@ -282,24 +340,10 @@ impl Daemon {
         if self.is_draining() {
             return Err(ApiError::Draining);
         }
-        let job = Arc::new(Job {
-            id: id.clone(),
-            state: Mutex::new(JobState {
-                status: JobStatus::Queued,
-                planned: plan.run_count(),
-                report: None,
-                events: Vec::new(),
-                bundle: None,
-                scoreboard: None,
-            }),
-            cond: Condvar::new(),
-        });
+        let job = Arc::new(Job::new(id.clone(), plan.run_count()));
         registry.insert(id, Arc::clone(&job));
         drop(registry);
-        job.set_status(match self.run_job(&job, plan) {
-            Ok(()) => JobStatus::Complete,
-            Err(msg) => JobStatus::Failed(msg),
-        });
+        job.settle(|| self.run_job(&job, plan));
         Ok(Submission { job, cached: false })
     }
 
@@ -439,7 +483,7 @@ impl Daemon {
         let bundle = Arc::new(wire_bundle_json(paper_report.artifacts()));
         let scoreboard = Arc::new(paper_report.scoreboard());
 
-        let mut state = job.state.lock().expect("job state poisoned");
+        let mut state = job.lock();
         state.report = Some(report);
         state.bundle = Some(bundle);
         state.scoreboard = Some(scoreboard);
@@ -452,5 +496,46 @@ impl Daemon {
             ),
         ])));
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_sweep_fails_its_job_and_wakes_its_waiters() {
+        let root = std::env::temp_dir().join("shift-serve-unit-unwind");
+        let _ = fs::remove_dir_all(&root);
+        let daemon = Daemon::start(ServeConfig::new(&root)).expect("daemon starts");
+        let job = Arc::new(Job::new("00000000000000aa".to_owned(), 3));
+        daemon
+            .registry
+            .lock()
+            .expect("registry")
+            .insert(job.id.clone(), Arc::clone(&job));
+
+        let waiter = {
+            let job = Arc::clone(&job);
+            std::thread::spawn(move || job.wait())
+        };
+        job.settle(|| {
+            job.set_status(JobStatus::Running);
+            panic!("injected run panic")
+        });
+        let status = waiter.join().expect("the waiter returns");
+        assert_eq!(
+            status,
+            JobStatus::Failed("sweep panicked: injected run panic".to_owned())
+        );
+        assert_eq!(job.wait(), status);
+        assert!(job.summary(false).contains(r#""status":"failed""#));
+        assert_eq!(job.wait_events(0), (Vec::new(), true));
+        assert_eq!(
+            daemon.status_json(),
+            r#"{"jobs":1,"queued":0,"busy":false,"draining":false}"#
+        );
+        daemon.drain_and_join();
+        let _ = fs::remove_dir_all(&root);
     }
 }
