@@ -674,6 +674,7 @@ fn shift_history_base(w: usize) -> BlockAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shift_core::SpatialRegion;
     use shift_trace::presets;
 
     /// Every block a run can touch lies below 2^40, the smallest tag range
@@ -687,8 +688,6 @@ mod tests {
     /// the highest of those blocks must read its trigger back.
     #[test]
     fn every_block_a_run_can_touch_fits_every_tag_range() {
-        use shift_core::SpatialRegion;
-
         let tag_range = |sets: usize, banks: usize| ((sets * banks) as u64) << 32;
         let mut smallest_range = u64::MAX;
         for cores in 1..=64 {
