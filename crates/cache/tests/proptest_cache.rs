@@ -49,20 +49,23 @@ proptest! {
     /// scalar per-set model under any interleaving of accesses and fills —
     /// same hit/miss outcomes, same eviction victims, same resident sets.
     /// This pins the SoA layout's branch-light scan and bitmask victim
-    /// selection to the straightforward AoS semantics it replaced.
+    /// selection to the straightforward AoS semantics it replaced. Every
+    /// case runs thousands of operations over four sets, so each set sees
+    /// hundreds of touches: more than an 8-bit stamp counts.
     #[test]
     fn packed_tag_scan_matches_scalar_model(
-        ops in proptest::collection::vec((0u8..2, 0u64..64), 1..400),
+        ops in proptest::collection::vec((0u8..2, 0u64..32), 6_000..8_000),
     ) {
-        const SETS: u64 = 8;
+        const SETS: u64 = 4;
         const WAYS: usize = 4;
         let mut cache: SetAssocCache<u64> =
             SetAssocCache::new(CacheConfig::new(SETS as usize * WAYS * 64, WAYS, 64, 1));
 
         // Scalar reference model: per-set Vec of (block, meta, last_use) with
-        // a shared clock that ticks on every access *and* fill, mirroring the
-        // cache's internal clock so LRU victims are chosen identically.
+        // a `u64` clock that ticks on every access and fill. Only the order
+        // of the touches within a set decides its LRU victim.
         let mut model: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); SETS as usize];
+        let mut touches = [0u32; SETS as usize];
         let mut clock = 0u64;
 
         for (i, &(op, key)) in ops.iter().enumerate() {
@@ -74,6 +77,7 @@ proptest! {
                     let model_hit = match set.iter_mut().find(|l| l.0 == key) {
                         Some(line) => {
                             line.2 = clock;
+                            touches[(key % SETS) as usize] += 1;
                             true
                         }
                         None => false,
@@ -82,6 +86,7 @@ proptest! {
                 }
                 _ => {
                     clock += 1;
+                    touches[(key % SETS) as usize] += 1;
                     let meta = i as u64;
                     let model_victim = if let Some(line) = set.iter_mut().find(|l| l.0 == key) {
                         line.1 = meta;
@@ -107,21 +112,25 @@ proptest! {
         // Final residency over the whole block domain must agree exactly.
         let resident: usize = model.iter().map(Vec::len).sum();
         prop_assert_eq!(cache.resident_blocks(), resident);
-        for key in 0..64u64 {
+        for key in 0..32u64 {
             let in_model = model[(key % SETS) as usize].iter().any(|l| l.0 == key);
             prop_assert_eq!(cache.probe(BlockAddr::new(key)), in_model);
         }
+        // Hits and fills touch a line; every set saw hundreds of them.
+        prop_assert!(touches.iter().all(|&t| t > 2 * 255), "touches per set: {touches:?}");
     }
 
     /// The two cache shapes the simulator configures (a 256-set × 2-way L1
     /// and a 512-set × 16-way LLC bank) behave like a scalar per-set LRU
     /// model over the whole tag range: blocks `set + sets·t` with `t` small,
     /// around 2^31 and just below 2^32, under accesses, fills, pinned fills
-    /// and probes. The model's clock is a `u64`.
+    /// and probes. The model's clock is a `u64`, and every case runs
+    /// thousands of operations over four sets, so each set sees hundreds of
+    /// touches: more than an 8-bit stamp counts.
     #[test]
     fn lru_choices_hold_across_the_tag_range(
         shape in 0u8..2,
-        ops in proptest::collection::vec((0u8..5, 0usize..4, 0u8..3, 0u64..8), 1..400),
+        ops in proptest::collection::vec((0u8..4, 0usize..4, 0u8..3, 0u64..8), 6_000..8_000),
     ) {
         let (sets, ways) = if shape == 0 { (256u64, 2usize) } else { (512, 16) };
         let mut cache: SetAssocCache<u64> =
@@ -138,6 +147,7 @@ proptest! {
 
         // Per set: (block, meta, last use, pinned), in no particular order.
         let mut model: Vec<Vec<(u64, u64, u64, bool)>> = vec![Vec::new(); set_of.len()];
+        let mut touches = [0u32; 4];
         let mut clock = 0u64;
 
         for (i, &(op, set_pick, band, offset)) in ops.iter().enumerate() {
@@ -150,19 +160,20 @@ proptest! {
                     clock += 1;
                     if let Some(w) = line {
                         set[w].2 = clock;
+                        touches[set_pick] += 1;
                     }
                     prop_assert_eq!(cache.access(block).is_hit(), line.is_some());
                 }
                 1 | 2 => {
-                    let pinned = op == 2;
-                    // At most `ways - 1` pinned lines per set, so a fill
-                    // always finds a victim.
+                    // Only the first two sets pin, each at most half its
+                    // ways: a fill always finds a victim, and the unpinned
+                    // ways keep a real LRU choice. A pinned fill past that
+                    // is a plain fill.
                     let pins = set.iter().filter(|l| l.3).count();
                     let already = line.is_some_and(|w| set[w].3);
-                    if pinned && !already && pins + 1 >= ways {
-                        continue;
-                    }
+                    let pinned = op == 2 && set_pick < 2 && (already || pins < ways / 2);
                     clock += 1;
+                    touches[set_pick] += 1;
                     let meta = i as u64;
                     let model_victim = if let Some(w) = line {
                         set[w].1 = meta;
@@ -207,5 +218,7 @@ proptest! {
                 }
             }
         }
+        // Hits and fills touch a line; every set saw hundreds of them.
+        prop_assert!(touches.iter().all(|&t| t > 2 * 255), "touches per set: {touches:?}");
     }
 }
