@@ -3,11 +3,11 @@
 //! # Layout
 //!
 //! Per-line state lives in parallel packed arrays (`tags`, `last_use`,
-//! `meta`) indexed by `set * ways + way`, with per-set occupancy counts and a
-//! per-set pinned-way bitmask — a struct-of-arrays layout in which the tag
-//! scan of a lookup touches only the tag lane instead of striding over full
-//! line structs. The scan itself is a branch-light fixed-width loop that
-//! builds a hit bitmask (one bit per way) the compiler can autovectorize.
+//! `meta`) indexed by `set * ways + way`, with per-set occupancy counts and
+//! clocks — a struct-of-arrays layout in which the tag scan of a lookup
+//! touches only the tag lane instead of striding over full line structs.
+//! The scan itself is a branch-light fixed-width loop that builds a hit
+//! bitmask (one bit per way) the compiler can autovectorize.
 //!
 //! A tag is the block's bits above the set index, as a hardware tag array
 //! holds it: `block >> log2(sets)` for a power-of-two set count (every
@@ -17,12 +17,22 @@
 //! set). A block beyond that range panics. A 16-way set's tags fill one
 //! 64-byte line.
 //!
-//! Recency is a `u32` stamp of a per-cache clock that ticks on every access
-//! and fill. Victims are chosen within a set by stamp order alone, so when
-//! the clock would wrap, a cold pass renumbers each set's live stamps
-//! `1..=len` in recency order and restarts the clock at `ways`; every later
-//! choice is the one an unbounded clock would make. A line costs 8 bytes
-//! plus its metadata: 12 for an LLC line with its index pointer.
+//! Recency is a `u8` stamp per line, taken from its set's `u8` clock, which
+//! ticks on every hit and fill in the set; a miss writes no stamp and does
+//! not tick. Victims are chosen within a set by stamp order alone, so when a
+//! set's clock would pass 255, a cold pass renumbers that set's live stamps
+//! `1..=len` in recency order and restarts its clock at `len`; every later
+//! choice is the one an unbounded clock would make. A set renumbers at most
+//! once every `255 - ways` touches: every 239 or more in a 16-way LLC bank,
+//! every 253 or more in a 2-way L1.
+//!
+//! A line costs 5 bytes plus its metadata: 9 for an LLC line with its index
+//! pointer, 5 for an L1-D line and 21 for an L1-I line. A set adds 2 (its
+//! length and its clock). Pinned-way bitmasks, 8 bytes per set, are
+//! allocated by the cache's first pinned fill, which in a run is
+//! virtualized SHIFT reserving its history in the LLC
+//! (`NucaLlc::reserve_history_region`): the L1s and every other LLC hold
+//! none.
 //!
 //! Within a set, live lines occupy ways `0..len`: a fill into a free way
 //! appends, and an eviction writes the new line into the victim's slot. No
@@ -130,13 +140,17 @@ pub struct SetAssocCache<M> {
     /// been live; they hold tag 0, which the live-way mask excludes from
     /// every match.
     tags: Vec<u32>,
-    /// Recency lane: the cache clock at each line's last touch.
-    last_use: Vec<u32>,
+    /// Recency lane: the set's clock at each line's last touch.
+    last_use: Vec<u8>,
     /// Metadata lane.
     meta: Vec<M>,
     /// Number of live ways per set; live lines pack ways `0..len`.
     set_len: Vec<u8>,
-    /// Per-set bitmask of pinned (non-evictable) ways.
+    /// Per-set clock: the stamp of the set's latest touch; see
+    /// [`tick`](Self::tick).
+    set_clock: Vec<u8>,
+    /// Per-set bitmask of pinned (non-evictable) ways; empty until the
+    /// first pinned fill, see [`pin`](Self::pin).
     pinned: Vec<u64>,
     /// Number of sets, cached so the per-access index computation performs no
     /// division over the configuration.
@@ -145,8 +159,6 @@ pub struct SetAssocCache<M> {
     /// block into set and tag is then a mask and a shift instead of a modulo
     /// and a division.
     set_bits: Option<u32>,
-    /// The stamp of the latest touch; see [`tick`](Self::tick).
-    clock: u32,
     stats: CacheStats,
 }
 
@@ -170,12 +182,12 @@ impl<M: Default> SetAssocCache<M> {
             last_use: vec![0; slots],
             meta,
             set_len: vec![0; sets],
-            pinned: vec![0; sets],
+            set_clock: vec![0; sets],
+            pinned: Vec::new(),
             set_count,
             set_bits: set_count
                 .is_power_of_two()
                 .then(|| set_count.trailing_zeros()),
-            clock: 0,
             stats: CacheStats::default(),
             config,
         }
@@ -242,36 +254,44 @@ impl<M> SetAssocCache<M> {
         })
     }
 
-    /// Advances the clock and returns the new stamp.
+    /// Advances set `idx`'s clock and returns the new stamp.
     #[inline]
-    fn tick(&mut self) -> u32 {
-        if self.clock == u32::MAX {
-            self.renumber_stamps();
+    fn tick(&mut self, idx: usize) -> u8 {
+        if self.set_clock[idx] == u8::MAX {
+            self.renumber_set(idx);
         }
-        self.clock += 1;
-        self.clock
+        self.set_clock[idx] += 1;
+        self.set_clock[idx]
     }
 
-    /// Renumbers each set's live stamps `1..=len` in recency order and
-    /// restarts the clock at `ways`, so every later stamp exceeds every live
+    /// Renumbers set `idx`'s live stamps `1..=len` in recency order and
+    /// restarts its clock at `len`, so every later stamp exceeds every live
     /// one. Victims are chosen within a set by stamp order alone, so no
     /// choice changes.
     #[cold]
     #[inline(never)]
-    fn renumber_stamps(&mut self) {
-        let mut order = [(0u32, 0usize); 64];
-        for (idx, &len) in self.set_len.iter().enumerate() {
-            let base = idx * self.ways;
-            let live = &mut order[..len as usize];
-            for (w, slot) in live.iter_mut().enumerate() {
-                *slot = (self.last_use[base + w], w);
-            }
-            live.sort_unstable();
-            for (rank, &(_, w)) in live.iter().enumerate() {
-                self.last_use[base + w] = rank as u32 + 1;
-            }
+    fn renumber_set(&mut self, idx: usize) {
+        let base = idx * self.ways;
+        let len = self.set_len[idx];
+        let mut order = [(0u8, 0u8); 64];
+        let live = &mut order[..len as usize];
+        for (w, slot) in live.iter_mut().enumerate() {
+            *slot = (self.last_use[base + w], w as u8);
         }
-        self.clock = self.ways as u32;
+        live.sort_unstable();
+        for (rank, &(_, w)) in live.iter().enumerate() {
+            self.last_use[base + w as usize] = rank as u8 + 1;
+        }
+        self.set_clock[idx] = len;
+    }
+
+    /// Marks way `w` of set `idx` pinned. The cache's first pinned fill
+    /// allocates the pin masks, so a cache that never pins holds none.
+    fn pin(&mut self, idx: usize, w: usize) {
+        if self.pinned.is_empty() {
+            self.pinned = vec![0; self.set_len.len()];
+        }
+        self.pinned[idx] |= 1 << w;
     }
 
     /// Finds the live way holding `target` in the set at `base`, if any.
@@ -304,12 +324,11 @@ impl<M> SetAssocCache<M> {
     #[inline]
     pub fn access(&mut self, block: BlockAddr) -> AccessResult {
         let (idx, tag) = self.split(block);
-        let stamp = self.tick();
         self.stats.accesses += 1;
         let base = idx * self.ways;
         match self.match_way(base, self.set_len[idx] as usize, tag) {
             Some(w) => {
-                self.last_use[base + w] = stamp;
+                self.last_use[base + w] = self.tick(idx);
                 self.stats.hits += 1;
                 AccessResult::Hit
             }
@@ -329,12 +348,11 @@ impl<M> SetAssocCache<M> {
     #[inline]
     pub fn access_meta(&mut self, block: BlockAddr) -> (AccessResult, Option<&mut M>) {
         let (idx, tag) = self.split(block);
-        let stamp = self.tick();
         self.stats.accesses += 1;
         let base = idx * self.ways;
         match self.match_way(base, self.set_len[idx] as usize, tag) {
             Some(w) => {
-                self.last_use[base + w] = stamp;
+                self.last_use[base + w] = self.tick(idx);
                 self.stats.hits += 1;
                 (AccessResult::Hit, Some(&mut self.meta[base + w]))
             }
@@ -369,7 +387,7 @@ impl<M> SetAssocCache<M> {
 
     fn fill_inner(&mut self, block: BlockAddr, meta: M, pinned: bool) -> Option<EvictedLine<M>> {
         let (idx, tag) = self.split(block);
-        let stamp = self.tick();
+        let stamp = self.tick(idx);
         self.stats.fills += 1;
         let ways = self.ways;
         let base = idx * ways;
@@ -380,7 +398,7 @@ impl<M> SetAssocCache<M> {
             self.meta[base + w] = meta;
             self.last_use[base + w] = stamp;
             if pinned {
-                self.pinned[idx] |= 1 << w;
+                self.pin(idx, w);
             }
             return None;
         }
@@ -392,7 +410,7 @@ impl<M> SetAssocCache<M> {
             self.meta[slot] = meta;
             self.last_use[slot] = stamp;
             if pinned {
-                self.pinned[idx] |= 1 << len;
+                self.pin(idx, len);
             }
             self.set_len[idx] = (len + 1) as u8;
             return None;
@@ -402,7 +420,7 @@ impl<M> SetAssocCache<M> {
         // bitmask; fills are on the miss path of every cache level, so this
         // must stay allocation-free.
         let live_mask = u64::MAX >> (64 - len as u32);
-        let mut rest = live_mask & !self.pinned[idx];
+        let mut rest = live_mask & !self.pinned.get(idx).copied().unwrap_or(0);
         assert!(
             rest != 0,
             "all ways of set {idx} are pinned; cannot fill {block}"
@@ -424,7 +442,7 @@ impl<M> SetAssocCache<M> {
         self.tags[slot] = tag;
         self.last_use[slot] = stamp;
         if pinned {
-            self.pinned[idx] |= 1 << victim;
+            self.pin(idx, victim);
         }
         Some(EvictedLine {
             block: evicted_block,
@@ -597,13 +615,43 @@ mod tests {
     }
 
     #[test]
-    fn a_line_holds_a_four_byte_tag_and_a_four_byte_stamp() {
+    fn a_line_holds_a_four_byte_tag_and_a_one_byte_stamp() {
         fn lane_bytes<T>(_: &[T]) -> usize {
             std::mem::size_of::<T>()
         }
         let c = small();
         assert_eq!(lane_bytes(&c.tags), 4);
-        assert_eq!(lane_bytes(&c.last_use), 4);
+        assert_eq!(lane_bytes(&c.last_use), 1);
+        assert_eq!(lane_bytes(&c.set_clock), 1);
+    }
+
+    #[test]
+    fn pin_masks_exist_only_after_a_pinned_fill() {
+        let mut c = small();
+        for i in 0..1_000u64 {
+            let b = BlockAddr::new(i % 13);
+            if c.access(b).is_miss() {
+                c.fill(b, 0);
+            }
+        }
+        assert_eq!(
+            c.pinned.capacity(),
+            0,
+            "a cache that never pinned holds pin masks"
+        );
+        // Blocks 2, 6 and 10 share set 2, which is full; 14 and 18 never
+        // came.
+        c.fill_pinned(BlockAddr::new(2), 1);
+        assert_eq!(c.pinned.len(), 4);
+        assert_eq!(
+            c.pinned.iter().map(|m| m.count_ones()).collect::<Vec<_>>(),
+            [0, 0, 1, 0]
+        );
+        for b in [14, 18] {
+            let evicted = c.fill(BlockAddr::new(b), 2).expect("set 2 is full");
+            assert_ne!(evicted.block, BlockAddr::new(2));
+        }
+        assert_eq!(c.meta(BlockAddr::new(2)), Some(&1));
     }
 
     #[test]
@@ -650,43 +698,82 @@ mod tests {
 
     #[test]
     fn a_wrapping_clock_makes_the_same_choices() {
-        // 4 sets × 16 ways with pinned lines and refills; one cache's clock
-        // starts six ticks short of wrapping and is pushed back there every
-        // 64 operations, so it wraps hundreds of times.
-        let config = CacheConfig::new(4 * 16 * 64, 16, 64, 1);
-        let mut steady: SetAssocCache<u64> = SetAssocCache::new(config);
-        let mut wrapping: SetAssocCache<u64> = SetAssocCache::new(config);
-        wrapping.clock = u32::MAX - 5;
+        // 4 sets × 16 ways with pinned lines and refills, against a model
+        // whose stamps are an unbounded `u64` count. Every 64 operations each
+        // set's clock is pushed to five ticks short of renumbering, so every
+        // set renumbers hundreds of times.
+        let mut c: SetAssocCache<u64> =
+            SetAssocCache::new(CacheConfig::new(4 * 16 * 64, 16, 64, 1));
+        // Per set: (block, meta, stamp, pinned).
+        let mut model: Vec<Vec<(u64, u64, u64, bool)>> = vec![Vec::new(); 4];
+        let mut clock = 0u64;
+        let mut renumbered = [0u32; 4];
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut wraps = 0;
         for i in 0..40_000u64 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             // 96 blocks over 4 sets; only blocks 0..8 are ever pinned, so a
             // set holds at most 2 pinned lines.
-            let block = BlockAddr::new(x % 96);
-            let before = wrapping.clock;
+            let key = x % 96;
+            let block = BlockAddr::new(key);
+            let idx = (key % 4) as usize;
+            let lines = &mut model[idx];
+            let line = lines.iter().position(|l| l.0 == key);
+            let before = c.set_clock[idx];
+            clock += 1;
             match x >> 61 {
-                0..=3 => assert_eq!(steady.access(block), wrapping.access(block)),
-                6 if block.get() < 8 => {
-                    assert_eq!(steady.fill_pinned(block, i), wrapping.fill_pinned(block, i));
+                0..=3 => {
+                    if let Some(w) = line {
+                        lines[w].2 = clock;
+                    }
+                    assert_eq!(c.access(block).is_hit(), line.is_some());
                 }
-                _ => assert_eq!(steady.fill(block, i), wrapping.fill(block, i)),
+                op => {
+                    let pinned = op == 6 && key < 8;
+                    let victim = if let Some(w) = line {
+                        lines[w].1 = i;
+                        lines[w].2 = clock;
+                        lines[w].3 |= pinned;
+                        None
+                    } else if lines.len() < 16 {
+                        lines.push((key, i, clock, pinned));
+                        None
+                    } else {
+                        let w = (0..16)
+                            .filter(|&w| !lines[w].3)
+                            .min_by_key(|&w| lines[w].2)
+                            .expect("an unpinned way");
+                        let old = std::mem::replace(&mut lines[w], (key, i, clock, pinned));
+                        Some(EvictedLine {
+                            block: BlockAddr::new(old.0),
+                            meta: old.1,
+                        })
+                    };
+                    let filled = if pinned {
+                        c.fill_pinned(block, i)
+                    } else {
+                        c.fill(block, i)
+                    };
+                    assert_eq!(filled, victim, "operation {i}");
+                }
             }
-            if wrapping.clock < before {
-                wraps += 1;
+            if c.set_clock[idx] < before {
+                renumbered[idx] += 1;
             }
             if i % 64 == 0 {
-                wrapping.clock = wrapping.clock.max(u32::MAX - 5);
+                for set_clock in &mut c.set_clock {
+                    *set_clock = (*set_clock).max(u8::MAX - 5);
+                }
             }
         }
-        assert!(wraps > 500, "the clock wrapped only {wraps} times");
-        assert_eq!(steady.stats(), wrapping.stats());
+        assert!(
+            renumbered.iter().all(|&n| n > 500),
+            "renumbered per set: {renumbered:?}"
+        );
         for b in 0..96 {
-            let block = BlockAddr::new(b);
-            assert_eq!(steady.probe(block), wrapping.probe(block));
-            assert_eq!(steady.meta(block), wrapping.meta(block));
+            let line = model[b as usize % 4].iter().find(|l| l.0 == b);
+            assert_eq!(c.meta(BlockAddr::new(b)), line.map(|l| &l.1));
         }
     }
 
@@ -698,6 +785,7 @@ mod tests {
             c.last_use.capacity(),
             c.meta.capacity(),
             c.set_len.capacity(),
+            c.set_clock.capacity(),
             c.pinned.capacity(),
         );
         for i in 0..50_000u64 {
@@ -713,6 +801,7 @@ mod tests {
                 c.last_use.capacity(),
                 c.meta.capacity(),
                 c.set_len.capacity(),
+                c.set_clock.capacity(),
                 c.pinned.capacity(),
             ),
             "SetAssocCache hot paths must not reallocate"
