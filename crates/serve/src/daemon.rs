@@ -31,7 +31,7 @@
 //! A sweep that panics (a worker's panic resurfaces from its thread scope)
 //! fails its own job with the panic message, so its waiters wake, and
 //! leaves the daemon serving: the run lock guards no data, and the job
-//! state is read through poisoning.
+//! state and the registry are read through poisoning.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -299,6 +299,12 @@ impl Daemon {
         &self.config
     }
 
+    /// The registry lock. Every write under it is one insert, so a thread
+    /// that panicked holding the lock left the map whole.
+    fn registry(&self) -> MutexGuard<'_, HashMap<String, Arc<Job>>> {
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// `true` once [`drain`](Daemon::drain) has been called.
     pub fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Relaxed)
@@ -327,7 +333,7 @@ impl Daemon {
         let plan = PaperPlan::plan(settings);
         let id = plan.matrix().fingerprint().to_string();
 
-        let mut registry = self.registry.lock().expect("registry poisoned");
+        let mut registry = self.registry();
         if let Some(job) = registry.get(&id) {
             let cached = job.with_state(|s| s.status == JobStatus::Complete);
             return Ok(Submission {
@@ -349,16 +355,12 @@ impl Daemon {
 
     /// Looks up a job by its fingerprint id.
     pub fn job(&self, id: &str) -> Option<Arc<Job>> {
-        self.registry
-            .lock()
-            .expect("registry poisoned")
-            .get(id)
-            .cloned()
+        self.registry().get(id).cloned()
     }
 
     /// The `/v1/status` document: job counts and drain state.
     pub fn status_json(&self) -> String {
-        let registry = self.registry.lock().expect("registry poisoned");
+        let registry = self.registry();
         let count = |status: JobStatus| {
             registry
                 .values()
@@ -388,13 +390,7 @@ impl Daemon {
     /// reached a terminal state.
     pub fn drain_and_join(&self) {
         self.drain();
-        let jobs: Vec<Arc<Job>> = self
-            .registry
-            .lock()
-            .expect("registry poisoned")
-            .values()
-            .cloned()
-            .collect();
+        let jobs: Vec<Arc<Job>> = self.registry().values().cloned().collect();
         for job in jobs {
             job.wait();
         }
@@ -509,11 +505,7 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
         let daemon = Daemon::start(ServeConfig::new(&root)).expect("daemon starts");
         let job = Arc::new(Job::new("00000000000000aa".to_owned(), 3));
-        daemon
-            .registry
-            .lock()
-            .expect("registry")
-            .insert(job.id.clone(), Arc::clone(&job));
+        daemon.registry().insert(job.id.clone(), Arc::clone(&job));
 
         let waiter = {
             let job = Arc::clone(&job);
@@ -536,6 +528,45 @@ mod tests {
             r#"{"jobs":1,"queued":0,"busy":false,"draining":false}"#
         );
         daemon.drain_and_join();
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_poisoned_registry_keeps_answering() {
+        let root = std::env::temp_dir().join("shift-serve-unit-poison");
+        let _ = fs::remove_dir_all(&root);
+        let daemon = Daemon::start(ServeConfig::new(&root)).expect("daemon starts");
+        // A completed job under the plan's own id, so resubmitting the plan
+        // is a cache replay that runs nothing.
+        let body = r#"{"cores": 2, "scale": "Test", "seed": 7, "workloads": ["Tiny"]}"#;
+        let spec: PlanSpec = json::from_str(body).expect("a valid plan");
+        let plan = PaperPlan::plan(spec.resolve().expect("resolves"));
+        let job = Arc::new(Job::new(
+            plan.matrix().fingerprint().to_string(),
+            plan.run_count(),
+        ));
+        job.set_status(JobStatus::Complete);
+        daemon.registry().insert(job.id.clone(), Arc::clone(&job));
+
+        let poisoner = Arc::clone(&daemon);
+        let panicked = std::thread::spawn(move || {
+            let _registry = poisoner.registry.lock();
+            panic!("injected panic under the registry lock")
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(daemon.registry.is_poisoned());
+
+        assert_eq!(
+            daemon.status_json(),
+            r#"{"jobs":1,"queued":0,"busy":false,"draining":false}"#
+        );
+        assert!(daemon.job(&job.id).is_some_and(|j| Arc::ptr_eq(&j, &job)));
+        let resubmitted = daemon.submit(body).expect("a cached resubmission");
+        assert!(resubmitted.cached);
+        assert!(Arc::ptr_eq(&resubmitted.job, &job));
+        daemon.drain_and_join();
+        assert!(daemon.status_json().contains(r#""draining":true"#));
         let _ = fs::remove_dir_all(&root);
     }
 }
