@@ -37,13 +37,13 @@
 //!   outcomes are first *seeded* into `DIR` under the current plan's
 //!   fingerprint (a `K/N` shard seeds only its own slice); without it, the
 //!   delta executes in memory.
-//! * **`--policy cost-ordered`** — claim biggest runs first; queue workers
-//!   also weigh the order by their measured throughput (see
+//! * **`--policy cost-ordered`** — claim biggest runs first, in an order
+//!   computed from the plan alone, the same on every worker (see
 //!   `docs/PERFORMANCE.md`).
 //! * **`--decision-log FILE`** — write one NDJSON line per claim — with the
-//!   run's estimated cost, its rank in the schedule, and the measured fetch
-//!   rate — plus a final `drained` line carrying the makespan. A failed
-//!   write cancels the execution after the runs in flight and exits 1.
+//!   run's estimated cost and its rank in the schedule — plus a final
+//!   `drained` line carrying the makespan. A failed write cancels the
+//!   execution after the runs in flight and exits 1.
 //!
 //! All modes read the sweep settings from `SHIFT_SCALE` / `SHIFT_CORES` /
 //! `SHIFT_WORKLOADS`; shard, queue, and merge hosts must agree on them (the
@@ -148,11 +148,9 @@ every mode but --merge also takes:
   --reuse OLD_DIR...           reuse cached outcomes whose keys are still planned;
                                only the delta executes
   --policy POLICY              claim order: canonical (default) or cost-ordered
-                               (biggest runs first; queue workers also weigh it
-                               by their measured throughput)
-  --decision-log FILE          write one NDJSON line per claim with cost / rank /
-                               measured rate, and a final `drained` line with
-                               the makespan
+                               (biggest runs first, the same order on every worker)
+  --decision-log FILE          write one NDJSON line per claim with cost / rank,
+                               and a final `drained` line with the makespan
 ";
 
 fn parse_args() -> Result<Mode, String> {
@@ -339,23 +337,14 @@ fn reproduce(mode: Mode) -> Result<(), String> {
     let start = Instant::now();
     let observer = |event: RunEvent| {
         let Some(log) = &log else { return };
-        if let RunEvent::Claimed {
-            key_id,
-            cost,
-            rank,
-            worker_rate,
-        } = event
-        {
-            let rate = worker_rate
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "null".to_owned());
+        if let RunEvent::Claimed { key_id, cost, rank } = event {
             let mut log = log.lock().expect("decision log poisoned");
             log.write(&cancel, |out| {
                 writeln!(
                     out,
                     "{{\"event\":\"claimed\",\"run\":\"{key_id}\",\"worker\":\"{worker}\",\
                      \"policy\":\"{policy}\",\"cost\":{cost_units},\"rank\":{rank},\
-                     \"worker_rate\":{rate},\"t_ms\":{t}}}",
+                     \"t_ms\":{t}}}",
                     cost_units = cost.units(),
                     t = start.elapsed().as_millis(),
                 )
@@ -427,32 +416,18 @@ fn reproduce(mode: Mode) -> Result<(), String> {
     }
 }
 
-/// This process's queue worker, id `pid<pid>-w0`, with the knobs
-/// `docs/OPERATIONS.md` describes read from `SHIFT_QUEUE_TTL`,
-/// `SHIFT_QUEUE_RATE`, `SHIFT_QUEUE_CUTOFF` and `SHIFT_QUEUE_THROTTLE`; an
+/// This process's queue worker, id `pid<pid>-w0`, with the claim TTL
+/// `docs/OPERATIONS.md` describes read from `SHIFT_QUEUE_TTL` (seconds); an
 /// invalid value warns and keeps the default.
 fn queue_config_from_env() -> QueueConfig {
     let mut config = QueueConfig::new(format!("pid{}-w0", std::process::id()));
-    if let Some(secs) = env_number("SHIFT_QUEUE_TTL", 0) {
-        config.lock_ttl = Duration::from_secs(secs);
+    if let Ok(value) = std::env::var("SHIFT_QUEUE_TTL") {
+        match value.trim().parse() {
+            Ok(secs) => config.lock_ttl = Duration::from_secs(secs),
+            Err(_) => eprintln!("ignoring invalid SHIFT_QUEUE_TTL `{value}`"),
+        }
     }
-    config.initial_rate = env_number("SHIFT_QUEUE_RATE", 1);
-    if let Some(secs) = env_number("SHIFT_QUEUE_CUTOFF", 0) {
-        config.slow_cutoff = Duration::from_secs(secs);
-    }
-    config.throttle_ns_per_unit = env_number("SHIFT_QUEUE_THROTTLE", 0).unwrap_or(0);
     config
-}
-
-/// The number in variable `name`, if it is set to one of at least `min`;
-/// any other value warns and reads as unset.
-fn env_number(name: &str, min: u64) -> Option<u64> {
-    let value = std::env::var(name).ok()?;
-    let number = value.trim().parse().ok().filter(|&n| n >= min);
-    if number.is_none() {
-        eprintln!("ignoring invalid {name} `{value}`");
-    }
-    number
 }
 
 /// Merges the planned matrix's outcomes from `dirs` and writes every

@@ -432,9 +432,9 @@ impl Daemon {
             ("reused".to_owned(), Value::UInt(partial.reused as u64)),
         ])));
 
-        // The scheduler decision log: `claimed` events carry the cost rank
-        // and the worker's measured rate so the NDJSON stream explains *why*
-        // each claim happened in that order.
+        // The scheduler decision log: `claimed` events carry the run's cost
+        // and rank so the NDJSON stream explains *why* each claim happened
+        // in that order.
         let observer = |event: RunEvent| {
             let mut fields = vec![(
                 "event".to_owned(),
@@ -449,18 +449,9 @@ impl Daemon {
                 ),
             )];
             fields.push(("run".to_owned(), Value::Str(event.key_id().to_string())));
-            if let RunEvent::Claimed {
-                cost,
-                rank,
-                worker_rate,
-                ..
-            } = event
-            {
+            if let RunEvent::Claimed { cost, rank, .. } = event {
                 fields.push(("cost".to_owned(), Value::UInt(cost.units())));
                 fields.push(("rank".to_owned(), Value::UInt(rank as u64)));
-                if let Some(rate) = worker_rate {
-                    fields.push(("worker_rate".to_owned(), Value::UInt(rate)));
-                }
             }
             job.push_event(json::to_string(&Value::Map(fields)));
         };

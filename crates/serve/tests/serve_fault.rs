@@ -1,5 +1,6 @@
-//! Fault injection: a worker dies mid-sweep, the daemon inherits the
-//! wreckage and still completes — byte-identically.
+//! Fault injection: a worker dies mid-sweep, or a sweep's outcome directory
+//! cannot be created, and the daemon still completes every sweep it can —
+//! byte-identically.
 //!
 //! Before the daemon ever starts, the sweep directory is staged as crashed
 //! drains would have left it — a completed slice of outcomes (the dead
@@ -10,10 +11,15 @@
 //! claimed runs re-execute with the claim files left as they are, and the
 //! served artifact bundle comes out byte-identical to a single-process
 //! `reproduce` run that never crashed.
+//!
+//! A regular file where a plan's sweep directory belongs fails that sweep
+//! alone: its submission answers 500 naming the directory, and the daemon
+//! keeps answering and serves the next plan byte-identically.
 
 mod common;
 
 use common::*;
+use serde::{json, Value};
 use shift_serve::Server;
 use shift_sim::store::lock_file_name;
 use shift_sim::{Execution, ShardSpec};
@@ -125,6 +131,58 @@ fn daemon_completes_a_sweep_abandoned_by_a_killed_worker() {
     for (path, bytes) in &claims {
         assert_eq!(&std::fs::read_to_string(path).unwrap(), bytes);
     }
+
+    server.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn an_uncreatable_sweep_dir_fails_only_its_own_sweep() {
+    let root = temp_root("fault-uncreatable");
+    let blocked = test_spec(&["Tiny"]);
+    let id = plan_of(&blocked).matrix().fingerprint().to_string();
+
+    // A regular file where the plan's sweep directory belongs.
+    let config = test_config(&root);
+    let sweep_dir = config.sweep_dir(&id);
+    std::fs::create_dir_all(sweep_dir.parent().unwrap()).unwrap();
+    std::fs::write(&sweep_dir, "not a directory").unwrap();
+
+    let server = Server::start(config, "127.0.0.1:0").expect("server starts");
+    let addr = server.addr();
+    let response = request(addr, "POST", "/v1/sweeps", Some(&spec_body(&blocked)));
+    assert_eq!(response.status, 500, "body: {}", response.body);
+    assert_eq!(error_code(&response.body), "internal");
+    let doc = json::parse(&response.body).expect("error body parses");
+    let message = doc
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Value::as_str)
+        .expect("an error message");
+    assert!(
+        message.contains(&sweep_dir.display().to_string()),
+        "the message names the sweep directory: {message}"
+    );
+
+    let job = request(addr, "GET", &format!("/v1/sweeps/{id}"), None);
+    assert_eq!(job.status, 200);
+    assert!(job.body.contains(r#""status":"failed""#), "{}", job.body);
+    assert_eq!(request(addr, "GET", "/v1/status", None).status, 200);
+
+    // The daemon keeps serving: the next plan completes byte-identically.
+    let healthy = test_spec(&["Media Streaming"]);
+    let response = request(addr, "POST", "/v1/sweeps", Some(&spec_body(&healthy)));
+    assert_eq!(response.status, 200, "body: {}", response.body);
+    let reference_plan = plan_of(&healthy);
+    let healthy_id = reference_plan.matrix().fingerprint().to_string();
+    let bundle = request(
+        addr,
+        "GET",
+        &format!("/v1/sweeps/{healthy_id}/artifacts"),
+        None,
+    );
+    assert_eq!(bundle.status, 200);
+    assert_bundle_matches(&bundle.body, &reference_plan.execute());
 
     server.shutdown();
     std::fs::remove_dir_all(&root).unwrap();

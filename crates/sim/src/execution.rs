@@ -44,8 +44,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -415,14 +414,13 @@ impl Settings<'_> {
     ) -> io::Result<(ExecutionReport, Vec<Option<RunResult>>)> {
         let matrix = self.matrix;
         let threads = self.threads.unwrap_or_else(default_threads);
-        let policy = self.policy;
 
         // Which slots: the policy's order over the whole matrix — a pure
         // function of the plan, so every worker computes the same ranking —
         // cut to the shard's slice, which is always chosen by canonical rank
         // so that every shard agrees on it.
         let canonical = matrix.canonical_order();
-        let order = match policy {
+        let order = match self.policy {
             SchedulePolicy::Canonical => canonical.clone(),
             SchedulePolicy::CostOrdered => rank_by_cost(matrix),
         };
@@ -445,7 +443,12 @@ impl Settings<'_> {
         let index = PlanIndex::new(matrix);
         let mut memory: Vec<Option<RunResult>> = vec![None; matrix.len()];
         if let Some(dir) = dir {
-            std::fs::create_dir_all(dir)?;
+            std::fs::create_dir_all(dir).map_err(|e| {
+                io::Error::new(
+                    e.kind(),
+                    format!("creating outcome directory {}: {e}", dir.display()),
+                )
+            })?;
         }
         if let Some(partial) = self.reuse {
             match dir {
@@ -463,9 +466,7 @@ impl Settings<'_> {
             dir,
             queue,
             observer: self.observer.unwrap_or(&noop),
-            costs: matrix.keys().iter().map(RunCost::of).collect(),
             ranks,
-            rate: AtomicU64::new(queue.and_then(|config| config.initial_rate).unwrap_or(0)),
             reclaims: AtomicUsize::new(0),
         };
         let cancel = self.cancel.unwrap_or(&uncancelled);
@@ -481,26 +482,13 @@ impl Settings<'_> {
             complete: false,
         };
         while !cancel.is_cancelled() {
-            let mut candidates: Vec<usize> =
+            let candidates: Vec<usize> =
                 owned.iter().copied().filter(|&slot| !done[slot]).collect();
             if candidates.is_empty() {
                 report.complete = true;
                 break;
             }
             report.passes += 1;
-            // Slowness deferral: once a queue worker has a measured rate,
-            // runs it would hold for longer than the cutoff move to the back
-            // of *its* claim order — fast contenders pick them up first, but
-            // nothing is skipped, so a lone slow worker still completes.
-            if let (Some(config), Some(rate), SchedulePolicy::CostOrdered) =
-                (queue, drain.current_rate(), policy)
-            {
-                candidates.sort_by_key(|&slot| {
-                    drain.costs[slot]
-                        .duration_at(rate)
-                        .is_some_and(|d| d > config.slow_cutoff)
-                });
-            }
             let visits = parallel_map_with_threads(&candidates, threads, |&slot| {
                 if cancel.is_cancelled() || failed.load(Ordering::Relaxed) {
                     return Ok(Visit::Skipped);
@@ -556,8 +544,8 @@ enum Visit {
 }
 
 /// Everything the slot visits of one execution share: the plan, where
-/// results go, the queue worker when claims take locks, the scheduler
-/// state, and the observer.
+/// results go, the queue worker when claims take locks, the claim order,
+/// and the observer.
 struct Drain<'a> {
     matrix: &'a RunMatrix,
     fingerprint: MatrixFingerprint,
@@ -568,44 +556,14 @@ struct Drain<'a> {
     /// The queue worker, when claims go through `O_EXCL` lock files.
     queue: Option<&'a QueueConfig>,
     observer: &'a dyn RunObserver,
-    /// Per-slot estimated cost under the active model (plan order).
-    costs: Vec<RunCost>,
     /// Per-slot rank in the full-matrix order of the active policy.
     ranks: Vec<usize>,
-    /// The measured drain rate in weighted fetch units per second (0 =
-    /// unknown), shared with every worker thread.
-    rate: AtomicU64,
     /// Stale claims taken over, counted where the reclaim happens: the
     /// reclaiming visit may then lose the run to a peer's fresh claim.
     reclaims: AtomicUsize,
 }
 
 impl Drain<'_> {
-    /// The current drain rate, `None` while still unmeasured.
-    fn current_rate(&self) -> Option<u64> {
-        let rate = self.rate.load(Ordering::Relaxed);
-        (rate > 0).then_some(rate)
-    }
-
-    /// Folds one completed run into the measured rate: the first sample is
-    /// taken as-is, later samples are blended half-and-half with the running
-    /// estimate so the rate tracks drift without whiplashing on one outlier
-    /// run.
-    fn record_rate(&self, cost: RunCost, elapsed: Duration) {
-        let secs = elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return;
-        }
-        let sample = (cost.units() as f64 / secs).round().max(1.0) as u64;
-        let previous = self.rate.load(Ordering::Relaxed);
-        let blended = if previous == 0 {
-            sample
-        } else {
-            previous / 2 + sample / 2
-        };
-        self.rate.store(blended.max(1), Ordering::Relaxed);
-    }
-
     /// Visits plan-order `slot`: done already, or claim it, run it, and
     /// store the result — handed back when results stay in memory
     /// (`memory` holds the ones already there), written to the outcome
@@ -643,29 +601,17 @@ impl Drain<'_> {
             }
         }
 
-        let cost = self.costs[slot];
         self.observer.on_event(RunEvent::Claimed {
             key_id,
-            cost,
+            cost: RunCost::of(key),
             rank: self.ranks[slot],
-            worker_rate: self.current_rate(),
         });
         // Keep the claim visibly alive for the whole simulation, so the TTL
         // can be far shorter than the longest run.
         let heartbeat = lock.as_ref().zip(self.queue).map(|(path, config)| {
             LockHeartbeat::spawn(path.clone(), key_id, config.worker.clone(), config.poll)
         });
-        let started = Instant::now();
         let result = key.run();
-        if let Some(config) = self.queue.filter(|config| config.throttle_ns_per_unit > 0) {
-            // Emulated slow host: sleep in proportion to the run's cost, with
-            // the heartbeat still stamping the claim so it never looks
-            // abandoned.
-            std::thread::sleep(Duration::from_nanos(
-                cost.units().saturating_mul(config.throttle_ns_per_unit),
-            ));
-        }
-        self.record_rate(cost, started.elapsed());
         drop(heartbeat);
         let kept = match self.dir {
             None => Some(Box::new(result)),

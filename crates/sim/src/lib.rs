@@ -76,8 +76,8 @@
 //! rest. All of these modes are one drain loop behind the [`Execution`]
 //! builder ([`execution`]). Its mode is a type, and its one scheduling knob
 //! is [`policy`](Execution::policy): [`SchedulePolicy::CostOrdered`] claims
-//! biggest-first by [`RunCost::of`] ([`schedule`]), weighed by each queue
-//! worker's measured throughput. See `docs/SWEEP.md` and
+//! biggest-first by [`RunCost::of`] ([`schedule`]), in an order computed
+//! from the plan alone. See `docs/SWEEP.md` and
 //! `docs/OPERATIONS.md` in the repository for the operational guides.
 
 #![forbid(unsafe_code)]

@@ -94,8 +94,7 @@ static NEXT_MATRIX_ID: AtomicU64 = AtomicU64::new(0);
 /// A handle is only valid against [`RunOutcomes`] executed from the *same*
 /// matrix that planned it. Handles carry the id of their planning matrix, so
 /// resolving one against a different matrix's outcomes panics with a
-/// diagnostic (or returns `None` from [`RunOutcomes::try_get`]) instead of
-/// silently reading another plan's result.
+/// diagnostic instead of silently reading another plan's result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RunHandle {
     pub(crate) matrix: u64,

@@ -1,13 +1,12 @@
 //! Cost-model-driven run scheduling: rank planned runs by estimated work so
-//! queue workers can claim **biggest-first**, weighted by their own measured
-//! throughput.
+//! workers can claim **biggest-first**.
 //!
 //! The elastic work queue ([`crate::shard`]) historically handed out runs in
 //! canonical key order — an order chosen for *stability*, not for packing.
-//! With heterogeneous fleets that is a real makespan problem: a slow worker
-//! that claims a paper-scale many-core run last forces every fast worker to
-//! idle while it finishes. The classic fix (LPT — longest processing time
-//! first) needs a per-run cost estimate, which this module provides:
+//! That is a real makespan problem: a worker that claims a paper-scale
+//! many-core run last forces every other worker to idle while it finishes.
+//! The classic fix (LPT — longest processing time first) needs a per-run
+//! cost estimate, which this module provides:
 //!
 //! * [`RunCost`] — the scalar estimate, in *weighted fetch units*: the run's
 //!   total simulated fetches (warmup + measured, times cores) multiplied by a
@@ -22,7 +21,8 @@
 //!   biggest-first.
 //! * [`rank_by_cost`] — the ranking itself: slots sorted by cost descending,
 //!   ties broken by [`RunKeyId`](crate::RunKeyId) ascending so the order is
-//!   a total order and identical on every worker.
+//!   a total order, computed from the plan alone and identical on every
+//!   worker.
 //!
 //! Ordering **never** affects results: outcomes are keyed by run identity and
 //! every simulation is deterministic in its key, so a cost-ordered drain
@@ -31,7 +31,6 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use shift_core::ShiftMode;
@@ -44,8 +43,7 @@ use crate::matrix::{RunKey, RunMatrix};
 /// The unit is "baseline-equivalent simulated fetches": total fetches the run
 /// will simulate, scaled by how much slower its prefetcher class is per fetch
 /// than the no-prefetch baseline. Costs compare across runs of any scale,
-/// core count, and prefetcher, and a worker's throughput in these same units
-/// (its measured drain rate) turns a cost into an estimated duration.
+/// core count, and prefetcher.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct RunCost(u64);
 
@@ -65,15 +63,6 @@ impl RunCost {
     /// The cost in weighted fetch units.
     pub fn units(self) -> u64 {
         self.0
-    }
-
-    /// Estimated wall-clock duration on a worker draining `rate` weighted
-    /// fetch units per second. `None` if the rate is zero (unknown).
-    pub fn duration_at(self, rate: u64) -> Option<Duration> {
-        if rate == 0 {
-            return None;
-        }
-        Some(Duration::from_secs_f64(self.0 as f64 / rate as f64))
     }
 }
 
@@ -134,10 +123,9 @@ pub enum SchedulePolicy {
     /// order every cross-process enumeration (shards, manifests) uses.
     #[default]
     Canonical,
-    /// Biggest-first by [`RunCost`] (LPT packing), with slow workers
-    /// deferring runs whose estimated duration exceeds the configured
-    /// slowness cutoff. Merged results are byte-identical to canonical
-    /// order; only the claim order and makespan change.
+    /// Biggest-first by [`RunCost`] (LPT packing): the [`rank_by_cost`]
+    /// order, the same on every worker. Merged results are byte-identical
+    /// to canonical order; only the claim order and makespan change.
     CostOrdered,
 }
 
@@ -212,6 +200,7 @@ mod tests {
             RunCost::of(&keys[1]).units(),
             RunCost::of(&keys[0]).units() * 4
         );
+        assert_eq!(RunCost(1_000_000).to_string(), "1000000wfu");
     }
 
     #[test]
@@ -236,14 +225,5 @@ mod tests {
         );
         assert_eq!(SchedulePolicy::CostOrdered.to_string(), "cost-ordered");
         assert_eq!(SchedulePolicy::default(), SchedulePolicy::Canonical);
-    }
-
-    #[test]
-    fn duration_estimates_follow_rate() {
-        let cost = RunCost(1_000_000);
-        assert_eq!(cost.duration_at(0), None);
-        let d = cost.duration_at(500_000).unwrap();
-        assert_eq!(d, Duration::from_secs(2));
-        assert_eq!(cost.to_string(), "1000000wfu");
     }
 }

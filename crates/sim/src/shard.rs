@@ -39,7 +39,6 @@ use std::fmt;
 use std::io;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -105,16 +104,6 @@ impl ShardSpec {
         Ok(ShardSpec { index, total })
     }
 
-    /// This shard's 1-based index.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Total number of shards the sweep is split into.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
     /// `true` if the run at canonical `rank` belongs to this shard.
     ///
     /// Round-robin over canonical ranks balances the slice sizes to within
@@ -128,14 +117,6 @@ impl ShardSpec {
 impl fmt::Display for ShardSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.index, self.total)
-    }
-}
-
-impl FromStr for ShardSpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        ShardSpec::parse(s)
     }
 }
 
@@ -173,23 +154,6 @@ pub struct QueueConfig {
     /// reporting [`ExecutionReport::complete`](crate::ExecutionReport)
     /// accordingly.
     pub wait: bool,
-    /// Seed for this worker's measured drain rate, in weighted fetch units
-    /// per second (`None`: unknown until the first run completes). Lets
-    /// operators pre-calibrate known-slow hosts.
-    pub initial_rate: Option<u64>,
-    /// Under the cost-ordered [`Execution::policy`](crate::Execution::policy),
-    /// a worker whose measured rate predicts a run will take longer than
-    /// this *defers* it — walks past it to cheaper runs, returning to it
-    /// only when nothing cheaper is left. Fast workers are unaffected (their
-    /// estimates stay under the cutoff), so the biggest runs land on the
-    /// fastest hosts. Deferral never skips a run permanently: a lone slow
-    /// worker still drains the whole queue.
-    pub slow_cutoff: Duration,
-    /// Artificial per-weighted-fetch-unit slowdown in nanoseconds, slept
-    /// after each simulated run while its claim is still heartbeat-fresh.
-    /// `0` (the default) disables it. This exists to emulate a slow host in
-    /// tests and CI makespan experiments deterministically.
-    pub throttle_ns_per_unit: u64,
 }
 
 impl QueueConfig {
@@ -220,16 +184,8 @@ impl QueueConfig {
             lock_ttl: Self::DEFAULT_TTL,
             poll: Duration::from_millis(500),
             wait: true,
-            initial_rate: None,
-            slow_cutoff: Self::DEFAULT_SLOW_CUTOFF,
-            throttle_ns_per_unit: 0,
         }
     }
-
-    /// Default slowness cutoff: five minutes. At the calibrated baseline
-    /// rate (~2.3 M weighted fetch units/s) this is far above any paper-scale
-    /// run, so only a genuinely slow (or throttled) worker ever defers.
-    pub const DEFAULT_SLOW_CUTOFF: Duration = Duration::from_secs(300);
 }
 
 /// Cooperative cancellation handle for library-embedded executors.
@@ -275,11 +231,10 @@ impl CancelToken {
 /// `Executed` follows one [`RunEvent::Claimed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunEvent {
-    /// The run was claimed and is about to be simulated. Carries the
-    /// scheduler's reasoning — together these fields are the claim's
-    /// decision-log entry: *this* run was picked because it sat at `rank` in
-    /// the policy ordering, cost `cost`, and the worker was draining at
-    /// `worker_rate`.
+    /// The run was claimed and is about to be simulated. Its fields are the
+    /// claim's decision-log entry: *this* run was picked because it sat at
+    /// `rank` in the policy ordering, a pure function of the plan, and
+    /// costs `cost`.
     Claimed {
         /// The claimed run.
         key_id: RunKeyId,
@@ -289,9 +244,6 @@ pub enum RunEvent {
         /// active [`SchedulePolicy`](crate::SchedulePolicy) (0 = claimed
         /// first).
         rank: usize,
-        /// The worker's measured drain rate in weighted fetch units per
-        /// second at claim time; `None` before its first completed run.
-        worker_rate: Option<u64>,
     },
     /// The run was simulated and its result stored (in memory, or as an
     /// outcome file).
@@ -596,7 +548,7 @@ mod tests {
     #[test]
     fn spec_parsing_and_selection() {
         assert_eq!(ShardSpec::parse("2/4"), Ok(ShardSpec::new(2, 4)));
-        assert_eq!("1/1".parse::<ShardSpec>(), Ok(ShardSpec::full()));
+        assert_eq!(ShardSpec::parse("1/1"), Ok(ShardSpec::full()));
         assert!(ShardSpec::parse("0/4").is_err());
         assert!(ShardSpec::parse("5/4").is_err());
         assert!(ShardSpec::parse("2").is_err());

@@ -105,8 +105,7 @@ impl RunOutcomes {
     ///
     /// Panics with a diagnostic if `handle` was planned by a *different*
     /// [`RunMatrix`] (see the invariant on [`RunHandle`]),
-    /// or if it was planned after this matrix executed. Use
-    /// [`RunOutcomes::try_get`] for a checked lookup.
+    /// or if it was planned after this matrix executed.
     pub fn get(&self, handle: RunHandle) -> &RunResult {
         assert_eq!(
             handle.matrix, self.matrix,
@@ -124,15 +123,6 @@ impl RunOutcomes {
                 self.results.len(),
             )
         })
-    }
-
-    /// Checked lookup: `None` if `handle` belongs to a different matrix or
-    /// was planned after this matrix executed.
-    pub fn try_get(&self, handle: RunHandle) -> Option<&RunResult> {
-        if handle.matrix != self.matrix {
-            return None;
-        }
-        self.results.get(handle.slot)
     }
 
     /// Number of executed runs.
