@@ -387,7 +387,7 @@ mod tests {
     #[test]
     fn evicted_blocks_lose_their_index_pointer() {
         let mut llc = NucaLlc::new(LlcConfig {
-            total_bytes: 4096, // 1 bank × 1 set... actually 4096/ (4*64)=16 sets? keep small
+            total_bytes: 4096, // one bank of 32 two-way sets
             ways: 2,
             banks: 1,
             block_bytes: 64,
@@ -396,13 +396,20 @@ mod tests {
             index_pointer_bits: 15,
         });
         let sets = llc.config().bank_config().sets() as u64;
+        assert_eq!(sets, 32);
         let b = BlockAddr::new(3);
         llc.access(b, AccessClass::Demand);
-        llc.update_index_ptr(b, 42);
-        // Evict it by filling two more blocks mapping to the same set.
+        assert!(llc.update_index_ptr(b, 42));
+        // Evict it by filling two more blocks mapping to the same set: the
+        // second takes the evicted line's slot, and none of its pointer.
+        let newcomer = BlockAddr::new(3 + 2 * sets);
         llc.access(BlockAddr::new(3 + sets), AccessClass::Demand);
-        llc.access(BlockAddr::new(3 + 2 * sets), AccessClass::Demand);
+        llc.access(newcomer, AccessClass::Demand);
         assert!(!llc.probe(b));
         assert_eq!(llc.index_ptr(b), None);
+        assert_eq!(llc.index_ptr(newcomer), None);
+        let outcome = llc.access(newcomer, AccessClass::Demand);
+        assert!(outcome.hit);
+        assert_eq!(outcome.index_ptr, None);
     }
 }

@@ -1,5 +1,7 @@
 //! Property tests for the cache substrates.
 
+use std::collections::{HashMap, HashSet};
+
 use proptest::prelude::*;
 use shift_cache::{CacheConfig, LlcConfig, NucaLlc, SetAssocCache};
 use shift_types::{AccessClass, BlockAddr};
@@ -43,6 +45,84 @@ proptest! {
         for i in 0..32 {
             prop_assert!(llc.probe(history_start.offset(i)));
         }
+    }
+
+    /// An LLC line's index pointer lives and dies with the line: a block
+    /// keeps the pointer last stored for it exactly while `probe` says it
+    /// is resident, and a block filled again starts with none — never the
+    /// pointer of the line it replaced. Four banks of four sets, 2–4 ways,
+    /// one way of every set pinned by the history region, and 96 demand
+    /// blocks six to a set, so every set evicts.
+    #[test]
+    fn index_pointers_live_and_die_with_their_lines(
+        ways in 2usize..=4,
+        ops in proptest::collection::vec((0u8..6, 0u64..112, 0u32..1_000), 3_000..4_000),
+    ) {
+        const BANKS: u64 = 4;
+        const SETS: u64 = 4;
+        let mut llc = NucaLlc::new(LlcConfig {
+            total_bytes: (BANKS * SETS) as usize * ways * 64,
+            ways,
+            banks: BANKS as usize,
+            block_bytes: 64,
+            hit_latency: 5,
+            memory_latency: 90,
+            index_pointer_bits: 15,
+        });
+        // Sixteen consecutive blocks take one way of each of the sixteen
+        // (bank, set) pairs. Keys 96..112 name them.
+        let region = BlockAddr::new(1 << 20);
+        llc.reserve_history_region(region, BANKS * SETS);
+        let block_of = |key: u64| {
+            if key < 96 { BlockAddr::new(key) } else { region.offset(key - 96) }
+        };
+        let set_of = |block: BlockAddr| (block.get() % (BANKS * SETS)) as usize;
+
+        let mut resident: HashSet<u64> = (96..112).collect();
+        let mut pointers: HashMap<u64, u32> = HashMap::new();
+        let mut evictions = [0u32; (BANKS * SETS) as usize];
+        for &(op, key, ptr) in &ops {
+            let block = block_of(key);
+            match op {
+                0..=2 => {
+                    let class = [
+                        AccessClass::Demand,
+                        AccessClass::PrefetchUseful,
+                        AccessClass::HistoryRead,
+                        AccessClass::HistoryWrite,
+                    ][(ptr % 4) as usize];
+                    let outcome = llc.access(block, class);
+                    prop_assert_eq!(outcome.hit, resident.contains(&key));
+                    prop_assert_eq!(outcome.index_ptr, pointers.get(&key).copied());
+                    if !outcome.hit {
+                        resident.insert(key);
+                        resident.retain(|&k| {
+                            let kept = llc.probe(block_of(k));
+                            if !kept {
+                                evictions[set_of(block_of(k))] += 1;
+                            }
+                            kept
+                        });
+                        pointers.retain(|k, _| resident.contains(k));
+                    }
+                }
+                3 | 4 => {
+                    let stored = llc.update_index_ptr(block, ptr);
+                    prop_assert_eq!(stored, resident.contains(&key));
+                    if stored {
+                        pointers.insert(key, ptr);
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(llc.probe(block), resident.contains(&key));
+                    prop_assert_eq!(llc.index_ptr(block), pointers.get(&key).copied());
+                }
+            }
+        }
+        for key in 0..112 {
+            prop_assert_eq!(llc.index_ptr(block_of(key)), pointers.get(&key).copied());
+        }
+        prop_assert!(evictions.iter().all(|&e| e > 0), "evictions per set: {evictions:?}");
     }
 
     /// The packed-tag-array `SetAssocCache` is observationally identical to a
