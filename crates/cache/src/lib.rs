@@ -7,9 +7,9 @@
 //!   metadata and optional *pinned* (non-evictable) lines. The L1
 //!   instruction and data caches and every LLC bank are instances of it.
 //! * [`NucaLlc`] — the shared, banked last-level cache. It supports the two
-//!   extensions virtualized SHIFT needs: an index-pointer field appended to
-//!   every tag (the paper's embedded index table) and a non-evictable address
-//!   window that holds the virtualized history buffer.
+//!   extensions virtualized SHIFT needs: an index pointer beside each tag
+//!   (the paper's embedded index table), held only once one is stored, and a
+//!   non-evictable address window that holds the virtualized history buffer.
 //! * [`CacheStats`] / [`TrafficStats`] — hit/miss and per-class traffic
 //!   accounting used to reproduce the paper's LLC-overhead results (Fig. 9).
 //!
@@ -36,6 +36,6 @@ pub mod set_assoc;
 pub mod stats;
 
 pub use config::{CacheConfig, LlcConfig};
-pub use llc::{LlcAccessOutcome, LlcMeta, NucaLlc};
+pub use llc::{LlcAccessOutcome, NucaLlc};
 pub use set_assoc::{AccessResult, EvictedLine, SetAssocCache};
 pub use stats::{CacheStats, TrafficStats};

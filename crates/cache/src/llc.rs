@@ -2,9 +2,17 @@
 //!
 //! The LLC is the substrate into which virtualized SHIFT embeds its shared
 //! history: a reserved, non-evictable block range holds the history buffer,
-//! and every tag carries an optional index pointer into that buffer (the
-//! embedded index table of §4.2). The LLC also accounts traffic per
-//! [`AccessClass`] so that the Figure 9 overhead breakdown can be reproduced.
+//! and a tag can carry an index pointer into that buffer (the embedded index
+//! table of §4.2). The LLC also accounts traffic per [`AccessClass`] so that
+//! the Figure 9 overhead breakdown can be reproduced.
+//!
+//! The banks hold tags, recency and pins alone. The pointers sit in a lane
+//! of their own, one 4-byte entry per line slot of every bank, which the
+//! first stored pointer allocates: only virtualized SHIFT, alone or inside
+//! a hybrid, stores one, so the LLC of every other design holds no lane.
+//! Once the lane exists, every fill clears its slot's entry, so a line never
+//! inherits the pointer of the line it replaced; a resident line keeps its
+//! slot until it is evicted.
 
 use std::num::NonZeroU32;
 
@@ -14,24 +22,6 @@ use shift_types::{AccessClass, BlockAddr};
 use crate::config::LlcConfig;
 use crate::set_assoc::SetAssocCache;
 use crate::stats::{CacheStats, TrafficStats};
-
-/// Per-line LLC metadata: the index pointer appended to the tag.
-///
-/// Four bytes. A history holds at most `u32::MAX` records, so a pointer is
-/// at most `u32::MAX - 1`; it is stored plus one, and zero means "no
-/// pointer".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LlcMeta {
-    index_ptr_plus_one: Option<NonZeroU32>,
-}
-
-impl LlcMeta {
-    /// Pointer to the most recent occurrence of this (instruction) block's
-    /// trigger in the virtualized history buffer, if any.
-    pub fn index_ptr(self) -> Option<u32> {
-        self.index_ptr_plus_one.map(|p| p.get() - 1)
-    }
-}
 
 /// Outcome of an LLC access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,7 +57,15 @@ pub struct LlcAccessOutcome {
 #[derive(Clone, Debug)]
 pub struct NucaLlc {
     config: LlcConfig,
-    banks: Vec<SetAssocCache<LlcMeta>>,
+    banks: Vec<SetAssocCache<()>>,
+    /// Line slots per bank: bank `b`'s slot `s` owns lane entry
+    /// `b * bank_slots + s`.
+    bank_slots: usize,
+    /// Index-pointer lane over every line slot of every bank, empty until
+    /// the first pointer is stored. A history holds at most `u32::MAX`
+    /// records, so a pointer is at most `u32::MAX - 1`; it is stored plus
+    /// one, and `None` means "no pointer".
+    index_ptrs: Vec<Option<NonZeroU32>>,
     traffic: TrafficStats,
     pinned_ranges: Vec<(BlockAddr, u64)>,
     /// `log2(banks)` when the bank count is a power of two: bank selection
@@ -84,6 +82,8 @@ impl NucaLlc {
             .collect();
         NucaLlc {
             banks,
+            bank_slots: config.bank_config().capacity_blocks(),
+            index_ptrs: Vec::new(),
             traffic: TrafficStats::new(),
             pinned_ranges: Vec::new(),
             bank_bits: (config.banks as u64)
@@ -114,6 +114,27 @@ impl NucaLlc {
         match self.bank_bits {
             Some(bits) => BlockAddr::new(block.get() >> bits),
             None => BlockAddr::new(block.get() / self.config.banks as u64),
+        }
+    }
+
+    /// The pointer stored with line `slot` of bank `bank`: none while the
+    /// lane is empty.
+    #[inline]
+    fn ptr_at(&self, bank: usize, slot: usize) -> Option<u32> {
+        self.index_ptrs
+            .get(bank * self.bank_slots + slot)
+            .copied()
+            .flatten()
+            .map(|p| p.get() - 1)
+    }
+
+    /// Installs `local` in bank `bank`, pinned if `pinned`, and clears the
+    /// pointer its slot may hold from the line it replaced.
+    #[inline]
+    fn fill(&mut self, bank: usize, local: BlockAddr, pinned: bool) {
+        let (slot, _) = self.banks[bank].fill_slot(local, (), pinned);
+        if let Some(ptr) = self.index_ptrs.get_mut(bank * self.bank_slots + slot) {
+            *ptr = None;
         }
     }
 
@@ -161,20 +182,16 @@ impl NucaLlc {
         self.traffic.record(class, self.config.block_bytes as u64);
         let bank_idx = self.bank_of(block);
         let local = self.bank_local(block);
-        // One combined scan resolves hit/miss, recency, and the index
-        // pointer; the pinned-range check only matters for fills, so it is
-        // deferred to the miss path.
-        let (result, meta) = self.banks[bank_idx].access_meta(local);
-        let hit = result.is_hit();
-        let index_ptr = if let Some(meta) = meta {
-            meta.index_ptr()
-        } else {
-            if self.is_pinned(block) {
-                self.banks[bank_idx].fill_pinned(local, LlcMeta::default());
-            } else {
-                self.banks[bank_idx].fill(local, LlcMeta::default());
+        // One scan resolves hit/miss and recency and finds the hit's slot,
+        // whose pointer the response carries; the pinned-range check only
+        // matters for fills, so it is deferred to the miss path.
+        let (hit, index_ptr) = match self.banks[bank_idx].access_slot(local) {
+            Some(slot) => (true, self.ptr_at(bank_idx, slot)),
+            None => {
+                let pinned = self.is_pinned(block);
+                self.fill(bank_idx, local, pinned);
+                (false, None)
             }
-            None
         };
         let latency = if hit {
             self.config.hit_latency
@@ -198,16 +215,18 @@ impl NucaLlc {
     /// resident. Does not count as traffic (the pointer travels with demand
     /// responses).
     pub fn index_ptr(&self, block: BlockAddr) -> Option<u32> {
-        self.banks[self.bank_of(block)]
-            .meta(self.bank_local(block))
-            .and_then(|m| m.index_ptr())
+        let bank = self.bank_of(block);
+        let slot = self.banks[bank].slot_of(self.bank_local(block))?;
+        self.ptr_at(bank, slot)
     }
 
     /// Updates the index pointer of `block` if it is resident, recording the
     /// tag-array traffic. Returns `true` if the pointer was stored.
     ///
     /// This is the "index update request" the history generator core issues
-    /// for every new spatial-region record (§4.2, record step 2).
+    /// for every new spatial-region record (§4.2, record step 2). The first
+    /// pointer stored allocates the pointer lane, one entry per line slot of
+    /// every bank.
     ///
     /// # Panics
     ///
@@ -220,14 +239,14 @@ impl NucaLlc {
         // 15-bit pointer) rather than a full block.
         self.traffic.record(AccessClass::IndexUpdate, 2);
         let bank = self.bank_of(block);
-        let local = self.bank_local(block);
-        match self.banks[bank].meta_mut(local) {
-            Some(meta) => {
-                meta.index_ptr_plus_one = Some(stored);
-                true
-            }
-            None => false,
+        let Some(slot) = self.banks[bank].slot_of(self.bank_local(block)) else {
+            return false;
+        };
+        if self.index_ptrs.is_empty() {
+            self.index_ptrs = vec![None; self.banks.len() * self.bank_slots];
         }
+        self.index_ptrs[bank * self.bank_slots + slot] = Some(stored);
+        true
     }
 
     /// Reserves `blocks` LLC lines starting at `start` for a virtualized
@@ -239,9 +258,7 @@ impl NucaLlc {
         self.pinned_ranges.push((start, blocks));
         for i in 0..blocks {
             let block = start.offset(i);
-            let bank = self.bank_of(block);
-            let local = self.bank_local(block);
-            self.banks[bank].fill_pinned(local, LlcMeta::default());
+            self.fill(self.bank_of(block), self.bank_local(block), true);
         }
     }
 
@@ -318,8 +335,11 @@ mod tests {
 
     #[test]
     fn the_index_pointer_takes_four_bytes_and_holds_its_whole_range() {
-        assert_eq!(std::mem::size_of::<LlcMeta>(), 4);
+        fn lane_bytes<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
         let mut llc = small_llc();
+        assert_eq!(lane_bytes(&llc.index_ptrs), 4);
         let b = BlockAddr::new(100);
         llc.access(b, AccessClass::Demand);
         assert_eq!(llc.index_ptr(b), None);
@@ -411,5 +431,67 @@ mod tests {
         let outcome = llc.access(newcomer, AccessClass::Demand);
         assert!(outcome.hit);
         assert_eq!(outcome.index_ptr, None);
+    }
+
+    /// Drives every kind of fill: pinned history lines, demand, prefetch
+    /// and history traffic over far more blocks than the LLC holds.
+    fn drive_every_fill(llc: &mut NucaLlc, rounds: u64) {
+        let start = BlockAddr::new(0x8000);
+        llc.reserve_history_region(start, 64);
+        for i in 0..rounds {
+            llc.access(BlockAddr::new(i % 3_001), AccessClass::Demand);
+            llc.access(BlockAddr::new(i % 1_999 + 4), AccessClass::PrefetchUseful);
+            llc.access(start.offset(i % 64), AccessClass::HistoryRead);
+            llc.access(start.offset(i % 61), AccessClass::HistoryWrite);
+        }
+    }
+
+    #[test]
+    fn an_llc_that_stores_no_pointer_holds_no_pointer_lane() {
+        let mut llc = small_llc();
+        drive_every_fill(&mut llc, 10_000);
+        assert!(llc.stats().evictions > 0);
+        assert_eq!(
+            llc.index_ptrs.capacity(),
+            0,
+            "an LLC that stored no pointer holds a pointer lane"
+        );
+        // An update of a block that is not resident stores nothing.
+        assert!(!llc.probe(BlockAddr::new(0x7000)));
+        assert!(!llc.update_index_ptr(BlockAddr::new(0x7000), 1));
+        assert_eq!(llc.index_ptrs.capacity(), 0);
+    }
+
+    #[test]
+    fn the_first_stored_pointer_allocates_one_per_line_in_every_bank() {
+        let mut llc = small_llc();
+        drive_every_fill(&mut llc, 1_000);
+        let b = BlockAddr::new(7);
+        llc.access(b, AccessClass::Demand);
+        assert!(llc.update_index_ptr(b, 3));
+        let lines = llc.config().capacity_blocks();
+        assert_eq!(lines, 4 * llc.config().bank_config().capacity_blocks());
+        assert_eq!(llc.index_ptrs.len(), lines);
+        assert_eq!(llc.index_ptrs.iter().flatten().count(), 1);
+        assert_eq!(llc.index_ptr(b), Some(3));
+    }
+
+    #[test]
+    fn pointer_paths_do_not_allocate_after_the_first_pointer() {
+        let mut llc = small_llc();
+        llc.access(BlockAddr::new(1), AccessClass::Demand);
+        assert!(llc.update_index_ptr(BlockAddr::new(1), 0));
+        let lane = (llc.index_ptrs.as_ptr(), llc.index_ptrs.capacity());
+        drive_every_fill(&mut llc, 20_000);
+        for i in 0..20_000u64 {
+            let b = BlockAddr::new(i % 2_503);
+            llc.update_index_ptr(b, i as u32);
+            llc.index_ptr(b);
+        }
+        assert_eq!(
+            lane,
+            (llc.index_ptrs.as_ptr(), llc.index_ptrs.capacity()),
+            "the pointer lane must not reallocate"
+        );
     }
 }

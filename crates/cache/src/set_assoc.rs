@@ -26,18 +26,22 @@
 //! once every `255 - ways` touches: every 239 or more in a 16-way LLC bank,
 //! every 253 or more in a 2-way L1.
 //!
-//! A line costs 5 bytes plus its metadata: 9 for an LLC line with its index
-//! pointer, 5 for an L1-D line and 21 for an L1-I line. A set adds 2 (its
-//! length and its clock). Pinned-way bitmasks, 8 bytes per set, are
-//! allocated by the cache's first pinned fill, which in a run is
-//! virtualized SHIFT reserving its history in the LLC
-//! (`NucaLlc::reserve_history_region`): the L1s and every other LLC hold
-//! none.
+//! A line costs 5 bytes plus its metadata: 5 in all for an LLC or an L1-D
+//! line, which carry none, and 21 for an L1-I line. (The LLC holds
+//! virtualized SHIFT's index pointers in a lane of its own, 4 more bytes per
+//! line once the first pointer is stored.) A set adds 2 (its length and its
+//! clock). Pinned-way bitmasks, 8 bytes per set, are allocated by the
+//! cache's first pinned fill, which in a run is virtualized SHIFT reserving
+//! its history in the LLC (`NucaLlc::reserve_history_region`): the L1s and
+//! every other LLC hold none.
 //!
 //! Within a set, live lines occupy ways `0..len`: a fill into a free way
 //! appends, and an eviction writes the new line into the victim's slot. No
 //! result depends on a line's slot, because a block is live at most once
-//! per set and live stamps within a set are distinct.
+//! per set and live stamps within a set are distinct. Nothing else moves a
+//! line, so a resident block keeps its slot until it is evicted: the LLC
+//! keys its index pointers by the slot that the crate-private `slot_of`,
+//! `access_slot` and `fill_slot` report.
 
 use serde::{Deserialize, Serialize};
 use shift_types::BlockAddr;
@@ -309,13 +313,41 @@ impl<M> SetAssocCache<M> {
         }
     }
 
+    /// The slot (`set * ways + way`) of the line holding `block`, if it is
+    /// resident, without updating recency or statistics.
+    #[inline]
+    pub(crate) fn slot_of(&self, block: BlockAddr) -> Option<usize> {
+        let (idx, tag) = self.split(block);
+        let base = idx * self.ways;
+        self.match_way(base, self.set_len[idx] as usize, tag)
+            .map(|w| base + w)
+    }
+
     /// Returns `true` if `block` is resident, without updating recency or
     /// statistics.
     #[inline]
     pub fn probe(&self, block: BlockAddr) -> bool {
+        self.slot_of(block).is_some()
+    }
+
+    /// Looks up `block` exactly like [`access`](Self::access) and returns
+    /// the slot of a hit.
+    #[inline]
+    pub(crate) fn access_slot(&mut self, block: BlockAddr) -> Option<usize> {
         let (idx, tag) = self.split(block);
-        self.match_way(idx * self.ways, self.set_len[idx] as usize, tag)
-            .is_some()
+        self.stats.accesses += 1;
+        let base = idx * self.ways;
+        match self.match_way(base, self.set_len[idx] as usize, tag) {
+            Some(w) => {
+                self.last_use[base + w] = self.tick(idx);
+                self.stats.hits += 1;
+                Some(base + w)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
     }
 
     /// Looks up `block`, updating recency and statistics. Does **not** fill on
@@ -323,43 +355,22 @@ impl<M> SetAssocCache<M> {
     /// [`fill`](Self::fill).
     #[inline]
     pub fn access(&mut self, block: BlockAddr) -> AccessResult {
-        let (idx, tag) = self.split(block);
-        self.stats.accesses += 1;
-        let base = idx * self.ways;
-        match self.match_way(base, self.set_len[idx] as usize, tag) {
-            Some(w) => {
-                self.last_use[base + w] = self.tick(idx);
-                self.stats.hits += 1;
-                AccessResult::Hit
-            }
-            None => {
-                self.stats.misses += 1;
-                AccessResult::Miss
-            }
+        match self.access_slot(block) {
+            Some(_) => AccessResult::Hit,
+            None => AccessResult::Miss,
         }
     }
 
     /// Looks up `block` exactly like [`access`](Self::access) (same recency
     /// and statistics updates) and additionally hands back mutable access to
-    /// the line's metadata on a hit — one set scan where an
-    /// `access`-then-[`meta_mut`](Self::meta_mut) sequence would perform two.
-    /// The instruction-fetch hot path classifies prefetched lines with it on
+    /// the line's metadata on a hit, in the same set scan. The
+    /// instruction-fetch hot path classifies prefetched lines with it on
     /// every L1-I hit.
     #[inline]
     pub fn access_meta(&mut self, block: BlockAddr) -> (AccessResult, Option<&mut M>) {
-        let (idx, tag) = self.split(block);
-        self.stats.accesses += 1;
-        let base = idx * self.ways;
-        match self.match_way(base, self.set_len[idx] as usize, tag) {
-            Some(w) => {
-                self.last_use[base + w] = self.tick(idx);
-                self.stats.hits += 1;
-                (AccessResult::Hit, Some(&mut self.meta[base + w]))
-            }
-            None => {
-                self.stats.misses += 1;
-                (AccessResult::Miss, None)
-            }
+        match self.access_slot(block) {
+            Some(slot) => (AccessResult::Hit, Some(&mut self.meta[slot])),
+            None => (AccessResult::Miss, None),
         }
     }
 
@@ -373,7 +384,7 @@ impl<M> SetAssocCache<M> {
     ///
     /// Panics if every way of the target set is pinned.
     pub fn fill(&mut self, block: BlockAddr, meta: M) -> Option<EvictedLine<M>> {
-        self.fill_inner(block, meta, false)
+        self.fill_slot(block, meta, false).1
     }
 
     /// Installs `block` as a *pinned* (non-evictable) line.
@@ -382,10 +393,18 @@ impl<M> SetAssocCache<M> {
     ///
     /// Panics if every way of the target set is already pinned.
     pub fn fill_pinned(&mut self, block: BlockAddr, meta: M) -> Option<EvictedLine<M>> {
-        self.fill_inner(block, meta, true)
+        self.fill_slot(block, meta, true).1
     }
 
-    fn fill_inner(&mut self, block: BlockAddr, meta: M, pinned: bool) -> Option<EvictedLine<M>> {
+    /// Installs `block` like [`fill_pinned`](Self::fill_pinned) if `pinned`
+    /// and like [`fill`](Self::fill) otherwise, and returns the slot the
+    /// line now holds beside the evicted line.
+    pub(crate) fn fill_slot(
+        &mut self,
+        block: BlockAddr,
+        meta: M,
+        pinned: bool,
+    ) -> (usize, Option<EvictedLine<M>>) {
         let (idx, tag) = self.split(block);
         let stamp = self.tick(idx);
         self.stats.fills += 1;
@@ -400,7 +419,7 @@ impl<M> SetAssocCache<M> {
             if pinned {
                 self.pin(idx, w);
             }
-            return None;
+            return (base + w, None);
         }
 
         if len < ways {
@@ -413,7 +432,7 @@ impl<M> SetAssocCache<M> {
                 self.pin(idx, len);
             }
             self.set_len[idx] = (len + 1) as u8;
-            return None;
+            return (slot, None);
         }
 
         // LRU victim selection over the unpinned live ways, directly on the
@@ -444,28 +463,17 @@ impl<M> SetAssocCache<M> {
         if pinned {
             self.pin(idx, victim);
         }
-        Some(EvictedLine {
+        let evicted = EvictedLine {
             block: evicted_block,
             meta: std::mem::replace(&mut self.meta[slot], meta),
-        })
+        };
+        (slot, Some(evicted))
     }
 
     /// Returns a reference to the metadata of `block`, if resident.
     #[inline]
     pub fn meta(&self, block: BlockAddr) -> Option<&M> {
-        let (idx, tag) = self.split(block);
-        let base = idx * self.ways;
-        self.match_way(base, self.set_len[idx] as usize, tag)
-            .map(|w| &self.meta[base + w])
-    }
-
-    /// Returns a mutable reference to the metadata of `block`, if resident.
-    #[inline]
-    pub fn meta_mut(&mut self, block: BlockAddr) -> Option<&mut M> {
-        let (idx, tag) = self.split(block);
-        let base = idx * self.ways;
-        self.match_way(base, self.set_len[idx] as usize, tag)
-            .map(|w| &mut self.meta[base + w])
+        self.slot_of(block).map(|slot| &self.meta[slot])
     }
 
     /// Applies `f` to the metadata of every resident line (used e.g. to clear
@@ -553,15 +561,6 @@ mod tests {
         c.fill_pinned(BlockAddr::new(0), 0);
         c.fill_pinned(BlockAddr::new(4), 0);
         let _ = c.fill(BlockAddr::new(8), 0);
-    }
-
-    #[test]
-    fn meta_mut_allows_in_place_update() {
-        let mut c = small();
-        c.fill(BlockAddr::new(1), 5);
-        *c.meta_mut(BlockAddr::new(1)).unwrap() = 6;
-        assert_eq!(c.meta(BlockAddr::new(1)), Some(&6));
-        assert_eq!(c.meta(BlockAddr::new(9)), None);
     }
 
     #[test]
