@@ -6,7 +6,8 @@
 //! Every accepted plan becomes a [`Job`] keyed by its
 //! [`MatrixFingerprint`](shift_sim::MatrixFingerprint); identical resubmissions collapse onto the same
 //! job in the registry (a completed job answers instantly from its cached
-//! wire bundle, without touching the store). *Distinct but overlapping*
+//! wire bundle, without touching the store, and a failed one is replaced by
+//! a fresh job that drains the plan again). *Distinct but overlapping*
 //! plans are serialized by the run lock, which the submitting thread holds
 //! while it drains its plan, and each job probes
 //! every earlier sweep's outcome directory
@@ -314,8 +315,11 @@ impl Daemon {
     /// then drained on the calling thread once no other sweep is executing.
     ///
     /// Identical plans (same matrix fingerprint) collapse onto one job, which
-    /// only its first submission executes; a draining daemon rejects plans
-    /// that would need *new* scheduling but still answers registered ones.
+    /// only its first submission executes, until that job fails: the next
+    /// submission of a failed plan registers a fresh job that drains it
+    /// again. A draining daemon rejects plans that would need *new*
+    /// scheduling, a failed one included, but still answers the queued,
+    /// running and complete jobs it holds.
     ///
     /// # Errors
     ///
@@ -334,12 +338,20 @@ impl Daemon {
         let id = plan.matrix().fingerprint().to_string();
 
         let mut registry = self.registry();
+        // A queued or running job is waited on and a complete one answers
+        // from its cache; a failed one is replaced below by a fresh job that
+        // drains the plan again, since its fault may be gone.
         if let Some(job) = registry.get(&id) {
-            let cached = job.with_state(|s| s.status == JobStatus::Complete);
-            return Ok(Submission {
-                job: Arc::clone(job),
-                cached,
+            let cached = job.with_state(|s| match s.status {
+                JobStatus::Failed(_) => None,
+                _ => Some(s.status == JobStatus::Complete),
             });
+            if let Some(cached) = cached {
+                return Ok(Submission {
+                    job: Arc::clone(job),
+                    cached,
+                });
+            }
         }
         // Checked under the registry lock, so no job is registered after
         // `drain_and_join` took its list.
@@ -558,6 +570,30 @@ mod tests {
         assert!(Arc::ptr_eq(&resubmitted.job, &job));
         daemon.drain_and_join();
         assert!(daemon.status_json().contains(r#""draining":true"#));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_draining_daemon_refuses_to_drain_a_failed_plan_again() {
+        let root = std::env::temp_dir().join("shift-serve-unit-failed-drain");
+        let _ = fs::remove_dir_all(&root);
+        let daemon = Daemon::start(ServeConfig::new(&root)).expect("daemon starts");
+        let body = r#"{"cores": 2, "scale": "Test", "seed": 7, "workloads": ["Tiny"]}"#;
+        let spec: PlanSpec = json::from_str(body).expect("a valid plan");
+        let plan = PaperPlan::plan(spec.resolve().expect("resolves"));
+        let job = Arc::new(Job::new(
+            plan.matrix().fingerprint().to_string(),
+            plan.run_count(),
+        ));
+        job.set_status(JobStatus::Failed("injected failure".to_owned()));
+        daemon.registry().insert(job.id.clone(), Arc::clone(&job));
+
+        daemon.drain();
+        assert!(matches!(
+            daemon.submit(body),
+            Err(crate::protocol::ApiError::Draining)
+        ));
+        assert!(daemon.job(&job.id).is_some_and(|j| Arc::ptr_eq(&j, &job)));
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -14,7 +14,8 @@
 //!
 //! A regular file where a plan's sweep directory belongs fails that sweep
 //! alone: its submission answers 500 naming the directory, and the daemon
-//! keeps answering and serves the next plan byte-identically.
+//! keeps answering and serves the next plan byte-identically. Once the file
+//! is gone, resubmitting the failed plan drains it again.
 
 mod common;
 
@@ -183,6 +184,18 @@ fn an_uncreatable_sweep_dir_fails_only_its_own_sweep() {
     );
     assert_eq!(bundle.status, 200);
     assert_bundle_matches(&bundle.body, &reference_plan.execute());
+
+    // Once the fault is gone, a resubmission drains the failed plan again
+    // instead of answering from the failed job.
+    std::fs::remove_file(&sweep_dir).unwrap();
+    let response = request(addr, "POST", "/v1/sweeps", Some(&spec_body(&blocked)));
+    assert_eq!(response.status, 200, "body: {}", response.body);
+    let job = request(addr, "GET", &format!("/v1/sweeps/{id}"), None);
+    assert_eq!(job.status, 200);
+    assert!(job.body.contains(r#""status":"complete""#), "{}", job.body);
+    let bundle = request(addr, "GET", &format!("/v1/sweeps/{id}/artifacts"), None);
+    assert_eq!(bundle.status, 200);
+    assert_bundle_matches(&bundle.body, &plan_of(&blocked).execute());
 
     server.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
